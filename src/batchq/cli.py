@@ -21,7 +21,7 @@ import sys
 from . import distributions as dist
 from . import percolation as perc
 from . import timeconstants as tc
-from .queue_core import QueueParams, simulate, stationary_law, _condition_holds
+from .queue_core import QueueParams, check_condition, simulate, stationary_law, _condition_holds
 from .streams import RandomStream
 from .tandem import TandemConfig, simulate_tandem
 from .verify import SUITES, run_suite
@@ -95,6 +95,8 @@ def _parse_grid(text: str, parser) -> list[float]:
     try:
         if ":" in text:
             lo, hi, step = (float(t) for t in text.split(":"))
+            if not step > 0:
+                parser.error(f"bad grid {text!r}; the step must be positive")
             n = int(round((hi - lo) / step))
             return [lo + i * step for i in range(n + 1) if lo + i * step <= hi + 1e-12]
         return [float(t) for t in text.split(",") if t]
@@ -192,7 +194,7 @@ def _cmd_dist(args, parser) -> int:
 
 def _cmd_queue(args, parser) -> int:
     params = _queue_params(args, parser)
-    slots = args.slots or 100_000
+    slots = 100_000 if args.slots is None else args.slots
     burn = min(args.burn_in if args.burn_in is not None else 10_000, slots // 2)
     trace = simulate(params.arrival_spec, params.service_spec, slots,
                      init_x=args.init_x or 0, stream=RandomStream(_seed_of(args)))
@@ -208,8 +210,7 @@ def _cmd_queue(args, parser) -> int:
             "mean_y": float(trace.y[burn:].mean()),
             "mean_d": float(trace.d[burn:].mean()),
         },
-        "condition_residual": float(params.alpha / (1 - params.alpha) * params.p / (1 - params.p)
-                                    - params.beta / (1 - params.beta) * params.q / (1 - params.q)),
+        "condition_residual": check_condition(params),
     }
     if params.is_stable and _condition_holds(params):
         summary["stationary"] = stationary_law(params).to_dict()
@@ -219,8 +220,8 @@ def _cmd_queue(args, parser) -> int:
 
 def _cmd_tandem(args, parser) -> int:
     params = _queue_params(args, parser)
-    stages = args.stages or 2
-    slots = args.slots or 100_000
+    stages = 2 if args.stages is None else args.stages
+    slots = 100_000 if args.slots is None else args.slots
     burn = min(args.burn_in if args.burn_in is not None else 10_000, slots // 2)
     config = TandemConfig.bergeom(params, stages)
     tt = simulate_tandem(config, slots, stream=RandomStream(_seed_of(args)))
@@ -248,8 +249,8 @@ def _cmd_perc(args, parser) -> int:
         xs = _parse_grid(args.x, parser)
         if not xs:
             parser.error("empty --x grid")
-        n = args.n or 200
-        replicas = args.replicas or 50
+        n = 200 if args.n is None else args.n
+        replicas = 50 if args.replicas is None else args.replicas
         seed = _seed_of(args)
         threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
         lines = ["x,N,mean,ci_lo,ci_hi,replicas,seed"]
@@ -263,9 +264,11 @@ def _cmd_perc(args, parser) -> int:
         return 0
     # identity
     params = _queue_params(args, parser)
-    stages = args.stages or 3
-    window = args.window or 50
-    instances = args.instances or 1000
+    stages = 3 if args.stages is None else args.stages
+    window = 50 if args.window is None else args.window
+    instances = 1000 if args.instances is None else args.instances
+    if instances < 1:
+        parser.error("--instances must be >= 1")
     stream = RandomStream(_seed_of(args))
     failures = 0
     for i in range(instances):
@@ -313,7 +316,6 @@ def _cmd_verify(args, parser) -> int:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args, parser)
     handlers = {
         "dist": _cmd_dist,
         "queue": _cmd_queue,
@@ -323,8 +325,9 @@ def run(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        _apply_config(args, parser)
         return handlers[args.command](args, parser)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

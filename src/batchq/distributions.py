@@ -302,6 +302,8 @@ def _geom_plus_draws(alpha: float, stream: RandomStream, n: int) -> np.ndarray:
         return np.ones(n, dtype=np.int64)
     u = stream.uniforms(n)
     k = 1 + np.floor(np.log1p(-u) / math.log1p(-alpha))
+    if np.any(k >= 2.0**63):
+        raise ValueError(f"Geom+({alpha:g}) draw does not fit in int64; alpha is too small")
     return k.astype(np.int64)
 
 

@@ -34,8 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DistSpec, sample_n
-from .queue_core import _lindley
 from .streams import RandomStream
+from .tandem import TandemConfig, simulate_tandem
 
 __all__ = [
     "WeightField",
@@ -330,19 +330,11 @@ def tandem_identity_check(arrival: DistSpec, services: Sequence[DistSpec],
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    a = sample_n(arrival, stream, window)
-    svc = [sample_n(sv, stream, window) for sv in services]
-    # tandem side
-    total = 0
-    arr = a
-    for s in svc:
-        x_full = _lindley(arr, s, 0)
-        y = x_full[:-1] + arr
-        d = np.minimum(y, s)
-        total = total + x_full[-1]
-        arr = d
+    trace = simulate_tandem(TandemConfig(arrival, services), window, stream)
+    total = sum(tr.final_x for tr in trace.stages)
+    a = trace.stages[0].a
     # percolation side
-    w = np.stack(svc)
+    w = np.stack([tr.s for tr in trace.stages])
     best = None
     best_m = window
     for m in range(window, -1, -1):

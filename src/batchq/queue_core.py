@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DistSpec, ber_geom, mean, pmf, sf, tail_cutoff, sample_n
+from .distributions import DistSpec, ber_geom, mean, pmf, pmf_vector, sf, tail_cutoff, sample_n
 from .streams import RandomStream
 
 __all__ = [
@@ -313,21 +313,28 @@ def path_max_X(arrivals: Sequence[float], services: Sequence[float]):
     return best.item()
 
 
+def _odds_product(a: float, p: float) -> float:
+    """[a/(1-a)][p/(1-p)]: one side of the reversibility condition."""
+    return a / (1.0 - a) * p / (1.0 - p)
+
+
+def _condition_sides(params: QueueParams) -> tuple[float, float]:
+    return _odds_product(params.alpha, params.p), _odds_product(params.beta, params.q)
+
+
 def check_condition(params: QueueParams) -> float:
     """Residual of the reversibility condition; zero iff it holds.
 
     Returns [a/(1-a)][p/(1-p)] - [b/(1-b)][q/(1-q)].
     """
-    lhs = params.alpha / (1.0 - params.alpha) * params.p / (1.0 - params.p)
-    rhs = params.beta / (1.0 - params.beta) * params.q / (1.0 - params.q)
+    lhs, rhs = _condition_sides(params)
     return lhs - rhs
 
 
 def _condition_holds(params: QueueParams, rtol: float = 1e-6) -> bool:
     # relative tolerance: near-degenerate parameters (alpha or beta close
     # to 1) cannot represent the curve more tightly than 1 - alpha allows
-    lhs = params.alpha / (1.0 - params.alpha) * params.p / (1.0 - params.p)
-    rhs = params.beta / (1.0 - params.beta) * params.q / (1.0 - params.q)
+    lhs, rhs = _condition_sides(params)
     return abs(lhs - rhs) <= rtol * max(1.0, abs(lhs), abs(rhs))
 
 
@@ -342,7 +349,7 @@ def check_continuous_condition(p: float, a_rate: float, q: float, b_rate: float)
 
 def match_arrival_bernoulli(alpha: float, q: float, beta: float) -> float:
     """The unique p placing (p, alpha) on the service's one-parameter family."""
-    t = beta / (1.0 - beta) * q / (1.0 - q) * (1.0 - alpha) / alpha
+    t = _odds_product(beta, q) * (1.0 - alpha) / alpha
     return t / (1.0 + t)
 
 
@@ -384,6 +391,13 @@ def solve_arrival(q: float, b: float, lam: float) -> tuple[float, float]:
     return p, alpha
 
 
+def _c_gamma(params: QueueParams) -> tuple[float, float]:
+    """(c, gamma) of the BerGeom(c, gamma) stationary law of X."""
+    c = params.beta / (1.0 - params.beta) * (1.0 - params.alpha) / params.alpha
+    gamma = (params.alpha - params.beta) / (1.0 - params.beta)
+    return c, gamma
+
+
 def stationary_law(params: QueueParams) -> StationaryLaw:
     """Stationary BerGeom law of the queue under the reversibility condition.
 
@@ -397,8 +411,7 @@ def stationary_law(params: QueueParams) -> StationaryLaw:
             "reversibility condition violated (residual "
             f"{check_condition(params):.3g}); the stationary law is not "
             "Bernoulli-geometric in general, use markov_oracle")
-    c = params.beta / (1.0 - params.beta) * (1.0 - params.alpha) / params.alpha
-    gamma = (params.alpha - params.beta) / (1.0 - params.beta)
+    c, gamma = _c_gamma(params)
     y_b = params.p + c - params.p * c
     return StationaryLaw(c=c, gamma=gamma, y_bernoulli=y_b)
 
@@ -414,20 +427,18 @@ def verify_detailed_balance(params: QueueParams, K: int = 30) -> float:
     condition the residual is at rounding level; when the condition fails
     the identity genuinely breaks and the residual is macroscopic.
     """
-    c = params.beta / (1.0 - params.beta) * (1.0 - params.alpha) / params.alpha
-    gamma = (params.alpha - params.beta) / (1.0 - params.beta)
+    c, gamma = _c_gamma(params)
     if not (0 < c < 1 and 0 < gamma < 1):
         raise ValueError("formula law undefined for these parameters (need beta < alpha)")
     ks = np.arange(K + 1)
-    pi = np.where(ks == 0, 1.0 - c, c * gamma * (1.0 - gamma) ** np.maximum(ks - 1, 0))
-    a_spec = params.arrival_spec
+    pi = pmf_vector(ber_geom(c, gamma), K)
     s_spec = params.service_spec
     # arr[k, m] = P(A = m - k) for m >= k
     diff = ks[None, :] - ks[:, None]
-    a_pmf = np.array([pmf(a_spec, j) for j in range(K + 1)])
+    a_pmf = pmf_vector(params.arrival_spec, K)
     arr = np.where(diff >= 0, a_pmf[np.clip(diff, 0, K)], 0.0)
     # srv[m, r] = P(X' = r | Y = m): pmf of S at m - r for r >= 1, tail at r = 0
-    s_pmf = np.array([pmf(s_spec, j) for j in range(K + 1)])
+    s_pmf = pmf_vector(s_spec, K)
     s_sf = np.array([sf(s_spec, j) for j in range(K + 1)])
     srv = np.where(diff.T >= 0, s_pmf[np.clip(diff.T, 0, K)], 0.0)
     srv[:, 0] = s_sf
@@ -477,14 +488,15 @@ def excursion_loglik(params: QueueParams, a_seq: Sequence[int], d_seq: Sequence[
     return ll
 
 
-def _service_pmf_vector(service, tol: float) -> np.ndarray:
-    if isinstance(service, DistSpec):
-        if not service.is_discrete:
+def _pmf_table(spec, tol: float) -> np.ndarray:
+    """pmf of a discrete spec on 0..tail_cutoff(spec, tol), or a checked explicit pmf vector."""
+    if isinstance(spec, DistSpec):
+        if not spec.is_discrete:
             raise ValueError("markov_oracle needs discrete specs")
-        return np.array([pmf(service, k) for k in range(tail_cutoff(service, tol) + 1)])
-    v = np.asarray(service, dtype=float)
+        return pmf_vector(spec, tail_cutoff(spec, tol))
+    v = np.asarray(spec, dtype=float)
     if v.ndim != 1 or np.any(v < 0) or abs(v.sum() - 1.0) > 1e-12:
-        raise ValueError("explicit service pmf must be a nonnegative vector summing to 1")
+        raise ValueError("explicit pmf must be a nonnegative vector summing to 1")
     return v
 
 
@@ -494,65 +506,53 @@ def markov_oracle(arrival: DistSpec, service, K: int = 200,
 
     Builds the exact one-slot kernel from pmfs and tails (``service`` may
     be a DistSpec or an explicit finite pmf vector), then solves pi P = pi
-    by the power method: repeated squaring to wash out transients followed
-    by vector iterations until the residual is below ``tol``.  Arrival
-    batches are truncated where their tail drops below 1e-14 and the lost
-    kernel mass is left unreflected, so the result is honest about
-    truncation; if the computed law leaves more than 1e-12 mass near the
-    truncation boundary the call fails asking for a larger K.
+    by GTH elimination (Grassmann, Taksar & Heyman 1985): states are
+    censored out from K down to 1, each exit rate is the sum of the
+    remaining off-diagonal row entries, and no step subtracts, so every
+    entry of the result carries a small relative error.  Arrival batches
+    are truncated where their tail drops below 1e-14 and the lost kernel
+    mass is left unreflected, so the result is honest about truncation:
+    if the law leaves more than 1e-12 mass near the truncation boundary
+    the call fails asking for a larger K, and otherwise it fails when the
+    residual of pi P = pi exceeds ``tol``.
     """
-    if not arrival.is_discrete:
-        raise ValueError("markov_oracle needs discrete specs")
-    a_pmf = np.array([pmf(arrival, k) for k in range(tail_cutoff(arrival, 1e-14) + 1)])
-    s_pmf = _service_pmf_vector(service, 1e-14)
+    a_pmf = _pmf_table(arrival, 1e-14)
+    s_pmf = _pmf_table(service, 1e-14)
     service_mean = float(np.arange(len(s_pmf)) @ s_pmf)
     if mean(arrival) >= service_mean:
         raise ValueError("unstable queue: oracle needs mean service > mean arrival")
     a_max = len(a_pmf) - 1
     m_max = K + a_max
     # service kernel: srv[m, r] = P(X' = r | Y = m) for r in 0..K
+    js = np.arange(m_max + 1)[:, None] - np.arange(K + 1)[None, :]
+    srv = np.where((js >= 0) & (js < len(s_pmf)), s_pmf[np.clip(js, 0, len(s_pmf) - 1)], 0.0)
     s_sf = np.concatenate((np.cumsum(s_pmf[::-1])[::-1], np.zeros(m_max + 1)))
-    srv = np.zeros((m_max + 1, K + 1))
-    for m in range(m_max + 1):
-        hi = min(m, K)
-        js = m - np.arange(1, hi + 1)
-        vals = np.where(js < len(s_pmf), s_pmf[np.clip(js, 0, len(s_pmf) - 1)], 0.0)
-        srv[m, 1:hi + 1] = vals
-        srv[m, 0] = s_sf[m] if m < len(s_sf) else 0.0
+    srv[:, 0] = s_sf[:m_max + 1]
     kernel = np.zeros((K + 1, K + 1))
     for a, w in enumerate(a_pmf):
         kernel += w * srv[a:a + K + 1, :]
-    # power method: square until the rows agree, then refine with the raw
-    # kernel; refinement stops at the tolerance or at the double-precision
-    # plateau (slowly mixing chains bottom out slightly above 1e-13)
-    q_mat = kernel / kernel.sum(axis=1, keepdims=True)
-    for _ in range(60):
-        q_mat = q_mat @ q_mat
-        q_mat /= q_mat.sum(axis=1, keepdims=True)
-        if np.abs(q_mat[0] - q_mat[-1]).max() < 1e-16:
-            break
-    pi = q_mat[0] / q_mat[0].sum()
-
-    def _residual(v: np.ndarray) -> float:
-        nxt = v @ kernel
-        return float(np.abs(nxt / nxt.sum() - v).max())
-
-    residual = _residual(pi)
-    prev = math.inf
-    for _ in range(25):
-        if residual <= tol or residual >= prev * 0.9:
-            break
-        prev = residual
-        for _ in range(200):
-            pi = pi @ kernel
-            pi /= pi.sum()
-        residual = _residual(pi)
-    if residual > 100 * tol:
-        raise RuntimeError(f"power iteration stalled at residual {residual:.3g} "
-                           f"(target {tol}); increase K or check stability")
-    if pi[-5:].sum() > 1e-12:
+    # GTH: censor state k out of the chain on {0..k}, from k = K down to 1;
+    # a slot raises the queue by at most a_max, so only rows lo..k-1 reach k
+    g = kernel.copy()
+    for k in range(K, 0, -1):
+        lo = max(0, k - a_max)
+        col = g[lo:k, k] / g[k, :k].sum()
+        g[lo:k, k] = col
+        g[lo:k, :k] += col[:, None] * g[k, :k]
+    pi = np.zeros(K + 1)
+    pi[0] = 1.0
+    for k in range(1, K + 1):
+        pi[k] = pi[:k] @ g[:k, k]
+    pi /= pi.sum()
+    boundary = pi[-5:].sum()
+    if not boundary <= 1e-12:
         raise RuntimeError(
-            f"increase K: mass {pi[-5:].sum():.3g} sits near the truncation boundary")
+            f"increase K: mass {boundary:.3g} sits near the truncation boundary")
+    nxt = pi @ kernel
+    residual = float(np.abs(nxt / nxt.sum() - pi).max())
+    if not residual <= tol:
+        raise RuntimeError(f"residual {residual:.3g} of pi P = pi exceeds {tol}; "
+                           "check stability or increase K")
     return pi
 
 

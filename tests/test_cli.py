@@ -137,3 +137,51 @@ def test_verify_stats_suite_exits_zero(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["passed"] and report["suite"] == "stats"
     assert capsys.readouterr().out.startswith("stats:")
+
+
+def _exit_code_and_stderr(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+P = ["--p", "0.3333333333333333", "--alpha", "0.6666666666666666", "--q", "0.5", "--beta", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["queue", *P, "--slots", "0"],
+    ["tandem", *P, "--stages", "0", "--slots", "100"],
+    ["tandem", *P, "--slots", "0"],
+    ["perc", "identity", *P, "--window", "0", "--instances", "2"],
+    ["perc", "identity", *P, "--stages", "0", "--window", "5", "--instances", "2"],
+    ["perc", "identity", *P, "--window", "5", "--instances", "0"],
+    ["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}', "--x", "0.2",
+     "--replicas", "2", "--n", "0"],
+    ["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}', "--x", "0.2",
+     "--n", "10", "--replicas", "0"],
+], ids=["queue-slots", "tandem-stages", "tandem-slots", "identity-window",
+        "identity-stages", "identity-instances", "perc-n", "perc-replicas"])
+def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, capsys):
+    code, err = _exit_code_and_stderr(argv, capsys)
+    assert code == 2
+    assert err.count("error:") == 1
+
+
+@pytest.mark.parametrize("case", ["zero-step-grid", "legendre-arithmetic", "missing-config",
+                                  "missing-out-dir", "missing-trace-dir"])
+def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
+    missing = str(tmp_path / "no_such_dir" / "x.csv")
+    argv = {
+        "zero-step-grid": ["tc", "--variant", "exp", "--x", "1:4:0"],
+        "legendre-arithmetic": ["tc", "--variant", "legendre", "--q", "0.5",
+                                "--beta", "0.999999", "--x", "0.5,3,50"],
+        "missing-config": ["tc", "--variant", "exp", "--x", "3",
+                           "--config", str(tmp_path / "missing.json")],
+        "missing-out-dir": ["tc", "--variant", "exp", "--x", "3", "--out", missing],
+        "missing-trace-dir": ["queue", *P, "--slots", "10", "--out", missing],
+    }[case]
+    code, err = _exit_code_and_stderr(argv, capsys)
+    assert code == 2
+    assert err.count("error:") == 1 and "Traceback" not in err

@@ -241,3 +241,15 @@ def test_substreams_are_decorrelated_and_documented():
     assert not np.allclose(a, b)
     with pytest.raises(ValueError):
         s.substream(-1)
+
+
+def test_geom_samplers_refuse_draws_beyond_int64():
+    # Geom+(1e-300) draws are near 1e300: refused instead of wrapping negative
+    for spec in (dist.geom_plus(1e-300), dist.geom_zero(1e-300), dist.ber_geom(0.5, 1e-300)):
+        with pytest.raises(ValueError, match="int64"):
+            dist.sample_n(spec, RandomStream(1), 10)
+    with pytest.raises(ValueError, match="int64"):
+        dist.sample_compound_n(0.5, 1e-300, RandomStream(1), 100)
+    # a tiny but representable alpha still samples on the support
+    draws = dist.sample_n(dist.geom_plus(1e-15), RandomStream(1), 1000)
+    assert draws.dtype == np.int64 and draws.min() >= 1

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchq import distributions as dist
 from batchq.queue_core import (QueueParams, check_condition,
@@ -249,6 +250,20 @@ def test_oracle_rejects_bad_input():
         markov_oracle(dist.geom_plus(0.3), dist.bernoulli(0.5), K=50)
     with pytest.raises(ValueError, match="pmf"):
         markov_oracle(dist.bernoulli(0.2), np.array([0.5, 0.4]), K=50)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(q=st.floats(0.05, 0.95), beta=st.floats(0.05, 0.9), gamma=st.floats(0.15, 0.95))
+def test_oracle_matches_formula_law_on_family(q, beta, gamma):
+    # gamma >= 0.15 keeps the boundary mass at K=200 below the refusal level
+    alpha = beta + gamma * (1 - beta)
+    params = QueueParams(p=match_arrival_bernoulli(alpha, q, beta), alpha=alpha, q=q, beta=beta)
+    pi = markov_oracle(params.arrival_spec, params.service_spec, K=200)
+    law = stationary_law(params)
+    ref = np.array([law.x_pmf(k) for k in range(len(pi))])
+    assert np.abs(pi - ref).max() <= 1e-10
+    assert pi.min() >= 0.0
+    assert abs(pi.sum() - 1.0) <= 1e-12
 
 
 def test_queue_params_validation_and_burn_in():
