@@ -7,15 +7,15 @@ in any flag not given explicitly.  Exit codes: 0 success, 1 failed
 verification, 2 usage or validation error.
 
 Outputs are deterministic for a fixed argv and seed: floats print with
-17 significant digits, JSON keys are sorted, and replica merging is by
-replica index regardless of --threads.
+17 significant digits and JSON keys are sorted.  --threads is accepted
+and has no effect: replicas run serially in replica order.  The cost of
+perc identity is linear in --window.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import distributions as dist
@@ -51,7 +51,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default=None,
                     help="stdout format where both make sense")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads for replica-parallel commands (default: cores)")
+                    help="accepted for compatibility; has no effect")
     sp.add_argument("--config", default=None,
                     help="JSON file with defaults for any flag of this subcommand")
 
@@ -61,6 +61,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return
     with open(args.config) as fh:
         conf = json.load(fh)
+    if not isinstance(conf, dict):
+        parser.error(f"--config {args.config!r} must hold a JSON object")
     for key, val in conf.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
@@ -88,6 +90,12 @@ def _queue_params(args, parser) -> QueueParams:
         return QueueParams(p=args.p, alpha=args.alpha, q=args.q, beta=args.beta)
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def _burn_in(args, parser, slots: int) -> int:
+    if args.burn_in is not None and args.burn_in < 0:
+        parser.error("--burn-in must be >= 0")
+    return min(10_000 if args.burn_in is None else args.burn_in, slots // 2)
 
 
 def _parse_grid(text: str, parser) -> list[float]:
@@ -195,7 +203,7 @@ def _cmd_dist(args, parser) -> int:
 def _cmd_queue(args, parser) -> int:
     params = _queue_params(args, parser)
     slots = 100_000 if args.slots is None else args.slots
-    burn = min(args.burn_in if args.burn_in is not None else 10_000, slots // 2)
+    burn = _burn_in(args, parser, slots)
     trace = simulate(params.arrival_spec, params.service_spec, slots,
                      init_x=args.init_x or 0, stream=RandomStream(_seed_of(args)))
     if args.out:
@@ -222,7 +230,7 @@ def _cmd_tandem(args, parser) -> int:
     params = _queue_params(args, parser)
     stages = 2 if args.stages is None else args.stages
     slots = 100_000 if args.slots is None else args.slots
-    burn = min(args.burn_in if args.burn_in is not None else 10_000, slots // 2)
+    burn = _burn_in(args, parser, slots)
     config = TandemConfig.bergeom(params, stages)
     tt = simulate_tandem(config, slots, stream=RandomStream(_seed_of(args)))
     tt.check_feed_forward()
@@ -252,12 +260,10 @@ def _cmd_perc(args, parser) -> int:
         n = 200 if args.n is None else args.n
         replicas = 50 if args.replicas is None else args.replicas
         seed = _seed_of(args)
-        threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
         lines = ["x,N,mean,ci_lo,ci_hi,replicas,seed"]
         stream = RandomStream(seed)
         for i, x in enumerate(xs):
-            est = perc.estimate_time_constant(spec, float(x), n, replicas,
-                                              stream.substream(i), threads=threads)
+            est = perc.estimate_time_constant(spec, float(x), n, replicas, stream.substream(i))
             lines.append(",".join([_fmt(x), str(n), _fmt(est.mean), _fmt(est.ci_lo),
                                    _fmt(est.ci_hi), str(replicas), str(seed)]))
         _write_out("\n".join(lines) + "\n", args.out)

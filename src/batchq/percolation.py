@@ -20,13 +20,14 @@ S[r][n] on columns m..-1 and rows 1..R (the m = 0 term is empty and
 contributes 0).  This identity is exact pathwise, which is what
 :func:`tandem_identity_check` verifies; with pinned endpoints it fails
 for R >= 2 on finite windows, because the optimal service path may skip
-the first or last stages entirely.
+the first or last stages entirely.  Reversing the service field in both
+axes turns the free paths on columns m..-1 into prefix paths, so one
+column sweep of the reversed field gives G(m) for every m.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -102,16 +103,20 @@ class PathQuery:
             raise ValueError("query endpoints outside the field")
 
 
-def _sweep(columns, first_col: np.ndarray, pinned: bool, n_rows: int):
-    """Column-sweep DP shared by the matrix and streamed entry points."""
+def _sweep(columns, pinned: bool):
+    """Yield after each column the least weight of a path ending at each row;
+    pinned paths start at the top row of the first column, free ones anywhere."""
+    columns = iter(columns)
+    first = next(columns)
     if pinned:
-        dp = np.full(n_rows, np.inf)
-        dp[0] = first_col[0]
+        dp = np.full(len(first), np.inf)
+        dp[0] = first[0]
     else:
-        dp = first_col.astype(float, copy=True)
+        dp = first.astype(float, copy=True)
+    yield dp
     for col in columns:
         dp = col + np.minimum.accumulate(dp)
-    return dp
+        yield dp
 
 
 def first_passage(field: WeightField, query: PathQuery) -> float:
@@ -126,8 +131,8 @@ def first_passage(field: WeightField, query: PathQuery) -> float:
     sub = field.weights[j:l + 1, i:k + 1]
     if query.pinned and i == k and j != l:
         raise ValueError("no pinned path: a single column cannot span two rows")
-    dp = _sweep((sub[:, c] for c in range(1, sub.shape[1])), sub[:, 0],
-                query.pinned, sub.shape[0])
+    for dp in _sweep(sub.T, query.pinned):
+        pass
     out = dp[-1] if query.pinned else dp.min()
     return float(out)
 
@@ -184,10 +189,9 @@ def _replica_value(weight_spec: DistSpec, x: float, n: int, stream: RandomStream
     the replica stream, so fields are reproducible without being stored.
     """
     n_cols = int(math.floor(x * n)) + 1
-    n_rows = n + 1
-    first = sample_n(weight_spec, stream, n_rows).astype(float)
-    cols = (sample_n(weight_spec, stream, n_rows).astype(float) for _ in range(n_cols - 1))
-    dp = _sweep(cols, first, pinned=True, n_rows=n_rows)
+    cols = (sample_n(weight_spec, stream, n + 1).astype(float) for _ in range(n_cols))
+    for dp in _sweep(cols, pinned=True):
+        pass
     return float(dp[-1]) / n
 
 
@@ -195,8 +199,8 @@ def estimate_time_constant(weight_spec: DistSpec, x: float, n: int, replicas: in
                            stream: RandomStream, threads: int | None = None) -> TimeConstantEstimate:
     """Monte Carlo estimate of the time constant at aspect ratio ``x``.
 
-    Each replica uses ``stream.substream(r)``, so results do not depend on
-    the number of worker threads.
+    Each replica uses ``stream.substream(r)``.  Replicas run serially in
+    replica order; ``threads`` is accepted and has no effect.
     """
     if x <= 0:
         raise ValueError("aspect ratio must be positive")
@@ -204,13 +208,8 @@ def estimate_time_constant(weight_spec: DistSpec, x: float, n: int, replicas: in
         raise ValueError("N must be at least 10")
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a confidence interval")
-    substreams = [stream.substream(r) for r in range(replicas)]
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda st: _replica_value(weight_spec, x, n, st), substreams))
-    else:
-        values = [_replica_value(weight_spec, x, n, st) for st in substreams]
-    vals = np.array(values)
+    vals = np.array([_replica_value(weight_spec, x, n, stream.substream(r))
+                     for r in range(replicas)])
     m = float(vals.mean())
     half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(replicas)
     return TimeConstantEstimate(x=x, n=n, mean=m, ci_lo=m - half, ci_hi=m + half,
@@ -326,28 +325,22 @@ def tandem_identity_check(arrival: DistSpec, services: Sequence[DistSpec],
     the total queue length at time 0 summed over stages; the right side is
     the max over window starts m of (arrivals in [m, 0) minus the
     free-endpoint first passage of the service weights on columns m..-1).
-    Equality is exact (integer arithmetic for discrete specs).
+    Costs O(window x R).  Equality is exact when arrivals and services are
+    both integer-valued, and to 1e-9 otherwise.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     trace = simulate_tandem(TandemConfig(arrival, services), window, stream)
     total = sum(tr.final_x for tr in trace.stages)
     a = trace.stages[0].a
-    # percolation side
     w = np.stack([tr.s for tr in trace.stages])
-    best = None
-    best_m = window
-    for m in range(window, -1, -1):
-        if m == window:
-            val = a[:0].sum()  # empty window: zero of the right dtype
-        else:
-            dp = _sweep((w[:, c] for c in range(m + 1, window)), w[:, m],
-                        pinned=False, n_rows=w.shape[0])
-            val = a[m:].sum() - dp.min()
-        if best is None or val > best:
-            best = val
-            best_m = m - window  # report m relative to time 0
-    discrete = np.issubdtype(w.dtype, np.integer)
-    lhs, rhs = total, best
+    # g[k] = G(m) for window start m = window-1-k: the first k+1 reversed columns
+    g = np.fromiter((dp.min() for dp in _sweep(w[::-1, ::-1].T, pinned=False)),
+                    float, count=window)
+    # vals[i] is for m = window-i (0 for the empty m = window); ties keep the largest m
+    vals = np.concatenate(([0], np.cumsum(a[::-1]) - g))
+    i = int(np.argmax(vals))
+    lhs, rhs = total, vals[i]
+    discrete = np.issubdtype(np.result_type(a, w), np.integer)
     equal = (lhs == rhs) if discrete else bool(abs(float(lhs) - float(rhs)) <= 1e-9)
-    return IdentityCheck(lhs=float(lhs), rhs=float(rhs), equal=bool(equal), best_m=best_m)
+    return IdentityCheck(lhs=float(lhs), rhs=float(rhs), equal=bool(equal), best_m=-i)

@@ -456,19 +456,16 @@ def check_identity(seed: int, instances: int = 1000, window: int = 50) -> list[d
     return [_exact(f"tandem_identity_{instances}_instances", fails, 0)]
 
 
-def check_percolation_sim(seed: int, threads: int | None = None) -> list[dict]:
+def check_percolation_sim(seed: int) -> list[dict]:
     out = []
     stream = RandomStream(seed)
-    est = perc.estimate_time_constant(dist.exponential(1.0), 3.0, 400, 100,
-                                      stream.substream(0), threads=threads)
+    est = perc.estimate_time_constant(dist.exponential(1.0), 3.0, 400, 100, stream.substream(0))
     out.append(_exact("exp_weights_estimate_above_limit", est.mean, 1.0, below=False))
     out.append(_exact("exp_weights_estimate_within_10pct", abs(est.mean - 1.0), 0.1))
-    est = perc.estimate_time_constant(dist.bernoulli(0.5), 0.5, 200, 100,
-                                      stream.substream(1), threads=threads)
+    est = perc.estimate_time_constant(dist.bernoulli(0.5), 0.5, 200, 100, stream.substream(1))
     out.append(_exact("bernoulli_flat_region_estimate", est.mean, 0.02))
     target = 6.0 - 4.0 * math.sqrt(2.0)
-    est = perc.estimate_time_constant(dist.geom_zero(0.5), 3.0, 400, 100,
-                                      stream.substream(2), threads=threads)
+    est = perc.estimate_time_constant(dist.geom_zero(0.5), 3.0, 400, 100, stream.substream(2))
     out.append(_exact("geom_weights_estimate_above_limit", est.mean, target, below=False))
     out.append(_exact("geom_weights_estimate_within_10pct", abs(est.mean - target) / target, 0.1))
     return out

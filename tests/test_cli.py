@@ -170,9 +170,12 @@ def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, capsys):
 
 
 @pytest.mark.parametrize("case", ["zero-step-grid", "legendre-arithmetic", "missing-config",
-                                  "missing-out-dir", "missing-trace-dir"])
+                                  "missing-out-dir", "missing-trace-dir", "queue-negative-burn-in",
+                                  "tandem-negative-burn-in", "non-object-config"])
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir" / "x.csv")
+    list_config = tmp_path / "list.json"
+    list_config.write_text("[1]")
     argv = {
         "zero-step-grid": ["tc", "--variant", "exp", "--x", "1:4:0"],
         "legendre-arithmetic": ["tc", "--variant", "legendre", "--q", "0.5",
@@ -181,6 +184,10 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
                            "--config", str(tmp_path / "missing.json")],
         "missing-out-dir": ["tc", "--variant", "exp", "--x", "3", "--out", missing],
         "missing-trace-dir": ["queue", *P, "--slots", "10", "--out", missing],
+        "queue-negative-burn-in": ["queue", *P, "--slots", "1000", "--burn-in", "-5"],
+        "tandem-negative-burn-in": ["tandem", *P, "--slots", "1000", "--burn-in", "-5"],
+        "non-object-config": ["tc", "--variant", "exp", "--x", "3",
+                              "--config", str(list_config)],
     }[case]
     code, err = _exit_code_and_stderr(argv, capsys)
     assert code == 2

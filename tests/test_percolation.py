@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchq import distributions as dist
 from batchq.percolation import (IdentityCheck, JumpField, PathQuery,
@@ -14,6 +15,7 @@ from batchq.percolation import (IdentityCheck, JumpField, PathQuery,
                                 first_passage, sample_jump_field,
                                 tandem_identity_check)
 from batchq.streams import RandomStream
+from batchq.tandem import TandemConfig, simulate_tandem
 
 
 def test_unit_weights_two_by_two():
@@ -222,3 +224,36 @@ def test_identity_heterogeneous_and_unstable_services():
         res = tandem_identity_check(dist.ber_geom(0.5, 0.5), services,
                                     window=40, stream=stream.substream(i))
         assert res.equal, (i, res)
+
+
+def test_identity_exact_only_when_arrivals_and_services_are_integer():
+    # float arrivals with integer services: the sides differ by rounding only
+    res = tandem_identity_check(dist.exponential(1.0), [dist.deterministic(1)], 56,
+                                RandomStream(0))
+    assert res.equal, res
+
+
+INT_SPECS = st.one_of(
+    st.builds(dist.ber_geom, st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+    st.builds(dist.geom_zero, st.floats(0.05, 0.95)),
+    st.builds(dist.bernoulli, st.floats(0.05, 0.95)),
+    st.builds(dist.deterministic, st.integers(0, 2)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(arrival=INT_SPECS, services=st.lists(INT_SPECS, min_size=1, max_size=4),
+       window=st.integers(1, 10), seed=st.integers(0, 2**31 - 1))
+def test_identity_rhs_matches_bruteforce_over_window_starts(arrival, services, window, seed):
+    res = tandem_identity_check(arrival, services, window, RandomStream(seed))
+    trace = simulate_tandem(TandemConfig(arrival, services), window, RandomStream(seed))
+    a = trace.stages[0].a
+    s = np.stack([tr.s for tr in trace.stages])
+    vals = {window: 0.0}
+    for m in range(window):
+        free = PathQuery((0, 0), (window - m - 1, len(services) - 1), pinned=False)
+        vals[m] = a[m:].sum() - enumerate_first_passage(WeightField(s[:, m:]), free)
+    best = max(vals.values())
+    assert res.rhs == best
+    assert res.best_m == max(m for m, v in vals.items() if v == best) - window
+    assert res.equal
