@@ -75,21 +75,11 @@ def _seed_of(args: argparse.Namespace) -> int:
     return 1 if args.seed is None else int(args.seed)
 
 
-def _spec_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dist.DistSpec:
-    try:
-        return dist.DistSpec.from_json(args.spec)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        parser.error(f"bad --spec: {exc}")
-
-
 def _queue_params(args, parser) -> QueueParams:
     missing = [k for k in ("p", "alpha", "q", "beta") if getattr(args, k) is None]
     if missing:
         parser.error(f"missing required flags: {', '.join('--' + m for m in missing)}")
-    try:
-        return QueueParams(p=args.p, alpha=args.alpha, q=args.q, beta=args.beta)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return QueueParams(p=args.p, alpha=args.alpha, q=args.q, beta=args.beta)
 
 
 def _burn_in(args, parser, slots: int) -> int:
@@ -176,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dist(args, parser) -> int:
-    spec = _spec_from(args, parser)
+    spec = dist.DistSpec.from_json(args.spec)
     fmt = args.format or "csv"
     if args.action == "pmf":
         if not spec.is_discrete:
@@ -297,10 +287,7 @@ def _cmd_tc(args, parser) -> int:
         params["q"] = args.q
     if args.beta is not None:
         params["beta"] = args.beta
-    try:
-        result = tc.curve(args.variant, params, xs)
-    except ValueError as exc:
-        parser.error(str(exc))
+    result = tc.curve(args.variant, params, xs)
     if len(xs) == 1 and not args.out and args.format != "csv":
         sys.stdout.write(f"{result.points[0].f!r}\n")
         return 0
@@ -334,8 +321,7 @@ def run(argv: list[str] | None = None) -> int:
         _apply_config(args, parser)
         return handlers[args.command](args, parser)
     except (ValueError, ArithmeticError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        parser.error(str(exc))
 
 
 def main() -> None:

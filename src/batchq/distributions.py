@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ class DistSpec:
             _check_prob("alpha", self.alpha)
         if self.rate is not None and not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.value is not None and self.value < 0:
+        if self.value is not None and not self.value >= 0:
             raise ValueError(f"deterministic value must be >= 0, got {self.value}")
 
     @property
@@ -127,14 +128,21 @@ class DistSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "DistSpec":
+        """Parse the JSON object form; any malformed input raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a distribution spec must be a JSON object, got {d!r}")
         kind = d.get("kind")
         if kind not in _KINDS:
             raise ValueError(f"unknown distribution kind {kind!r}")
         extra = set(d) - {"kind", *_FIELDS[kind]}
         if extra:
             raise ValueError(f"unexpected fields for {kind}: {sorted(extra)}")
-        kw = {f: d[f] for f in _FIELDS[kind]}
-        return DistSpec(kind=kind, **kw)
+        for f in _FIELDS[kind]:
+            if f not in d:
+                raise ValueError(f"{kind} needs the field {f!r}")
+            if isinstance(d[f], bool) or not isinstance(d[f], numbers.Real):
+                raise ValueError(f"field {f!r} of {kind} must be a number, got {d[f]!r}")
+        return DistSpec(kind=kind, **{f: d[f] for f in _FIELDS[kind]})
 
     @staticmethod
     def from_json(s: str) -> "DistSpec":

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "StationaryLaw",
     "SlotRecord",
     "Trace",
+    "write_csv",
     "step",
     "simulate",
     "path_max_X",
@@ -174,6 +176,29 @@ def _lindley(a: np.ndarray, s: np.ndarray, init_x) -> np.ndarray:
     return x
 
 
+_CSV_BLOCK_ROWS = 1 << 10
+
+
+def _csv_cells(col: np.ndarray) -> list[str]:
+    if np.issubdtype(col.dtype, np.integer):
+        return list(map(str, col.tolist()))
+    return list(map("{:.17g}".format, col.tolist()))
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write per-slot columns as CSV: integer columns exactly, others with 17 digits.
+
+    The first column is the longest; a shorter one leaves its trailing
+    cells empty.  Columns are converted a block of rows at a time, which
+    bounds the memory the cell strings take.
+    """
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            cells = [_csv_cells(c[lo:lo + _CSV_BLOCK_ROWS]) for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip_longest(*cells, fillvalue=""))
+
+
 @dataclass
 class Trace:
     """A simulated queue path: driving sequences plus derived per-slot data.
@@ -249,20 +274,10 @@ class Trace:
                 raise ValueError(f"trace invariant violated: {label} (max error {err})")
 
     def to_csv(self, path) -> None:
-        """Write the per-slot table with header n,A,S,X,Y,D,U,I,T."""
-        y, d, u, t = self.y, self.d, self.u, self.t
-        is_int = np.issubdtype(self.a.dtype, np.integer) and np.issubdtype(self.s.dtype, np.integer)
-
-        def fmt(v):
-            return str(int(v)) if is_int else f"{float(v):.17g}"
-
-        with open(path, "w") as fh:
-            fh.write("n,A,S,X,Y,D,U,I,T\n")
-            last = len(self) - 1
-            for n in range(len(self)):
-                i_txt = "" if n == last else fmt(u[n] + self.a[n + 1])
-                fh.write(",".join([str(n), fmt(self.a[n]), fmt(self.s[n]), fmt(self.x[n]),
-                                   fmt(y[n]), fmt(d[n]), fmt(u[n]), i_txt, fmt(t[n])]) + "\n")
+        """Write the per-slot table with header n,A,S,X,Y,D,U,I,T (I empty on the final slot)."""
+        write_csv(path, "n,A,S,X,Y,D,U,I,T".split(","),
+                  [np.arange(len(self)), self.a, self.s, self.x, self.y, self.d, self.u,
+                   self.i, self.t])
 
 
 def simulate(arrival: DistSpec, service: DistSpec, n_slots: int,

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DistSpec, mean, sample_n
-from .queue_core import QueueParams, StationaryLaw, Trace, _lindley, stationary_law
+from .queue_core import QueueParams, StationaryLaw, Trace, _lindley, stationary_law, write_csv
 from .stats import EmpiricalPmf, TestResult, chi_square_gof, independence_chi2
 from .streams import RandomStream
 
@@ -81,18 +81,10 @@ class TandemTrace:
                 raise ValueError(f"feed-forward identity violated between stages {r+1} and {r+2}")
 
     def to_csv(self, path) -> None:
-        """One row per slot: n, A, then per-stage X1..XR and D1..DR."""
-        xs = [tr.x for tr in self.stages]
-        ds = [tr.d for tr in self.stages]
-        a = self.stages[0].a
+        """One row per slot: n, A, then per-stage X1..XR and D1..DR (cells as in Trace.to_csv)."""
         header = ["n", "A"] + [f"X{r+1}" for r in range(self.R)] + [f"D{r+1}" for r in range(self.R)]
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for n in range(len(self)):
-                row = [str(n), str(int(a[n]))]
-                row += [str(int(x[n])) for x in xs]
-                row += [str(int(d[n])) for d in ds]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, header, [np.arange(len(self)), self.stages[0].a,
+                                 *(tr.x for tr in self.stages), *(tr.d for tr in self.stages)])
 
 
 def simulate_tandem(config: TandemConfig, n_slots: int,

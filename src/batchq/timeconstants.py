@@ -16,6 +16,12 @@ values are clamped at zero, which realizes the flat region exactly.
 
 Continuous-time variants (one lattice direction replaced by time) are
 prefixed ``ftilde``.
+
+Each formula has one implementation, which checks its inputs
+(probabilities strictly in (0, 1), abscissa positive) before computing.
+:func:`curve` tabulates a variant through one table row per variant: its
+parameter names and that implementation, so a curve point and the
+public ``f_*``/``ftilde_*`` value at the same input are the same number.
 """
 
 from __future__ import annotations
@@ -112,7 +118,17 @@ def h_of_lambda(q: float, b: float, lam: float) -> float:
     return h1
 
 
+def _check(x: float, *probs: float) -> None:
+    """Every probability strictly in (0, 1) and a positive abscissa."""
+    if not all(0.0 < v < 1.0 for v in probs):
+        raise ValueError(f"parameters must lie strictly in (0, 1), got {list(probs)}")
+    if not x > 0:
+        raise ValueError(f"abscissa must be positive, got {x}")
+
+
 def _sup_bergeom_p(q: float, b: float, x: float) -> tuple[float, float]:
+    _check(x, q, b)
+
     def objective(p: float) -> float:
         return (p * (p * (1.0 - q) + (q - p) * b) / (1.0 - p)
                 * (x - (1.0 - q) / (q - p)) / (b * q))
@@ -122,14 +138,12 @@ def _sup_bergeom_p(q: float, b: float, x: float) -> tuple[float, float]:
 
 def f_bergeom(q: float, b: float, x: float) -> float:
     """Time constant for BerGeom(q, b) weights (variational, p form)."""
-    _check_qb(q, b)
-    if x <= 0:
-        raise ValueError("abscissa must be positive")
-    xm, val = _sup_bergeom_p(q, b, x)
-    return max(0.0, val)
+    return max(0.0, _sup_bergeom_p(q, b, x)[1])
 
 
 def _sup_bergeom_alpha(q: float, b: float, x: float) -> tuple[float, float]:
+    _check(x, q, b)
+
     def objective(a: float) -> float:
         return (b * (1.0 - a) / a
                 * (q * x / (a * (1.0 - b - q) + b * q) - 1.0 / (a - b)))
@@ -139,24 +153,12 @@ def _sup_bergeom_alpha(q: float, b: float, x: float) -> tuple[float, float]:
 
 def f_bergeom_alpha(q: float, b: float, x: float) -> float:
     """Same time constant through the alpha parameterization."""
-    _check_qb(q, b)
-    if x <= 0:
-        raise ValueError("abscissa must be positive")
-    xm, val = _sup_bergeom_alpha(q, b, x)
-    return max(0.0, val)
-
-
-def _check_qb(q: float, b: float) -> None:
-    if not (0.0 < q < 1.0 and 0.0 < b < 1.0):
-        raise ValueError("parameters must lie strictly in (0, 1)")
+    return max(0.0, _sup_bergeom_alpha(q, b, x)[1])
 
 
 def f_bernoulli(q: float, x: float) -> float:
     """Closed form for Bernoulli(q) weights; flat for x <= (1-q)/q."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie strictly in (0, 1)")
-    if x <= 0:
-        raise ValueError("abscissa must be positive")
+    _check(x, q)
     if x <= (1.0 - q) / q:
         return 0.0
     return (math.sqrt(q * x) - math.sqrt(1.0 - q)) ** 2
@@ -164,10 +166,7 @@ def f_bernoulli(q: float, x: float) -> float:
 
 def f_geometric(b: float, x: float) -> float:
     """Closed form for Geom0(b) weights; flat for x <= b/(1-b)."""
-    if not 0.0 < b < 1.0:
-        raise ValueError("b must lie strictly in (0, 1)")
-    if x <= 0:
-        raise ValueError("abscissa must be positive")
+    _check(x, b)
     if x <= b / (1.0 - b):
         return 0.0
     return (math.sqrt(1.0 - b) * math.sqrt(1.0 + x) - 1.0) ** 2 / b
@@ -175,12 +174,13 @@ def f_geometric(b: float, x: float) -> float:
 
 def f_exponential(x: float) -> float:
     """Closed form for Exp(1) weights: (sqrt(1+x) - 1)**2."""
-    if x <= 0:
-        raise ValueError("abscissa must be positive")
+    _check(x)
     return (math.sqrt(1.0 + x) - 1.0) ** 2
 
 
 def _sup_berexp(q: float, x: float) -> tuple[float, float]:
+    _check(x, q)
+
     def objective(r: float) -> float:
         return r * r * (q * x / (1.0 - q + r * q) - 1.0 / (1.0 - r))
 
@@ -189,15 +189,12 @@ def _sup_berexp(q: float, x: float) -> tuple[float, float]:
 
 def f_berexp(q: float, x: float) -> float:
     """Time constant for BerExp(q, 1) weights (variational)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie strictly in (0, 1)")
-    if x <= 0:
-        raise ValueError("abscissa must be positive")
-    xm, val = _sup_berexp(q, x)
-    return max(0.0, val)
+    return max(0.0, _sup_berexp(q, x)[1])
 
 
 def _sup_tilde_geom(b: float, y: float) -> tuple[float, float]:
+    _check(y, b)
+
     def objective(a: float) -> float:
         return b * (1.0 - a) / a * (y / (a * (1.0 - b)) - 1.0 / (a - b))
 
@@ -206,15 +203,12 @@ def _sup_tilde_geom(b: float, y: float) -> tuple[float, float]:
 
 def ftilde_geom(b: float, y: float) -> float:
     """Continuous-time variant with Geom+(b) jump weights (variational)."""
-    if not 0.0 < b < 1.0:
-        raise ValueError("b must lie strictly in (0, 1)")
-    if y <= 0:
-        raise ValueError("abscissa must be positive")
-    xm, val = _sup_tilde_geom(b, y)
-    return max(0.0, val)
+    return max(0.0, _sup_tilde_geom(b, y)[1])
 
 
 def _sup_tilde_exp(y: float) -> tuple[float, float]:
+    _check(y)
+
     def objective(r: float) -> float:
         return r * r * (y - 1.0 / (1.0 - r))
 
@@ -223,10 +217,7 @@ def _sup_tilde_exp(y: float) -> tuple[float, float]:
 
 def ftilde_exp_sup(y: float) -> float:
     """Continuous-time, Exp(1) jump weights: the variational form."""
-    if y <= 0:
-        raise ValueError("abscissa must be positive")
-    xm, val = _sup_tilde_exp(y)
-    return max(0.0, val)
+    return max(0.0, _sup_tilde_exp(y)[1])
 
 
 def ftilde_exp(y: float) -> float:
@@ -236,8 +227,7 @@ def ftilde_exp(y: float) -> float:
     s = (1 + sqrt(8y + 1)) / (4y) and f = (1-s)**2 * (y - 1/s), clamped
     at zero (the value vanishes for y <= 1).
     """
-    if y <= 0:
-        raise ValueError("abscissa must be positive")
+    _check(y)
     s = (1.0 + math.sqrt(8.0 * y + 1.0)) / (4.0 * y)
     val = (1.0 - s) ** 2 * (y - 1.0 / s)
     return max(0.0, val)
@@ -245,12 +235,12 @@ def ftilde_exp(y: float) -> float:
 
 def ftilde_poisson(y: float) -> float:
     """Unit jump weights at Poisson times: ([sqrt(y) - 1]_+)**2."""
-    if y <= 0:
-        raise ValueError("abscissa must be positive")
+    _check(y)
     return max(0.0, math.sqrt(y) - 1.0) ** 2
 
 
 def _sup_legendre(q: float, b: float, x: float) -> tuple[float, float]:
+    _check(x, q, b)
     mu = q / b
 
     def objective(lam: float) -> float:
@@ -265,29 +255,26 @@ def f_legendre(q: float, b: float, x: float) -> float:
     Must agree with :func:`f_bergeom` everywhere; the two routes share no
     code beyond the golden-section helper.
     """
-    _check_qb(q, b)
-    if x <= 0:
-        raise ValueError("abscissa must be positive")
-    lam, val = _sup_legendre(q, b, x)
-    return max(0.0, val)
+    return max(0.0, _sup_legendre(q, b, x)[1])
 
 
 # --- curve tabulation -------------------------------------------------------
 
-VARIANTS = ("ber", "geom", "exp", "ber_geom", "ber_exp",
-            "cont_geom", "cont_exp", "cont_poisson", "legendre")
-
-_NEEDS = {
-    "ber": ("q",),
-    "geom": ("beta",),
-    "exp": (),
-    "ber_geom": ("q", "beta"),
-    "ber_exp": ("q",),
-    "cont_geom": ("beta",),
-    "cont_exp": (),
-    "cont_poisson": (),
-    "legendre": ("q", "beta"),
+# variant -> (parameter names, function of (*params, x) returning (maximizer, value));
+# closed forms have no maximizer
+_TABLE: dict[str, tuple[tuple[str, ...], Callable[..., tuple[float | None, float]]]] = {
+    "ber": (("q",), lambda q, x: (None, f_bernoulli(q, x))),
+    "geom": (("beta",), lambda b, x: (None, f_geometric(b, x))),
+    "exp": ((), lambda x: (None, f_exponential(x))),
+    "ber_geom": (("q", "beta"), _sup_bergeom_p),
+    "ber_exp": (("q",), _sup_berexp),
+    "cont_geom": (("beta",), _sup_tilde_geom),
+    "cont_exp": ((), _sup_tilde_exp),
+    "cont_poisson": ((), lambda y: (None, ftilde_poisson(y))),
+    "legendre": (("q", "beta"), _sup_legendre),
 }
+
+VARIANTS = tuple(_TABLE)
 
 
 @dataclass(frozen=True)
@@ -312,42 +299,20 @@ class CurveResult:
         return rows
 
 
-def _point(variant: str, params: dict, x: float) -> CurvePoint:
-    if variant == "ber":
-        return CurvePoint(x, f_bernoulli(params["q"], x), None)
-    if variant == "geom":
-        return CurvePoint(x, f_geometric(params["beta"], x), None)
-    if variant == "exp":
-        return CurvePoint(x, f_exponential(x), None)
-    if variant == "ber_geom":
-        xm, val = _sup_bergeom_p(params["q"], params["beta"], x)
-        return CurvePoint(x, max(0.0, val), xm)
-    if variant == "ber_exp":
-        xm, val = _sup_berexp(params["q"], x)
-        return CurvePoint(x, max(0.0, val), xm)
-    if variant == "cont_geom":
-        xm, val = _sup_tilde_geom(params["beta"], x)
-        return CurvePoint(x, max(0.0, val), xm)
-    if variant == "cont_exp":
-        xm, val = _sup_tilde_exp(x)
-        return CurvePoint(x, max(0.0, val), xm)
-    if variant == "cont_poisson":
-        return CurvePoint(x, ftilde_poisson(x), None)
-    if variant == "legendre":
-        xm, val = _sup_legendre(params["q"], params["beta"], x)
-        return CurvePoint(x, max(0.0, val), xm)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def curve(variant: str, params: dict, xs: Sequence[float]) -> CurveResult:
     """Tabulate (x, f(x), maximizer) for one model variant on a grid."""
-    if variant not in VARIANTS:
+    if variant not in _TABLE:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    missing = [k for k in _NEEDS[variant] if k not in params]
+    names, point = _TABLE[variant]
+    missing = [k for k in names if k not in params]
     if missing:
         raise ValueError(f"variant {variant} needs parameters {missing}")
     xs = list(xs)
     if not xs:
         raise ValueError("empty abscissa grid")
-    pts = [_point(variant, params, float(x)) for x in xs]
-    return CurveResult(variant=variant, params={k: params[k] for k in _NEEDS[variant]}, points=pts)
+    args = [params[k] for k in names]
+    pts = []
+    for x in map(float, xs):
+        xm, val = point(*args, x)
+        pts.append(CurvePoint(x, max(0.0, val), xm))
+    return CurveResult(variant=variant, params=dict(zip(names, args)), points=pts)

@@ -166,8 +166,8 @@ def check_stationary_oracle() -> list[dict]:
     # Bernoulli limit of the formula law against a Bernoulli/Bernoulli oracle
     p_, q_ = 0.3, 0.6
     alpha = 1 - 1e-9
-    beta_t = (alpha / (1 - alpha)) * (p_ / (1 - p_)) * ((1 - q_) / q_)
-    beta = beta_t / (1 + beta_t)
+    # the condition is symmetric under (alpha, p) <-> (beta, q)
+    beta = match_arrival_bernoulli(q_, p_, alpha)
     law = stationary_law(QueueParams(p=p_, alpha=alpha, q=q_, beta=beta))
     pi = markov_oracle(dist.bernoulli(p_), dist.bernoulli(q_), K=100)
     ref = np.array([law.x_pmf(k) for k in range(len(pi))])

@@ -171,7 +171,11 @@ def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, capsys):
 
 @pytest.mark.parametrize("case", ["zero-step-grid", "legendre-arithmetic", "missing-config",
                                   "missing-out-dir", "missing-trace-dir", "queue-negative-burn-in",
-                                  "tandem-negative-burn-in", "non-object-config"])
+                                  "tandem-negative-burn-in", "non-object-config",
+                                  "tc-ber-geom-q-above-1", "tc-ber-exp-q-above-1",
+                                  "tc-cont-geom-beta-above-1", "tc-ber-geom-negative-x",
+                                  "tc-cont-exp-negative-x", "non-object-spec", "non-object-weights",
+                                  "weights-missing-field", "spec-string-field", "spec-bool-field"])
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir" / "x.csv")
     list_config = tmp_path / "list.json"
@@ -188,6 +192,20 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
         "tandem-negative-burn-in": ["tandem", *P, "--slots", "1000", "--burn-in", "-5"],
         "non-object-config": ["tc", "--variant", "exp", "--x", "3",
                               "--config", str(list_config)],
+        "tc-ber-geom-q-above-1": ["tc", "--variant", "ber_geom", "--q", "1.5", "--beta", "0.5",
+                                  "--x", "3"],
+        "tc-ber-exp-q-above-1": ["tc", "--variant", "ber_exp", "--q", "1.5", "--x", "3"],
+        "tc-cont-geom-beta-above-1": ["tc", "--variant", "cont_geom", "--beta", "1.5", "--x", "3"],
+        "tc-ber-geom-negative-x": ["tc", "--variant", "ber_geom", "--q", "0.5", "--beta", "0.5",
+                                   "--x", "-1"],
+        "tc-cont-exp-negative-x": ["tc", "--variant", "cont_exp", "--x", "-1"],
+        "non-object-spec": ["dist", "pmf", "--spec", "[1]"],
+        "non-object-weights": ["perc", "simulate", "--weights", "[1]", "--x", "1", "--n", "10",
+                               "--replicas", "2"],
+        "weights-missing-field": ["perc", "simulate", "--weights", '{"kind": "exp"}', "--x", "1",
+                                  "--n", "10", "--replicas", "2"],
+        "spec-string-field": ["dist", "sample", "--spec", '{"kind": "exp", "rate": "a"}'],
+        "spec-bool-field": ["dist", "sample", "--spec", '{"kind": "deterministic", "value": true}'],
     }[case]
     code, err = _exit_code_and_stderr(argv, capsys)
     assert code == 2

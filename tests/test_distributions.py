@@ -220,8 +220,16 @@ def test_json_round_trip_and_field_names():
     assert dist.DistSpec.from_dict(d) == spec
     assert dist.DistSpec.from_json(spec.to_json()) == spec
     assert dist.DistSpec.from_json('{"kind": "exp", "rate": 2.0}') == dist.exponential(2.0)
-    with pytest.raises(ValueError):
-        dist.DistSpec.from_dict({"kind": "ber_geom", "p": 0.5, "alpha": 0.5, "oops": 1})
+    for bad in ({"kind": "ber_geom", "p": 0.5, "alpha": 0.5, "oops": 1}, [1],
+                {"kind": "exp"}, {"kind": "exp", "rate": "a"},
+                {"kind": "deterministic", "value": True},
+                {"kind": "deterministic", "value": math.nan}):
+        with pytest.raises(ValueError):
+            dist.DistSpec.from_dict(bad)
+    with pytest.raises(ValueError, match="JSON object"):
+        dist.DistSpec.from_json("[1]")
+    with pytest.raises(ValueError, match="'rate'"):
+        dist.DistSpec.from_json('{"kind": "exp"}')
     parsed = json.loads(dist.ber_exp(0.4, 1.5).to_json())
     assert set(parsed) == {"kind", "p", "rate"}
 

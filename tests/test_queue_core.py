@@ -173,8 +173,8 @@ def test_geom_zero_pair_law_matches_simulation():
 def test_bernoulli_limit_of_stationary_law():
     p_, q_ = 0.3, 0.6
     alpha = 1 - 1e-9
-    t = alpha / (1 - alpha) * p_ / (1 - p_) * (1 - q_) / q_
-    beta = t / (1 + t)
+    # the condition is symmetric under (alpha, p) <-> (beta, q)
+    beta = match_arrival_bernoulli(q_, p_, alpha)
     law = stationary_law(QueueParams(p=p_, alpha=alpha, q=q_, beta=beta))
     assert law.c == pytest.approx(p_ * (1 - q_) / (q_ * (1 - p_)), rel=1e-6)
     pi = markov_oracle(dist.bernoulli(p_), dist.bernoulli(q_), K=100)

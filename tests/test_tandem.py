@@ -68,6 +68,19 @@ def test_tandem_csv(tmp_path):
     assert len(lines) == 11
 
 
+def test_tandem_csv_keeps_float_values(tmp_path):
+    tt = simulate_tandem(TandemConfig(dist.exponential(2.0), [dist.exponential(1.0)]), 50, seed=3)
+    path = tmp_path / "tandem.csv"
+    tt.to_csv(path)
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    tr = tt.stages[0]
+    assert np.array_equal(table[:, 0], np.arange(50))
+    # 17 significant digits read back to the same doubles
+    assert np.array_equal(table[:, 1], tr.a)
+    assert np.array_equal(table[:, 2], tr.x)
+    assert np.array_equal(table[:, 3], tr.d)
+
+
 def test_verify_product_form_rejects_short_traces():
     config = TandemConfig.bergeom(MAIN, 2)
     tt = simulate_tandem(config, 50_000, seed=3)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchq import timeconstants as tc
 
@@ -146,3 +147,52 @@ def test_curve_validation_and_rows():
         tc.curve("exp", {}, [])
     rows = tc.curve("ber", {"q": 0.5}, [2.0]).csv_rows()
     assert rows[0].startswith("ber,q=0.5,2,")
+
+
+# variant -> (public function of (*params, x), its parameter names in order)
+PUBLIC = {
+    "ber": (tc.f_bernoulli, ("q",)),
+    "geom": (tc.f_geometric, ("beta",)),
+    "exp": (tc.f_exponential, ()),
+    "ber_geom": (tc.f_bergeom, ("q", "beta")),
+    "ber_exp": (tc.f_berexp, ("q",)),
+    "cont_geom": (tc.ftilde_geom, ("beta",)),
+    "cont_exp": (tc.ftilde_exp_sup, ()),
+    "cont_poisson": (tc.ftilde_poisson, ()),
+    "legendre": (tc.f_legendre, ("q", "beta")),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(variant=st.sampled_from(tc.VARIANTS), q=st.floats(0.02, 0.98), beta=st.floats(0.02, 0.98),
+       x=st.floats(0.01, 12.0))
+def test_curve_points_are_the_public_values(variant, q, beta, x):
+    fn, names = PUBLIC[variant]
+    params = {"q": q, "beta": beta}
+    try:
+        expect = fn(*(params[k] for k in names), x)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            tc.curve(variant, params, [x])
+        return
+    assert tc.curve(variant, params, [x]).points[0].f == expect
+
+
+BAD_PROB = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan))
+BAD_X = st.one_of(st.floats(max_value=0.0), st.just(math.nan))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(variant=st.sampled_from(tc.VARIANTS), data=st.data())
+def test_out_of_range_inputs_raise_on_every_path(variant, data):
+    fn, names = PUBLIC[variant]
+    params, x = {"q": 0.5, "beta": 0.5}, 2.0
+    target = data.draw(st.sampled_from(["x", *names]))
+    if target == "x":
+        x = data.draw(BAD_X)
+    else:
+        params[target] = data.draw(BAD_PROB)
+    with pytest.raises(ValueError):
+        tc.curve(variant, params, [x])
+    with pytest.raises(ValueError):
+        fn(*(params[k] for k in names), x)
