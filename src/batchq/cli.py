@@ -8,8 +8,8 @@ verification, 2 usage or validation error.
 
 Outputs are deterministic for a fixed argv and seed: floats print with
 17 significant digits and JSON keys are sorted.  --threads is accepted
-and has no effect: replicas run serially in replica order.  The cost of
-perc identity is linear in --window.
+and has no effect: perc simulate sweeps every replica together in one
+process.  The cost of perc identity is linear in --window.
 """
 
 from __future__ import annotations
@@ -266,14 +266,20 @@ def _cmd_perc(args, parser) -> int:
     if instances < 1:
         parser.error("--instances must be >= 1")
     stream = RandomStream(_seed_of(args))
-    failures = 0
+    failures, first = 0, None
     for i in range(instances):
         res = perc.tandem_identity_check(params.arrival_spec,
                                          [params.service_spec] * stages,
                                          window=window, stream=stream.substream(i))
-        failures += 0 if res.equal else 1
+        if not res.equal:
+            failures += 1
+            if first is None:
+                first = {"instance": i, "lhs": res.lhs, "rhs": res.rhs, "best_m": res.best_m}
     report = {"stages": stages, "window": window, "instances": instances,
               "failures": failures, "all_equal": failures == 0, "seed": _seed_of(args)}
+    if first is not None:
+        # replayed by one tandem_identity_check call on the seed's substream(instance)
+        report["first_failure"] = first
     _write_out(_json_dump(report), args.out)
     return 0 if failures == 0 else 1
 

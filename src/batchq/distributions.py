@@ -46,6 +46,7 @@ __all__ = [
     "pgf",
     "sample",
     "sample_n",
+    "sample_block",
     "sample_compound",
     "sample_compound_n",
     "tail_cutoff",
@@ -345,6 +346,20 @@ def sample_n(spec: DistSpec, stream: RandomStream, n: int) -> np.ndarray:
     b = stream.uniforms(n) < spec.p
     e = -np.log1p(-stream.uniforms(n)) / spec.rate
     return np.where(b, e, 0.0)
+
+
+def sample_block(spec: DistSpec, stream: RandomStream, k: int, n: int) -> np.ndarray:
+    """A (k, n) block whose rows are k successive ``sample_n(spec, stream, n)`` calls.
+
+    The kinds with at most one uniform per value draw the block in one
+    call.  The Bernoulli-mixed kinds draw their Bernoulli and magnitude
+    uniforms as two separate blocks per call, so they keep k calls.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    if spec.kind in ("ber_geom", "ber_exp"):
+        return np.stack([sample_n(spec, stream, n) for _ in range(k)])
+    return sample_n(spec, stream, k * n).reshape(k, n)
 
 
 def sample(spec: DistSpec, stream: RandomStream):

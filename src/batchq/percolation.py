@@ -23,6 +23,10 @@ for R >= 2 on finite windows, because the optimal service path may skip
 the first or last stages entirely.  Reversing the service field in both
 axes turns the free paths on columns m..-1 into prefix paths, so one
 column sweep of the reversed field gives G(m) for every m.
+
+The time-constant estimator sweeps all its replicas at once: one
+(replicas x rows) DP steps through blocks of columns, and each replica's
+stream draws its block in the order of one ``sample_n`` call per column.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DistSpec, sample_n
+from .distributions import DistSpec, sample_block, sample_n
 from .streams import RandomStream
 from .tandem import TandemConfig, simulate_tandem
 
@@ -105,17 +109,21 @@ class PathQuery:
 
 def _sweep(columns, pinned: bool):
     """Yield after each column the least weight of a path ending at each row;
-    pinned paths start at the top row of the first column, free ones anywhere."""
+    pinned paths start at the top row of the first column, free ones anywhere.
+
+    Rows run along the last axis of each column; leading axes index
+    independent fields swept together.
+    """
     columns = iter(columns)
     first = next(columns)
     if pinned:
-        dp = np.full(len(first), np.inf)
-        dp[0] = first[0]
+        dp = np.full(first.shape, np.inf)
+        dp[..., 0] = first[..., 0]
     else:
         dp = first.astype(float, copy=True)
     yield dp
     for col in columns:
-        dp = col + np.minimum.accumulate(dp)
+        dp = col + np.minimum.accumulate(dp, axis=-1)
         yield dp
 
 
@@ -182,25 +190,39 @@ class TimeConstantEstimate:
                 "ci_lo": self.ci_lo, "ci_hi": self.ci_hi, "replicas": self.replicas}
 
 
-def _replica_value(weight_spec: DistSpec, x: float, n: int, stream: RandomStream) -> float:
-    """One field's F((0,0),(floor(xN), N)) / N, generating columns on the fly.
+# A replica's stream draws _BLOCK_COLUMNS columns per call.  Replicas are
+# swept together in groups whose block holds at most _BLOCK_CELLS weights
+# (4 MB; one replica per group once N exceeds 65535), so memory does not
+# grow with the replica count.
+_BLOCK_COLUMNS = 8
+_BLOCK_CELLS = 1 << 19
 
-    Weights are drawn column by column (row-major within a column) from
-    the replica stream, so fields are reproducible without being stored.
+
+def _columns(weight_spec: DistSpec, streams: list[RandomStream], n_cols: int, rows: int):
+    """Yield the (replicas, rows) columns of one field per stream.
+
+    Each stream draws its field column by column (row-major within a
+    column), ``_BLOCK_COLUMNS`` columns per call, so fields are
+    reproducible without being stored.  The next block overwrites the
+    columns yielded so far.
     """
-    n_cols = int(math.floor(x * n)) + 1
-    cols = (sample_n(weight_spec, stream, n + 1).astype(float) for _ in range(n_cols))
-    for dp in _sweep(cols, pinned=True):
-        pass
-    return float(dp[-1]) / n
+    block = np.empty((_BLOCK_COLUMNS, len(streams), rows))
+    for c in range(0, n_cols, _BLOCK_COLUMNS):
+        k = min(_BLOCK_COLUMNS, n_cols - c)
+        for i, s in enumerate(streams):
+            block[:k, i] = sample_block(weight_spec, s, k, rows)
+        yield from block[:k]
 
 
 def estimate_time_constant(weight_spec: DistSpec, x: float, n: int, replicas: int,
                            stream: RandomStream, threads: int | None = None) -> TimeConstantEstimate:
     """Monte Carlo estimate of the time constant at aspect ratio ``x``.
 
-    Each replica uses ``stream.substream(r)``.  Replicas run serially in
-    replica order; ``threads`` is accepted and has no effect.
+    Each replica uses ``stream.substream(r)``.  One sweep advances a
+    (replicas x rows) DP through blocks of columns, each replica's block
+    drawn in the order of one ``sample_n`` call per column, so estimates
+    equal those of one replica at a time.  ``threads`` is accepted and has
+    no effect.
     """
     if x <= 0:
         raise ValueError("aspect ratio must be positive")
@@ -208,8 +230,15 @@ def estimate_time_constant(weight_spec: DistSpec, x: float, n: int, replicas: in
         raise ValueError("N must be at least 10")
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a confidence interval")
-    vals = np.array([_replica_value(weight_spec, x, n, stream.substream(r))
-                     for r in range(replicas)])
+    rows, n_cols = n + 1, int(math.floor(x * n)) + 1
+    group = max(1, _BLOCK_CELLS // (_BLOCK_COLUMNS * rows))
+    vals = []
+    for lo in range(0, replicas, group):
+        streams = [stream.substream(r) for r in range(lo, min(lo + group, replicas))]
+        for dp in _sweep(_columns(weight_spec, streams, n_cols, rows), pinned=True):
+            pass
+        vals.append(dp[:, -1] / n)
+    vals = np.concatenate(vals)
     m = float(vals.mean())
     half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(replicas)
     return TimeConstantEstimate(x=x, n=n, mean=m, ci_lo=m - half, ci_hi=m + half,

@@ -62,7 +62,8 @@ def golden_max(fn: Callable[[float], float], lo: float, hi: float,
 
     A coarse scan brackets the maximum (robust for nearly flat
     objectives), then golden-section search shrinks the bracket to
-    ``tol``.
+    ``tol``, or until it stops shrinking where neighbouring floats are
+    more than ``tol`` apart.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
@@ -75,7 +76,9 @@ def golden_max(fn: Callable[[float], float], lo: float, hi: float,
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)

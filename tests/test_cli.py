@@ -3,15 +3,25 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from batchq import distributions as dist
+from batchq import percolation as perc
 from batchq.cli import run
+from batchq.streams import RandomStream
 
 
 def test_tc_single_value_prints_plain_float(capsys):
     assert run(["tc", "--variant", "exp", "--x", "3"]) == 0
     assert capsys.readouterr().out == "1.0\n"
+
+
+def test_tc_legendre_ends_where_float_spacing_exceeds_tol(capsys):
+    # the Legendre scan runs over (0, q/beta) = (0, 9e5), where doubles are 1.2e-10 apart
+    assert run(["tc", "--variant", "legendre", "--q", "0.9", "--beta", "1e-6", "--x", "3"]) == 0
+    assert float(capsys.readouterr().out) > 0
 
 
 def test_tc_grid_csv(capsys):
@@ -116,6 +126,27 @@ def test_perc_identity_cli(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["failures"] == 0 and report["all_equal"]
+    assert "first_failure" not in report
+
+
+def test_perc_identity_reports_first_failure(monkeypatch, capsys):
+    real = perc.tandem_identity_check
+    bad = {RandomStream(9).substream(i).seed for i in (2, 4)}
+
+    def unequal_on_two_instances(arrival, services, window, stream):
+        res = real(arrival, services, window=window, stream=stream)
+        return replace(res, equal=False) if stream.seed in bad else res
+
+    monkeypatch.setattr(perc, "tandem_identity_check", unequal_on_two_instances)
+    code = run(["perc", "identity", *P, "--stages", "2", "--window", "30",
+                "--instances", "6", "--seed", "9"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] == 2 and not report["all_equal"]
+    replay = real(dist.ber_geom(0.3333333333333333, 0.6666666666666666),
+                  [dist.ber_geom(0.5, 0.5)] * 2, window=30, stream=RandomStream(9).substream(2))
+    assert report["first_failure"] == {"instance": 2, "lhs": replay.lhs, "rhs": replay.rhs,
+                                       "best_m": replay.best_m}
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

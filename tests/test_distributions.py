@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchq import distributions as dist
 from batchq.stats import EmpiricalPmf, chi_square_gof, ks_test
@@ -261,3 +262,36 @@ def test_geom_samplers_refuse_draws_beyond_int64():
     # a tiny but representable alpha still samples on the support
     draws = dist.sample_n(dist.geom_plus(1e-15), RandomStream(1), 1000)
     assert draws.dtype == np.int64 and draws.min() >= 1
+
+
+PROB = st.floats(0.02, 0.98)
+ALL_KINDS = st.one_of(
+    st.builds(dist.bernoulli, PROB),
+    st.builds(dist.geom_plus, PROB),
+    st.builds(dist.geom_zero, PROB),
+    st.builds(dist.ber_geom, PROB, PROB),
+    st.builds(dist.exponential, st.floats(0.1, 10.0)),
+    st.builds(dist.ber_exp, PROB, st.floats(0.1, 10.0)),
+    st.builds(dist.deterministic, st.sampled_from([0, 1, 3, 0.5, 2.25])),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(spec=ALL_KINDS, k=st.integers(1, 5), n=st.integers(0, 20),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_block_is_k_stacked_sample_n_calls(spec, k, n, seed):
+    s_block, s_calls = RandomStream(seed), RandomStream(seed)
+    block = dist.sample_block(spec, s_block, k, n)
+    calls = np.stack([dist.sample_n(spec, s_calls, n) for _ in range(k)])
+    assert block.shape == (k, n) and block.dtype == calls.dtype
+    assert np.array_equal(block, calls)
+    # both leave the stream at the same place
+    assert s_block.uniform() == s_calls.uniform()
+    assert block.dtype == (np.int64 if spec.is_discrete else np.float64)
+    assert np.all(block >= 0)
+    if spec.kind == "bernoulli":
+        assert np.all(block <= 1)
+    elif spec.kind == "geom_plus":
+        assert np.all(block >= 1)
+    elif spec.kind == "deterministic":
+        assert np.all(block == spec.value)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchq import distributions as dist
+from batchq import percolation as perc
 from batchq.percolation import (IdentityCheck, JumpField, PathQuery,
                                 WeightField, continuous_first_passage,
                                 enumerate_first_passage, estimate_time_constant,
@@ -174,6 +175,67 @@ def test_estimate_deterministic_and_thread_invariant():
     e3 = estimate_time_constant(spec, 1.5, 60, 8, RandomStream(5), threads=4)
     assert e1 == e2 == e3
     assert e1.ci_lo <= e1.mean <= e1.ci_hi
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(batch=st.integers(1, 4), rows=st.integers(1, 5), cols=st.integers(1, 6),
+       pinned=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_batched_sweep_is_the_1d_sweep_and_the_bruteforce(batch, rows, cols, pinned, seed):
+    w = np.floor(RandomStream(seed).uniforms(batch * rows * cols) * 6).reshape(batch, rows, cols)
+    batched = list(perc._sweep(w.transpose(2, 0, 1), pinned))
+    assert len(batched) == cols
+    for b in range(batch):
+        single = list(perc._sweep(w[b].T, pinned))
+        for dp_batch, dp in zip(batched, single):
+            assert np.array_equal(dp_batch[b], dp)
+        q = PathQuery((0, 0), (cols - 1, rows - 1), pinned=pinned)
+        if pinned and cols == 1 and rows > 1:
+            assert batched[-1][b, -1] == np.inf
+            continue
+        got = batched[-1][b, -1] if pinned else batched[-1][b].min()
+        assert got == enumerate_first_passage(WeightField(w[b]), q)
+
+
+WEIGHT_SPECS = st.one_of(
+    st.builds(dist.exponential, st.floats(0.5, 2.0)),
+    st.builds(dist.ber_exp, st.floats(0.1, 0.9), st.floats(0.5, 2.0)),
+    st.builds(dist.bernoulli, st.floats(0.1, 0.9)),
+    st.builds(dist.geom_plus, st.floats(0.1, 0.9)),
+    st.builds(dist.geom_zero, st.floats(0.1, 0.9)),
+    st.builds(dist.ber_geom, st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+    st.builds(dist.deterministic, st.sampled_from([0, 1, 0.5])),
+)
+
+
+def _estimate_one_replica_at_a_time(spec, x, n, replicas, stream):
+    """Reference: one column sweep per replica, one sample_n call per column."""
+    vals = []
+    for r in range(replicas):
+        st_r = stream.substream(r)
+        dp = np.full(n + 1, np.inf)
+        for c in range(int(math.floor(x * n)) + 1):
+            col = dist.sample_n(spec, st_r, n + 1).astype(float)
+            if c == 0:
+                dp[0] = col[0]
+            else:
+                dp = col + np.minimum.accumulate(dp)
+        vals.append(float(dp[-1]) / n)
+    vals = np.array(vals)
+    m = float(vals.mean())
+    half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(replicas)
+    return m, m - half, m + half
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(spec=WEIGHT_SPECS, x=st.floats(0.1, 3.0), n=st.integers(10, 30),
+       replicas=st.integers(2, 7), group=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_estimate_equals_one_replica_at_a_time(spec, x, n, replicas, group, seed):
+    # the block budget fixes how many replicas share one sweep; it must not matter
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perc, "_BLOCK_CELLS", perc._BLOCK_COLUMNS * (n + 1) * group)
+        est = estimate_time_constant(spec, x, n, replicas, RandomStream(seed))
+    assert (est.mean, est.ci_lo, est.ci_hi) == _estimate_one_replica_at_a_time(
+        spec, x, n, replicas, RandomStream(seed))
 
 
 def test_estimate_flat_region_small():

@@ -14,6 +14,15 @@ from batchq.stats import (EmpiricalPmf, batch_mean_stderr, chi2_sf,
 from batchq.streams import RandomStream
 
 
+def test_chi2_sf_matches_scipy_gammaincc():
+    special = pytest.importorskip("scipy.special")
+    for dof in (1, 2, 3, 4, 5, 7, 10, 17, 30, 64, 100, 250, 1000, 5000):
+        for m in (1e-4, 0.01, 0.1, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0):
+            stat = m * dof
+            ref = float(special.gammaincc(dof / 2.0, stat / 2.0))
+            assert chi2_sf(stat, dof) == pytest.approx(ref, rel=1e-10, abs=1e-300), (dof, stat)
+
+
 def test_chi2_sf_against_closed_forms():
     # dof 2: survival is exp(-x/2); dof 1: erfc(sqrt(x/2))
     for x in (0.1, 1.0, 3.7, 10.0, 40.0):

@@ -19,6 +19,13 @@ def test_golden_max_quadratic():
         tc.golden_max(lambda x: x, 1.0, 1.0)
 
 
+def test_golden_max_ends_where_float_spacing_exceeds_tol():
+    # near 5e5 neighbouring doubles are 1.2e-10 apart, so the bracket cannot reach tol
+    xm, val = tc.golden_max(lambda x: -(x - 5e5) ** 2, 0.0, 9e5)
+    assert xm == pytest.approx(5e5, rel=1e-12) and val <= 0.0
+    assert tc.f_legendre(0.9, 1e-6, 3.0) == pytest.approx(tc.f_bergeom(0.9, 1e-6, 3.0), rel=1e-9)
+
+
 def test_scan_unimodality():
     assert tc.scan_is_unimodal(lambda x: -(x - 1) ** 2, 0.0, 2.0)
     assert not tc.scan_is_unimodal(lambda x: math.sin(5 * x), 0.0, 3.0)
