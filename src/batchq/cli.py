@@ -9,7 +9,10 @@ verification, 2 usage or validation error.
 Outputs are deterministic for a fixed argv and seed: floats print with
 17 significant digits and JSON keys are sorted.  --threads is accepted
 and has no effect: perc simulate sweeps every replica together in one
-process.  The cost of perc identity is linear in --window.
+process.  perc simulate draws one field per replica from the seed's
+substream(0) and reads every --x grid point off it, so rows at
+different x are correlated.  The cost of perc identity is linear in
+--window.
 """
 
 from __future__ import annotations
@@ -245,15 +248,12 @@ def _cmd_perc(args, parser) -> int:
     if args.action == "simulate":
         spec = dist.DistSpec.from_json(args.weights)
         xs = _parse_grid(args.x, parser)
-        if not xs:
-            parser.error("empty --x grid")
         n = 200 if args.n is None else args.n
         replicas = 50 if args.replicas is None else args.replicas
         seed = _seed_of(args)
         lines = ["x,N,mean,ci_lo,ci_hi,replicas,seed"]
-        stream = RandomStream(seed)
-        for i, x in enumerate(xs):
-            est = perc.estimate_time_constant(spec, float(x), n, replicas, stream.substream(i))
+        ests = perc.estimate_curve(spec, xs, n, replicas, RandomStream(seed).substream(0))
+        for x, est in zip(xs, ests):
             lines.append(",".join([_fmt(x), str(n), _fmt(est.mean), _fmt(est.ci_lo),
                                    _fmt(est.ci_hi), str(replicas), str(seed)]))
         _write_out("\n".join(lines) + "\n", args.out)

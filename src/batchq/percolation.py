@@ -27,6 +27,8 @@ column sweep of the reversed field gives G(m) for every m.
 The time-constant estimator sweeps all its replicas at once: one
 (replicas x rows) DP steps through blocks of columns, and each replica's
 stream draws its block in the order of one ``sample_n`` call per column.
+A whole x-grid is read off one field per replica, at column floor(x N),
+so the estimates at different x are correlated.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "IdentityCheck",
     "enumerate_first_passage",
     "first_passage",
+    "estimate_curve",
     "estimate_time_constant",
     "sample_jump_field",
     "continuous_first_passage",
@@ -214,35 +217,65 @@ def _columns(weight_spec: DistSpec, streams: list[RandomStream], n_cols: int, ro
         yield from block[:k]
 
 
-def estimate_time_constant(weight_spec: DistSpec, x: float, n: int, replicas: int,
-                           stream: RandomStream, threads: int | None = None) -> TimeConstantEstimate:
-    """Monte Carlo estimate of the time constant at aspect ratio ``x``.
+def estimate_curve(weight_spec: DistSpec, xs: Sequence[float], n: int, replicas: int,
+                   stream: RandomStream) -> list[TimeConstantEstimate]:
+    """Monte Carlo estimates of the time constant at every aspect ratio in ``xs``.
 
-    Each replica uses ``stream.substream(r)``.  One sweep advances a
-    (replicas x rows) DP through blocks of columns, each replica's block
-    drawn in the order of one ``sample_n`` call per column, so estimates
-    equal those of one replica at a time.  ``threads`` is accepted and has
-    no effect.
+    Replica r draws one field from ``stream.substream(r)``, with
+    floor(max(xs) N) + 1 columns, and every grid point reads its value off
+    that field at column floor(x N); so estimates at different x are
+    correlated.  One sweep advances a (replicas x rows) DP through blocks
+    of columns, each replica's block drawn in the order of one
+    ``sample_n`` call per column.  A field's first columns do not depend
+    on its length, so each estimate equals that of a one-point grid, and
+    of one replica at a time.  Estimates come back in the order of
+    ``xs``; repeated and unsorted values are allowed.
     """
-    if x <= 0:
-        raise ValueError("aspect ratio must be positive")
+    if len(xs) == 0:
+        raise ValueError("empty x grid: need at least one aspect ratio")
     if n < 10:
         raise ValueError("N must be at least 10")
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a confidence interval")
-    rows, n_cols = n + 1, int(math.floor(x * n)) + 1
+    cols = []
+    for x in xs:
+        if not (x > 0 and math.isfinite(x)):
+            raise ValueError(f"aspect ratio x={x!r} must be positive and finite")
+        c = int(math.floor(x * n))
+        if c == 0:
+            raise ValueError(f"aspect ratio x={x!r} is too small for N={n}: floor(x*N) = 0 "
+                             "leaves one column, which no path from row 0 to row N fits")
+        cols.append(c)
+    rows, n_cols = n + 1, max(cols) + 1
+    vals = {c: np.empty(replicas) for c in cols}
     group = max(1, _BLOCK_CELLS // (_BLOCK_COLUMNS * rows))
-    vals = []
     for lo in range(0, replicas, group):
-        streams = [stream.substream(r) for r in range(lo, min(lo + group, replicas))]
-        for dp in _sweep(_columns(weight_spec, streams, n_cols, rows), pinned=True):
-            pass
-        vals.append(dp[:, -1] / n)
-    vals = np.concatenate(vals)
-    m = float(vals.mean())
-    half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(replicas)
-    return TimeConstantEstimate(x=x, n=n, mean=m, ci_lo=m - half, ci_hi=m + half,
-                                replicas=replicas)
+        hi = min(lo + group, replicas)
+        streams = [stream.substream(r) for r in range(lo, hi)]
+        sweep = _sweep(_columns(weight_spec, streams, n_cols, rows), pinned=True)
+        for c, dp in enumerate(sweep):
+            if c in vals:
+                vals[c][lo:hi] = dp[:, -1] / n
+    out = []
+    for x, c in zip(xs, cols):
+        v = vals[c]
+        m = float(v.mean())
+        half = 1.96 * float(v.std(ddof=1)) / math.sqrt(replicas)
+        out.append(TimeConstantEstimate(x=x, n=n, mean=m, ci_lo=m - half, ci_hi=m + half,
+                                        replicas=replicas))
+    return out
+
+
+def estimate_time_constant(weight_spec: DistSpec, x: float, n: int, replicas: int,
+                           stream: RandomStream, threads: int | None = None) -> TimeConstantEstimate:
+    """Monte Carlo estimate of the time constant at aspect ratio ``x``.
+
+    The one-point case of :func:`estimate_curve`: replica r draws its
+    field from ``stream.substream(r)``, so the estimate equals the row at
+    ``x`` of any grid estimated on the same stream.  ``threads`` is
+    accepted and has no effect.
+    """
+    return estimate_curve(weight_spec, [x], n, replicas, stream)[0]
 
 
 @dataclass

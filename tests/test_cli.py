@@ -119,6 +119,18 @@ def test_perc_simulate_csv_and_threads(tmp_path):
     assert len(lines) == 3
 
 
+def test_perc_simulate_grid_rows_are_one_point_runs(capsys):
+    # every grid point is read off the same field per replica, drawn from substream(0)
+    args = ["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}',
+            "--n", "40", "--replicas", "6", "--seed", "7"]
+    assert run(args + ["--x", "1,2,3"]) == 0
+    grid = capsys.readouterr().out.strip().split("\n")
+    assert len(grid) == 4
+    for x, row in zip(("1", "2", "3"), grid[1:]):
+        assert run(args + ["--x", x]) == 0
+        assert capsys.readouterr().out.strip().split("\n")[1:] == [row]
+
+
 def test_perc_identity_cli(capsys):
     code = run(["perc", "identity", "--p", "0.3333333333333333",
                 "--alpha", "0.6666666666666666", "--q", "0.5", "--beta", "0.5",
@@ -206,7 +218,8 @@ def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, capsys):
                                   "tc-ber-geom-q-above-1", "tc-ber-exp-q-above-1",
                                   "tc-cont-geom-beta-above-1", "tc-ber-geom-negative-x",
                                   "tc-cont-exp-negative-x", "non-object-spec", "non-object-weights",
-                                  "weights-missing-field", "spec-string-field", "spec-bool-field"])
+                                  "weights-missing-field", "spec-string-field", "spec-bool-field",
+                                  "perc-x-below-one-column", "perc-empty-grid"])
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir" / "x.csv")
     list_config = tmp_path / "list.json"
@@ -237,6 +250,10 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
                                   "--n", "10", "--replicas", "2"],
         "spec-string-field": ["dist", "sample", "--spec", '{"kind": "exp", "rate": "a"}'],
         "spec-bool-field": ["dist", "sample", "--spec", '{"kind": "deterministic", "value": true}'],
+        "perc-x-below-one-column": ["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}',
+                                    "--x", "0.05", "--n", "10", "--replicas", "5"],
+        "perc-empty-grid": ["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}',
+                            "--x", ",", "--n", "10", "--replicas", "5"],
     }[case]
     code, err = _exit_code_and_stderr(argv, capsys)
     assert code == 2

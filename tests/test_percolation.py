@@ -238,6 +238,23 @@ def test_estimate_equals_one_replica_at_a_time(spec, x, n, replicas, group, seed
         spec, x, n, replicas, RandomStream(seed))
 
 
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(spec=WEIGHT_SPECS,
+       xs=st.lists(st.one_of(st.sampled_from([0.1, 1.0, 1.3, 2.5]), st.floats(0.1, 2.5)),
+                   min_size=1, max_size=5),
+       n=st.integers(10, 20), replicas=st.integers(2, 6), group=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_curve_rows_are_one_point_estimates(spec, xs, n, replicas, group, seed):
+    # a field's first columns do not depend on its length, nor on the replica grouping
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perc, "_BLOCK_CELLS", perc._BLOCK_COLUMNS * (n + 1) * group)
+        rows = perc.estimate_curve(spec, xs, n, replicas, RandomStream(seed))
+    assert [r.x for r in rows] == xs
+    for x, row in zip(xs, rows):
+        one = estimate_time_constant(spec, x, n, replicas, RandomStream(seed))
+        assert (row.mean, row.ci_lo, row.ci_hi) == (one.mean, one.ci_lo, one.ci_hi)
+
+
 def test_estimate_flat_region_small():
     est = estimate_time_constant(dist.bernoulli(0.5), 0.4, 100, 20, RandomStream(6))
     assert est.mean <= 0.02
@@ -250,6 +267,13 @@ def test_estimate_validation():
         estimate_time_constant(dist.exponential(1.0), 1.0, 5, 5, RandomStream(0))
     with pytest.raises(ValueError):
         estimate_time_constant(dist.exponential(1.0), 1.0, 50, 1, RandomStream(0))
+    # floor(x N) = 0: one column, which no pinned path from row 0 to row N fits
+    with pytest.raises(ValueError, match=r"x=0\.05.*N=10"):
+        estimate_time_constant(dist.exponential(1.0), 0.05, 10, 5, RandomStream(0))
+    with pytest.raises(ValueError, match=r"x=0\.05.*N=10"):
+        perc.estimate_curve(dist.exponential(1.0), [1.0, 0.05], 10, 5, RandomStream(0))
+    with pytest.raises(ValueError):
+        perc.estimate_curve(dist.exponential(1.0), [], 10, 5, RandomStream(0))
 
 
 def test_identity_single_stage_is_lindley():

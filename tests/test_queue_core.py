@@ -14,7 +14,7 @@ from batchq.queue_core import (QueueParams, check_condition,
                                markov_oracle, match_arrival_bernoulli,
                                path_max_X, simulate, solve_arrival,
                                stationary_law, step, suggested_burn_in,
-                               verify_detailed_balance)
+                               verify_detailed_balance, _lindley)
 from batchq.stats import EmpiricalPmf, chi_square_gof
 from batchq.streams import RandomStream
 
@@ -88,6 +88,37 @@ def test_path_max_equals_iterated_step():
         for k in range(n):
             x, _, _ = step(x, int(a[k]), int(s[k]))
         assert path_max_X(a, s) == x
+
+
+_DRIVES = st.one_of(
+    st.integers(1, 25).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 6), min_size=n, max_size=n),
+        st.lists(st.integers(0, 6), min_size=n, max_size=n),
+        st.integers(0, 10))),
+    st.integers(1, 25).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(0, 6), min_size=n, max_size=n),
+        st.lists(st.floats(0, 6), min_size=n, max_size=n),
+        st.floats(0, 10))),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(drive=_DRIVES)
+def test_lindley_and_path_max_equal_iterated_step(drive):
+    a, s, init_x = drive
+    discrete = isinstance(init_x, int)
+    lindley = _lindley(np.array(a), np.array(s), init_x)
+    xs, x, from_zero = [init_x], init_x, 0
+    for ak, sk in zip(a, s):
+        x, _, _ = step(x, ak, sk)
+        from_zero, _, _ = step(from_zero, ak, sk)
+        xs.append(x)
+    if discrete:
+        assert lindley.tolist() == xs
+        assert path_max_X(a, s) == from_zero
+    else:
+        assert lindley == pytest.approx(xs, rel=1e-12, abs=1e-9)
+        assert path_max_X(a, s) == pytest.approx(from_zero, rel=1e-12, abs=1e-9)
 
 
 def test_check_condition():
