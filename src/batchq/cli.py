@@ -175,6 +175,8 @@ def _cmd_dist(args, parser) -> int:
         if not spec.is_discrete:
             parser.error("pmf is a discrete-only operation")
         max_k = 20 if args.max_k is None else args.max_k
+        if max_k < 0:
+            parser.error("--max-k must be >= 0")
         rows = [(k, dist.pmf(spec, k)) for k in range(max_k + 1)]
         if fmt == "json":
             text = _json_dump({"spec": spec.to_dict(), "pmf": [v for _, v in rows]})
@@ -265,16 +267,9 @@ def _cmd_perc(args, parser) -> int:
     instances = 1000 if args.instances is None else args.instances
     if instances < 1:
         parser.error("--instances must be >= 1")
-    stream = RandomStream(_seed_of(args))
-    failures, first = 0, None
-    for i in range(instances):
-        res = perc.tandem_identity_check(params.arrival_spec,
-                                         [params.service_spec] * stages,
-                                         window=window, stream=stream.substream(i))
-        if not res.equal:
-            failures += 1
-            if first is None:
-                first = {"instance": i, "lhs": res.lhs, "rhs": res.rhs, "best_m": res.best_m}
+    failures, first = perc.identity_trials(params.arrival_spec, params.service_spec,
+                                           [stages] * instances, window,
+                                           RandomStream(_seed_of(args)))
     report = {"stages": stages, "window": window, "instances": instances,
               "failures": failures, "all_equal": failures == 0, "seed": _seed_of(args)}
     if first is not None:

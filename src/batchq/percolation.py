@@ -23,6 +23,9 @@ for R >= 2 on finite windows, because the optimal service path may skip
 the first or last stages entirely.  Reversing the service field in both
 axes turns the free paths on columns m..-1 into prefix paths, so one
 column sweep of the reversed field gives G(m) for every m.
+:func:`identity_trials` runs the check over many instances.  The
+continuous-time model is the lattice model on event columns, one column
+per distinct event time, so ``_sweep`` is the only copy of the DP.
 
 The time-constant estimator sweeps all its replicas at once: one
 (replicas x rows) DP steps through blocks of columns, and each replica's
@@ -57,6 +60,7 @@ __all__ = [
     "sample_jump_field",
     "continuous_first_passage",
     "tandem_identity_check",
+    "identity_trials",
 ]
 
 
@@ -313,15 +317,12 @@ def sample_jump_field(n_rows: int, horizon: float, weight_spec: DistSpec,
     for _ in range(n_rows):
         # exponential gaps, drawn in blocks until the horizon is passed
         t, acc = [], 0.0
-        while True:
-            gaps = -np.log1p(-stream.uniforms(64)) / rate
-            for g in gaps:
+        while acc <= horizon:
+            for g in -np.log1p(-stream.uniforms(64)) / rate:
                 acc += g
                 if acc > horizon:
                     break
                 t.append(acc)
-            if acc > horizon:
-                break
         t = np.array(t)
         w = sample_n(weight_spec, stream, len(t)).astype(float)
         if np.any(w <= 0):
@@ -337,33 +338,24 @@ def continuous_first_passage(field: JumpField, s: float, t: float, j: int, l: in
     The path occupies row j just after time ``s``, switches upward at
     freely chosen increasing times, and occupies row ``l`` through time
     ``t``; it pays each event landing on its occupied row.  The infimum is
-    attained with switch times in the open gaps between events, so a
-    dynamic program over the merged, time-ordered event list suffices:
-    advancing rows is free between events, and each event charges its
-    weight to paths currently on its row.
+    attained with switch times in the open gaps between events, so this is
+    the free-endpoint lattice first passage on event columns: a zero column,
+    then one column per distinct event time in (s, t] holding that time's
+    event weights on their rows (a row has at most one event per time).
     """
     if not 0 <= s < t <= field.horizon:
         raise ValueError("need 0 <= s < t <= horizon")
     if not 0 <= j <= l < field.rows:
         raise ValueError("row range out of bounds")
-    events = []
-    for r in range(j, l + 1):
-        tt, ww = field.times[r], field.weights[r]
-        mask = (tt > s) & (tt <= t)
-        for e_t, e_w in zip(tt[mask], ww[mask]):
-            events.append((float(e_t), r - j, float(e_w)))
-    events.sort(key=lambda e: e[0])
-    n_rows = l - j + 1
-    dp = np.zeros(n_rows)
-    idx = 0
-    while idx < len(events):
-        # group simultaneous events: the occupied row at that instant is single
-        t0 = events[idx][0]
-        dp = np.minimum.accumulate(dp)
-        while idx < len(events) and events[idx][0] == t0:
-            dp[events[idx][1]] += events[idx][2]
-            idx += 1
-    return float(np.minimum.accumulate(dp).min())
+    rows = range(j, l + 1)
+    masks = [(field.times[r] > s) & (field.times[r] <= t) for r in rows]
+    times = np.unique(np.concatenate([field.times[r][m] for r, m in zip(rows, masks)]))
+    cols = np.zeros((1 + len(times), len(rows)))
+    for k, (r, m) in enumerate(zip(rows, masks)):
+        cols[1 + np.searchsorted(times, field.times[r][m]), k] = field.weights[r][m]
+    for dp in _sweep(cols, pinned=False):
+        pass
+    return float(dp.min())
 
 
 @dataclass(frozen=True)
@@ -406,3 +398,20 @@ def tandem_identity_check(arrival: DistSpec, services: Sequence[DistSpec],
     discrete = np.issubdtype(np.result_type(a, w), np.integer)
     equal = (lhs == rhs) if discrete else bool(abs(float(lhs) - float(rhs)) <= 1e-9)
     return IdentityCheck(lhs=float(lhs), rhs=float(rhs), equal=bool(equal), best_m=-i)
+
+
+def identity_trials(arrival: DistSpec, service: DistSpec, stages: Sequence[int], window: int,
+                    stream: RandomStream) -> tuple[int, dict | None]:
+    """Failure count and first failure (``instance``, ``lhs``, ``rhs``, ``best_m``;
+    None if there is none) of one :func:`tandem_identity_check` per entry of
+    ``stages``: instance i runs ``stages[i]`` copies of ``service`` on
+    ``stream.substream(i)``, so one call on that substream replays it.
+    """
+    failures, first = 0, None
+    for i, r in enumerate(stages):
+        res = tandem_identity_check(arrival, [service] * r, window, stream.substream(i))
+        if not res.equal:
+            failures += 1
+            if first is None:
+                first = {"instance": i, "lhs": res.lhs, "rhs": res.rhs, "best_m": res.best_m}
+    return failures, first

@@ -22,7 +22,9 @@ stationary law of X is BerGeom(c, gamma) with
 
 This module provides the simulator, the one-parameter-family solver, a
 detailed-balance residual check, busy-period likelihoods, and an
-independent truncated-Markov-chain oracle for stationary laws.
+independent truncated-Markov-chain oracle for stationary laws.  The
+simulator, the tandem stages and :func:`path_max_X` all run on one
+vectorized kernel of the slot recursion, :func:`lindley`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "Trace",
     "write_csv",
     "step",
+    "lindley",
     "simulate",
     "path_max_X",
     "check_condition",
@@ -159,7 +162,7 @@ def step(x, a, s):
     return y - d, d, s - d
 
 
-def _lindley(a: np.ndarray, s: np.ndarray, init_x) -> np.ndarray:
+def lindley(a: np.ndarray, s: np.ndarray, init_x) -> np.ndarray:
     """Queue lengths X_0..X_n for driving sequences of length n.
 
     Uses the running-minimum form of the recursion so the whole path is
@@ -304,7 +307,7 @@ def simulate(arrival: DistSpec, service: DistSpec, n_slots: int,
     if a.dtype != s.dtype:
         a = a.astype(float)
         s = s.astype(float)
-    x_full = _lindley(a, s, init_x if a.dtype == np.int64 else float(init_x))
+    x_full = lindley(a, s, init_x if a.dtype == np.int64 else float(init_x))
     return Trace(arrival=arrival, service=service, seed=used_seed,
                  init_x=init_x, a=a, s=s, x_full=x_full)
 
@@ -315,6 +318,7 @@ def path_max_X(arrivals: Sequence[float], services: Sequence[float]):
     For aligned driving sequences over slots m..n-1 this returns
     max over m <= k <= n of sum_{r=k}^{n-1} (A_r - S_r) (empty sum = 0),
     which equals X_n obtained by iterating :func:`step` from X_m = 0.
+    It is the last entry of :func:`lindley` started at 0.
     """
     a = np.asarray(arrivals)
     s = np.asarray(services)
@@ -322,10 +326,7 @@ def path_max_X(arrivals: Sequence[float], services: Sequence[float]):
         raise ValueError("arrivals and services must be aligned 1-d sequences")
     if len(a) == 0:
         return 0
-    diffs = a - s
-    prefix = np.concatenate((np.zeros(1, dtype=diffs.dtype), np.cumsum(diffs)))
-    best = (prefix[-1] - prefix.min())
-    return best.item()
+    return lindley(a, s, 0)[-1].item()
 
 
 def _odds_product(a: float, p: float) -> float:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DistSpec, mean, sample_n
-from .queue_core import QueueParams, StationaryLaw, Trace, _lindley, stationary_law, write_csv
+from .queue_core import QueueParams, StationaryLaw, Trace, lindley, stationary_law, write_csv
 from .stats import EmpiricalPmf, TestResult, chi_square_gof, independence_chi2
 from .streams import RandomStream
 
@@ -110,7 +110,7 @@ def simulate_tandem(config: TandemConfig, n_slots: int,
     out = TandemTrace(config=config, seed=used_seed)
     arr = a
     for r, s in enumerate(services):
-        x_full = _lindley(arr, s, 0)
+        x_full = lindley(arr, s, 0)
         tr = Trace(arrival=config.arrival if r == 0 else config.services[r - 1],
                    service=config.services[r], seed=used_seed, init_x=0,
                    a=arr, s=s, x_full=x_full)

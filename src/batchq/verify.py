@@ -60,6 +60,7 @@ MAIN_PARAMS = CONDITION_SETS[0]  # (1/3, 2/3, 1/2, 1/2)
 BURN_IN = 10_000
 X_STRIDE = 25          # decorrelates queue-length samples for chi-square
 PAIR_STRIDE = 9        # keeps >= 1e5 pairs out of a 1e6-slot trace
+N_SLOTS = 1_000_000    # trace length of the simulation checks
 
 
 def _exact(name: str, observed: float, threshold: float, below: bool = True) -> dict:
@@ -77,7 +78,7 @@ def _stat(result: TestResult) -> dict:
 
 # --- distributions ----------------------------------------------------------
 
-def check_distributions(seed: int, level: float = 0.01) -> list[dict]:
+def check_distributions(seed: int) -> list[dict]:
     out = []
     stream = RandomStream(seed)
     specs = [dist.ber_geom(1 / 3, 2 / 3), dist.geom_plus(0.4), dist.geom_zero(0.25),
@@ -122,7 +123,7 @@ def check_distributions(seed: int, level: float = 0.01) -> list[dict]:
         draws = dist.sample_compound_n(cp, ca, stream.substream(i), 1_000_000)
         emp = EmpiricalPmf.from_samples(draws)
         ref = dist.ber_geom(cp, ca)
-        out.append(_stat(chi_square_gof(emp, lambda k: dist.pmf(ref, k), level=level,
+        out.append(_stat(chi_square_gof(emp, lambda k: dist.pmf(ref, k),
                                         name=f"compound_matches_bergeom_p{cp:g}_a{ca:g}")))
     # sample mean lands within 3 sigma of the exact mean
     bgd = dist.sample_n(bg, stream.substream(10), 1_000_000)
@@ -132,7 +133,7 @@ def check_distributions(seed: int, level: float = 0.01) -> list[dict]:
     be = dist.ber_exp(0.4, 1.5)
     draws = dist.sample_n(be, stream.substream(11), 200_000)
     pos = draws[draws > 0]
-    out.append(_stat(ks_test(pos, lambda x: 1.0 - math.exp(-be.rate * x), level=level,
+    out.append(_stat(ks_test(pos, lambda x: 1.0 - math.exp(-be.rate * x),
                              name="berexp_positive_part_ks")))
     z = abs(len(pos) / len(draws) - be.p) / math.sqrt(be.p * (1 - be.p) / len(draws))
     out.append(_exact("berexp_atom_within_3_sigma", z, 3.0))
@@ -175,11 +176,11 @@ def check_stationary_oracle() -> list[dict]:
     return out
 
 
-def check_queue_simulation(seed: int, level: float = 0.01, n_slots: int = 1_000_000) -> list[dict]:
+def check_queue_simulation(seed: int) -> list[dict]:
     out = []
     params = MAIN_PARAMS
     law = stationary_law(params)
-    trace = simulate(params.arrival_spec, params.service_spec, n_slots,
+    trace = simulate(params.arrival_spec, params.service_spec, N_SLOTS,
                      stream=RandomStream(seed))
     trace.check_invariants()
     x = trace.x[BURN_IN:]
@@ -190,11 +191,11 @@ def check_queue_simulation(seed: int, level: float = 0.01, n_slots: int = 1_000_
     out.append(_exact("mean_x_within_3_sigma", z, 3.0))
     # thinned X marginal against the BerGeom stationary law
     emp = EmpiricalPmf.from_samples(x[::X_STRIDE], cutoff=30)
-    out.append(_stat(chi_square_gof(emp, law.x_pmf, level=level, name="x_marginal_chi_square")))
+    out.append(_stat(chi_square_gof(emp, law.x_pmf, name="x_marginal_chi_square")))
     # departures: i.i.d. like the arrivals (no thinning needed under the theorem)
     emp_d = EmpiricalPmf.from_samples(d, cutoff=30)
     out.append(_stat(chi_square_gof(emp_d, lambda k: dist.pmf(params.arrival_spec, k),
-                                    level=level, name="departure_marginal_chi_square")))
+                                    name="departure_marginal_chi_square")))
     for lag in (1, 2):
         rho, se_rho = lag_autocorr(d, lag)
         out.append(_exact(f"departure_autocorr_lag{lag}", abs(rho), 3.0 * se_rho))
@@ -204,13 +205,12 @@ def check_queue_simulation(seed: int, level: float = 0.01, n_slots: int = 1_000_
     d2 = trace.d[BURN_IN - 2:-2]
     comp = encode_pairs(d1, d2, 3)
     out.append(_stat(independence_chi2(xs[::PAIR_STRIDE], comp[::PAIR_STRIDE],
-                                       x_cutoff=8, y_cutoff=15, level=level,
+                                       x_cutoff=8, y_cutoff=15,
                                        name="x_independent_of_past_departures")))
     return out
 
 
-def check_reversibility_window(seed: int, level: float = 0.01,
-                               n_slots: int = 1_000_000) -> list[dict]:
+def check_reversibility_window(seed: int) -> list[dict]:
     """Joint law of (X_n, Y_n, X_{n+1}, Y_{n+1}) matches its time reversal.
 
     Forward windows come from the first half of the trace and reversed
@@ -218,7 +218,7 @@ def check_reversibility_window(seed: int, level: float = 0.01,
     (nearly) independent samples; windows are thinned within each half.
     """
     params = MAIN_PARAMS
-    trace = simulate(params.arrival_spec, params.service_spec, n_slots,
+    trace = simulate(params.arrival_spec, params.service_spec, N_SLOTS,
                      stream=RandomStream(seed))
     x, y = trace.x, trace.y
     cut = 6
@@ -235,19 +235,18 @@ def check_reversibility_window(seed: int, level: float = 0.01,
         code = ((q[0] * base + q[1]) * base + q[2]) * base + q[3]
         return np.bincount(code, minlength=base**4)
 
-    half = n_slots // 2
+    half = N_SLOTS // 2
     fwd = windows(BURN_IN, half - 2, reverse=False)
-    rev = windows(half + BURN_IN, n_slots - 2, reverse=True)
-    return [_stat(chi_square_two_sample(fwd, rev, level=level,
-                                        name="reversibility_window_two_sample"))]
+    rev = windows(half + BURN_IN, N_SLOTS - 2, reverse=True)
+    return [_stat(chi_square_two_sample(fwd, rev, name="reversibility_window_two_sample"))]
 
 
-def check_joint_burke(seed: int, level: float = 0.01, n_slots: int = 1_000_000) -> list[dict]:
+def check_joint_burke(seed: int) -> list[dict]:
     out = []
     stream = RandomStream(seed)
     # Geom+ queue: (A, S) pairs match (D, I) pairs jointly
     a_spec, s_spec = dist.geom_plus(0.5), dist.geom_plus(0.35)
-    trace = simulate(a_spec, s_spec, n_slots, stream=stream.substream(0))
+    trace = simulate(a_spec, s_spec, N_SLOTS, stream=stream.substream(0))
     d = trace.d[BURN_IN:-1]
     i_seq = trace.i[BURN_IN:]
     cut = 8
@@ -260,11 +259,10 @@ def check_joint_burke(seed: int, level: float = 0.01, n_slots: int = 1_000_000) 
         ps = dist.sf(s_spec, cut) if ia == cut else dist.pmf(s_spec, ia)
         return pa * ps
 
-    out.append(_stat(chi_square_gof(emp, product_pmf, level=level,
-                                    name="joint_burke_geom_plus_D_I")))
+    out.append(_stat(chi_square_gof(emp, product_pmf, name="joint_burke_geom_plus_D_I")))
     # Bernoulli queue: (A, S) pairs match (D, T) pairs jointly
     a_spec, s_spec = dist.bernoulli(0.3), dist.bernoulli(0.6)
-    trace = simulate(a_spec, s_spec, n_slots, stream=stream.substream(1))
+    trace = simulate(a_spec, s_spec, N_SLOTS, stream=stream.substream(1))
     d = trace.d[BURN_IN:]
     t_seq = trace.t[BURN_IN:]
     code = encode_pairs(d, t_seq, 1)
@@ -274,8 +272,7 @@ def check_joint_burke(seed: int, level: float = 0.01, n_slots: int = 1_000_000) 
         da, ta = divmod(idx, 2)
         return dist.pmf(a_spec, da) * dist.pmf(s_spec, ta)
 
-    out.append(_stat(chi_square_gof(emp, product_pmf_b, level=level,
-                                    name="joint_burke_bernoulli_D_T")))
+    out.append(_stat(chi_square_gof(emp, product_pmf_b, name="joint_burke_bernoulli_D_T")))
     return out
 
 
@@ -341,28 +338,27 @@ def check_queue_small(seed: int) -> list[dict]:
 
 # --- tandem -------------------------------------------------------------
 
-def check_tandem(seed: int, level: float = 0.01, n_slots: int = 1_000_000) -> list[dict]:
+def check_tandem(seed: int) -> list[dict]:
     out = []
     params = MAIN_PARAMS
     config = TandemConfig.bergeom(params, 4)
-    tt = simulate_tandem(config, n_slots, stream=RandomStream(seed))
+    tt = simulate_tandem(config, N_SLOTS, stream=RandomStream(seed))
     tt.check_feed_forward()
     out.append(_exact("feed_forward_conservation", 0.0, 0.0))
     for r, tr in enumerate(tt.stages):
         emp = EmpiricalPmf.from_samples(tr.d[BURN_IN:], cutoff=20)
         out.append(_stat(chi_square_gof(emp, lambda k: dist.pmf(params.arrival_spec, k),
-                                        level=level, name=f"stage{r+1}_departure_law")))
-    for res in verify_product_form(tt, burn_in=BURN_IN, level=level, stride=PAIR_STRIDE):
+                                        name=f"stage{r+1}_departure_law")))
+    for res in verify_product_form(tt, burn_in=BURN_IN, stride=PAIR_STRIDE):
         out.append(_stat(res))
     # heterogeneous services on the same one-parameter family
     het = TandemConfig(params.arrival_spec,
                        [dist.ber_geom(0.5, 0.5), dist.ber_geom(0.55, 0.45)])
-    tt2 = simulate_tandem(het, n_slots // 2, stream=RandomStream(seed).substream(99))
+    tt2 = simulate_tandem(het, N_SLOTS // 2, stream=RandomStream(seed).substream(99))
     for r in range(het.stages):
         law = stationary_law(het.stage_params(r))
         emp = EmpiricalPmf.from_samples(tt2.stages[r].x[BURN_IN::X_STRIDE], cutoff=20)
-        out.append(_stat(chi_square_gof(emp, law.x_pmf, level=level,
-                                        name=f"heterogeneous_stage{r+1}_marginal")))
+        out.append(_stat(chi_square_gof(emp, law.x_pmf, name=f"heterogeneous_stage{r+1}_marginal")))
     return out
 
 
@@ -371,7 +367,7 @@ def check_tandem(seed: int, level: float = 0.01, n_slots: int = 1_000_000) -> li
 def check_percolation_exact(seed: int) -> list[dict]:
     out = []
     stream = RandomStream(seed)
-    mism = 0
+    mism, first = 0, None
     for i in range(1000):
         st = stream.substream(i)
         rows = 1 + int(st.uniform() * 8)
@@ -382,9 +378,13 @@ def check_percolation_exact(seed: int) -> list[dict]:
         field = perc.WeightField(w)
         for pinned in (True, False):
             q = perc.PathQuery((0, 0), (cols - 1, rows - 1), pinned=pinned)
-            if perc.first_passage(field, q) != perc.enumerate_first_passage(field, q):
+            dp, brute = perc.first_passage(field, q), perc.enumerate_first_passage(field, q)
+            if dp != brute:
                 mism += 1
-    out.append(_exact("dp_equals_bruteforce_1000_fields", mism, 0))
+                if first is None:
+                    first = {"substream": i, "pinned": pinned, "dp": dp, "bruteforce": brute}
+    check = _exact("dp_equals_bruteforce_1000_fields", mism, 0)
+    out.append(check if first is None else {**check, "first_mismatch": first})
     # monotonicity: raising one weight never lowers the first passage
     bad = 0
     for i in range(200):
@@ -443,17 +443,11 @@ def check_percolation_exact(seed: int) -> list[dict]:
     return out
 
 
-def check_identity(seed: int, instances: int = 1000, window: int = 50) -> list[dict]:
-    stream = RandomStream(seed)
-    fails = 0
-    for i in range(instances):
-        st = stream.substream(i)
-        r_count = 1 + (i % 4)
-        res = perc.tandem_identity_check(dist.ber_geom(1 / 3, 2 / 3),
-                                         [dist.ber_geom(1 / 2, 1 / 2)] * r_count,
-                                         window=window, stream=st)
-        fails += 0 if res.equal else 1
-    return [_exact(f"tandem_identity_{instances}_instances", fails, 0)]
+def check_identity(seed: int) -> list[dict]:
+    fails, first = perc.identity_trials(dist.ber_geom(1 / 3, 2 / 3), dist.ber_geom(1 / 2, 1 / 2),
+                                        [1 + i % 4 for i in range(1000)], 50, RandomStream(seed))
+    check = _exact("tandem_identity_1000_instances", fails, 0)
+    return [check if first is None else {**check, "first_failure": first}]
 
 
 def check_percolation_sim(seed: int) -> list[dict]:

@@ -168,14 +168,9 @@ def test_criterion_8_percolation_oracle():
 
 
 def test_criterion_9_tandem_identity():
-    stream = RandomStream(90_001)
-    failures = 0
-    for i in range(1000):
-        r_count = 1 + (i % 4)
-        res = perc.tandem_identity_check(MAIN.arrival_spec,
-                                         [MAIN.service_spec] * r_count,
-                                         window=50, stream=stream.substream(i))
-        failures += 0 if res.equal else 1
+    failures, _ = perc.identity_trials(MAIN.arrival_spec, MAIN.service_spec,
+                                       [1 + i % 4 for i in range(1000)], 50,
+                                       RandomStream(90_001))
     _report(9, failures == 0, f"{failures} failures on 1000 instances, R<=4, window 50")
 
 

@@ -219,7 +219,8 @@ def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, capsys):
                                   "tc-cont-geom-beta-above-1", "tc-ber-geom-negative-x",
                                   "tc-cont-exp-negative-x", "non-object-spec", "non-object-weights",
                                   "weights-missing-field", "spec-string-field", "spec-bool-field",
-                                  "perc-x-below-one-column", "perc-empty-grid"])
+                                  "perc-x-below-one-column", "perc-empty-grid",
+                                  "dist-negative-max-k"])
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir" / "x.csv")
     list_config = tmp_path / "list.json"
@@ -254,6 +255,8 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
                                     "--x", "0.05", "--n", "10", "--replicas", "5"],
         "perc-empty-grid": ["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}',
                             "--x", ",", "--n", "10", "--replicas", "5"],
+        "dist-negative-max-k": ["dist", "pmf", "--spec", '{"kind": "geom_zero", "alpha": 0.5}',
+                                "--max-k", "-3"],
     }[case]
     code, err = _exit_code_and_stderr(argv, capsys)
     assert code == 2

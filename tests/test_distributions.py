@@ -235,6 +235,34 @@ def test_json_round_trip_and_field_names():
     assert set(parsed) == {"kind", "p", "rate"}
 
 
+_PROB = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_RATE = st.floats(0.0, 1e300, exclude_min=True)
+_SPEC_OF_KIND = {
+    "bernoulli": st.builds(dist.bernoulli, _PROB),
+    "geom_plus": st.builds(dist.geom_plus, _PROB),
+    "geom_zero": st.builds(dist.geom_zero, _PROB),
+    "ber_geom": st.builds(dist.ber_geom, _PROB, _PROB),
+    "exp": st.builds(dist.exponential, _RATE),
+    "ber_exp": st.builds(dist.ber_exp, _PROB, _RATE),
+    "deterministic": st.builds(dist.deterministic,
+                               st.one_of(st.integers(0, 10**9), st.floats(0.0, 1e300))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPEC_OF_KIND))
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_spec_round_trips_through_dict_and_json(kind, data):
+    spec = data.draw(_SPEC_OF_KIND[kind])
+    assert spec.kind == kind
+    assert dist.DistSpec.from_dict(spec.to_dict()) == spec
+    assert dist.DistSpec.from_json(spec.to_json()) == spec
+
+
+def test_round_trip_covers_every_kind():
+    assert sorted(_SPEC_OF_KIND) == sorted(dist._KINDS)
+
+
 def test_tail_cutoff_bounds_the_tail():
     for spec in ALL_DISCRETE:
         k = dist.tail_cutoff(spec, 1e-12)

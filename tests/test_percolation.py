@@ -13,7 +13,7 @@ from batchq import percolation as perc
 from batchq.percolation import (IdentityCheck, JumpField, PathQuery,
                                 WeightField, continuous_first_passage,
                                 enumerate_first_passage, estimate_time_constant,
-                                first_passage, sample_jump_field,
+                                first_passage, identity_trials, sample_jump_field,
                                 tandem_identity_check)
 from batchq.streams import RandomStream
 from batchq.tandem import TandemConfig, simulate_tandem
@@ -166,6 +166,39 @@ def test_continuous_switch_point_insensitivity():
             assert continuous_first_passage(jf3, 0.0, 8.0, 0, 3) <= base + 1e-9
 
 
+@st.composite
+def _jump_queries(draw):
+    rows = draw(st.integers(1, 4))
+    # event times on a grid of whole numbers, so rows share event times
+    times = [sorted(draw(st.sets(st.integers(1, 8), max_size=3))) for _ in range(rows)]
+    weights = [draw(st.lists(st.integers(1, 5), min_size=len(t), max_size=len(t)))
+               for t in times]
+    field = JumpField(times=[np.array(t, dtype=float) for t in times],
+                      weights=[np.array(w) for w in weights], horizon=8.0)
+    s2 = draw(st.integers(0, 15))
+    t2 = draw(st.integers(s2 + 1, 16))
+    j = draw(st.integers(0, rows - 1))
+    l = draw(st.integers(j, rows - 1))
+    return field, s2 / 2, t2 / 2, j, l
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(query=_jump_queries())
+def test_continuous_equals_bruteforce_on_event_columns(query):
+    field, s, t, j, l = query
+    # the lattice on event columns: a zero column, then one column per
+    # distinct event time in (s, t] holding that time's weights on their rows
+    times = sorted({x for r in range(j, l + 1) for x in field.times[r] if s < x <= t})
+    w = np.zeros((l - j + 1, 1 + len(times)))
+    for r in range(j, l + 1):
+        for x, wt in zip(field.times[r], field.weights[r]):
+            if s < x <= t:
+                w[r - j, 1 + times.index(x)] = wt
+    free = PathQuery((0, 0), (len(times), l - j), pinned=False)
+    assert continuous_first_passage(field, s, t, j, l) == enumerate_first_passage(WeightField(w),
+                                                                                 free)
+
+
 # --- estimates and the identity ----------------------------------------------
 
 def test_estimate_deterministic_and_thread_invariant():
@@ -277,21 +310,31 @@ def test_estimate_validation():
 
 
 def test_identity_single_stage_is_lindley():
-    stream = RandomStream(200)
-    for i in range(100):
-        res = tandem_identity_check(dist.ber_geom(0.4, 0.5), [dist.ber_geom(0.6, 0.45)],
-                                    window=30, stream=stream.substream(i))
-        assert res.equal, res
+    failures, first = identity_trials(dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.45),
+                                      [1] * 100, 30, RandomStream(200))
+    assert failures == 0, first
 
 
 def test_identity_multi_stage_exact():
-    stream = RandomStream(201)
-    for i in range(200):
-        r_count = 1 + (i % 4)
-        res = tandem_identity_check(dist.ber_geom(1 / 3, 2 / 3),
-                                    [dist.ber_geom(1 / 2, 1 / 2)] * r_count,
-                                    window=50, stream=stream.substream(i))
-        assert res.equal, (i, res)
+    failures, first = identity_trials(dist.ber_geom(1 / 3, 2 / 3), dist.ber_geom(1 / 2, 1 / 2),
+                                      [1 + i % 4 for i in range(200)], 50, RandomStream(201))
+    assert failures == 0, first
+
+
+def test_identity_trials_runs_instance_i_on_substream_i(monkeypatch):
+    seen = []
+
+    def record(arrival, services, window, stream):
+        seen.append((len(services), window, stream.seed))
+        ok = len(seen) != 3
+        return IdentityCheck(lhs=1.0, rhs=float(ok), equal=ok, best_m=-len(seen))
+
+    monkeypatch.setattr(perc, "tandem_identity_check", record)
+    stages = [2, 1, 4, 3]
+    failures, first = identity_trials(dist.bernoulli(0.3), dist.bernoulli(0.6), stages, 7,
+                                      RandomStream(11))
+    assert seen == [(r, 7, RandomStream(11).substream(i).seed) for i, r in enumerate(stages)]
+    assert failures == 1 and first == {"instance": 2, "lhs": 1.0, "rhs": 0.0, "best_m": -3}
 
 
 def test_identity_zero_arrivals():

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from batchq import distributions as dist
 from batchq.queue_core import (QueueParams, check_condition,
                                check_continuous_condition, excursion_loglik,
-                               markov_oracle, match_arrival_bernoulli,
+                               lindley, markov_oracle, match_arrival_bernoulli,
                                path_max_X, simulate, solve_arrival,
                                stationary_law, step, suggested_burn_in,
-                               verify_detailed_balance, _lindley)
+                               verify_detailed_balance)
 from batchq.stats import EmpiricalPmf, chi_square_gof
 from batchq.streams import RandomStream
 
@@ -107,17 +107,17 @@ _DRIVES = st.one_of(
 def test_lindley_and_path_max_equal_iterated_step(drive):
     a, s, init_x = drive
     discrete = isinstance(init_x, int)
-    lindley = _lindley(np.array(a), np.array(s), init_x)
+    path = lindley(np.array(a), np.array(s), init_x)
     xs, x, from_zero = [init_x], init_x, 0
     for ak, sk in zip(a, s):
         x, _, _ = step(x, ak, sk)
         from_zero, _, _ = step(from_zero, ak, sk)
         xs.append(x)
     if discrete:
-        assert lindley.tolist() == xs
+        assert path.tolist() == xs
         assert path_max_X(a, s) == from_zero
     else:
-        assert lindley == pytest.approx(xs, rel=1e-12, abs=1e-9)
+        assert path == pytest.approx(xs, rel=1e-12, abs=1e-9)
         assert path_max_X(a, s) == pytest.approx(from_zero, rel=1e-12, abs=1e-9)
 
 
