@@ -1,10 +1,11 @@
 """Command-line interface: simulations, verifications, curves.
 
 Subcommands: dist {pmf|sample}, queue, tandem, perc {simulate|identity},
-tc, verify.  Common flags (--seed, --out, --format, --threads, --config)
-are accepted by every subcommand; values from a --config JSON file fill
-in any flag not given explicitly.  Exit codes: 0 success, 1 failed
-verification, 2 usage or validation error.
+tc, verify.  Common flags (--seed, --out, --threads, --config) are
+accepted by every subcommand; values from a --config JSON file fill in
+any flag not given explicitly.  --format exists only where it is read:
+dist takes csv or json, and tc takes csv (a table even for one --x).
+Exit codes: 0 success, 1 failed verification, 2 usage or validation error.
 
 Outputs are deterministic for a fixed argv and seed: floats print with
 17 significant digits and JSON keys are sorted.  --threads is accepted
@@ -24,7 +25,7 @@ import sys
 from . import distributions as dist
 from . import percolation as perc
 from . import timeconstants as tc
-from .queue_core import QueueParams, check_condition, simulate, stationary_law, _condition_holds
+from .queue_core import QueueParams, check_condition, condition_holds, simulate, stationary_law
 from .streams import RandomStream
 from .tandem import TandemConfig, simulate_tandem
 from .verify import SUITES, run_suite
@@ -51,8 +52,6 @@ def _json_dump(obj) -> str:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=None, help="PRNG seed (default 1)")
     sp.add_argument("--out", default=None, help="write the primary output to this file")
-    sp.add_argument("--format", choices=("csv", "json"), default=None,
-                    help="stdout format where both make sense")
     sp.add_argument("--threads", type=int, default=None,
                     help="accepted for compatibility; has no effect")
     sp.add_argument("--config", default=None,
@@ -121,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-k", type=int, default=None, help="largest k (default 20)")
         else:
             sp.add_argument("--n", type=int, default=None, help="draw count (default 10)")
+        sp.add_argument("--format", choices=("csv", "json"), default=None, help="default csv")
         _add_common(sp)
 
     sp = sub.add_parser("queue", help="simulate one queue; trace CSV plus summary JSON")
@@ -160,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True, help="abscissa: single value, comma list, or lo:hi:step")
     sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--beta", type=float, default=None)
+    sp.add_argument("--format", choices=("csv",), default=None, help="a table even for one --x")
     _add_common(sp)
 
     sp = sub.add_parser("verify", help="run the verification suites; exit 0 iff all pass")
@@ -215,7 +216,7 @@ def _cmd_queue(args, parser) -> int:
         },
         "condition_residual": check_condition(params),
     }
-    if params.is_stable and _condition_holds(params):
+    if params.is_stable and condition_holds(params):
         summary["stationary"] = stationary_law(params).to_dict()
     sys.stdout.write(_json_dump(summary))
     return 0
@@ -240,7 +241,7 @@ def _cmd_tandem(args, parser) -> int:
         "empirical_mean_x": [float(tr.x[burn:].mean()) for tr in tt.stages],
         "empirical_mean_d": [float(tr.d[burn:].mean()) for tr in tt.stages],
     }
-    if params.is_stable and _condition_holds(params):
+    if params.is_stable and condition_holds(params):
         summary["stationary_mean_x"] = stationary_law(params).mean_x
     sys.stdout.write(_json_dump(summary))
     return 0

@@ -44,10 +44,8 @@ __all__ = [
     "mean",
     "variance",
     "pgf",
-    "sample",
     "sample_n",
     "sample_block",
-    "sample_compound",
     "sample_compound_n",
     "tail_cutoff",
 ]
@@ -327,6 +325,8 @@ def sample_n(spec: DistSpec, stream: RandomStream, n: int) -> np.ndarray:
         raise ValueError("n must be nonnegative")
     if spec.kind == "deterministic":
         v = spec.value
+        if not v < 2.0**63:
+            raise ValueError(f"deterministic value {v:g} does not fit in int64")
         if float(v).is_integer():
             return np.full(n, int(v), dtype=np.int64)
         return np.full(n, float(v), dtype=float)
@@ -362,12 +362,6 @@ def sample_block(spec: DistSpec, stream: RandomStream, k: int, n: int) -> np.nda
     return sample_n(spec, stream, k * n).reshape(k, n)
 
 
-def sample(spec: DistSpec, stream: RandomStream):
-    """One draw; python int for discrete kinds, float otherwise."""
-    v = sample_n(spec, stream, 1)[0]
-    return int(v) if spec.is_discrete else float(v)
-
-
 def sample_compound_n(p: float, alpha: float, stream: RandomStream, n: int) -> np.ndarray:
     """n draws of a geometric number of independent Geom+ summands.
 
@@ -392,10 +386,6 @@ def sample_compound_n(p: float, alpha: float, stream: RandomStream, n: int) -> n
         csum = np.concatenate(([0], np.cumsum(w)))
         out[nonzero] = csum[ends[nonzero]] - csum[starts[nonzero]]
     return out
-
-
-def sample_compound(p: float, alpha: float, stream: RandomStream) -> int:
-    return int(sample_compound_n(p, alpha, stream, 1)[0])
 
 
 def tail_cutoff(spec: DistSpec, tol: float = 1e-12) -> int:

@@ -26,6 +26,9 @@ column sweep of the reversed field gives G(m) for every m.
 :func:`identity_trials` runs the check over many instances.  The
 continuous-time model is the lattice model on event columns, one column
 per distinct event time, so ``_sweep`` is the only copy of the DP.
+:func:`sample_jump_field` draws its events at Poisson rate 1 per row.
+:func:`enumerate_first_passage` is the brute-force oracle for the DP; it
+refuses shapes with more than a million paths.
 
 The time-constant estimator sweeps all its replicas at once: one
 (replicas x rows) DP steps through blocks of columns, and each replica's
@@ -84,13 +87,6 @@ class WeightField:
     @property
     def columns(self) -> int:
         return self.weights.shape[1]
-
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.weights, delimiter=",", fmt="%.17g")
-
-    @staticmethod
-    def from_csv(path) -> "WeightField":
-        return WeightField(np.atleast_2d(np.loadtxt(path, delimiter=",")))
 
 
 @dataclass(frozen=True)
@@ -152,19 +148,18 @@ def first_passage(field: WeightField, query: PathQuery) -> float:
     return float(out)
 
 
-def enumerate_first_passage(field: WeightField, query: PathQuery,
-                            max_paths: int = 1_000_000) -> float:
+def enumerate_first_passage(field: WeightField, query: PathQuery) -> float:
     """Brute-force oracle: enumerate every monotone row sequence.
 
     Row sequences are weakly increasing, one per column; refuses when the
-    binomial path count exceeds ``max_paths``.
+    binomial path count exceeds a million.
     """
     query.validate(field)
     i, j = query.start
     k, l = query.end
     n_cols = k - i + 1
     span = l - j + 1
-    if math.comb(n_cols + span - 1, span - 1) > max_paths:
+    if math.comb(n_cols + span - 1, span - 1) > 1_000_000:
         raise ValueError("too many paths for brute-force enumeration")
     if query.pinned and i == k and j != l:
         raise ValueError("no pinned path: a single column cannot span two rows")
@@ -191,10 +186,6 @@ class TimeConstantEstimate:
     ci_lo: float
     ci_hi: float
     replicas: int
-
-    def to_dict(self) -> dict:
-        return {"x": self.x, "N": self.n, "mean": self.mean,
-                "ci_lo": self.ci_lo, "ci_hi": self.ci_hi, "replicas": self.replicas}
 
 
 # A replica's stream draws _BLOCK_COLUMNS columns per call.  Replicas are
@@ -309,16 +300,16 @@ class JumpField:
 
 
 def sample_jump_field(n_rows: int, horizon: float, weight_spec: DistSpec,
-                      stream: RandomStream, rate: float = 1.0) -> JumpField:
-    """Rows of rate-``rate`` Poisson event times carrying i.i.d. weights."""
-    if n_rows < 1 or horizon <= 0 or rate <= 0:
-        raise ValueError("need n_rows >= 1, horizon > 0, rate > 0")
+                      stream: RandomStream) -> JumpField:
+    """Rows of rate-1 Poisson event times carrying i.i.d. weights."""
+    if n_rows < 1 or horizon <= 0:
+        raise ValueError("need n_rows >= 1 and horizon > 0")
     times, weights = [], []
     for _ in range(n_rows):
         # exponential gaps, drawn in blocks until the horizon is passed
         t, acc = [], 0.0
         while acc <= horizon:
-            for g in -np.log1p(-stream.uniforms(64)) / rate:
+            for g in -np.log1p(-stream.uniforms(64)):
                 acc += g
                 if acc > horizon:
                     break
@@ -366,9 +357,6 @@ class IdentityCheck:
     rhs: float
     equal: bool
     best_m: int
-
-    def to_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "equal": self.equal, "best_m": self.best_m}
 
 
 def tandem_identity_check(arrival: DistSpec, services: Sequence[DistSpec],

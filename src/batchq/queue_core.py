@@ -24,7 +24,10 @@ This module provides the simulator, the one-parameter-family solver, a
 detailed-balance residual check, busy-period likelihoods, and an
 independent truncated-Markov-chain oracle for stationary laws.  The
 simulator, the tandem stages and :func:`path_max_X` all run on one
-vectorized kernel of the slot recursion, :func:`lindley`.
+vectorized kernel of the slot recursion, :func:`lindley`.  Simulations
+draw from a :class:`~batchq.streams.RandomStream` the caller passes in;
+a :class:`Trace` keeps the driving sequences and the queue lengths, and
+derives the other per-slot quantities from them.
 """
 
 from __future__ import annotations
@@ -36,13 +39,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DistSpec, ber_geom, mean, pmf, pmf_vector, sf, tail_cutoff, sample_n
+from .distributions import DistSpec, ber_geom, mean, pmf, pmf_vector, sample_n, sf, tail_cutoff
 from .streams import RandomStream
 
 __all__ = [
     "QueueParams",
     "StationaryLaw",
-    "SlotRecord",
     "Trace",
     "write_csv",
     "step",
@@ -50,6 +52,7 @@ __all__ = [
     "simulate",
     "path_max_X",
     "check_condition",
+    "condition_holds",
     "check_continuous_condition",
     "match_arrival_bernoulli",
     "solve_arrival",
@@ -57,7 +60,6 @@ __all__ = [
     "verify_detailed_balance",
     "excursion_loglik",
     "markov_oracle",
-    "suggested_burn_in",
 ]
 
 
@@ -138,21 +140,6 @@ class StationaryLaw:
         }
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    """One slot of a trace; ``i`` is None on the final slot (needs A')."""
-
-    n: int
-    a: float
-    s: float
-    x: float
-    y: float
-    d: float
-    u: float
-    t: float
-    i: float | None
-
-
 def step(x, a, s):
     """One slot update: returns (x_next, departures, unused service)."""
     if x < 0 or a < 0 or s < 0:
@@ -211,10 +198,6 @@ class Trace:
     but the final slot.
     """
 
-    arrival: DistSpec
-    service: DistSpec
-    seed: int | None
-    init_x: float
     a: np.ndarray
     s: np.ndarray
     x_full: np.ndarray
@@ -251,15 +234,8 @@ class Trace:
     def __len__(self) -> int:
         return len(self.a)
 
-    def slot(self, n: int) -> SlotRecord:
-        if not 0 <= n < len(self):
-            raise IndexError(n)
-        i_val = None if n == len(self) - 1 else self.u[n] + self.a[n + 1]
-        return SlotRecord(n=n, a=self.a[n], s=self.s[n], x=self.x[n], y=self.y[n],
-                          d=self.d[n], u=self.u[n], t=self.t[n], i=i_val)
-
-    def check_invariants(self, atol: float = 1e-12) -> None:
-        """Raise if any slot violates the transition identities."""
+    def check_invariants(self) -> None:
+        """Raise if any slot violates the transition identities by more than 1e-12."""
         y, d, u = self.y, self.d, self.u
         checks = [
             ("Y = X + A", y, self.x + self.a),
@@ -273,7 +249,7 @@ class Trace:
             checks.append(("I = U + A'", self.i, u[:-1] + self.a[1:]))
         for label, lhs, rhs in checks:
             err = np.abs(np.asarray(lhs, dtype=float) - np.asarray(rhs, dtype=float)).max()
-            if err > atol:
+            if err > 1e-12:
                 raise ValueError(f"trace invariant violated: {label} (max error {err})")
 
     def to_csv(self, path) -> None:
@@ -283,10 +259,9 @@ class Trace:
                    self.i, self.t])
 
 
-def simulate(arrival: DistSpec, service: DistSpec, n_slots: int,
-             init_x=0, stream: RandomStream | None = None,
-             seed: int | None = None) -> Trace:
-    """Simulate ``n_slots`` slots; arrivals are drawn first, then services.
+def simulate(arrival: DistSpec, service: DistSpec, n_slots: int, stream: RandomStream,
+             init_x=0) -> Trace:
+    """Simulate ``n_slots`` slots from ``stream``; arrivals are drawn first, then services.
 
     Unstable parameter choices are allowed (the queue may grow without
     bound); no stationarity is assumed here.
@@ -295,21 +270,13 @@ def simulate(arrival: DistSpec, service: DistSpec, n_slots: int,
         raise ValueError("n_slots must be >= 1")
     if init_x < 0:
         raise ValueError("init_x must be nonnegative")
-    if stream is None:
-        if seed is None:
-            raise ValueError("pass a RandomStream or a seed")
-        stream = RandomStream(seed)
-        used_seed = seed
-    else:
-        used_seed = stream.seed
     a = sample_n(arrival, stream, n_slots)
     s = sample_n(service, stream, n_slots)
     if a.dtype != s.dtype:
         a = a.astype(float)
         s = s.astype(float)
     x_full = lindley(a, s, init_x if a.dtype == np.int64 else float(init_x))
-    return Trace(arrival=arrival, service=service, seed=used_seed,
-                 init_x=init_x, a=a, s=s, x_full=x_full)
+    return Trace(a=a, s=s, x_full=x_full)
 
 
 def path_max_X(arrivals: Sequence[float], services: Sequence[float]):
@@ -347,11 +314,12 @@ def check_condition(params: QueueParams) -> float:
     return lhs - rhs
 
 
-def _condition_holds(params: QueueParams, rtol: float = 1e-6) -> bool:
+def condition_holds(params: QueueParams) -> bool:
+    """The reversibility condition holds to a relative tolerance of 1e-6."""
     # relative tolerance: near-degenerate parameters (alpha or beta close
     # to 1) cannot represent the curve more tightly than 1 - alpha allows
     lhs, rhs = _condition_sides(params)
-    return abs(lhs - rhs) <= rtol * max(1.0, abs(lhs), abs(rhs))
+    return abs(lhs - rhs) <= 1e-6 * max(1.0, abs(lhs), abs(rhs))
 
 
 def check_continuous_condition(p: float, a_rate: float, q: float, b_rate: float) -> float:
@@ -422,7 +390,7 @@ def stationary_law(params: QueueParams) -> StationaryLaw:
     """
     if not params.is_stable:
         raise ValueError("unstable parameters: need p*beta < q*alpha")
-    if not _condition_holds(params):
+    if not condition_holds(params):
         raise ValueError(
             "reversibility condition violated (residual "
             f"{check_condition(params):.3g}); the stationary law is not "
@@ -432,8 +400,8 @@ def stationary_law(params: QueueParams) -> StationaryLaw:
     return StationaryLaw(c=c, gamma=gamma, y_bernoulli=y_b)
 
 
-def verify_detailed_balance(params: QueueParams, K: int = 30) -> float:
-    """Max residual of the detailed-balance identity on states up to K.
+def verify_detailed_balance(params: QueueParams) -> float:
+    """Max residual of the detailed-balance identity on states up to K = 30.
 
     Checks, for all 0 <= k, r <= m <= K,
 
@@ -446,6 +414,7 @@ def verify_detailed_balance(params: QueueParams, K: int = 30) -> float:
     c, gamma = _c_gamma(params)
     if not (0 < c < 1 and 0 < gamma < 1):
         raise ValueError("formula law undefined for these parameters (need beta < alpha)")
+    K = 30
     ks = np.arange(K + 1)
     pi = pmf_vector(ber_geom(c, gamma), K)
     s_spec = params.service_spec
@@ -516,8 +485,7 @@ def _pmf_table(spec, tol: float) -> np.ndarray:
     return v
 
 
-def markov_oracle(arrival: DistSpec, service, K: int = 200,
-                  tol: float = 1e-13) -> np.ndarray:
+def markov_oracle(arrival: DistSpec, service, K: int = 200) -> np.ndarray:
     """Stationary pmf of the queue-length chain on {0..K}, brute force.
 
     Builds the exact one-slot kernel from pmfs and tails (``service`` may
@@ -530,7 +498,7 @@ def markov_oracle(arrival: DistSpec, service, K: int = 200,
     mass is left unreflected, so the result is honest about truncation:
     if the law leaves more than 1e-12 mass near the truncation boundary
     the call fails asking for a larger K, and otherwise it fails when the
-    residual of pi P = pi exceeds ``tol``.
+    residual of pi P = pi exceeds 1e-13.
     """
     a_pmf = _pmf_table(arrival, 1e-14)
     s_pmf = _pmf_table(service, 1e-14)
@@ -566,14 +534,8 @@ def markov_oracle(arrival: DistSpec, service, K: int = 200,
             f"increase K: mass {boundary:.3g} sits near the truncation boundary")
     nxt = pi @ kernel
     residual = float(np.abs(nxt / nxt.sum() - pi).max())
-    if not residual <= tol:
-        raise RuntimeError(f"residual {residual:.3g} of pi P = pi exceeds {tol}; "
+    if not residual <= 1e-13:
+        raise RuntimeError(f"residual {residual:.3g} of pi P = pi exceeds 1e-13; "
                            "check stability or increase K")
     return pi
 
-
-def suggested_burn_in(arrival_rate: float, service_rate: float) -> int:
-    """Burn-in long enough for geometric mixing with a crude safety factor."""
-    if service_rate <= arrival_rate:
-        raise ValueError("burn-in heuristic needs a stable queue")
-    return max(10_000, math.ceil(100.0 / (service_rate - arrival_rate)))

@@ -42,16 +42,6 @@ class TestResult:
     level: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "level": self.level,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class EmpiricalPmf:
@@ -139,7 +129,7 @@ def chi2_sf(stat: float, dof: int) -> float:
 
 # --- pooling --------------------------------------------------------------
 
-def _pool_tail(observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0):
+def _pool_tail(observed: np.ndarray, expected: np.ndarray):
     """Merge cells from the tail downward until expected counts reach 5."""
     groups_o: list[float] = []
     groups_e: list[float] = []
@@ -147,7 +137,7 @@ def _pool_tail(observed: np.ndarray, expected: np.ndarray, min_expected: float =
     for o, e in zip(observed[::-1], expected[::-1]):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             groups_o.append(acc_o)
             groups_e.append(acc_e)
             acc_o = acc_e = 0.0
@@ -160,7 +150,7 @@ def _pool_tail(observed: np.ndarray, expected: np.ndarray, min_expected: float =
         groups_e.append(acc_e)
     o = np.array(groups_o[::-1])
     e = np.array(groups_e[::-1])
-    if len(o) < 2 or e.min() < min_expected:
+    if len(o) < 2 or e.min() < 5.0:
         raise ValueError("insufficient counts: fewer than two cells with expected >= 5")
     return o, e
 
@@ -284,11 +274,12 @@ def lag_autocorr(seq: Sequence[float], lag: int) -> tuple[float, float]:
     return rho, 1.0 / math.sqrt(n)
 
 
-def batch_mean_stderr(seq: Sequence[float], n_batches: int = 100) -> float:
-    """Standard error of the mean of a correlated series via batch means."""
+def batch_mean_stderr(seq: Sequence[float]) -> float:
+    """Standard error of the mean of a correlated series via 100 batch means."""
+    n_batches = 100
     v = np.asarray(seq, dtype=float)
     if v.size < 10 * n_batches:
-        raise ValueError("series too short for the requested batch count")
+        raise ValueError("series too short for 100 batches")
     m = v.size // n_batches
     batches = v[: m * n_batches].reshape(n_batches, m).mean(axis=1)
     return float(batches.std(ddof=1) / math.sqrt(n_batches))

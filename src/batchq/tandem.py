@@ -7,11 +7,15 @@ slot, and so on down the line.  For Bernoulli-geometric stages whose
 queue lengths at a fixed time are independent with the single-queue
 stationary marginals (the product-form theorem), and every stage's
 departure process is distributed like the external arrival process.
+
+:func:`simulate_tandem` draws from a stream the caller passes in and runs
+every stage on the single-queue kernel :func:`~batchq.queue_core.lindley`;
+:func:`verify_product_form` tests the product form on the resulting trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -64,8 +68,7 @@ class TandemTrace:
     """Aligned per-stage traces; stage r's arrivals equal stage r-1's departures."""
 
     config: TandemConfig
-    seed: int | None
-    stages: list[Trace] = field(default_factory=list)
+    stages: list[Trace]
 
     def __len__(self) -> int:
         return len(self.stages[0])
@@ -87,45 +90,26 @@ class TandemTrace:
                                  *(tr.x for tr in self.stages), *(tr.d for tr in self.stages)])
 
 
-def simulate_tandem(config: TandemConfig, n_slots: int,
-                    stream: RandomStream | None = None,
-                    seed: int | None = None) -> TandemTrace:
+def simulate_tandem(config: TandemConfig, n_slots: int, stream: RandomStream) -> TandemTrace:
     """Simulate the tandem for ``n_slots`` slots, all stages starting empty.
 
     Stream discipline: the external arrival sequence is drawn first, then
-    the stage service sequences in stage order, so a fixed seed pins the
-    whole system.
+    the stage service sequences in stage order, so the stream's seed pins
+    the whole system.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
-    if stream is None:
-        if seed is None:
-            raise ValueError("pass a RandomStream or a seed")
-        stream = RandomStream(seed)
-        used_seed = seed
-    else:
-        used_seed = stream.seed
-    a = sample_n(config.arrival, stream, n_slots)
+    arr = sample_n(config.arrival, stream, n_slots)
     services = [sample_n(sv, stream, n_slots) for sv in config.services]
-    out = TandemTrace(config=config, seed=used_seed)
-    arr = a
-    for r, s in enumerate(services):
-        x_full = lindley(arr, s, 0)
-        tr = Trace(arrival=config.arrival if r == 0 else config.services[r - 1],
-                   service=config.services[r], seed=used_seed, init_x=0,
-                   a=arr, s=s, x_full=x_full)
-        out.stages.append(tr)
-        arr = tr.d
-    return out
-
-
-def _thin(v: np.ndarray, burn_in: int, stride: int) -> np.ndarray:
-    return v[burn_in::stride]
+    stages = []
+    for s in services:
+        stages.append(Trace(a=arr, s=s, x_full=lindley(arr, s, 0)))
+        arr = stages[-1].d
+    return TandemTrace(config=config, stages=stages)
 
 
 def verify_product_form(trace: TandemTrace, burn_in: int = 10_000,
-                        level: float = 0.01, stride: int = 9,
-                        x_cutoff: int = 8) -> list[TestResult]:
+                        level: float = 0.01, stride: int = 9) -> list[TestResult]:
     """Product-form checks on a stationary portion of a tandem trace.
 
     Runs (a) a marginal goodness-of-fit of each stage's queue length
@@ -133,26 +117,26 @@ def verify_product_form(trace: TandemTrace, burn_in: int = 10_000,
     independence of the X's at a common slot, and (c) pairwise
     independence of the staggered Y's (Y1_n, Y2_{n-1}, ..., YR_{n-R+1}).
     Queue lengths along one trace are autocorrelated, so slots are thinned
-    by ``stride`` before testing; queue-length cells are truncated at
-    ``x_cutoff`` with pooled tails.
+    by ``stride`` after the first ``burn_in`` slots before testing;
+    queue-length cells are truncated at 8 with pooled tails.
     """
     n = len(trace)
+    cut = 8
     if n - burn_in < 100_000:
         raise ValueError("trace too short: need at least 1e5 post-burn-in slots")
     laws: list[StationaryLaw] = [stationary_law(trace.config.stage_params(r))
                                  for r in range(trace.R)]
     results: list[TestResult] = []
     for r, tr in enumerate(trace.stages):
-        xs = _thin(tr.x, burn_in, stride)
-        emp = EmpiricalPmf.from_samples(xs, cutoff=max(x_cutoff, 2))
+        emp = EmpiricalPmf.from_samples(tr.x[burn_in::stride], cutoff=cut)
         results.append(chi_square_gof(emp, laws[r].x_pmf, level=level,
                                       name=f"stage{r+1}_x_marginal"))
     for r1 in range(trace.R):
         for r2 in range(r1 + 1, trace.R):
-            x1 = _thin(trace.stages[r1].x, burn_in, stride)
-            x2 = _thin(trace.stages[r2].x, burn_in, stride)
+            x1 = trace.stages[r1].x[burn_in::stride]
+            x2 = trace.stages[r2].x[burn_in::stride]
             results.append(independence_chi2(
-                x1, x2, x_cutoff, x_cutoff, level=level, min_pairs=10_000,
+                x1, x2, cut, cut, level=level, min_pairs=10_000,
                 name=f"x_independence_stages_{r1+1}_{r2+1}"))
     # staggered Y's: component r uses slot n - r
     if trace.R > 1:
@@ -163,7 +147,7 @@ def verify_product_form(trace: TandemTrace, burn_in: int = 10_000,
                 y1 = y[r1][trace.R - 1 - r1: trace.R - 1 - r1 + length]
                 y2 = y[r2][trace.R - 1 - r2: trace.R - 1 - r2 + length]
                 results.append(independence_chi2(
-                    _thin(y1, burn_in, stride), _thin(y2, burn_in, stride),
-                    x_cutoff, x_cutoff, level=level, min_pairs=10_000,
+                    y1[burn_in::stride], y2[burn_in::stride],
+                    cut, cut, level=level, min_pairs=10_000,
                     name=f"staggered_y_independence_{r1+1}_{r2+1}"))
     return results

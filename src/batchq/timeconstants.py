@@ -56,15 +56,15 @@ __all__ = [
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_max(fn: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-12, scan: int = 129) -> tuple[float, float]:
+def golden_max(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Maximize a unimodal function on (lo, hi); returns (argmax, value).
 
-    A coarse scan brackets the maximum (robust for nearly flat
+    A 129-point scan brackets the maximum (robust for nearly flat
     objectives), then golden-section search shrinks the bracket to
-    ``tol``, or until it stops shrinking where neighbouring floats are
-    more than ``tol`` apart.
+    1e-12, or until it stops shrinking where neighbouring floats are
+    more than 1e-12 apart.
     """
+    tol, scan = 1e-12, 129
     if not hi > lo:
         raise ValueError("need hi > lo")
     step = (hi - lo) / (scan + 1)
@@ -92,9 +92,9 @@ def golden_max(fn: Callable[[float], float], lo: float, hi: float,
     return max(candidates, key=lambda c: c[1])
 
 
-def scan_is_unimodal(fn: Callable[[float], float], lo: float, hi: float,
-                     n: int = 1000, tol: float = 1e-12) -> bool:
-    """No interior dip on an n-point scan (three-point unimodality check)."""
+def scan_is_unimodal(fn: Callable[[float], float], lo: float, hi: float) -> bool:
+    """No interior dip, beyond a relative 1e-12, on a 1000-point scan (three-point check)."""
+    n, tol = 1000, 1e-12
     step = (hi - lo) / (n + 1)
     vals = [fn(lo + step * (i + 1)) for i in range(n)]
     scale = max(1.0, max(abs(v) for v in vals))

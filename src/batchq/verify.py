@@ -5,7 +5,9 @@ Each ``check_*`` function returns a list of plain dicts, one per check:
     {"name": ..., "kind": "exact" | "stat", "passed": bool,
      "observed": float, "requirement": str, ...}
 
-Exact checks compare against hard numeric thresholds.  Statistical checks
+Exact checks compare against hard numeric thresholds; a failing exact
+check that loops over seeded trials names its first failure (the
+substream index and the two compared values).  Statistical checks
 carry a chi-square or KS p-value; :func:`run_suite` re-grades them at a
 Bonferroni-corrected level (0.01 divided by the number of statistical
 checks in the suite) so the suite-level false-alarm rate stays at 1%.
@@ -68,6 +70,11 @@ def _exact(name: str, observed: float, threshold: float, below: bool = True) -> 
     req = f"<= {threshold:g}" if below else f">= {threshold:g}"
     return {"name": name, "kind": "exact", "passed": bool(passed),
             "observed": float(observed), "requirement": req}
+
+
+def _with_first(check: dict, first: dict | None, key: str = "first_failure") -> dict:
+    """The check, plus its first failure's reproducer under ``key`` when there is one."""
+    return check if first is None else {**check, key: first}
 
 
 def _stat(result: TestResult) -> dict:
@@ -148,10 +155,10 @@ def check_distributions(seed: int) -> list[dict]:
 
 def check_detailed_balance() -> list[dict]:
     out = []
-    worst = max(verify_detailed_balance(p, K=30) for p in CONDITION_SETS)
+    worst = max(verify_detailed_balance(p) for p in CONDITION_SETS)
     out.append(_exact("detailed_balance_residual_5_sets", worst, 1e-12))
     out.append(_exact("detailed_balance_violation_detected",
-                      verify_detailed_balance(VIOLATING_PARAMS, K=30), 1e-6, below=False))
+                      verify_detailed_balance(VIOLATING_PARAMS), 1e-6, below=False))
     return out
 
 
@@ -186,7 +193,7 @@ def check_queue_simulation(seed: int) -> list[dict]:
     x = trace.x[BURN_IN:]
     d = trace.d[BURN_IN:]
     # mean with a batch-means standard error (X is autocorrelated)
-    se = batch_mean_stderr(x, 100)
+    se = batch_mean_stderr(x)
     z = abs(float(x.mean()) - law.mean_x) / se
     out.append(_exact("mean_x_within_3_sigma", z, 3.0))
     # thinned X marginal against the BerGeom stationary law
@@ -291,7 +298,7 @@ def check_queue_small(seed: int) -> list[dict]:
     out = []
     # window-maximum formula equals the iterated recurrence
     stream = RandomStream(seed)
-    worst = 0
+    worst, first = 0, None
     for i in range(1000):
         st = stream.substream(i)
         n = 1 + int(st.uniform() * 20)
@@ -300,8 +307,11 @@ def check_queue_small(seed: int) -> list[dict]:
         x = 0
         for k in range(n):
             x, _, _ = step(x, int(a[k]), int(s[k]))
-        worst = max(worst, abs(path_max_X(a, s) - x))
-    out.append(_exact("path_max_equals_iterated_recurrence", worst, 0))
+        pm = path_max_X(a, s)
+        worst = max(worst, abs(pm - x))
+        if pm != x:
+            first = first or {"substream": i, "path_max": pm, "iterated": x}
+    out.append(_with_first(_exact("path_max_equals_iterated_recurrence", worst, 0), first))
     # fixed-point solver round trip on a (q, b, lambda) grid
     worst = 0.0
     for q in (0.3, 0.5, 0.7):
@@ -383,40 +393,43 @@ def check_percolation_exact(seed: int) -> list[dict]:
                 mism += 1
                 if first is None:
                     first = {"substream": i, "pinned": pinned, "dp": dp, "bruteforce": brute}
-    check = _exact("dp_equals_bruteforce_1000_fields", mism, 0)
-    out.append(check if first is None else {**check, "first_mismatch": first})
+    out.append(_with_first(_exact("dp_equals_bruteforce_1000_fields", mism, 0), first,
+                           "first_mismatch"))
     # monotonicity: raising one weight never lowers the first passage
-    bad = 0
-    for i in range(200):
-        st = stream.substream(10_000 + i)
+    bad, first = 0, None
+    for i in range(10_000, 10_200):
+        st = stream.substream(i)
         w = np.floor(st.uniforms(5 * 6) * 4).reshape(5, 6)
         field = perc.WeightField(w.copy())
         q = perc.PathQuery((0, 0), (5, 4))
         base = perc.first_passage(field, q)
         r, c = int(st.uniform() * 5), int(st.uniform() * 6)
         w[r, c] += 1 + st.uniform() * 3
-        if perc.first_passage(perc.WeightField(w), q) < base - 1e-12:
+        raised = perc.first_passage(perc.WeightField(w), q)
+        if raised < base - 1e-12:
             bad += 1
-    out.append(_exact("weight_monotonicity", bad, 0))
+            first = first or {"substream": i, "base": base, "raised": raised}
+    out.append(_with_first(_exact("weight_monotonicity", bad, 0), first))
     # subadditivity through a shared corner
-    bad = 0
-    for i in range(200):
-        st = stream.substream(20_000 + i)
+    bad, first = 0, None
+    for i in range(20_000, 20_200):
+        st = stream.substream(i)
         k, r = 4, 3
         w = st.uniforms((2 * r + 1) * (2 * k + 1)).reshape(2 * r + 1, 2 * k + 1)
         field = perc.WeightField(w)
         whole = perc.first_passage(field, perc.PathQuery((0, 0), (2 * k, 2 * r)))
-        first = perc.first_passage(field, perc.PathQuery((0, 0), (k, r)))
-        second = perc.first_passage(field, perc.PathQuery((k + 1, r), (2 * k, 2 * r)))
-        if whole > first + second + 1e-12:
+        halves = (perc.first_passage(field, perc.PathQuery((0, 0), (k, r)))
+                  + perc.first_passage(field, perc.PathQuery((k + 1, r), (2 * k, 2 * r))))
+        if whole > halves + 1e-12:
             bad += 1
-    out.append(_exact("subadditivity", bad, 0))
+            first = first or {"substream": i, "whole": whole, "halves": halves}
+    out.append(_with_first(_exact("subadditivity", bad, 0), first))
     # continuous model: worked two-row example and switch-point insensitivity
     jf = perc.JumpField(times=[np.array([1.0]), np.array([2.0])],
                         weights=[np.array([5.0]), np.array([3.0])], horizon=3.0)
     got = perc.continuous_first_passage(jf, 0.0, 3.0, 0, 1)
     out.append(_exact("continuous_two_row_example", abs(got - 3.0), 0))
-    bad = 0
+    bad, first = 0, None
     for i in range(100):
         st = stream.substream(30_000 + i)
         jf = perc.sample_jump_field(4, 10.0, dist.exponential(1.0), st)
@@ -429,25 +442,29 @@ def check_percolation_exact(seed: int) -> list[dict]:
             nxt = merged[pos + 1][0] if pos + 1 < len(merged) else 10.0
             times2[r][k] = t + 0.25 * (nxt - t)
         jf2 = perc.JumpField(times=times2, weights=jf.weights, horizon=10.0)
-        if abs(perc.continuous_first_passage(jf2, 0.0, 10.0, 0, 3) - base) > 1e-9:
+        nudged = perc.continuous_first_passage(jf2, 0.0, 10.0, 0, 3)
+        if abs(nudged - base) > 1e-9:
             bad += 1
+            first = first or {"substream": 30_000 + i, "base": base, "nudged": nudged}
         # decreasing one weight must not increase the value
         w2 = [w.copy() for w in jf.weights]
         row = i % 4
         if len(w2[row]):
             w2[row][0] *= 0.5
             jf3 = perc.JumpField(times=jf.times, weights=w2, horizon=10.0)
-            if perc.continuous_first_passage(jf3, 0.0, 10.0, 0, 3) > base + 1e-9:
+            lowered = perc.continuous_first_passage(jf3, 0.0, 10.0, 0, 3)
+            if lowered > base + 1e-9:
                 bad += 1
-    out.append(_exact("continuous_switch_insensitivity_and_monotonicity", bad, 0))
+                first = first or {"substream": 30_000 + i, "base": base, "lowered": lowered}
+    out.append(_with_first(_exact("continuous_switch_insensitivity_and_monotonicity", bad, 0),
+                           first))
     return out
 
 
 def check_identity(seed: int) -> list[dict]:
     fails, first = perc.identity_trials(dist.ber_geom(1 / 3, 2 / 3), dist.ber_geom(1 / 2, 1 / 2),
                                         [1 + i % 4 for i in range(1000)], 50, RandomStream(seed))
-    check = _exact("tandem_identity_1000_instances", fails, 0)
-    return [check if first is None else {**check, "first_failure": first}]
+    return [_with_first(_exact("tandem_identity_1000_instances", fails, 0), first)]
 
 
 def check_percolation_sim(seed: int) -> list[dict]:

@@ -47,7 +47,7 @@ def main_trace():
 
 def test_criterion_1_detailed_balance():
     t0 = time.time()
-    worst = max(verify_detailed_balance(p, K=30) for p in CONDITION_SETS)
+    worst = max(verify_detailed_balance(p) for p in CONDITION_SETS)
     elapsed = time.time() - t0
     _report(1, worst <= 1e-12 and elapsed < 1.0,
             f"max residual {worst:.3e} over 5 sets (k,r<=m<=30) in {elapsed:.2f}s")
@@ -65,7 +65,7 @@ def test_criterion_2_stationary_law(main_trace):
     x = main_trace.x[BURN:]
     res = chi_square_gof(EmpiricalPmf.from_samples(x[::25], cutoff=30),
                          law.x_pmf, level=LEVEL)
-    z = abs(float(x.mean()) - law.mean_x) / batch_mean_stderr(x, 100)
+    z = abs(float(x.mean()) - law.mean_x) / batch_mean_stderr(x)
     elapsed = time.time() - t0
     _report(2, worst <= 1e-10 and res.passed and z <= 3.0 and elapsed < 30.0,
             f"oracle supnorm {worst:.2e}, X chi-square p={res.p_value:.4f}, "

@@ -220,7 +220,8 @@ def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, capsys):
                                   "tc-cont-exp-negative-x", "non-object-spec", "non-object-weights",
                                   "weights-missing-field", "spec-string-field", "spec-bool-field",
                                   "perc-x-below-one-column", "perc-empty-grid",
-                                  "dist-negative-max-k"])
+                                  "dist-negative-max-k", "queue-format", "verify-format",
+                                  "tc-format-json"])
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir" / "x.csv")
     list_config = tmp_path / "list.json"
@@ -257,6 +258,10 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
                             "--x", ",", "--n", "10", "--replicas", "5"],
         "dist-negative-max-k": ["dist", "pmf", "--spec", '{"kind": "geom_zero", "alpha": 0.5}',
                                 "--max-k", "-3"],
+        # --format exists only on dist and tc, and tc has no JSON output
+        "queue-format": ["queue", *P, "--slots", "10", "--format", "csv"],
+        "verify-format": ["verify", "--suite", "stats", "--format", "csv"],
+        "tc-format-json": ["tc", "--variant", "exp", "--x", "1,2", "--format", "json"],
     }[case]
     code, err = _exit_code_and_stderr(argv, capsys)
     assert code == 2

@@ -135,8 +135,6 @@ def test_sampler_determinism():
     a = dist.sample_n(dist.ber_geom(1 / 3, 2 / 3), RandomStream(42), 100)
     b = dist.sample_n(dist.ber_geom(1 / 3, 2 / 3), RandomStream(42), 100)
     assert np.array_equal(a, b)
-    assert isinstance(dist.sample(dist.geom_plus(0.5), RandomStream(1)), int)
-    assert isinstance(dist.sample(dist.exponential(1.0), RandomStream(1)), float)
 
 
 def test_sample_mean_within_3_sigma():
@@ -323,3 +321,38 @@ def test_sample_block_is_k_stacked_sample_n_calls(spec, k, n, seed):
         assert np.all(block >= 1)
     elif spec.kind == "deterministic":
         assert np.all(block == spec.value)
+
+
+_EDGE_PROB = st.floats(1e-6, 1 - 1e-9)
+_EDGE_RATE = st.floats(1e-6, 1e6)
+_EDGE_SPEC_OF_KIND = {
+    "bernoulli": st.builds(dist.bernoulli, _EDGE_PROB),
+    "geom_plus": st.builds(dist.geom_plus, _EDGE_PROB),
+    "geom_zero": st.builds(dist.geom_zero, _EDGE_PROB),
+    "ber_geom": st.builds(dist.ber_geom, _EDGE_PROB, _EDGE_PROB),
+    "exp": st.builds(dist.exponential, _EDGE_RATE),
+    "ber_exp": st.builds(dist.ber_exp, _EDGE_PROB, _EDGE_RATE),
+    "deterministic": st.builds(dist.deterministic, st.one_of(
+        st.integers(0, 2**63 - 1), st.floats(0.0, 1e300), st.just(math.inf))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(dist._KINDS))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_sample_n_support_dtype_and_length_at_the_edges(kind, data):
+    spec = data.draw(_EDGE_SPEC_OF_KIND[kind])
+    n = data.draw(st.integers(0, 200_000))
+    stream = RandomStream(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "deterministic" and not spec.value < 2**63:
+        with pytest.raises(ValueError, match="int64"):
+            dist.sample_n(spec, stream, n)
+        return
+    draws = dist.sample_n(spec, stream, n)
+    assert len(draws) == n
+    assert draws.dtype == (np.int64 if spec.is_discrete else np.float64)
+    assert np.all(np.isfinite(draws))
+    low = 1 if kind == "geom_plus" else 0
+    assert np.all(draws >= low)
+    if kind == "bernoulli":
+        assert np.all(draws <= 1)

@@ -98,15 +98,6 @@ def test_subadditivity_through_a_corner():
         assert whole <= first + second + 1e-12
 
 
-def test_weight_field_csv_round_trip(tmp_path):
-    w = np.arange(12, dtype=float).reshape(3, 4)
-    field = WeightField(w)
-    path = tmp_path / "field.csv"
-    field.to_csv(path)
-    back = WeightField.from_csv(path)
-    assert np.array_equal(back.weights, w)
-
-
 # --- continuous model -------------------------------------------------------
 
 def test_continuous_single_row_pays_everything():

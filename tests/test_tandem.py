@@ -24,14 +24,14 @@ def test_single_stage_matches_plain_simulation():
 
 def test_deterministic_tandem_stays_empty():
     config = TandemConfig(dist.deterministic(1), [dist.deterministic(1)] * 3)
-    tt = simulate_tandem(config, 200, seed=0)
+    tt = simulate_tandem(config, 200, stream=RandomStream(0))
     for tr in tt.stages:
         assert np.all(tr.x == 0)
 
 
 def test_feed_forward_identity_and_window_conservation():
     config = TandemConfig.bergeom(MAIN, 4)
-    tt = simulate_tandem(config, 20_000, seed=23)
+    tt = simulate_tandem(config, 20_000, stream=RandomStream(23))
     tt.check_feed_forward()
     for r in range(3):
         lo, hi = 500, 12_000
@@ -60,7 +60,7 @@ def test_stage_params_and_condition():
 
 def test_tandem_csv(tmp_path):
     config = TandemConfig.bergeom(MAIN, 2)
-    tt = simulate_tandem(config, 10, seed=2)
+    tt = simulate_tandem(config, 10, stream=RandomStream(2))
     path = tmp_path / "tandem.csv"
     tt.to_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -69,7 +69,7 @@ def test_tandem_csv(tmp_path):
 
 
 def test_tandem_csv_keeps_float_values(tmp_path):
-    tt = simulate_tandem(TandemConfig(dist.exponential(2.0), [dist.exponential(1.0)]), 50, seed=3)
+    tt = simulate_tandem(TandemConfig(dist.exponential(2.0), [dist.exponential(1.0)]), 50, stream=RandomStream(3))
     path = tmp_path / "tandem.csv"
     tt.to_csv(path)
     table = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -83,14 +83,14 @@ def test_tandem_csv_keeps_float_values(tmp_path):
 
 def test_verify_product_form_rejects_short_traces():
     config = TandemConfig.bergeom(MAIN, 2)
-    tt = simulate_tandem(config, 50_000, seed=3)
+    tt = simulate_tandem(config, 50_000, stream=RandomStream(3))
     with pytest.raises(ValueError, match="too short"):
         verify_product_form(tt)
 
 
 def test_single_stage_product_form_is_marginal_only():
     config = TandemConfig.bergeom(MAIN, 1)
-    tt = simulate_tandem(config, 200_000, seed=29)
+    tt = simulate_tandem(config, 200_000, stream=RandomStream(29))
     results = verify_product_form(tt, burn_in=10_000)
     assert [r.name for r in results] == ["stage1_x_marginal"]
     assert results[0].passed
@@ -98,7 +98,7 @@ def test_single_stage_product_form_is_marginal_only():
 
 def test_two_stage_product_form():
     config = TandemConfig.bergeom(MAIN, 2)
-    tt = simulate_tandem(config, 400_000, seed=32)
+    tt = simulate_tandem(config, 400_000, stream=RandomStream(32))
     results = verify_product_form(tt, burn_in=10_000)
     names = {r.name for r in results}
     assert "x_independence_stages_1_2" in names
@@ -112,7 +112,7 @@ def test_heterogeneous_services_keep_marginals():
     from batchq.stats import EmpiricalPmf, chi_square_gof
     config = TandemConfig(MAIN.arrival_spec,
                           [dist.ber_geom(0.5, 0.5), dist.ber_geom(0.55, 0.45)])
-    tt = simulate_tandem(config, 400_000, seed=38)
+    tt = simulate_tandem(config, 400_000, stream=RandomStream(38))
     for r in range(2):
         law = stationary_law(config.stage_params(r))
         emp = EmpiricalPmf.from_samples(tt.stages[r].x[10_000::25], cutoff=20)

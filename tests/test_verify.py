@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from batchq import distributions as dist
 from batchq import percolation as perc
 from batchq import verify
@@ -49,3 +51,90 @@ def test_identity_names_its_first_failure(monkeypatch):
                   RandomStream(5).substream(6))
     assert check["first_failure"] == {"instance": 6, "lhs": replay.lhs, "rhs": replay.rhs,
                                       "best_m": replay.best_m}
+
+
+def _check(checks: list[dict], name: str) -> dict:
+    return next(c for c in checks if c["name"] == name)
+
+
+def test_path_max_check_names_its_first_failure(monkeypatch):
+    real, values = verify.path_max_X, []
+
+    def off_by_one_on_substreams_3_and_8(a, s):
+        values.append(real(a, s))
+        return values[-1] + (1 if len(values) in (4, 9) else 0)
+
+    monkeypatch.setattr(verify, "path_max_X", off_by_one_on_substreams_3_and_8)
+    check = _check(verify.check_queue_small(5), "path_max_equals_iterated_recurrence")
+    assert not check["passed"] and check["observed"] == 1
+    assert check["first_failure"] == {"substream": 3, "path_max": values[3] + 1,
+                                      "iterated": values[3]}
+
+
+def test_weight_monotonicity_names_its_first_failure(monkeypatch):
+    real, seen = perc.first_passage, {"raised": 0}
+    monkeypatch.setattr(perc, "enumerate_first_passage", real)  # skip the slow brute force
+
+    def lower_third_raised_field(field, query):
+        out = real(field, query)
+        w = field.weights
+        # only a raised monotonicity field is 5 x 6 with a fractional weight;
+        # its base field is the call just before
+        if w.shape == (5, 6) and np.any(w != np.floor(w)):
+            seen["raised"] += 1
+            if seen["raised"] in (3, 5):
+                out -= 100.0
+                seen.setdefault("first", {"substream": 10_002, "base": seen["last"],
+                                          "raised": out})
+        seen["last"] = out
+        return out
+
+    monkeypatch.setattr(perc, "first_passage", lower_third_raised_field)
+    check = _check(verify.check_percolation_exact(5), "weight_monotonicity")
+    assert not check["passed"] and check["observed"] == 2
+    assert check["first_failure"] == seen["first"]
+
+
+def test_subadditivity_names_its_first_failure(monkeypatch):
+    real, wholes = perc.first_passage, []
+    monkeypatch.setattr(perc, "enumerate_first_passage", real)
+
+    def raise_second_whole_path(field, query):
+        out = real(field, query)
+        if field.weights.shape == (7, 9) and query.start == (0, 0) and query.end == (8, 6):
+            wholes.append(field)
+            if len(wholes) == 2:
+                out += 100.0
+        return out
+
+    monkeypatch.setattr(perc, "first_passage", raise_second_whole_path)
+    check = _check(verify.check_percolation_exact(5), "subadditivity")
+    assert not check["passed"] and check["observed"] == 1
+    field = wholes[1]
+    halves = (real(field, perc.PathQuery((0, 0), (4, 3)))
+              + real(field, perc.PathQuery((5, 3), (8, 6))))
+    assert check["first_failure"] == {"substream": 20_001,
+                                      "whole": real(field, perc.PathQuery((0, 0), (8, 6))) + 100.0,
+                                      "halves": halves}
+
+
+def test_continuous_check_names_its_first_failure(monkeypatch):
+    monkeypatch.setattr(perc, "enumerate_first_passage", perc.first_passage)
+    real, calls, nudged = perc.continuous_first_passage, [], []
+
+    def move_third_nudged_field(field, s, t, j, l):
+        out = real(field, s, t, j, l)
+        # a nudged field shares its weights list with the base field called just before
+        if calls and field.weights is calls[-1][0].weights:
+            if len(nudged) == 2:
+                out += 1.0
+            nudged.append((calls[-1][1], out))
+        calls.append((field, out))
+        return out
+
+    monkeypatch.setattr(perc, "continuous_first_passage", move_third_nudged_field)
+    check = _check(verify.check_percolation_exact(5),
+                   "continuous_switch_insensitivity_and_monotonicity")
+    assert not check["passed"] and check["observed"] == 1
+    base, moved = nudged[2]
+    assert check["first_failure"] == {"substream": 30_002, "base": base, "nudged": moved}
