@@ -3,7 +3,9 @@
 Subcommands: dist {pmf|sample}, queue, tandem, perc {simulate|identity},
 tc, verify.  Common flags (--seed, --out, --threads, --config) are
 accepted by every subcommand; values from a --config JSON file fill in
-any flag not given explicitly.  --format exists only where it is read:
+any flag not given explicitly, checked with the flag's type and choices.
+An explicit --burn-in is used as given and must lie in [0, --slots); the
+default is min(10^4, slots // 2).  --format exists only where it is read:
 dist takes csv or json, and tc takes csv (a table even for one --x).
 Exit codes: 0 success, 1 failed verification, 2 usage or validation error.
 
@@ -13,7 +15,10 @@ and has no effect: perc simulate sweeps every replica together in one
 process.  perc simulate draws one field per replica from the seed's
 substream(0) and reads every --x grid point off it, so rows at
 different x are correlated.  The cost of perc identity is linear in
---window.
+--window.  queue runs its slots in blocks with the one-shot run's draws
+and bytes, writing --out rows as each block is made and summing the
+summary means exactly, so its memory is bounded by the block; no
+--threads-like knob sets the block size.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ import sys
 from . import distributions as dist
 from . import percolation as perc
 from . import timeconstants as tc
-from .queue_core import QueueParams, check_condition, condition_holds, simulate, stationary_law
+from .queue_core import (QueueParams, check_condition, condition_holds, simulate_blocks,
+                         stationary_law, tee_csv)
 from .streams import RandomStream
 from .tandem import TandemConfig, simulate_tandem
 from .verify import SUITES, run_suite
@@ -58,19 +64,28 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="JSON file with defaults for any flag of this subcommand")
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not args.config:
-        return
+def _with_config(argv: list[str], args: argparse.Namespace,
+                 parser: argparse.ArgumentParser) -> list[str]:
+    """argv with the --config values inserted as flags ahead of the explicit ones.
+
+    argparse then checks each value with the flag's type and choices, and
+    an explicit flag, parsed later, wins.
+    """
     with open(args.config) as fh:
         conf = json.load(fh)
     if not isinstance(conf, dict):
         parser.error(f"--config {args.config!r} must hold a JSON object")
+    flags = []
     for key, val in conf.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             parser.error(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, val)
+        if val is None:  # null leaves the flag at its default
+            continue
+        text = val if isinstance(val, str) else json.dumps(val)
+        flags.append(f"--{attr.replace('_', '-')}={text}")
+    depth = 2 if args.command in ("dist", "perc") else 1
+    return argv[:depth] + flags + argv[depth:]
 
 
 def _seed_of(args: argparse.Namespace) -> int:
@@ -85,9 +100,12 @@ def _queue_params(args, parser) -> QueueParams:
 
 
 def _burn_in(args, parser, slots: int) -> int:
-    if args.burn_in is not None and args.burn_in < 0:
-        parser.error("--burn-in must be >= 0")
-    return min(10_000 if args.burn_in is None else args.burn_in, slots // 2)
+    """An explicit --burn-in as given, in [0, slots); by default min(10^4, slots // 2)."""
+    if args.burn_in is None:
+        return min(10_000, slots // 2)
+    if not 0 <= args.burn_in < slots:
+        parser.error(f"--burn-in must be >= 0 and below --slots {slots}, got {args.burn_in}")
+    return args.burn_in
 
 
 def _parse_grid(text: str, parser) -> list[float]:
@@ -200,20 +218,26 @@ def _cmd_queue(args, parser) -> int:
     params = _queue_params(args, parser)
     slots = 100_000 if args.slots is None else args.slots
     burn = _burn_in(args, parser, slots)
-    trace = simulate(params.arrival_spec, params.service_spec, slots,
-                     init_x=args.init_x or 0, stream=RandomStream(_seed_of(args)))
+    blocks = simulate_blocks(params.arrival_spec, params.service_spec, slots,
+                             init_x=args.init_x or 0, stream=RandomStream(_seed_of(args)))
     if args.out:
-        trace.to_csv(args.out)
+        blocks = tee_csv(blocks, args.out)
+    # exact integer sums over the slots after burn-in; each mean is one
+    # correctly rounded division, numpy's mean while a sum is below 2**53
+    sums = {"mean_x": 0, "mean_y": 0, "mean_d": 0}
+    first = 0
+    for blk in blocks:
+        k = max(burn - first, 0)
+        sums["mean_x"] += int(blk.x[k:].sum())
+        sums["mean_y"] += int(blk.y[k:].sum())
+        sums["mean_d"] += int(blk.d[k:].sum())
+        first += len(blk)
     summary = {
         "params": {"p": params.p, "alpha": params.alpha, "q": params.q, "beta": params.beta},
         "seed": _seed_of(args),
         "slots": slots,
         "burn_in": burn,
-        "empirical": {
-            "mean_x": float(trace.x[burn:].mean()),
-            "mean_y": float(trace.y[burn:].mean()),
-            "mean_d": float(trace.d[burn:].mean()),
-        },
+        "empirical": {key: total / (slots - burn) for key, total in sums.items()},
         "condition_residual": check_condition(params),
     }
     if params.is_stable and condition_holds(params):
@@ -310,6 +334,7 @@ def _cmd_verify(args, parser) -> int:
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     handlers = {
         "dist": _cmd_dist,
@@ -320,7 +345,8 @@ def run(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        _apply_config(args, parser)
+        if args.config:
+            args = parser.parse_args(_with_config(argv, args, parser))
         return handlers[args.command](args, parser)
     except (ValueError, ArithmeticError, OSError) as exc:
         parser.error(str(exc))

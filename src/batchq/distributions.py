@@ -15,6 +15,10 @@ everywhere by name, never as an unqualified "geometric":
 Samplers are inverse-transform based (geometric draws cost O(1) regardless
 of the value) and consume a fixed number of uniforms per draw, so a seeded
 :class:`~batchq.streams.RandomStream` reproduces sequences bit-exactly.
+Each kind's transform from uniforms to values is written once
+(``_values``) and shared by :func:`sample_n`, :func:`sample_block` (one
+``uniforms`` call per block) and :func:`sample_chunks`, which yields one
+``sample_n`` call in bounded slices read from stream cursors.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -46,6 +51,7 @@ __all__ = [
     "pgf",
     "sample_n",
     "sample_block",
+    "sample_chunks",
     "sample_compound_n",
     "tail_cutoff",
 ]
@@ -303,15 +309,77 @@ def pgf(spec: DistSpec, z: float) -> float:
     return z ** int(spec.value)
 
 
+def _uniforms_per_value(spec: DistSpec) -> int:
+    if spec.kind == "deterministic":
+        return 0
+    return 2 if spec.kind in ("ber_geom", "ber_exp") else 1
+
+
+def _constant(spec: DistSpec, shape) -> np.ndarray:
+    """Deterministic draws: int64 for an integral value, float64 otherwise."""
+    v = spec.value
+    if not v < 2.0**63:
+        raise ValueError(f"deterministic value {v:g} does not fit in int64")
+    if float(v).is_integer():
+        return np.full(shape, int(v), dtype=np.int64)
+    return np.full(shape, float(v), dtype=float)
+
+
+def _geom_plus_values(alpha: float, u: np.ndarray) -> np.ndarray:
+    """Inverse-transform Geom+(alpha) values 1 + floor(log1p(-u) / log1p(-alpha))."""
+    k = np.negative(u)
+    np.log1p(k, out=k)
+    k /= math.log1p(-alpha)
+    np.floor(k, out=k)
+    k += 1
+    if k.size and k.max() >= 2.0**63:
+        raise ValueError(f"Geom+({alpha:g}) draw does not fit in int64; alpha is too small")
+    return k.astype(np.int64)
+
+
 def _geom_plus_draws(alpha: float, stream: RandomStream, n: int) -> np.ndarray:
     """n inverse-transform Geom+ draws; alpha may be 1 (degenerate at 1)."""
     if alpha >= 1.0:
         return np.ones(n, dtype=np.int64)
-    u = stream.uniforms(n)
-    k = 1 + np.floor(np.log1p(-u) / math.log1p(-alpha))
-    if np.any(k >= 2.0**63):
-        raise ValueError(f"Geom+({alpha:g}) draw does not fit in int64; alpha is too small")
-    return k.astype(np.int64)
+    return _geom_plus_values(alpha, stream.uniforms(n))
+
+
+def _values(spec: DistSpec, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """Values of a random ``spec`` from its uniforms: the one copy of each transform.
+
+    ``u`` holds one uniform per value; the Bernoulli-mixed kinds read their
+    Bernoulli from ``u`` and their magnitude from ``v``.
+    """
+    if spec.kind == "bernoulli":
+        return (u < spec.p).astype(np.int64)
+    if spec.kind == "geom_plus":
+        return _geom_plus_values(spec.alpha, u)
+    if spec.kind == "geom_zero":
+        return _geom_plus_values(spec.alpha, u) - 1
+    if spec.kind == "ber_geom":
+        k = _geom_plus_values(spec.alpha, v)
+        k *= u < spec.p
+        return k
+    if spec.kind == "exp":
+        return -np.log1p(-u) / spec.rate
+    # ber_exp
+    return np.where(u < spec.p, -np.log1p(-v) / spec.rate, 0.0)
+
+
+def _rows(spec: DistSpec, stream: RandomStream, k: int, n: int) -> np.ndarray:
+    """A (k, n) block of k successive n-value draws, from one ``uniforms`` call.
+
+    One draw of n values reads n uniforms per uniform of a value; the
+    Bernoulli-mixed kinds read their n Bernoulli uniforms first and then
+    their n magnitude uniforms.
+    """
+    width = _uniforms_per_value(spec)
+    if width == 0:
+        return _constant(spec, (k, n))
+    if width == 1:
+        return _values(spec, stream.uniforms(k * n).reshape(k, n))
+    u = stream.uniforms(2 * k * n).reshape(k, 2, n)
+    return _values(spec, u[:, 0], u[:, 1])
 
 
 def sample_n(spec: DistSpec, stream: RandomStream, n: int) -> np.ndarray:
@@ -323,43 +391,54 @@ def sample_n(spec: DistSpec, stream: RandomStream, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if spec.kind == "deterministic":
-        v = spec.value
-        if not v < 2.0**63:
-            raise ValueError(f"deterministic value {v:g} does not fit in int64")
-        if float(v).is_integer():
-            return np.full(n, int(v), dtype=np.int64)
-        return np.full(n, float(v), dtype=float)
-    if spec.kind == "bernoulli":
-        return (stream.uniforms(n) < spec.p).astype(np.int64)
-    if spec.kind == "geom_plus":
-        return _geom_plus_draws(spec.alpha, stream, n)
-    if spec.kind == "geom_zero":
-        return _geom_plus_draws(spec.alpha, stream, n) - 1
-    if spec.kind == "ber_geom":
-        b = stream.uniforms(n) < spec.p
-        g = _geom_plus_draws(spec.alpha, stream, n)
-        return np.where(b, g, 0).astype(np.int64)
-    if spec.kind == "exp":
-        return -np.log1p(-stream.uniforms(n)) / spec.rate
-    # ber_exp
-    b = stream.uniforms(n) < spec.p
-    e = -np.log1p(-stream.uniforms(n)) / spec.rate
-    return np.where(b, e, 0.0)
+    return _rows(spec, stream, 1, n)[0]
 
 
 def sample_block(spec: DistSpec, stream: RandomStream, k: int, n: int) -> np.ndarray:
     """A (k, n) block whose rows are k successive ``sample_n(spec, stream, n)`` calls.
 
-    The kinds with at most one uniform per value draw the block in one
-    call.  The Bernoulli-mixed kinds draw their Bernoulli and magnitude
-    uniforms as two separate blocks per call, so they keep k calls.
+    Every kind draws the whole block in one ``uniforms`` call; the
+    Bernoulli-mixed kinds take it as (k, 2, n), a Bernoulli and a magnitude
+    row per call.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if spec.kind in ("ber_geom", "ber_exp"):
-        return np.stack([sample_n(spec, stream, n) for _ in range(k)])
-    return sample_n(spec, stream, k * n).reshape(k, n)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _rows(spec, stream, k, n)
+
+
+def sample_chunks(spec: DistSpec, stream: RandomStream, n: int,
+                  block: int) -> Iterator[np.ndarray]:
+    """``sample_n(spec, stream, n)`` in consecutive slices of at most ``block`` values.
+
+    The slices concatenate to one ``sample_n`` call bit for bit, with
+    memory bounded by the block.  The stream moves past all n values at the
+    call, as ``sample_n`` would leave it; the slices are read later from
+    cursors (:meth:`~batchq.streams.RandomStream.ahead`), for the
+    Bernoulli-mixed kinds one at offset 0 for the Bernoulli uniforms and
+    one at offset n for the magnitudes.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if block < 1:
+        raise ValueError("block must be positive")
+    width = _uniforms_per_value(spec)
+    if width == 0:
+        _constant(spec, 0)  # refuse a value beyond int64 now, not at the first slice
+    cursors = [stream.ahead(j * n) for j in range(width)]
+    stream.skip(width * n)
+    return _slices(spec, cursors, n, block)
+
+
+def _slices(spec: DistSpec, cursors: list[RandomStream], n: int,
+            block: int) -> Iterator[np.ndarray]:
+    for lo in range(0, n, block):
+        m = min(block, n - lo)
+        if cursors:
+            yield _values(spec, *(c.uniforms(m) for c in cursors))
+        else:
+            yield _constant(spec, m)
 
 
 def sample_compound_n(p: float, alpha: float, stream: RandomStream, n: int) -> np.ndarray:

@@ -28,18 +28,26 @@ vectorized kernel of the slot recursion, :func:`lindley`.  Simulations
 draw from a :class:`~batchq.streams.RandomStream` the caller passes in;
 a :class:`Trace` keeps the driving sequences and the queue lengths, and
 derives the other per-slot quantities from them.
+
+The single queue runs in blocks of 2**16 slots (:func:`simulate_blocks`),
+so its memory is bounded by the block: each block draws its slice of the
+one-shot draws through cursors and carries the Lindley prefix sum, its
+running minimum and X into the next, so every value and output byte
+equals the one-shot run.  :func:`simulate` joins the blocks, and
+:func:`tee_csv` writes a trace's CSV while its blocks stream past.  The
+block size is a module constant, not a parameter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .distributions import DistSpec, ber_geom, mean, pmf, pmf_vector, sample_n, sf, tail_cutoff
+from .distributions import (DistSpec, ber_geom, mean, pmf, pmf_vector, sample_chunks, sf,
+                            tail_cutoff)
 from .streams import RandomStream
 
 __all__ = [
@@ -47,8 +55,10 @@ __all__ = [
     "StationaryLaw",
     "Trace",
     "write_csv",
+    "tee_csv",
     "step",
     "lindley",
+    "simulate_blocks",
     "simulate",
     "path_max_X",
     "check_condition",
@@ -149,6 +159,30 @@ def step(x, a, s):
     return y - d, d, s - d
 
 
+def _lindley_block(a: np.ndarray, s: np.ndarray, init_x, carry, out: np.ndarray):
+    """Write the queue lengths after each slot of a block to ``out``; return the carry.
+
+    ``carry`` holds the prefix sum of A - S over the earlier slots and its
+    running minimum (None before the first slot).  Continuing those sums,
+    rather than restarting from the block's first X, adds in the order of
+    the one-shot recursion, so every X is the one-shot value bit for bit,
+    for float batches too.
+    """
+    c = a - s
+    if not len(c):
+        return carry
+    if carry is not None:
+        c[0] += carry[0]
+    np.cumsum(c, out=c)
+    runmin = np.minimum.accumulate(c)
+    if carry is not None:
+        np.minimum(runmin, carry[1], out=runmin)
+    carry = (c[-1], runmin[-1])
+    np.negative(runmin, out=runmin)
+    out[:] = c + np.maximum(init_x, runmin)
+    return carry
+
+
 def lindley(a: np.ndarray, s: np.ndarray, init_x) -> np.ndarray:
     """Queue lengths X_0..X_n for driving sequences of length n.
 
@@ -157,36 +191,87 @@ def lindley(a: np.ndarray, s: np.ndarray, init_x) -> np.ndarray:
     X_k = C_k + max(init_x, -min_{1<=m<=k} C_m) with C_k the prefix sums
     of A - S.
     """
-    diffs = a - s
-    c = np.concatenate((np.zeros(1, dtype=diffs.dtype), np.cumsum(diffs)))
-    runmin = np.minimum.accumulate(c[1:])
-    x = np.empty(len(a) + 1, dtype=diffs.dtype)
+    x = np.empty(len(a) + 1, dtype=np.result_type(a, s))
     x[0] = init_x
-    x[1:] = c[1:] + np.maximum(init_x, -runmin)
+    _lindley_block(a, s, init_x, None, x[1:])
     return x
 
 
-_CSV_BLOCK_ROWS = 1 << 10
+_CSV_BLOCK_ROWS = 1 << 14
+_DIGIT, _COMMA, _NEWLINE, _MINUS = (np.uint8(ord(ch)) for ch in "0,\n-")
 
 
-def _csv_cells(col: np.ndarray) -> list[str]:
-    if np.issubdtype(col.dtype, np.integer):
-        return list(map(str, col.tolist()))
-    return list(map("{:.17g}".format, col.tolist()))
+def _int_cells(col: np.ndarray) -> np.ndarray:
+    """Decimal text of integer cells: character position by cell, NUL where a cell is shorter."""
+    if col.dtype.kind == "u":
+        mag, neg = col.astype(np.uint64), None
+    else:
+        v = col.astype(np.int64, copy=False)
+        neg = v < 0
+        # two's complement: -v as uint64 is |v|, also for the int64 minimum
+        mag = v.view(np.uint64).copy()
+        np.negative(mag, out=mag, where=neg)
+    if not len(col):
+        return np.zeros((0, 0), dtype=np.uint8)
+    width = len(str(int(mag.max())))
+    sign = 1 if neg is not None and neg.any() else 0
+    chars = np.zeros((sign + width, len(col)), dtype=np.uint8)
+    if sign:
+        chars[0, neg] = _MINUS
+    ten = np.uint64(10)
+    for j in range(1, width + 1):
+        # the j-th digit from the right; NUL where the number is shorter
+        q = mag // ten
+        digit = chars[-j]
+        np.subtract(mag, q * ten, out=digit, casting="unsafe")
+        digit += _DIGIT
+        if j > 1:
+            digit *= mag != 0
+        mag = q
+    return chars
+
+
+def _float_cells(col: np.ndarray) -> np.ndarray:
+    """``.17g`` text of float cells: character position by cell, NUL where a cell is shorter."""
+    text = np.array(list(map("{:.17g}".format, col.tolist())), dtype=bytes)
+    return text.view(np.uint8).reshape(len(col), text.itemsize if len(col) else 0).T
+
+
+def _write_rows(fh, columns: Sequence[np.ndarray]) -> None:
+    """Append one CSV row per entry of the first column, as bytes.
+
+    A block of rows is laid out in one byte array, a NUL-padded field per
+    cell followed by its separator; dropping the NULs leaves the rows.  A
+    column shorter than the first one leaves its trailing cells empty.
+    """
+    for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        rows = len(columns[0][lo:lo + _CSV_BLOCK_ROWS])
+        fields = [(_int_cells if np.issubdtype(c.dtype, np.integer) else _float_cells)(
+            c[lo:lo + _CSV_BLOCK_ROWS]) for c in columns]
+        # character position by row, so that each field is written contiguously
+        chars = np.zeros((sum(len(f) + 1 for f in fields), rows), dtype=np.uint8)
+        pos = 0
+        for f in fields:
+            chars[pos:pos + len(f), :f.shape[1]] = f
+            chars[pos + len(f)] = _COMMA
+            pos += len(f) + 1
+        chars[-1] = _NEWLINE
+        fh.write(chars.T.tobytes().translate(None, b"\0"))
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write per-slot columns as CSV: integer columns exactly, others with 17 digits.
 
     The first column is the longest; a shorter one leaves its trailing
-    cells empty.  Columns are converted a block of rows at a time, which
-    bounds the memory the cell strings take.
+    cells empty.  Cells are rendered a block of rows at a time, integers by
+    numpy digit arithmetic, which bounds the memory the text takes.
     """
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            cells = [_csv_cells(c[lo:lo + _CSV_BLOCK_ROWS]) for c in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip_longest(*cells, fillvalue=""))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        _write_rows(fh, columns)
+
+
+_TRACE_HEADER = "n,A,S,X,Y,D,U,I,T".split(",")
 
 
 @dataclass
@@ -252,11 +337,74 @@ class Trace:
             if err > 1e-12:
                 raise ValueError(f"trace invariant violated: {label} (max error {err})")
 
+    def _columns(self, first_n: int, next_a) -> list[np.ndarray]:
+        """CSV columns of these slots, numbered from ``first_n``; ``next_a`` completes I."""
+        u = self.u
+        i = self.i if next_a is None else u + np.append(self.a[1:], next_a)
+        return [np.arange(first_n, first_n + len(self)), self.a, self.s, self.x, self.y,
+                self.d, u, i, self.t]
+
     def to_csv(self, path) -> None:
         """Write the per-slot table with header n,A,S,X,Y,D,U,I,T (I empty on the final slot)."""
-        write_csv(path, "n,A,S,X,Y,D,U,I,T".split(","),
-                  [np.arange(len(self)), self.a, self.s, self.x, self.y, self.d, self.u,
-                   self.i, self.t])
+        write_csv(path, _TRACE_HEADER, self._columns(0, None))
+
+
+def tee_csv(blocks: Iterable[Trace], path) -> Iterator[Trace]:
+    """Pass the blocks of a trace on unchanged, writing the trace's CSV to ``path``.
+
+    The file is byte for byte the :meth:`Trace.to_csv` file of the
+    concatenated blocks.  A block's rows are written when the next block
+    arrives, since its first arrival completes the I cell of the block's
+    last row; the final row's I stays empty.
+    """
+    with open(path, "wb") as fh:
+        fh.write((",".join(_TRACE_HEADER) + "\n").encode())
+        prev, first_n = None, 0
+        for blk in blocks:
+            if prev is not None:
+                _write_rows(fh, prev._columns(first_n, blk.a[0]))
+                first_n += len(prev)
+            yield blk
+            prev = blk
+        if prev is not None:
+            _write_rows(fh, prev._columns(first_n, None))
+
+
+_BLOCK_SLOTS = 1 << 16
+
+
+def simulate_blocks(arrival: DistSpec, service: DistSpec, n_slots: int, stream: RandomStream,
+                    init_x=0) -> Iterator[Trace]:
+    """The slots of :func:`simulate` as consecutive traces of at most 2**16 slots each.
+
+    Block k's ``x_full[0]`` is block k-1's ``final_x`` (``init_x`` for the
+    first block), and every draw and value equals the one-shot
+    :func:`simulate` run's, so memory stays bounded by the block.  The
+    stream moves past all the draws at the call, where :func:`simulate`
+    leaves it; the blocks read them from cursors
+    (:func:`~batchq.distributions.sample_chunks`).
+    """
+    if n_slots < 1:
+        raise ValueError("n_slots must be >= 1")
+    if init_x < 0:
+        raise ValueError("init_x must be nonnegative")
+    arrivals = sample_chunks(arrival, stream, n_slots, _BLOCK_SLOTS)
+    services = sample_chunks(service, stream, n_slots, _BLOCK_SLOTS)
+    return _blocks(arrivals, services, init_x)
+
+
+def _blocks(arrivals, services, init_x) -> Iterator[Trace]:
+    x, carry = init_x, None
+    for a, s in zip(arrivals, services):
+        if a.dtype != s.dtype:
+            a = a.astype(float)
+            s = s.astype(float)
+        x_full = np.empty(len(a) + 1, dtype=a.dtype)
+        x_full[0] = x
+        carry = _lindley_block(a, s, init_x if a.dtype == np.int64 else float(init_x), carry,
+                               x_full[1:])
+        x = x_full[-1]
+        yield Trace(a=a, s=s, x_full=x_full)
 
 
 def simulate(arrival: DistSpec, service: DistSpec, n_slots: int, stream: RandomStream,
@@ -264,19 +412,13 @@ def simulate(arrival: DistSpec, service: DistSpec, n_slots: int, stream: RandomS
     """Simulate ``n_slots`` slots from ``stream``; arrivals are drawn first, then services.
 
     Unstable parameter choices are allowed (the queue may grow without
-    bound); no stationarity is assumed here.
+    bound); no stationarity is assumed here.  The trace joins the blocks
+    of :func:`simulate_blocks`.
     """
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    if init_x < 0:
-        raise ValueError("init_x must be nonnegative")
-    a = sample_n(arrival, stream, n_slots)
-    s = sample_n(service, stream, n_slots)
-    if a.dtype != s.dtype:
-        a = a.astype(float)
-        s = s.astype(float)
-    x_full = lindley(a, s, init_x if a.dtype == np.int64 else float(init_x))
-    return Trace(a=a, s=s, x_full=x_full)
+    blocks = list(simulate_blocks(arrival, service, n_slots, stream, init_x))
+    return Trace(a=np.concatenate([b.a for b in blocks]),
+                 s=np.concatenate([b.s for b in blocks]),
+                 x_full=np.concatenate([b.x for b in blocks] + [blocks[-1].x_full[-1:]]))
 
 
 def path_max_X(arrivals: Sequence[float], services: Sequence[float]):

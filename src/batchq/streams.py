@@ -30,6 +30,11 @@ class RandomStream:
     Streams are single-owner: never share one instance across concurrent
     tasks.  Replica parallelism uses ``substream(i)``, which derives an
     independent child stream keyed by ``mix64(seed, i)``.
+
+    Every double costs one 64-bit PCG64 output, so a stream can be read out
+    of order: ``ahead(k)`` opens a cursor at the double ``uniforms(k)``
+    would reach, and ``skip(k)`` moves past k doubles without drawing them.
+    ``ahead(k).uniforms(m)`` equals ``uniforms(k + m)[k:]`` bit for bit.
     """
 
     __slots__ = ("seed", "_gen")
@@ -46,6 +51,28 @@ class RandomStream:
         if index < 0:
             raise ValueError("substream index must be nonnegative")
         return RandomStream(mix64(self.seed, index))
+
+    def ahead(self, k: int) -> RandomStream:
+        """A cursor k doubles ahead of this stream, which does not move.
+
+        The cursor keeps this stream's ``seed``, so its substreams are this
+        stream's substreams.
+        """
+        if k < 0:
+            raise ValueError("a cursor cannot open behind its stream")
+        bits = np.random.PCG64(0)
+        bits.state = self._gen.bit_generator.state
+        bits.advance(k)
+        cursor = RandomStream.__new__(RandomStream)
+        cursor.seed = self.seed
+        cursor._gen = np.random.Generator(bits)
+        return cursor
+
+    def skip(self, k: int) -> None:
+        """Move past k doubles, as a discarded ``uniforms(k)`` call would."""
+        if k < 0:
+            raise ValueError("a stream cannot move backwards")
+        self._gen.bit_generator.advance(k)
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1)."""

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchq import distributions as dist
 from batchq import percolation as perc
+from batchq import queue_core
 from batchq.cli import run
+from batchq.queue_core import QueueParams, lindley
 from batchq.streams import RandomStream
 
 
@@ -172,6 +177,11 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
                 "--config", str(conf2), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["seed"] == 42 and len(payload["samples"]) == 3
+    # null leaves a flag at its default
+    conf2.write_text(json.dumps({"seed": None, "n": 3}))
+    assert run(["dist", "sample", "--spec", '{"kind": "bernoulli", "p": 0.5}',
+                "--config", str(conf2), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 1
 
 
 def test_verify_stats_suite_exits_zero(tmp_path, capsys):
@@ -221,11 +231,16 @@ def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, capsys):
                                   "weights-missing-field", "spec-string-field", "spec-bool-field",
                                   "perc-x-below-one-column", "perc-empty-grid",
                                   "dist-negative-max-k", "queue-format", "verify-format",
-                                  "tc-format-json"])
+                                  "tc-format-json", "config-slots-not-int",
+                                  "config-format-not-a-choice", "config-tc-format-json",
+                                  "queue-burn-in-at-slots", "tandem-burn-in-above-slots"])
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir" / "x.csv")
     list_config = tmp_path / "list.json"
     list_config.write_text("[1]")
+    configs = {"slots": {"slots": "abc"}, "xml": {"format": "xml"}, "json": {"format": "json"}}
+    for name, conf in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(conf))
     argv = {
         "zero-step-grid": ["tc", "--variant", "exp", "--x", "1:4:0"],
         "legendre-arithmetic": ["tc", "--variant", "legendre", "--q", "0.5",
@@ -262,7 +277,54 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
         "queue-format": ["queue", *P, "--slots", "10", "--format", "csv"],
         "verify-format": ["verify", "--suite", "stats", "--format", "csv"],
         "tc-format-json": ["tc", "--variant", "exp", "--x", "1,2", "--format", "json"],
+        # a --config value passes the same type and choices checks as the flag
+        "config-slots-not-int": ["queue", *P, "--config", str(tmp_path / "slots.json")],
+        "config-format-not-a-choice": ["dist", "sample", "--spec",
+                                       '{"kind": "bernoulli", "p": 0.5}', "--n", "2",
+                                       "--config", str(tmp_path / "xml.json")],
+        "config-tc-format-json": ["tc", "--variant", "exp", "--x", "1,2",
+                                  "--config", str(tmp_path / "json.json")],
+        "queue-burn-in-at-slots": ["queue", *P, "--slots", "1000", "--burn-in", "1000"],
+        "tandem-burn-in-above-slots": ["tandem", *P, "--slots", "1000", "--burn-in", "5000"],
     }[case]
     code, err = _exit_code_and_stderr(argv, capsys)
     assert code == 2
     assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_explicit_burn_in_is_used_as_given(capsys):
+    assert run(["queue", *P, "--slots", "1000", "--burn-in", "900"]) == 0
+    assert json.loads(capsys.readouterr().out)["burn_in"] == 900
+    assert run(["tandem", *P, "--slots", "1000", "--burn-in", "999"]) == 0
+    assert json.loads(capsys.readouterr().out)["burn_in"] == 999
+    # the default stays min(10**4, slots // 2)
+    assert run(["queue", *P, "--slots", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["burn_in"] == 500
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(block=st.integers(1, 40), slots=st.integers(1, 150), init_x=st.integers(0, 12),
+       seed=st.integers(0, 2**31), data=st.data())
+def test_streamed_queue_out_and_summary_equal_the_whole_trace(block, slots, init_x, seed, data,
+                                                              tmp_path_factory):
+    burn = data.draw(st.integers(0, slots - 1))
+    root = tmp_path_factory.mktemp("queue")
+    argv = ["queue", *P, "--slots", str(slots), "--burn-in", str(burn),
+            "--init-x", str(init_x), "--seed", str(seed), "--out", str(root / "streamed.csv")]
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.setattr(queue_core, "_BLOCK_SLOTS", block)
+        assert run(argv) == 0
+    # the whole trace at once: both sampler calls, then one Lindley pass
+    params = QueueParams(*(float(v) for v in P[1::2]))
+    stream = RandomStream(seed)
+    a = dist.sample_n(params.arrival_spec, stream, slots)
+    s = dist.sample_n(params.service_spec, stream, slots)
+    whole = queue_core.Trace(a=a, s=s, x_full=lindley(a, s, init_x))
+    whole.to_csv(root / "whole.csv")
+    assert (root / "streamed.csv").read_bytes() == (root / "whole.csv").read_bytes()
+    summary = json.loads(stdout.getvalue())
+    assert summary["burn_in"] == burn
+    assert summary["empirical"] == {"mean_x": float(whole.x[burn:].mean()),
+                                    "mean_y": float(whole.y[burn:].mean()),
+                                    "mean_d": float(whole.d[burn:].mean())}

@@ -356,3 +356,56 @@ def test_sample_n_support_dtype_and_length_at_the_edges(kind, data):
     assert np.all(draws >= low)
     if kind == "bernoulli":
         assert np.all(draws <= 1)
+
+
+def test_stream_cursor_reads_ahead_without_moving_the_stream():
+    stream, ref = RandomStream(3), RandomStream(3)
+    cursor = stream.ahead(5)
+    assert np.array_equal(cursor.uniforms(4), ref.uniforms(9)[5:])
+    stream.skip(9)
+    assert stream.uniform() == ref.uniform()
+    with pytest.raises(ValueError):
+        stream.ahead(-1)
+    with pytest.raises(ValueError):
+        stream.skip(-1)
+
+
+@pytest.mark.parametrize("kind", sorted(dist._KINDS))
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_sample_chunks_concatenate_to_one_sample_n_call(kind, data):
+    spec = data.draw(_EDGE_SPEC_OF_KIND[kind].filter(
+        lambda s: s.kind != "deterministic" or s.value < 2**63))
+    block = data.draw(st.integers(1, 40))
+    # block sizes of 1, blocks that do not divide n, and n around one and two blocks
+    n = data.draw(st.one_of(st.integers(0, 200),
+                            st.sampled_from([block - 1, block, block + 1, 2 * block + 1])))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    s_one, s_chunks = RandomStream(seed), RandomStream(seed)
+    one = dist.sample_n(spec, s_one, n)
+    chunks = list(dist.sample_chunks(spec, s_chunks, n, block))
+    assert all(1 <= len(c) <= block for c in chunks)
+    assert sum(map(len, chunks)) == n
+    joined = np.concatenate(chunks) if chunks else one[:0]
+    assert joined.dtype == one.dtype and np.array_equal(joined, one)
+    # the stream is left where sample_n leaves it
+    assert s_chunks.uniform() == s_one.uniform()
+
+
+def test_sample_chunks_move_the_stream_at_the_call():
+    spec = dist.ber_geom(0.5, 0.5)
+    s_one, s_chunks = RandomStream(8), RandomStream(8)
+    one = dist.sample_n(spec, s_one, 10)
+    chunks = dist.sample_chunks(spec, s_chunks, 10, 3)
+    after = s_chunks.uniform()
+    assert after == s_one.uniform()
+    assert np.array_equal(np.concatenate(list(chunks)), one)
+    with pytest.raises(ValueError, match="int64"):
+        dist.sample_chunks(dist.deterministic(2.0**63), s_chunks, 10, 3)
+    # a block of Geom+ magnitudes beyond int64 is refused, as one sample_n call refuses it
+    for spec in (dist.geom_plus(1e-300), dist.ber_geom(0.5, 1e-300)):
+        chunks = dist.sample_chunks(spec, RandomStream(1), 10, 3)
+        with pytest.raises(ValueError, match="int64"):
+            next(chunks)
+    with pytest.raises(ValueError):
+        dist.sample_chunks(spec, s_chunks, 10, 0)

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchq import distributions as dist
-from batchq.queue_core import (QueueParams, check_condition,
+from batchq import queue_core
+from batchq.queue_core import (QueueParams, Trace, check_condition,
                                check_continuous_condition, excursion_loglik,
                                lindley, markov_oracle, match_arrival_bernoulli,
-                               path_max_X, simulate, solve_arrival,
-                               stationary_law, step, verify_detailed_balance)
+                               path_max_X, simulate, simulate_blocks, solve_arrival,
+                               stationary_law, step, tee_csv, verify_detailed_balance,
+                               write_csv)
 from batchq.stats import EmpiricalPmf, chi_square_gof
 from batchq.streams import RandomStream
 
@@ -291,3 +294,123 @@ def test_queue_params_validation_and_burn_in():
         QueueParams(p=0.0, alpha=0.5, q=0.5, beta=0.5)
     assert MAIN.is_stable
     assert MAIN.arrival_rate == pytest.approx(0.5)
+
+
+def _one_shot(arrival, service, n, stream, init_x):
+    """The whole trace at once: both sampler calls, then one Lindley pass."""
+    a, s = dist.sample_n(arrival, stream, n), dist.sample_n(service, stream, n)
+    if a.dtype != s.dtype:
+        a, s = a.astype(float), s.astype(float)
+    return Trace(a=a, s=s, x_full=lindley(a, s, init_x if a.dtype == np.int64 else float(init_x)))
+
+
+_SIM_SPECS = st.sampled_from([
+    (dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)),
+    (dist.ber_geom(0.3, 0.6), dist.geom_zero(0.5)),
+    (dist.geom_plus(0.3), dist.bernoulli(0.4)),
+    (dist.ber_exp(0.3, 1.0), dist.ber_exp(0.5, 0.5)),
+    (dist.exponential(2.0), dist.ber_geom(0.5, 0.5)),
+])
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(specs=_SIM_SPECS, block=st.integers(1, 50), n=st.integers(1, 300),
+       init_x=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_block_simulation_equals_one_shot_slot_by_slot(specs, block, n, init_x, seed):
+    arrival, service = specs
+    ref = _one_shot(arrival, service, n, RandomStream(seed), init_x)
+    stream = RandomStream(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queue_core, "_BLOCK_SLOTS", block)
+        blocks = list(simulate_blocks(arrival, service, n, stream, init_x=init_x))
+        tr = simulate(arrival, service, n, RandomStream(seed), init_x=init_x)
+    assert [len(b) for b in blocks] == [min(block, n - lo) for lo in range(0, n, block)]
+    x = ref.x_full[0]
+    for lo, b in zip(range(0, n, block), blocks):
+        # each block starts where the previous one ended
+        assert b.x_full[0] == x
+        assert np.array_equal(b.a, ref.a[lo:lo + block])
+        assert np.array_equal(b.s, ref.s[lo:lo + block])
+        assert np.array_equal(b.x_full, ref.x_full[lo:lo + block + 1])
+        x = b.final_x
+    for name in ("a", "s", "x_full"):
+        got, want = getattr(tr, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the stream is left past all 2n draws, as by the one-shot run
+    assert stream.uniform() == RandomStream(seed).ahead(
+        n * sum(2 if s.kind in ("ber_geom", "ber_exp") else 1 for s in specs)).uniform()
+
+
+def test_block_simulation_matches_iterated_step_across_default_blocks():
+    n = 3 * queue_core._BLOCK_SLOTS + 17
+    tr = simulate(dist.ber_geom(0.45, 0.5), dist.ber_geom(0.5, 0.5), n, RandomStream(4),
+                  init_x=30)
+    x = 30
+    xs = [x]
+    for a, s in zip(tr.a.tolist(), tr.s.tolist()):
+        x, _, _ = step(x, a, s)
+        xs.append(x)
+    assert tr.x_full.tolist() == xs
+
+
+def _old_write_csv(path, header, columns):
+    """The per-cell Python formatter that the numpy writer replaces."""
+    def cells(col):
+        if np.issubdtype(col.dtype, np.integer):
+            return list(map(str, col.tolist()))
+        return list(map("{:.17g}".format, col.tolist()))
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n"
+                      for row in zip_longest(*map(cells, columns), fillvalue=""))
+
+
+_INT_COLUMN = st.one_of(
+    st.integers(0, 2**63 - 1), st.integers(-(2**63), 2**63 - 1), st.integers(-12, 12),
+    st.sampled_from([0, 9, 10, 99, 100, 2**63 - 1, -(2**63), -1, 10**18, -(10**18)]))
+_FLOAT_COLUMN = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 0.1, 1e-300, 5e-324, 1e300, 2.0**53]))
+_COLUMNS = {"int64": _INT_COLUMN, "float64": _FLOAT_COLUMN,
+            "uint64": st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1]))}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_write_csv_equals_the_per_cell_formatter(data, tmp_path_factory):
+    rows = data.draw(st.integers(1, 40))
+    kinds = data.draw(st.lists(st.sampled_from(list(_COLUMNS)), min_size=1, max_size=5))
+    columns = []
+    for j, kind in enumerate(kinds):
+        # after the first, a column may be short, leaving its trailing cells empty
+        length = rows if j == 0 else data.draw(st.integers(max(rows - 2, 0), rows))
+        values = data.draw(st.lists(_COLUMNS[kind], min_size=length, max_size=length))
+        columns.append(np.array(values, dtype=kind))
+    header = [f"c{j}" for j in range(len(columns))]
+    root = tmp_path_factory.mktemp("csv")
+    write_csv(root / "new.csv", header, columns)
+    _old_write_csv(root / "old.csv", header, columns)
+    assert (root / "new.csv").read_bytes() == (root / "old.csv").read_bytes()
+
+
+def test_write_csv_crosses_row_blocks(tmp_path):
+    n = 2 * queue_core._CSV_BLOCK_ROWS + 5
+    columns = [np.arange(n, dtype=np.int64) * 7919 - n, np.linspace(-1.0, 1.0, n - 1)]
+    write_csv(tmp_path / "new.csv", ["k", "v"], columns)
+    _old_write_csv(tmp_path / "old.csv", ["k", "v"], columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(block=st.integers(1, 30), n=st.integers(1, 120), init_x=st.integers(0, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_tee_csv_writes_the_whole_trace_file(block, n, init_x, seed, tmp_path_factory):
+    root = tmp_path_factory.mktemp("tee")
+    arrival, service = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
+    _one_shot(arrival, service, n, RandomStream(seed), init_x).to_csv(root / "whole.csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queue_core, "_BLOCK_SLOTS", block)
+        blocks = simulate_blocks(arrival, service, n, RandomStream(seed), init_x=init_x)
+        passed = list(tee_csv(blocks, root / "streamed.csv"))
+    assert sum(map(len, passed)) == n
+    assert (root / "streamed.csv").read_bytes() == (root / "whole.csv").read_bytes()
