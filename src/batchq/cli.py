@@ -15,15 +15,16 @@ and has no effect: perc simulate sweeps every replica together in one
 process.  perc simulate draws one field per replica from the seed's
 substream(0) and reads every --x grid point off it, so rows at
 different x are correlated.  The cost of perc identity is linear in
---window.  queue runs its slots in blocks with the one-shot run's draws
-and bytes, writing --out rows as each block is made and summing the
-summary means exactly, so its memory is bounded by the block; no
---threads-like knob sets the block size.
+--window.  queue and tandem share one block loop: it runs the slots in
+blocks with the one-block run's draws and bytes, writes --out rows as
+each block is made and sums the summary means exactly, so memory is
+bounded by the block; no --threads-like knob sets the block size.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -31,9 +32,9 @@ from . import distributions as dist
 from . import percolation as perc
 from . import timeconstants as tc
 from .queue_core import (QueueParams, check_condition, condition_holds, simulate_blocks,
-                         stationary_law, tee_csv)
+                         stationary_law, tee_csv, write_csv)
 from .streams import RandomStream
-from .tandem import TandemConfig, simulate_tandem
+from .tandem import TandemConfig, TandemTrace
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "run"]
@@ -208,38 +209,48 @@ def _cmd_dist(args, parser) -> int:
             vals = [int(v) for v in draws] if spec.is_discrete else [float(v) for v in draws]
             text = _json_dump({"spec": spec.to_dict(), "seed": _seed_of(args), "samples": vals})
         else:
-            col = (str(int(v)) if spec.is_discrete else _fmt(v) for v in draws)
-            text = "value\n" + "".join(f"{v}\n" for v in col)
+            buf = io.BytesIO()
+            write_csv(buf, ["value"], [draws])
+            text = buf.getvalue().decode()
     _write_out(text, args.out)
     return 0
 
 
-def _cmd_queue(args, parser) -> int:
+def _block_means(blocks, burn: int, out: str | None) -> dict:
+    """Means after burn-in of X, Y and D, keyed (stage, name), over Trace or TandemTrace blocks.
+
+    With ``out`` the CSV rows are written as the blocks pass.  Each mean is an
+    exact integer sum divided once: numpy's mean while a sum is below 2**53.
+    """
+    if out:
+        blocks = tee_csv(blocks, out)
+    sums, first = {}, 0
+    for blk in blocks:
+        k = max(burn - first, 0)
+        for r, tr in enumerate(blk.stages if isinstance(blk, TandemTrace) else [blk]):
+            for name in "xyd":
+                sums[r, name] = sums.get((r, name), 0) + int(getattr(tr, name)[k:].sum())
+        first += len(blk)
+    return {key: total / (first - burn) for key, total in sums.items()}
+
+
+def _series_args(args, parser) -> tuple[QueueParams, int, int, dict]:
+    """Parameters, slots and burn-in of queue and tandem, and the summary fields they share."""
     params = _queue_params(args, parser)
     slots = 100_000 if args.slots is None else args.slots
     burn = _burn_in(args, parser, slots)
-    blocks = simulate_blocks(params.arrival_spec, params.service_spec, slots,
-                             init_x=args.init_x or 0, stream=RandomStream(_seed_of(args)))
-    if args.out:
-        blocks = tee_csv(blocks, args.out)
-    # exact integer sums over the slots after burn-in; each mean is one
-    # correctly rounded division, numpy's mean while a sum is below 2**53
-    sums = {"mean_x": 0, "mean_y": 0, "mean_d": 0}
-    first = 0
-    for blk in blocks:
-        k = max(burn - first, 0)
-        sums["mean_x"] += int(blk.x[k:].sum())
-        sums["mean_y"] += int(blk.y[k:].sum())
-        sums["mean_d"] += int(blk.d[k:].sum())
-        first += len(blk)
-    summary = {
+    return params, slots, burn, {
         "params": {"p": params.p, "alpha": params.alpha, "q": params.q, "beta": params.beta},
-        "seed": _seed_of(args),
-        "slots": slots,
-        "burn_in": burn,
-        "empirical": {key: total / (slots - burn) for key, total in sums.items()},
-        "condition_residual": check_condition(params),
-    }
+        "seed": _seed_of(args), "slots": slots, "burn_in": burn}
+
+
+def _cmd_queue(args, parser) -> int:
+    params, slots, burn, summary = _series_args(args, parser)
+    blocks = simulate_blocks(params.arrival_spec, [params.service_spec], slots,
+                             RandomStream(_seed_of(args)), init_x=args.init_x or 0)
+    means = _block_means((stages[0] for stages in blocks), burn, args.out)
+    summary["empirical"] = {f"mean_{name}": means[0, name] for name in "xyd"}
+    summary["condition_residual"] = check_condition(params)
     if params.is_stable and condition_holds(params):
         summary["stationary"] = stationary_law(params).to_dict()
     sys.stdout.write(_json_dump(summary))
@@ -247,24 +258,13 @@ def _cmd_queue(args, parser) -> int:
 
 
 def _cmd_tandem(args, parser) -> int:
-    params = _queue_params(args, parser)
-    stages = 2 if args.stages is None else args.stages
-    slots = 100_000 if args.slots is None else args.slots
-    burn = _burn_in(args, parser, slots)
+    params, slots, burn, summary = _series_args(args, parser)
+    summary["stages"] = stages = 2 if args.stages is None else args.stages
     config = TandemConfig.bergeom(params, stages)
-    tt = simulate_tandem(config, slots, stream=RandomStream(_seed_of(args)))
-    tt.check_feed_forward()
-    if args.out:
-        tt.to_csv(args.out)
-    summary = {
-        "params": {"p": params.p, "alpha": params.alpha, "q": params.q, "beta": params.beta},
-        "stages": stages,
-        "seed": _seed_of(args),
-        "slots": slots,
-        "burn_in": burn,
-        "empirical_mean_x": [float(tr.x[burn:].mean()) for tr in tt.stages],
-        "empirical_mean_d": [float(tr.d[burn:].mean()) for tr in tt.stages],
-    }
+    blocks = simulate_blocks(config.arrival, config.services, slots, RandomStream(_seed_of(args)))
+    means = _block_means((TandemTrace(config, st) for st in blocks), burn, args.out)
+    summary["empirical_mean_x"] = [means[r, "x"] for r in range(stages)]
+    summary["empirical_mean_d"] = [means[r, "d"] for r in range(stages)]
     if params.is_stable and condition_holds(params):
         summary["stationary_mean_x"] = stationary_law(params).mean_x
     sys.stdout.write(_json_dump(summary))

@@ -413,16 +413,18 @@ def sample_chunks(spec: DistSpec, stream: RandomStream, n: int,
     """``sample_n(spec, stream, n)`` in consecutive slices of at most ``block`` values.
 
     The slices concatenate to one ``sample_n`` call bit for bit, with
-    memory bounded by the block.  The stream moves past all n values at the
-    call, as ``sample_n`` would leave it; the slices are read later from
-    cursors (:meth:`~batchq.streams.RandomStream.ahead`), for the
-    Bernoulli-mixed kinds one at offset 0 for the Bernoulli uniforms and
-    one at offset n for the magnitudes.
+    memory bounded by the block, and the stream moves past all n values at
+    the call.  One slice (0 < n <= block) is that call; more are read later
+    from cursors (:meth:`~batchq.streams.RandomStream.ahead`), for the
+    Bernoulli-mixed kinds at offset 0 for the Bernoulli uniforms and at
+    offset n for the magnitudes.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if block < 1:
         raise ValueError("block must be positive")
+    if 0 < n <= block:
+        return iter([sample_n(spec, stream, n)])
     width = _uniforms_per_value(spec)
     if width == 0:
         _constant(spec, 0)  # refuse a value beyond int64 now, not at the first slice

@@ -22,20 +22,16 @@ stationary law of X is BerGeom(c, gamma) with
 
 This module provides the simulator, the one-parameter-family solver, a
 detailed-balance residual check, busy-period likelihoods, and an
-independent truncated-Markov-chain oracle for stationary laws.  The
-simulator, the tandem stages and :func:`path_max_X` all run on one
-vectorized kernel of the slot recursion, :func:`lindley`.  Simulations
-draw from a :class:`~batchq.streams.RandomStream` the caller passes in;
-a :class:`Trace` keeps the driving sequences and the queue lengths, and
-derives the other per-slot quantities from them.
-
-The single queue runs in blocks of 2**16 slots (:func:`simulate_blocks`),
-so its memory is bounded by the block: each block draws its slice of the
-one-shot draws through cursors and carries the Lindley prefix sum, its
-running minimum and X into the next, so every value and output byte
-equals the one-shot run.  :func:`simulate` joins the blocks, and
-:func:`tee_csv` writes a trace's CSV while its blocks stream past.  The
-block size is a module constant, not a parameter.
+independent truncated-Markov-chain oracle for stationary laws.  One slot
+engine runs queues in series on the kernel behind :func:`lindley`; the
+single queue is its one-stage case and the tandem its R-stage case.
+Whole traces (:func:`simulate`, :func:`simulate_series`) are one block of
+all the slots, and :func:`simulate_blocks` streams the same draws and
+values in blocks of 2**16 slots (a module constant), so its memory is
+bounded by the block.  :func:`tee_csv` writes the CSV as blocks pass.
+Simulations draw from a :class:`~batchq.streams.RandomStream` the caller
+passes in; a :class:`Trace` keeps the driving sequences and the queue
+lengths, and derives the other per-slot quantities from them.
 """
 
 from __future__ import annotations
@@ -59,6 +55,7 @@ __all__ = [
     "step",
     "lindley",
     "simulate_blocks",
+    "simulate_series",
     "simulate",
     "path_max_X",
     "check_condition",
@@ -160,14 +157,14 @@ def step(x, a, s):
 
 
 def _lindley_block(a: np.ndarray, s: np.ndarray, init_x, carry, out: np.ndarray):
-    """Write the queue lengths after each slot of a block to ``out``; return the carry.
+    """Write X before and after each slot of a block to ``out``; return the carry.
 
-    ``carry`` holds the prefix sum of A - S over the earlier slots and its
-    running minimum (None before the first slot).  Continuing those sums,
-    rather than restarting from the block's first X, adds in the order of
-    the one-shot recursion, so every X is the one-shot value bit for bit,
-    for float batches too.
+    ``carry`` holds the prefix sum of A - S over the earlier slots, its
+    running minimum and the last X (None before the first slot).  Going on
+    with those sums adds in the one-shot order, so every X is the one-shot
+    value bit for bit, for float batches too.
     """
+    out[0] = init_x if carry is None else carry[2]
     c = a - s
     if not len(c):
         return carry
@@ -177,10 +174,10 @@ def _lindley_block(a: np.ndarray, s: np.ndarray, init_x, carry, out: np.ndarray)
     runmin = np.minimum.accumulate(c)
     if carry is not None:
         np.minimum(runmin, carry[1], out=runmin)
-    carry = (c[-1], runmin[-1])
+    low = runmin[-1]
     np.negative(runmin, out=runmin)
-    out[:] = c + np.maximum(init_x, runmin)
-    return carry
+    out[1:] = c + np.maximum(init_x, runmin)
+    return c[-1], low, out[-1]
 
 
 def lindley(a: np.ndarray, s: np.ndarray, init_x) -> np.ndarray:
@@ -192,8 +189,7 @@ def lindley(a: np.ndarray, s: np.ndarray, init_x) -> np.ndarray:
     of A - S.
     """
     x = np.empty(len(a) + 1, dtype=np.result_type(a, s))
-    x[0] = init_x
-    _lindley_block(a, s, init_x, None, x[1:])
+    _lindley_block(a, s, init_x, None, x)
     return x
 
 
@@ -260,18 +256,17 @@ def _write_rows(fh, columns: Sequence[np.ndarray]) -> None:
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write per-slot columns as CSV: integer columns exactly, others with 17 digits.
+    """Write per-slot columns as CSV to a file name or an open binary file.
 
-    The first column is the longest; a shorter one leaves its trailing
-    cells empty.  Cells are rendered a block of rows at a time, integers by
-    numpy digit arithmetic, which bounds the memory the text takes.
+    Integer columns are exact, others have 17 digits.  A column shorter than
+    the first leaves its trailing cells empty.  Cells are rendered a block of
+    rows at a time, integers by numpy digit arithmetic.
     """
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        _write_rows(fh, columns)
-
-
-_TRACE_HEADER = "n,A,S,X,Y,D,U,I,T".split(",")
+    if not hasattr(path, "write"):
+        with open(path, "wb") as fh:
+            return write_csv(fh, header, columns)
+    path.write((",".join(header) + "\n").encode())
+    _write_rows(path, columns)
 
 
 @dataclass
@@ -286,6 +281,8 @@ class Trace:
     a: np.ndarray
     s: np.ndarray
     x_full: np.ndarray
+
+    _csv_header = "n,A,S,X,Y,D,U,I,T".split(",")
 
     @property
     def x(self) -> np.ndarray:
@@ -337,32 +334,31 @@ class Trace:
             if err > 1e-12:
                 raise ValueError(f"trace invariant violated: {label} (max error {err})")
 
-    def _columns(self, first_n: int, next_a) -> list[np.ndarray]:
-        """CSV columns of these slots, numbered from ``first_n``; ``next_a`` completes I."""
+    def _columns(self, first_n: int, nxt) -> list[np.ndarray]:
+        """CSV columns of these slots, numbered from ``first_n``; the next block completes I."""
         u = self.u
-        i = self.i if next_a is None else u + np.append(self.a[1:], next_a)
+        i = self.i if nxt is None else u + np.append(self.a[1:], nxt.a[0])
         return [np.arange(first_n, first_n + len(self)), self.a, self.s, self.x, self.y,
                 self.d, u, i, self.t]
 
     def to_csv(self, path) -> None:
         """Write the per-slot table with header n,A,S,X,Y,D,U,I,T (I empty on the final slot)."""
-        write_csv(path, _TRACE_HEADER, self._columns(0, None))
+        write_csv(path, self._csv_header, self._columns(0, None))
 
 
-def tee_csv(blocks: Iterable[Trace], path) -> Iterator[Trace]:
-    """Pass the blocks of a trace on unchanged, writing the trace's CSV to ``path``.
+def tee_csv(blocks: Iterable, path) -> Iterator:
+    """Pass Trace or TandemTrace blocks on unchanged, writing their joint ``to_csv`` file.
 
-    The file is byte for byte the :meth:`Trace.to_csv` file of the
-    concatenated blocks.  A block's rows are written when the next block
-    arrives, since its first arrival completes the I cell of the block's
-    last row; the final row's I stays empty.
+    A block's rows are written when the next block arrives, whose first
+    arrival completes the I cell of a queue block's last row.
     """
     with open(path, "wb") as fh:
-        fh.write((",".join(_TRACE_HEADER) + "\n").encode())
         prev, first_n = None, 0
         for blk in blocks:
-            if prev is not None:
-                _write_rows(fh, prev._columns(first_n, blk.a[0]))
+            if prev is None:
+                fh.write((",".join(blk._csv_header) + "\n").encode())
+            else:
+                _write_rows(fh, prev._columns(first_n, blk))
                 first_n += len(prev)
             yield blk
             prev = blk
@@ -373,52 +369,56 @@ def tee_csv(blocks: Iterable[Trace], path) -> Iterator[Trace]:
 _BLOCK_SLOTS = 1 << 16
 
 
-def simulate_blocks(arrival: DistSpec, service: DistSpec, n_slots: int, stream: RandomStream,
-                    init_x=0) -> Iterator[Trace]:
-    """The slots of :func:`simulate` as consecutive traces of at most 2**16 slots each.
+def _series(arrival: DistSpec, services: Sequence[DistSpec], n_slots: int,
+            stream: RandomStream, init_x, block: int) -> Iterator[list[Trace]]:
+    """The slot engine: queues in series, one trace per stage for each block of slots.
 
-    Block k's ``x_full[0]`` is block k-1's ``final_x`` (``init_x`` for the
-    first block), and every draw and value equals the one-shot
-    :func:`simulate` run's, so memory stays bounded by the block.  The
-    stream moves past all the draws at the call, where :func:`simulate`
-    leaves it; the blocks read them from cursors
-    (:func:`~batchq.distributions.sample_chunks`).
+    Arrivals are drawn first, then each stage's services in stage order,
+    each one ``sample_n`` call read in slices of ``block``.  Stage r's
+    departures are stage r+1's arrivals; stage 1 starts at ``init_x``, the
+    others empty.  A stage whose arrival and service dtypes differ runs in float.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     if init_x < 0:
         raise ValueError("init_x must be nonnegative")
-    arrivals = sample_chunks(arrival, stream, n_slots, _BLOCK_SLOTS)
-    services = sample_chunks(service, stream, n_slots, _BLOCK_SLOTS)
-    return _blocks(arrivals, services, init_x)
+    draws = [sample_chunks(spec, stream, n_slots, block) for spec in (arrival, *services)]
+    return _run_series(zip(*draws), [init_x] + [0] * len(services))
 
 
-def _blocks(arrivals, services, init_x) -> Iterator[Trace]:
-    x, carry = init_x, None
-    for a, s in zip(arrivals, services):
-        if a.dtype != s.dtype:
-            a = a.astype(float)
-            s = s.astype(float)
-        x_full = np.empty(len(a) + 1, dtype=a.dtype)
-        x_full[0] = x
-        carry = _lindley_block(a, s, init_x if a.dtype == np.int64 else float(init_x), carry,
-                               x_full[1:])
-        x = x_full[-1]
-        yield Trace(a=a, s=s, x_full=x_full)
+def _run_series(blocks, inits) -> Iterator[list[Trace]]:
+    carries = [None] * len(inits)
+    for a, *services in blocks:
+        stages = []
+        for r, s in enumerate(services):
+            a = stages[-1].d if stages else a
+            if a.dtype != s.dtype:
+                a, s = a.astype(float), s.astype(float)
+            x_full = np.empty(len(a) + 1, dtype=a.dtype)
+            carries[r] = _lindley_block(a, s, inits[r], carries[r], x_full)
+            stages.append(Trace(a=a, s=s, x_full=x_full))
+        yield stages
+
+
+def simulate_blocks(arrival: DistSpec, services: Sequence[DistSpec], n_slots: int,
+                    stream: RandomStream, init_x=0) -> Iterator[list[Trace]]:
+    """:func:`simulate_series` in blocks of at most 2**16 slots, with the same draws and values.
+
+    The stream moves past all the draws at the call; memory is bounded by the block.
+    """
+    return _series(arrival, services, n_slots, stream, init_x, _BLOCK_SLOTS)
+
+
+def simulate_series(arrival: DistSpec, services: Sequence[DistSpec], n_slots: int,
+                    stream: RandomStream, init_x=0) -> list[Trace]:
+    """Whole traces of queues in series, one per stage: the engine's one block of all slots."""
+    return next(_series(arrival, services, n_slots, stream, init_x, n_slots))
 
 
 def simulate(arrival: DistSpec, service: DistSpec, n_slots: int, stream: RandomStream,
              init_x=0) -> Trace:
-    """Simulate ``n_slots`` slots from ``stream``; arrivals are drawn first, then services.
-
-    Unstable parameter choices are allowed (the queue may grow without
-    bound); no stationarity is assumed here.  The trace joins the blocks
-    of :func:`simulate_blocks`.
-    """
-    blocks = list(simulate_blocks(arrival, service, n_slots, stream, init_x))
-    return Trace(a=np.concatenate([b.a for b in blocks]),
-                 s=np.concatenate([b.s for b in blocks]),
-                 x_full=np.concatenate([b.x for b in blocks] + [blocks[-1].x_full[-1:]]))
+    """One queue: the one-stage :func:`simulate_series`; unstable parameters are allowed."""
+    return simulate_series(arrival, [service], n_slots, stream, init_x)[0]
 
 
 def path_max_X(arrivals: Sequence[float], services: Sequence[float]):

@@ -9,7 +9,7 @@ stationary marginals (the product-form theorem), and every stage's
 departure process is distributed like the external arrival process.
 
 :func:`simulate_tandem` draws from a stream the caller passes in and runs
-every stage on the single-queue kernel :func:`~batchq.queue_core.lindley`;
+the stages on the slot engine of :mod:`batchq.queue_core` in one block;
 :func:`verify_product_form` tests the product form on the resulting trace.
 """
 
@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DistSpec, mean, sample_n
-from .queue_core import QueueParams, StationaryLaw, Trace, lindley, stationary_law, write_csv
+from .distributions import DistSpec, mean
+from .queue_core import QueueParams, Trace, simulate_series, stationary_law, write_csv
 from .stats import EmpiricalPmf, TestResult, chi_square_gof, independence_chi2
 from .streams import RandomStream
 
@@ -83,11 +83,18 @@ class TandemTrace:
             if not np.array_equal(self.stages[r].d, self.stages[r + 1].a):
                 raise ValueError(f"feed-forward identity violated between stages {r+1} and {r+2}")
 
+    @property
+    def _csv_header(self) -> list[str]:
+        return ["n", "A"] + [f"X{r+1}" for r in range(self.R)] + [f"D{r+1}" for r in range(self.R)]
+
+    def _columns(self, first_n: int, nxt) -> list[np.ndarray]:
+        """CSV columns of these slots, numbered from ``first_n``; no cell needs the next block."""
+        return [np.arange(first_n, first_n + len(self)), self.stages[0].a,
+                *(tr.x for tr in self.stages), *(tr.d for tr in self.stages)]
+
     def to_csv(self, path) -> None:
         """One row per slot: n, A, then per-stage X1..XR and D1..DR (cells as in Trace.to_csv)."""
-        header = ["n", "A"] + [f"X{r+1}" for r in range(self.R)] + [f"D{r+1}" for r in range(self.R)]
-        write_csv(path, header, [np.arange(len(self)), self.stages[0].a,
-                                 *(tr.x for tr in self.stages), *(tr.d for tr in self.stages)])
+        write_csv(path, self._csv_header, self._columns(0, None))
 
 
 def simulate_tandem(config: TandemConfig, n_slots: int, stream: RandomStream) -> TandemTrace:
@@ -97,15 +104,7 @@ def simulate_tandem(config: TandemConfig, n_slots: int, stream: RandomStream) ->
     the stage service sequences in stage order, so the stream's seed pins
     the whole system.
     """
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    arr = sample_n(config.arrival, stream, n_slots)
-    services = [sample_n(sv, stream, n_slots) for sv in config.services]
-    stages = []
-    for s in services:
-        stages.append(Trace(a=arr, s=s, x_full=lindley(arr, s, 0)))
-        arr = stages[-1].d
-    return TandemTrace(config=config, stages=stages)
+    return TandemTrace(config, simulate_series(config.arrival, config.services, n_slots, stream))
 
 
 def verify_product_form(trace: TandemTrace, burn_in: int = 10_000,
@@ -124,8 +123,7 @@ def verify_product_form(trace: TandemTrace, burn_in: int = 10_000,
     cut = 8
     if n - burn_in < 100_000:
         raise ValueError("trace too short: need at least 1e5 post-burn-in slots")
-    laws: list[StationaryLaw] = [stationary_law(trace.config.stage_params(r))
-                                 for r in range(trace.R)]
+    laws = [stationary_law(trace.config.stage_params(r)) for r in range(trace.R)]
     results: list[TestResult] = []
     for r, tr in enumerate(trace.stages):
         emp = EmpiricalPmf.from_samples(tr.x[burn_in::stride], cutoff=cut)

@@ -17,14 +17,14 @@ import pytest
 from batchq import distributions as dist
 from batchq import percolation as perc
 from batchq import timeconstants as tc
+from batchq import verify
 from batchq.cli import run
-from batchq.queue_core import (QueueParams, markov_oracle, simulate,
-                               stationary_law, verify_detailed_balance)
+from batchq.queue_core import markov_oracle, simulate, stationary_law
 from batchq.stats import (EmpiricalPmf, batch_mean_stderr, chi_square_gof,
                           encode_pairs, independence_chi2, lag_autocorr)
 from batchq.streams import RandomStream
 from batchq.tandem import TandemConfig, simulate_tandem, verify_product_form
-from batchq.verify import CONDITION_SETS, GENERAL_SERVICE_CASES
+from batchq.verify import CONDITION_SETS
 
 MAIN = CONDITION_SETS[0]        # p=1/3, alpha=2/3, q=beta=1/2
 BURN = 10_000
@@ -47,9 +47,10 @@ def main_trace():
 
 def test_criterion_1_detailed_balance():
     t0 = time.time()
-    worst = max(verify_detailed_balance(p) for p in CONDITION_SETS)
+    checks = verify.check_detailed_balance()
     elapsed = time.time() - t0
-    _report(1, worst <= 1e-12 and elapsed < 1.0,
+    worst = checks[0]["observed"]  # detailed_balance_residual_5_sets, <= 1e-12
+    _report(1, all(c["passed"] for c in checks) and elapsed < 1.0,
             f"max residual {worst:.3e} over 5 sets (k,r<=m<=30) in {elapsed:.2f}s")
 
 
@@ -141,14 +142,12 @@ def test_criterion_6_tandem():
 
 
 def test_criterion_7_general_service_ratios():
-    spreads = {}
-    for name, arr, svc in GENERAL_SERVICE_CASES:
-        pi = markov_oracle(arr, svc, K=300)
-        ratios = pi[2:52] / pi[1:51]   # pi(k+1)/pi(k) for k = 1..50
-        spreads[name] = float(ratios.max() - ratios.min())
-    worst = max(spreads.values())
-    _report(7, worst <= 1e-9,
-            "ratio spreads " + ", ".join(f"{k}={v:.2e}" for k, v in spreads.items()))
+    # spread of pi(k+1)/pi(k) for k = 1..50, each <= 1e-9
+    checks = verify.check_general_service_ratios()
+    _report(7, all(c["passed"] for c in checks),
+            "ratio spreads " + ", ".join(
+                f"{c['name'].removeprefix('general_service_constant_ratio_')}={c['observed']:.2e}"
+                for c in checks))
 
 
 def test_criterion_8_percolation_oracle():

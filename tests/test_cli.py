@@ -16,6 +16,8 @@ from batchq import queue_core
 from batchq.cli import run
 from batchq.queue_core import QueueParams, lindley
 from batchq.streams import RandomStream
+from batchq.tandem import TandemConfig, TandemTrace
+from test_queue_core import _old_write_csv
 
 
 def test_tc_single_value_prints_plain_float(capsys):
@@ -61,7 +63,7 @@ def test_dist_pmf_csv(capsys):
     assert [float(l.split(",")[1]) for l in lines[1:]] == [0.5, 0.25, 0.125]
 
 
-def test_dist_sample_deterministic_json(capsys):
+def test_dist_sample_deterministic_json(capsys, tmp_path):
     spec = '{"kind": "geom_plus", "alpha": 0.5}'
     assert run(["dist", "sample", "--spec", spec, "--n", "5", "--seed", "42",
                 "--format", "json"]) == 0
@@ -69,6 +71,12 @@ def test_dist_sample_deterministic_json(capsys):
     assert run(["dist", "sample", "--spec", spec, "--n", "5", "--seed", "42",
                 "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == first
+    # the CSV is the per-cell formatter's text, for a discrete and a continuous kind
+    for spec in (dist.geom_plus(0.5), dist.exponential(1.5)):
+        assert run(["dist", "sample", "--spec", spec.to_json(), "--n", "3000", "--seed", "42"]) == 0
+        _old_write_csv(tmp_path / "old.csv", ["value"],
+                       [dist.sample_n(spec, RandomStream(42), 3000)])
+        assert capsys.readouterr().out == (tmp_path / "old.csv").read_text()
 
 
 def test_dist_bad_spec_exits_2(capsys):
@@ -302,29 +310,44 @@ def test_explicit_burn_in_is_used_as_given(capsys):
     assert json.loads(capsys.readouterr().out)["burn_in"] == 500
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(derandomize=True, deadline=None, max_examples=60)
 @given(block=st.integers(1, 40), slots=st.integers(1, 150), init_x=st.integers(0, 12),
-       seed=st.integers(0, 2**31), data=st.data())
-def test_streamed_queue_out_and_summary_equal_the_whole_trace(block, slots, init_x, seed, data,
-                                                              tmp_path_factory):
+       seed=st.integers(0, 2**31), command=st.sampled_from(["queue", "tandem"]),
+       stages=st.integers(1, 4), data=st.data())
+def test_streamed_queue_out_and_summary_equal_the_whole_trace(block, slots, init_x, seed, command,
+                                                              stages, data, tmp_path_factory):
     burn = data.draw(st.integers(0, slots - 1))
-    root = tmp_path_factory.mktemp("queue")
-    argv = ["queue", *P, "--slots", str(slots), "--burn-in", str(burn),
-            "--init-x", str(init_x), "--seed", str(seed), "--out", str(root / "streamed.csv")]
+    root = tmp_path_factory.mktemp(command)
+    argv = [command, *P, "--slots", str(slots), "--burn-in", str(burn), "--seed", str(seed),
+            "--out", str(root / "streamed.csv")]
+    if command == "queue":
+        argv += ["--init-x", str(init_x)]
+        stages = 1
+    else:
+        argv += ["--stages", str(stages)]
+        init_x = 0
     stdout = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
         mp.setattr(queue_core, "_BLOCK_SLOTS", block)
         assert run(argv) == 0
-    # the whole trace at once: both sampler calls, then one Lindley pass
+    # the whole trace at once: every sampler call, then one Lindley pass per stage
     params = QueueParams(*(float(v) for v in P[1::2]))
     stream = RandomStream(seed)
     a = dist.sample_n(params.arrival_spec, stream, slots)
-    s = dist.sample_n(params.service_spec, stream, slots)
-    whole = queue_core.Trace(a=a, s=s, x_full=lindley(a, s, init_x))
-    whole.to_csv(root / "whole.csv")
-    assert (root / "streamed.csv").read_bytes() == (root / "whole.csv").read_bytes()
+    services = [dist.sample_n(params.service_spec, stream, slots) for _ in range(stages)]
+    whole = []
+    for r, s in enumerate(services):
+        whole.append(queue_core.Trace(a=a, s=s, x_full=lindley(a, s, init_x if r == 0 else 0)))
+        a = whole[-1].d
     summary = json.loads(stdout.getvalue())
     assert summary["burn_in"] == burn
-    assert summary["empirical"] == {"mean_x": float(whole.x[burn:].mean()),
-                                    "mean_y": float(whole.y[burn:].mean()),
-                                    "mean_d": float(whole.d[burn:].mean())}
+    if command == "queue":
+        whole[0].to_csv(root / "whole.csv")
+        assert summary["empirical"] == {"mean_x": float(whole[0].x[burn:].mean()),
+                                        "mean_y": float(whole[0].y[burn:].mean()),
+                                        "mean_d": float(whole[0].d[burn:].mean())}
+    else:
+        TandemTrace(TandemConfig.bergeom(params, stages), whole).to_csv(root / "whole.csv")
+        assert summary["empirical_mean_x"] == [float(tr.x[burn:].mean()) for tr in whole]
+        assert summary["empirical_mean_d"] == [float(tr.d[burn:].mean()) for tr in whole]
+    assert (root / "streamed.csv").read_bytes() == (root / "whole.csv").read_bytes()

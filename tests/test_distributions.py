@@ -384,6 +384,8 @@ def test_sample_chunks_concatenate_to_one_sample_n_call(kind, data):
     s_one, s_chunks = RandomStream(seed), RandomStream(seed)
     one = dist.sample_n(spec, s_one, n)
     chunks = list(dist.sample_chunks(spec, s_chunks, n, block))
+    # one slice, drawn straight from the stream, whenever 0 < n <= block
+    assert len(chunks) == -(-n // block)
     assert all(1 <= len(c) <= block for c in chunks)
     assert sum(map(len, chunks)) == n
     joined = np.concatenate(chunks) if chunks else one[:0]

@@ -14,9 +14,9 @@ from batchq import queue_core
 from batchq.queue_core import (QueueParams, Trace, check_condition,
                                check_continuous_condition, excursion_loglik,
                                lindley, markov_oracle, match_arrival_bernoulli,
-                               path_max_X, simulate, simulate_blocks, solve_arrival,
-                               stationary_law, step, tee_csv, verify_detailed_balance,
-                               write_csv)
+                               path_max_X, simulate, simulate_blocks, simulate_series,
+                               solve_arrival, stationary_law, step, tee_csv,
+                               verify_detailed_balance, write_csv)
 from batchq.stats import EmpiricalPmf, chi_square_gof
 from batchq.streams import RandomStream
 
@@ -296,20 +296,37 @@ def test_queue_params_validation_and_burn_in():
     assert MAIN.arrival_rate == pytest.approx(0.5)
 
 
-def _one_shot(arrival, service, n, stream, init_x):
-    """The whole trace at once: both sampler calls, then one Lindley pass."""
-    a, s = dist.sample_n(arrival, stream, n), dist.sample_n(service, stream, n)
-    if a.dtype != s.dtype:
-        a, s = a.astype(float), s.astype(float)
-    return Trace(a=a, s=s, x_full=lindley(a, s, init_x if a.dtype == np.int64 else float(init_x)))
+def _one_shot(arrival, services, n, stream, init_x):
+    """Whole traces of queues in series: every sampler call, then one Lindley pass per stage.
+
+    The first stage starts at ``init_x`` and the others empty; a stage whose
+    arrival and service dtypes differ runs in float.
+    """
+    a = dist.sample_n(arrival, stream, n)
+    drawn = [dist.sample_n(sv, stream, n) for sv in services]
+    stages = []
+    for r, s in enumerate(drawn):
+        if a.dtype != s.dtype:
+            a, s = a.astype(float), s.astype(float)
+        x0 = init_x if r == 0 else 0
+        x0 = x0 if a.dtype == np.int64 else float(x0)
+        stages.append(Trace(a=a, s=s, x_full=lindley(a, s, x0)))
+        a = stages[-1].d
+    return stages
 
 
 _SIM_SPECS = st.sampled_from([
-    (dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)),
-    (dist.ber_geom(0.3, 0.6), dist.geom_zero(0.5)),
-    (dist.geom_plus(0.3), dist.bernoulli(0.4)),
-    (dist.ber_exp(0.3, 1.0), dist.ber_exp(0.5, 0.5)),
-    (dist.exponential(2.0), dist.ber_geom(0.5, 0.5)),
+    (dist.ber_geom(0.4, 0.5), [dist.ber_geom(0.6, 0.4)]),
+    (dist.ber_geom(0.3, 0.6), [dist.geom_zero(0.5)]),
+    (dist.geom_plus(0.3), [dist.bernoulli(0.4)]),
+    (dist.ber_exp(0.3, 1.0), [dist.ber_exp(0.5, 0.5)]),
+    (dist.exponential(2.0), [dist.ber_geom(0.5, 0.5)]),
+    # queues in series, R = 2..4, and a float stage feeding an integer one
+    (dist.ber_geom(0.4, 0.5), [dist.ber_geom(0.6, 0.4)] * 2),
+    (dist.ber_geom(1 / 3, 2 / 3), [dist.ber_geom(0.5, 0.5)] * 3),
+    (dist.geom_plus(0.6), [dist.geom_zero(0.5), dist.ber_geom(0.6, 0.4), dist.bernoulli(0.7),
+                           dist.geom_plus(0.3)]),
+    (dist.ber_geom(0.4, 0.5), [dist.exponential(1.0), dist.ber_geom(0.6, 0.4)]),
 ])
 
 
@@ -317,28 +334,35 @@ _SIM_SPECS = st.sampled_from([
 @given(specs=_SIM_SPECS, block=st.integers(1, 50), n=st.integers(1, 300),
        init_x=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
 def test_block_simulation_equals_one_shot_slot_by_slot(specs, block, n, init_x, seed):
-    arrival, service = specs
-    ref = _one_shot(arrival, service, n, RandomStream(seed), init_x)
+    arrival, services = specs
+    ref = _one_shot(arrival, services, n, RandomStream(seed), init_x)
     stream = RandomStream(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(queue_core, "_BLOCK_SLOTS", block)
-        blocks = list(simulate_blocks(arrival, service, n, stream, init_x=init_x))
-        tr = simulate(arrival, service, n, RandomStream(seed), init_x=init_x)
-    assert [len(b) for b in blocks] == [min(block, n - lo) for lo in range(0, n, block)]
-    x = ref.x_full[0]
-    for lo, b in zip(range(0, n, block), blocks):
-        # each block starts where the previous one ended
-        assert b.x_full[0] == x
-        assert np.array_equal(b.a, ref.a[lo:lo + block])
-        assert np.array_equal(b.s, ref.s[lo:lo + block])
-        assert np.array_equal(b.x_full, ref.x_full[lo:lo + block + 1])
-        x = b.final_x
-    for name in ("a", "s", "x_full"):
-        got, want = getattr(tr, name), getattr(ref, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    # the stream is left past all 2n draws, as by the one-shot run
+        blocks = list(simulate_blocks(arrival, services, n, stream, init_x=init_x))
+        whole = simulate_series(arrival, services, n, RandomStream(seed), init_x=init_x)
+    assert [len(b[0]) for b in blocks] == [min(block, n - lo) for lo in range(0, n, block)]
+    for r, want in enumerate(ref):
+        x = want.x_full[0]
+        for lo, stages in zip(range(0, n, block), blocks):
+            b = stages[r]
+            # each block starts where the stage's previous block ended
+            assert b.x_full[0] == x
+            assert np.array_equal(b.a, want.a[lo:lo + block])
+            assert np.array_equal(b.s, want.s[lo:lo + block])
+            assert np.array_equal(b.x_full, want.x_full[lo:lo + block + 1])
+            x = b.final_x
+        tracks = [whole[r]]
+        if len(services) == 1:
+            tracks.append(simulate(arrival, services[0], n, RandomStream(seed), init_x=init_x))
+        for tr in tracks:
+            for name in ("a", "s", "x_full"):
+                got, exp = getattr(tr, name), getattr(want, name)
+                assert got.dtype == exp.dtype and np.array_equal(got, exp)
+    # the stream is left past all the draws, as by the one-shot run
     assert stream.uniform() == RandomStream(seed).ahead(
-        n * sum(2 if s.kind in ("ber_geom", "ber_exp") else 1 for s in specs)).uniform()
+        n * sum(2 if s.kind in ("ber_geom", "ber_exp") else 1 for s in (arrival, *services))
+    ).uniform()
 
 
 def test_block_simulation_matches_iterated_step_across_default_blocks():
@@ -407,10 +431,10 @@ def test_write_csv_crosses_row_blocks(tmp_path):
 def test_tee_csv_writes_the_whole_trace_file(block, n, init_x, seed, tmp_path_factory):
     root = tmp_path_factory.mktemp("tee")
     arrival, service = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
-    _one_shot(arrival, service, n, RandomStream(seed), init_x).to_csv(root / "whole.csv")
+    _one_shot(arrival, [service], n, RandomStream(seed), init_x)[0].to_csv(root / "whole.csv")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(queue_core, "_BLOCK_SLOTS", block)
-        blocks = simulate_blocks(arrival, service, n, RandomStream(seed), init_x=init_x)
-        passed = list(tee_csv(blocks, root / "streamed.csv"))
+        blocks = simulate_blocks(arrival, [service], n, RandomStream(seed), init_x=init_x)
+        passed = list(tee_csv((stages[0] for stages in blocks), root / "streamed.csv"))
     assert sum(map(len, passed)) == n
     assert (root / "streamed.csv").read_bytes() == (root / "whole.csv").read_bytes()
