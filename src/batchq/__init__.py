@@ -1,9 +1,10 @@
-"""Batch queues, Burke-type verification, and first-passage time constants."""
+"""Batch queues, Burke-type verification, and first-passage time constants.
 
-from . import distributions, percolation, queue_core, stats, tandem, timeconstants, verify
-from .distributions import DistSpec
-from .queue_core import QueueParams, StationaryLaw, Trace
-from .streams import RandomStream
+Submodules and the re-exported names load on first access, so a command
+imports only the modules it uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -21,3 +22,24 @@ __all__ = [
     "stats",
     "verify",
 ]
+
+_MODULES = ("distributions", "percolation", "queue_core", "stats", "streams", "tandem",
+            "timeconstants", "verify")
+# re-exported name -> the submodule that defines it
+_NAMES = {"DistSpec": "distributions", "QueueParams": "queue_core", "StationaryLaw": "queue_core",
+          "Trace": "queue_core", "RandomStream": "streams"}
+
+
+def __getattr__(name: str):
+    if name in _NAMES:
+        value = getattr(importlib.import_module(f".{_NAMES[name]}", __name__), name)
+    elif name in _MODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -11,33 +11,52 @@ Exit codes: 0 success, 1 failed verification, 2 usage or validation error.
 
 Outputs are deterministic for a fixed argv and seed: floats print with
 17 significant digits and JSON keys are sorted.  --threads is accepted
-and has no effect: perc simulate sweeps every replica together in one
-process.  perc simulate draws one field per replica from the seed's
+and still ignored: perc simulate uses one worker process per usable CPU
+on its own, and its output is byte-identical for any worker count.
+perc simulate draws one field per replica from the seed's
 substream(0) and reads every --x grid point off it, so rows at
 different x are correlated.  The cost of perc identity is linear in
 --window.  queue and tandem share one block loop: it runs the slots in
 blocks with the one-block run's draws and bytes, writes --out rows as
 each block is made and sums the summary means exactly, so memory is
-bounded by the block; no --threads-like knob sets the block size.
+bounded by the block; no --threads-like knob sets the block size.  A
+subcommand imports only the modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import io
 import json
 import sys
 
 from . import distributions as dist
-from . import percolation as perc
-from . import timeconstants as tc
 from .queue_core import (QueueParams, check_condition, condition_holds, simulate_blocks,
                          stationary_law, tee_csv, write_csv)
 from .streams import RandomStream
 from .tandem import TandemConfig, TandemTrace
-from .verify import SUITES, run_suite
 
 __all__ = ["main", "run"]
+
+
+class _Choices:
+    """Flag choices read from a batchq module's attribute when a value is
+    checked or help is shown; a parser built with them imports the module
+    only then, so only tc imports timeconstants and only verify imports
+    verify."""
+
+    def __init__(self, module: str, name: str):
+        self.module, self.name = module, name
+
+    def _names(self) -> tuple[str, ...]:
+        return getattr(importlib.import_module(f"{__package__}.{self.module}"), self.name)
+
+    def __contains__(self, value) -> bool:
+        return value in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 def _fmt(v: float) -> str:
@@ -175,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("tc", help="time constants: single value or curve CSV")
-    sp.add_argument("--variant", required=True, choices=tc.VARIANTS)
+    sp.add_argument("--variant", required=True, choices=_Choices("timeconstants", "VARIANTS"),
+                    metavar="VARIANT", help="one of %(choices)s")
     sp.add_argument("--x", required=True, help="abscissa: single value, comma list, or lo:hi:step")
     sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--beta", type=float, default=None)
@@ -183,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("verify", help="run the verification suites; exit 0 iff all pass")
-    sp.add_argument("--suite", default=None, choices=SUITES, help="default: all")
+    sp.add_argument("--suite", default=None, choices=_Choices("verify", "SUITES"),
+                    metavar="SUITE", help="one of %(choices)s (default: all)")
     _add_common(sp)
     return parser
 
@@ -272,6 +293,7 @@ def _cmd_tandem(args, parser) -> int:
 
 
 def _cmd_perc(args, parser) -> int:
+    from . import percolation as perc
     if args.action == "simulate":
         spec = dist.DistSpec.from_json(args.weights)
         xs = _parse_grid(args.x, parser)
@@ -305,6 +327,7 @@ def _cmd_perc(args, parser) -> int:
 
 
 def _cmd_tc(args, parser) -> int:
+    from . import timeconstants as tc
     xs = _parse_grid(args.x, parser)
     if not xs:
         parser.error("empty --x grid")
@@ -323,6 +346,7 @@ def _cmd_tc(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    from .verify import run_suite
     suite = args.suite or "all"
     report = run_suite(suite, _seed_of(args))
     _write_out(_json_dump(report), args.out)

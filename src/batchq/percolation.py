@@ -30,18 +30,23 @@ per distinct event time, so ``_sweep`` is the only copy of the DP.
 :func:`enumerate_first_passage` is the brute-force oracle for the DP; it
 refuses shapes with more than a million paths.
 
-The time-constant estimator sweeps all its replicas at once: one
+The time-constant estimator sweeps its replicas together: one
 (replicas x rows) DP steps through blocks of columns, and each replica's
 stream draws its block in the order of one ``sample_n`` call per column.
 A whole x-grid is read off one field per replica, at column floor(x N),
-so the estimates at different x are correlated.
+so the estimates at different x are correlated.  A large estimate uses
+one worker process per usable CPU: the replicas split into contiguous
+shards, each swept in a forked worker, and the values join in replica
+order, so the estimates are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import chain, combinations_with_replacement, islice
 from typing import Sequence
 
 import numpy as np
@@ -148,29 +153,60 @@ def first_passage(field: WeightField, query: PathQuery) -> float:
     return float(out)
 
 
+# The row sequences of a shape are built _ENUM_CELLS index cells at a time
+# (512 KB), and the sequences of shapes that fit one such block are kept,
+# for at most 64 shapes (32 MB).
+_ENUM_CELLS = 1 << 16
+
+
+def _row_sequences(n_cols: int, span: int):
+    """Yield (paths, n_cols) index arrays whose rows are, in lexicographic
+    order, the weakly increasing sequences of n_cols rows in range(span)."""
+    seqs = combinations_with_replacement(range(span), n_cols)
+    per = max(1, _ENUM_CELLS // n_cols)
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(seqs, per)), dtype=np.intp)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, n_cols)
+
+
+@lru_cache(maxsize=64)
+def _small_row_sequences(n_cols: int, span: int) -> tuple[np.ndarray, ...]:
+    blocks = tuple(_row_sequences(n_cols, span))
+    for b in blocks:
+        b.flags.writeable = False  # every later call of the shape shares them
+    return blocks
+
+
 def enumerate_first_passage(field: WeightField, query: PathQuery) -> float:
     """Brute-force oracle: enumerate every monotone row sequence.
 
     Row sequences are weakly increasing, one per column; refuses when the
-    binomial path count exceeds a million.
+    binomial path count exceeds a million.  Each path's weight is summed
+    on its own (numpy's sum of the path's weights), with no DP.
     """
     query.validate(field)
     i, j = query.start
     k, l = query.end
     n_cols = k - i + 1
     span = l - j + 1
-    if math.comb(n_cols + span - 1, span - 1) > 1_000_000:
+    paths = math.comb(n_cols + span - 1, span - 1)
+    if paths > 1_000_000:
         raise ValueError("too many paths for brute-force enumeration")
     if query.pinned and i == k and j != l:
         raise ValueError("no pinned path: a single column cannot span two rows")
+    if paths * n_cols <= _ENUM_CELLS:
+        blocks = _small_row_sequences(n_cols, span)
+    else:
+        blocks = _row_sequences(n_cols, span)
     best = np.inf
     cols = np.arange(i, k + 1)
-    for rows in combinations_with_replacement(range(j, l + 1), n_cols):
-        if query.pinned and (rows[0] != j or rows[-1] != l):
-            continue
-        w = field.weights[list(rows), cols].sum()
-        if w < best:
-            best = w
+    for seqs in blocks:
+        if query.pinned:
+            seqs = seqs[(seqs[:, 0] == 0) & (seqs[:, -1] == span - 1)]
+        if len(seqs):
+            best = min(best, field.weights[j + seqs, cols].sum(axis=1).min())
     if not np.isfinite(best):
         raise ValueError("empty path set")
     return float(best)
@@ -195,6 +231,15 @@ class TimeConstantEstimate:
 _BLOCK_COLUMNS = 8
 _BLOCK_CELLS = 1 << 19
 
+# Replicas are split into one shard per usable CPU, each run in a forked
+# worker, once the estimate draws at least _FORK_CELLS weights (replicas x
+# rows x columns).  Measured on 2 vCPUs (Python 3.11, numpy 2.4.6): one
+# process sweeps about 50 M weights/s; importing multiprocessing and
+# concurrent.futures costs about 25 ms and an empty 2-worker fork pool
+# about 15 ms.  At 2**23 weights (170 ms of serial work) two shards save
+# about 85 ms, twice that cost; smaller estimates stay in-process.
+_FORK_CELLS = 1 << 23
+
 
 def _columns(weight_spec: DistSpec, streams: list[RandomStream], n_cols: int, rows: int):
     """Yield the (replicas, rows) columns of one field per stream.
@@ -212,6 +257,53 @@ def _columns(weight_spec: DistSpec, streams: list[RandomStream], n_cols: int, ro
         yield from block[:k]
 
 
+def _shard(weight_spec: DistSpec, stream: RandomStream, n: int, cols: Sequence[int],
+           lo: int, hi: int) -> dict[int, np.ndarray]:
+    """F((0,0),(c, N)) / N at every column c of ``cols`` for replicas lo..hi-1.
+
+    Replica r draws from ``stream.substream(r)``; the replicas are swept in
+    groups of at most ``_BLOCK_CELLS`` weights per block.  The DP is
+    elementwise across replicas, so a replica's values do not depend on
+    the shard or group it is swept in.
+    """
+    rows, n_cols = n + 1, max(cols) + 1
+    vals = {c: np.empty(hi - lo) for c in cols}
+    group = max(1, _BLOCK_CELLS // (_BLOCK_COLUMNS * rows))
+    for g in range(lo, hi, group):
+        g_hi = min(g + group, hi)
+        streams = [stream.substream(r) for r in range(g, g_hi)]
+        sweep = _sweep(_columns(weight_spec, streams, n_cols, rows), pinned=True)
+        for c, dp in enumerate(sweep):
+            if c in vals:
+                vals[c][g - lo:g_hi - lo] = dp[:, -1] / n
+    return vals
+
+
+def _replica_values(weight_spec: DistSpec, stream: RandomStream, n: int, cols: Sequence[int],
+                    replicas: int) -> dict[int, np.ndarray]:
+    """:func:`_shard` over all replicas: one contiguous shard per usable CPU,
+    capped at ``replicas``, each run in a forked worker and joined in replica
+    order; or one shard in-process when the field is below ``_FORK_CELLS``
+    weights, there is one CPU, or the platform cannot fork."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    shards = min(cpus, replicas)
+    if shards > 1 and replicas * (n + 1) * (max(cols) + 1) >= _FORK_CELLS:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            bounds = [replicas * i // shards for i in range(shards + 1)]
+            # fork, not spawn: a spawned worker would import numpy and batchq again
+            with ProcessPoolExecutor(shards, mp_context=multiprocessing.get_context("fork")) as pool:
+                futures = [pool.submit(_shard, weight_spec, stream, n, cols, lo, hi)
+                           for lo, hi in zip(bounds, bounds[1:])]
+                parts = [f.result() for f in futures]
+            return {c: np.concatenate([p[c] for p in parts]) for c in cols}
+    return _shard(weight_spec, stream, n, cols, 0, replicas)
+
+
 def estimate_curve(weight_spec: DistSpec, xs: Sequence[float], n: int, replicas: int,
                    stream: RandomStream) -> list[TimeConstantEstimate]:
     """Monte Carlo estimates of the time constant at every aspect ratio in ``xs``.
@@ -223,8 +315,11 @@ def estimate_curve(weight_spec: DistSpec, xs: Sequence[float], n: int, replicas:
     of columns, each replica's block drawn in the order of one
     ``sample_n`` call per column.  A field's first columns do not depend
     on its length, so each estimate equals that of a one-point grid, and
-    of one replica at a time.  Estimates come back in the order of
-    ``xs``; repeated and unsorted values are allowed.
+    of one replica at a time.  Large estimates split the replicas into
+    one contiguous shard per usable CPU, each swept in a forked worker
+    process; the values, and so the estimates, are bit for bit those of
+    one process.  Estimates come back in the order of ``xs``; repeated
+    and unsorted values are allowed.
     """
     if len(xs) == 0:
         raise ValueError("empty x grid: need at least one aspect ratio")
@@ -241,16 +336,7 @@ def estimate_curve(weight_spec: DistSpec, xs: Sequence[float], n: int, replicas:
             raise ValueError(f"aspect ratio x={x!r} is too small for N={n}: floor(x*N) = 0 "
                              "leaves one column, which no path from row 0 to row N fits")
         cols.append(c)
-    rows, n_cols = n + 1, max(cols) + 1
-    vals = {c: np.empty(replicas) for c in cols}
-    group = max(1, _BLOCK_CELLS // (_BLOCK_COLUMNS * rows))
-    for lo in range(0, replicas, group):
-        hi = min(lo + group, replicas)
-        streams = [stream.substream(r) for r in range(lo, hi)]
-        sweep = _sweep(_columns(weight_spec, streams, n_cols, rows), pinned=True)
-        for c, dp in enumerate(sweep):
-            if c in vals:
-                vals[c][lo:hi] = dp[:, -1] / n
+    vals = _replica_values(weight_spec, stream, n, sorted(set(cols)), replicas)
     out = []
     for x, c in zip(xs, cols):
         v = vals[c]
@@ -267,8 +353,9 @@ def estimate_time_constant(weight_spec: DistSpec, x: float, n: int, replicas: in
 
     The one-point case of :func:`estimate_curve`: replica r draws its
     field from ``stream.substream(r)``, so the estimate equals the row at
-    ``x`` of any grid estimated on the same stream.  ``threads`` is
-    accepted and has no effect.
+    ``x`` of any grid estimated on the same stream.  Like it, a large
+    estimate uses one worker process per usable CPU and is bit for bit
+    the one-process estimate.  ``threads`` is accepted and still ignored.
     """
     return estimate_curve(weight_spec, [x], n, replicas, stream)[0]
 

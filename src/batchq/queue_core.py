@@ -60,7 +60,6 @@ __all__ = [
     "path_max_X",
     "check_condition",
     "condition_holds",
-    "check_continuous_condition",
     "match_arrival_bernoulli",
     "solve_arrival",
     "stationary_law",
@@ -94,14 +93,6 @@ class QueueParams:
         return ber_geom(self.q, self.beta)
 
     @property
-    def arrival_rate(self) -> float:
-        return self.p / self.alpha
-
-    @property
-    def service_rate(self) -> float:
-        return self.q / self.beta
-
-    @property
     def is_stable(self) -> bool:
         """Mean service exceeds mean arrival: p*beta < q*alpha."""
         return self.p * self.beta < self.q * self.alpha
@@ -127,15 +118,8 @@ class StationaryLaw:
     def x_spec(self) -> DistSpec:
         return ber_geom(self.c, self.gamma)
 
-    @property
-    def y_spec(self) -> DistSpec:
-        return ber_geom(self.y_bernoulli, self.gamma)
-
     def x_pmf(self, k: int) -> float:
         return pmf(self.x_spec, k)
-
-    def y_pmf(self, k: int) -> float:
-        return pmf(self.y_spec, k)
 
     def to_dict(self) -> dict:
         return {
@@ -462,15 +446,6 @@ def condition_holds(params: QueueParams) -> bool:
     # to 1) cannot represent the curve more tightly than 1 - alpha allows
     lhs, rhs = _condition_sides(params)
     return abs(lhs - rhs) <= 1e-6 * max(1.0, abs(lhs), abs(rhs))
-
-
-def check_continuous_condition(p: float, a_rate: float, q: float, b_rate: float) -> float:
-    """Residual of the BerExp analogue: a*p/(1-p) - b*q/(1-q)."""
-    if not (0 < p < 1 and 0 < q < 1):
-        raise ValueError("p and q must lie strictly in (0, 1)")
-    if a_rate <= 0 or b_rate <= 0:
-        raise ValueError("rates must be positive")
-    return a_rate * p / (1.0 - p) - b_rate * q / (1.0 - q)
 
 
 def match_arrival_bernoulli(alpha: float, q: float, beta: float) -> float:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DistSpec, mean
+from .distributions import DistSpec
 from .queue_core import QueueParams, Trace, simulate_series, stationary_law, write_csv
 from .stats import EmpiricalPmf, TestResult, chi_square_gof, independence_chi2
 from .streams import RandomStream
@@ -40,11 +40,6 @@ class TandemConfig:
         object.__setattr__(self, "services", tuple(services))
         if len(self.services) < 1:
             raise ValueError("need at least one stage")
-
-    @property
-    def is_stable(self) -> bool:
-        """Every stage's mean service strictly exceeds the mean arrival."""
-        return all(mean(sv) > mean(self.arrival) for sv in self.services)
 
     @property
     def stages(self) -> int:

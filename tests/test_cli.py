@@ -5,7 +5,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,6 +302,80 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     code, err = _exit_code_and_stderr(argv, capsys)
     assert code == 2
     assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_perc_simulate_worker_error_exits_2(monkeypatch, capsys):
+    # every estimate forks, and a worker raises: geom_plus draws beyond int64
+    monkeypatch.setattr(perc, "_FORK_CELLS", 0)
+    monkeypatch.setattr(perc.os, "sched_getaffinity", lambda pid: {0, 1})
+    code, err = _exit_code_and_stderr(["perc", "simulate", "--weights",
+                                       '{"kind": "geom_plus", "alpha": 1e-300}', "--x", "1",
+                                       "--n", "10", "--replicas", "4"], capsys)
+    assert code == 2
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "does not fit in int64" in err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _batchq(code: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``argv`` in a fresh interpreter that imports this checkout's batchq."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env,
+                          timeout=120)
+
+
+# perc simulate with every estimate forked into three workers, after a stdout
+# write still in the pipe's buffer when the workers fork
+FORKED_RUN = """
+import os, sys
+from batchq import percolation
+from batchq.cli import run
+percolation._FORK_CELLS = 0
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+sys.stdout.write("before\\n")
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+def test_forked_perc_simulate_writes_its_output_once(tmp_path, capsys):
+    argv = ["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}', "--x", "1,2.5",
+            "--n", "30", "--replicas", "7", "--seed", "2"]
+    assert run(argv) == 0
+    serial = capsys.readouterr().out.encode()
+    forked = _batchq(FORKED_RUN, argv)
+    assert forked.returncode == 0, forked.stderr
+    assert forked.stdout == b"before\n" + serial
+    out = tmp_path / "est.csv"
+    forked = _batchq(FORKED_RUN, argv + ["--out", str(out)])
+    assert forked.returncode == 0, forked.stderr
+    assert forked.stdout == b"before\n" and out.read_bytes() == serial
+
+
+# the modules a command loaded, on stderr after the command's own output
+LOADED = """
+import sys
+from batchq.cli import run
+code = run(sys.argv[1:])
+sys.stderr.write(" ".join(m for m in ("multiprocessing", "concurrent.futures", "batchq.verify",
+                                      "batchq.timeconstants", "batchq.percolation")
+                          if m in sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["perc", "identity", *P, "--window", "20", "--instances", "3"], "batchq.percolation"),
+    (["queue", *P, "--slots", "2000"], ""),
+    (["tandem", *P, "--slots", "2000"], ""),
+    (["tc", "--variant", "exp", "--x", "3"], "batchq.timeconstants"),
+], ids=["perc-identity", "queue", "tandem", "tc"])
+def test_commands_import_only_what_they_use(argv, loaded):
+    res = _batchq(LOADED, argv)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.decode() == loaded
 
 
 def test_explicit_burn_in_is_used_as_given(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -60,6 +61,52 @@ def test_dp_equals_bruteforce_on_random_fields():
             assert first_passage(field, q) == enumerate_first_passage(field, q)
 
 
+def _enumerate_by_loop(field, query):
+    """Reference: every path's weights summed by its own numpy sum, one path at a time."""
+    i, j = query.start
+    k, l = query.end
+    best, cols = np.inf, np.arange(i, k + 1)
+    for rows in combinations_with_replacement(range(j, l + 1), k - i + 1):
+        if not query.pinned or (rows[0] == j and rows[-1] == l):
+            best = min(best, field.weights[list(rows), cols].sum())
+    return float(best)
+
+
+def test_enumeration_equals_the_path_loop_on_the_verify_fields():
+    # the first 150 fields of verify's percolation_exact family at seed 1
+    stream = RandomStream(RandomStream(1).substream(7).seed)
+    for i in range(150):
+        st_i = stream.substream(i)
+        rows = 1 + int(st_i.uniform() * 8)
+        cols = 1 + int(st_i.uniform() * 8)
+        if cols == 1:
+            rows = 1
+        field = WeightField(np.floor(st_i.uniforms(rows * cols) * 6).reshape(rows, cols))
+        for pinned in (True, False):
+            q = PathQuery((0, 0), (cols - 1, rows - 1), pinned=pinned)
+            assert enumerate_first_passage(field, q) == _enumerate_by_loop(field, q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(rows=st.integers(1, 4), cols=st.integers(9, 16), start=st.integers(0, 2),
+       integer=st.booleans(), pinned=st.booleans(), cells=st.sampled_from([1, 40, 1 << 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_enumeration_keeps_each_paths_summation_order(rows, cols, start, integer, pinned, cells,
+                                                      seed):
+    # past 8 terms numpy sums pairwise, so the order of a path's sum shows in its bits
+    st_w = RandomStream(seed)
+    if integer:
+        w = np.floor(st_w.uniforms(rows * cols) * 1000).astype(np.int64)
+    else:
+        w = st_w.uniforms(rows * cols) * 10.0 ** np.floor(st_w.uniforms(rows * cols) * 12 - 6)
+    field = WeightField(w.reshape(rows, cols))
+    q = PathQuery((start, rows // 3), (cols - 1, rows - 1), pinned=pinned)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perc, "_ENUM_CELLS", cells)  # 1 and 40: many blocks, none kept
+        got = enumerate_first_passage(field, q)
+    assert got.hex() == _enumerate_by_loop(field, q).hex()
+
+
 def test_query_validation():
     field = WeightField(np.ones((3, 3)))
     with pytest.raises(ValueError):
@@ -73,6 +120,8 @@ def test_query_validation():
     with pytest.raises(ValueError, match="too many paths"):
         enumerate_first_passage(WeightField(np.ones((40, 40))),
                                 PathQuery((0, 0), (39, 39)))
+    with pytest.raises(ValueError, match="empty path set"):
+        enumerate_first_passage(WeightField(np.full((2, 3), np.inf)), PathQuery((0, 0), (2, 1)))
 
 
 def test_monotonicity_in_weights():
@@ -277,6 +326,75 @@ def test_curve_rows_are_one_point_estimates(spec, xs, n, replicas, group, seed):
     for x, row in zip(xs, rows):
         one = estimate_time_constant(spec, x, n, replicas, RandomStream(seed))
         assert (row.mean, row.ci_lo, row.ci_hi) == (one.mean, one.ci_lo, one.ci_hi)
+
+
+# one spec of every weight kind
+KIND_SPECS = [dist.exponential(1.3), dist.ber_exp(0.4, 0.8), dist.bernoulli(0.3),
+              dist.geom_plus(0.6), dist.geom_zero(0.5), dist.ber_geom(0.3, 0.6),
+              dist.deterministic(0.5)]
+
+
+def _cpus(monkeypatch, k):
+    monkeypatch.setattr(perc.os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+@pytest.mark.parametrize("spec", KIND_SPECS, ids=lambda s: s.kind)
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(xs=st.lists(st.floats(0.1, 2.5), min_size=1, max_size=3), n=st.integers(10, 20),
+       replicas=st.integers(2, 7), group=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_forked_shards_equal_the_serial_run(spec, xs, n, replicas, group, seed):
+    serial = perc.estimate_curve(spec, xs, n, replicas, RandomStream(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        # every estimate forks, and groups split inside the shards
+        mp.setattr(perc, "_FORK_CELLS", 0)
+        mp.setattr(perc, "_BLOCK_CELLS", perc._BLOCK_COLUMNS * (n + 1) * group)
+        for cpus in (1, 2, 3, replicas + 2):
+            _cpus(mp, cpus)
+            forked = perc.estimate_curve(spec, xs, n, replicas, RandomStream(seed))
+            # repr prints each float's shortest round trip: equal reprs are equal bits
+            assert repr(forked) == repr(serial), cpus
+
+
+def _sweeps_here(monkeypatch):
+    """Counts the column sweeps that run in this process; a forked worker
+    counts in its own copy of the list."""
+    calls, sweep = [], perc._sweep
+    def spy(columns, pinned):
+        calls.append(pinned)
+        return sweep(columns, pinned)
+    monkeypatch.setattr(perc, "_sweep", spy)
+    return calls
+
+
+def test_shards_fork_only_with_fork_and_a_large_field(monkeypatch):
+    import multiprocessing
+    spec, stream = dist.exponential(1.0), RandomStream(4)
+    serial = perc.estimate_curve(spec, [1.0, 2.0], 30, 6, stream)
+    _cpus(monkeypatch, 2)
+    calls = _sweeps_here(monkeypatch)
+    # 6 x 31 x 61 weights is below _FORK_CELLS: one shard, in-process
+    assert perc.estimate_curve(spec, [1.0, 2.0], 30, 6, stream) == serial
+    assert len(calls) == 1
+    monkeypatch.setattr(perc, "_FORK_CELLS", 0)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+    assert perc.estimate_curve(spec, [1.0, 2.0], 30, 6, stream) == serial
+    assert len(calls) == 2
+    # with fork every shard runs in a worker
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    assert perc.estimate_curve(spec, [1.0, 2.0], 30, 6, stream) == serial
+    assert len(calls) == 2
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    spec = dist.geom_plus(1e-300)  # every draw is beyond int64
+    with pytest.raises(ValueError) as serial:
+        perc.estimate_curve(spec, [1.0], 10, 4, RandomStream(1))
+    monkeypatch.setattr(perc, "_FORK_CELLS", 0)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ValueError) as forked:
+        perc.estimate_curve(spec, [1.0], 10, 4, RandomStream(1))
+    assert str(forked.value) == str(serial.value)
+    assert "does not fit in int64" in str(serial.value)
 
 
 def test_estimate_flat_region_small():

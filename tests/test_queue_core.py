@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from batchq import distributions as dist
 from batchq import queue_core
-from batchq.queue_core import (QueueParams, Trace, check_condition,
-                               check_continuous_condition, excursion_loglik,
+from batchq.queue_core import (QueueParams, Trace, check_condition, excursion_loglik,
                                lindley, markov_oracle, match_arrival_bernoulli,
                                path_max_X, simulate, simulate_blocks, simulate_series,
                                solve_arrival, stationary_law, step, tee_csv,
@@ -120,14 +119,6 @@ def test_check_condition():
             geom_pair = QueueParams(p=1 - a, alpha=a, q=1 - b, beta=b)
             assert abs(check_condition(geom_pair)) <= 1e-12
     assert abs(check_condition(QueueParams(0.2, 0.9, 0.5, 0.5))) > 0.1
-
-
-def test_continuous_condition():
-    assert check_continuous_condition(1 / 3, 1.0, 1 / 2, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert check_continuous_condition(0.3, 1.7, 0.3, 1.7) == 0.0
-    assert abs(check_continuous_condition(0.2, 1.0, 0.5, 1.0)) > 0.1
-    with pytest.raises(ValueError):
-        check_continuous_condition(0.2, -1.0, 0.5, 1.0)
 
 
 def test_solve_arrival_examples():
@@ -293,7 +284,6 @@ def test_queue_params_validation_and_burn_in():
     with pytest.raises(ValueError):
         QueueParams(p=0.0, alpha=0.5, q=0.5, beta=0.5)
     assert MAIN.is_stable
-    assert MAIN.arrival_rate == pytest.approx(0.5)
 
 
 def _one_shot(arrival, services, n, stream, init_x):

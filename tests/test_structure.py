@@ -24,3 +24,33 @@ def test_no_private_imports_across_modules(path):
         if sibling:
             private += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert private == [], f"{path.name} imports private names {private}"
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every name a file uses: loaded names, attributes and imported names."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def _exported(path: Path) -> list[str]:
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return []
+
+
+def test_every_exported_name_has_a_caller_in_the_library_or_the_benchmark():
+    # a name only tests use is not part of the library's surface (its
+    # definition and its __all__ entry are not uses)
+    callers = SRC.parent.parent / "perfbench"
+    used = set().union(*map(_names_used, MODULES + sorted(callers.glob("*.py"))))
+    unused = [f"{p.stem}.{name}" for p in MODULES for name in _exported(p) if name not in used]
+    assert unused == [], f"exported names with no caller in src/ or perfbench/: {unused}"

@@ -45,7 +45,6 @@ def test_config_validation():
         TandemConfig(dist.bernoulli(0.5), [])
     config = TandemConfig(dist.bernoulli(0.2), [dist.geom_plus(0.5), dist.deterministic(1)])
     assert config.stages == 2
-    assert config.is_stable
     with pytest.raises(ValueError, match="Bernoulli-geometric"):
         config.stage_params(0)
 
