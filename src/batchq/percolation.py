@@ -138,8 +138,10 @@ def _sweep(columns, pinned: bool):
 def first_passage(field: WeightField, query: PathQuery) -> float:
     """Minimum path weight via a column sweep with prefix minima.
 
-    Runs in O(columns x rows) time; agrees with the brute-force
-    enumeration everywhere the latter is feasible.
+    Runs in O(columns x rows) time.  It equals the brute-force
+    enumeration exactly on integer-valued weights; on float weights the two
+    can differ in the last bit, since the DP adds a path's weights left to
+    right and numpy's sum adds more than 8 terms pairwise.
     """
     query.validate(field)
     i, j = query.start

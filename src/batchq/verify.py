@@ -11,8 +11,13 @@ substream index and the two compared values).  Statistical checks
 carry a chi-square or KS p-value; :func:`run_suite` re-grades them at a
 Bonferroni-corrected level (0.01 divided by the number of statistical
 checks in the suite) so the suite-level false-alarm rate stays at 1%.
-All randomness is derived from the suite seed through numbered
-substreams, so a report is byte-identical across runs.
+
+One table, :data:`FAMILIES`, lists every family in report order with
+its suite and its substream index; ``check_<family>`` runs it.  A
+seeded family gets substream ``index`` of the suite seed, so all
+randomness is derived from the suite seed and a report is
+byte-identical across runs.  The acceptance criteria call the same
+``check_*`` functions on fixed seeds of their own.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from .stats import (EmpiricalPmf, TestResult, batch_mean_stderr,
 from .streams import RandomStream
 from .tandem import TandemConfig, simulate_tandem, verify_product_form
 
-__all__ = ["run_suite", "SUITES", "CONDITION_SETS", "GENERAL_SERVICE_CASES"]
+__all__ = ["run_suite", "run_family", "FAMILIES", "SUITES", "CONDITION_SETS",
+           "GENERAL_SERVICE_CASES"]
 
 # five reversibility-condition parameter sets (q, beta, alpha), p derived
 _SET_BASES = [
@@ -590,36 +596,43 @@ def check_stats(seed: int) -> list[dict]:
     return out
 
 
-SUITES = ("distributions", "queue", "tandem", "percolation", "timeconstants", "stats", "all")
+# One row per check family, in report order: (family, suite, the index of
+# the suite seed's substream the family's seed comes from, or None when
+# check_<family> takes no seed).  A suite's rows are contiguous, so the
+# "all" report is the suites' reports in order.
+FAMILIES = (
+    ("distributions", "distributions", 1),
+    ("detailed_balance", "queue", None),
+    ("stationary_oracle", "queue", None),
+    ("queue_simulation", "queue", 2),
+    ("reversibility_window", "queue", 3),
+    ("joint_burke", "queue", 4),
+    ("general_service_ratios", "queue", None),
+    ("queue_small", "queue", 5),
+    ("tandem", "tandem", 6),
+    ("percolation_exact", "percolation", 7),
+    ("identity", "percolation", 8),
+    ("percolation_sim", "percolation", 9),
+    ("timeconstants", "timeconstants", None),
+    ("stats", "stats", 10),
+)
+
+SUITES = tuple(dict.fromkeys(suite for _, suite, _ in FAMILIES)) + ("all",)
+
+
+def run_family(family: str, seed: int) -> list[dict]:
+    """The ungraded checks of ``check_<family>`` under suite seed ``seed``:
+    a seeded family runs on its table row's substream of that seed."""
+    index = next(i for name, _, i in FAMILIES if name == family)
+    check = globals()["check_" + family]
+    return check() if index is None else check(RandomStream(seed).substream(index).seed)
 
 
 def _suite_checks(suite: str, seed: int) -> list[dict]:
-    stream = RandomStream(seed)
-
-    def sub(i: int) -> int:
-        return stream.substream(i).seed
-
-    if suite == "distributions":
-        return check_distributions(sub(1))
-    if suite == "queue":
-        return (check_detailed_balance() + check_stationary_oracle()
-                + check_queue_simulation(sub(2)) + check_reversibility_window(sub(3))
-                + check_joint_burke(sub(4)) + check_general_service_ratios() + check_queue_small(sub(5)))
-    if suite == "tandem":
-        return check_tandem(sub(6))
-    if suite == "percolation":
-        return (check_percolation_exact(sub(7)) + check_identity(sub(8))
-                + check_percolation_sim(sub(9)))
-    if suite == "timeconstants":
-        return check_timeconstants()
-    if suite == "stats":
-        return check_stats(sub(10))
-    if suite == "all":
-        out = []
-        for s in SUITES[:-1]:
-            out.extend(_suite_checks(s, seed))
-        return out
-    raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    return [c for family, in_suite, _ in FAMILIES if suite in (in_suite, "all")
+            for c in run_family(family, seed)]
 
 
 def run_suite(suite: str, seed: int) -> dict:

@@ -61,6 +61,19 @@ def test_dp_equals_bruteforce_on_random_fields():
             assert first_passage(field, q) == enumerate_first_passage(field, q)
 
 
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
+def test_dp_equals_bruteforce_on_twelve_column_fields(integer):
+    # a 12-term path sum: numpy adds it pairwise, the DP left to right, so
+    # float fields may differ in the last bit and integer fields may not
+    for s in range(200):
+        w = RandomStream(s).uniforms(24).reshape(2, 12)
+        field = WeightField(np.floor(w * 6) if integer else w)
+        for pinned in (True, False):
+            q = PathQuery((0, 0), (11, 1), pinned=pinned)
+            dp, brute = first_passage(field, q), enumerate_first_passage(field, q)
+            assert dp == brute if integer else dp == pytest.approx(brute, rel=1e-12, abs=0.0)
+
+
 def _enumerate_by_loop(field, query):
     """Reference: every path's weights summed by its own numpy sum, one path at a time."""
     i, j = query.start

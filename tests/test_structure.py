@@ -54,3 +54,20 @@ def test_every_exported_name_has_a_caller_in_the_library_or_the_benchmark():
     used = set().union(*map(_names_used, MODULES + sorted(callers.glob("*.py"))))
     unused = [f"{p.stem}.{name}" for p in MODULES for name in _exported(p) if name not in used]
     assert unused == [], f"exported names with no caller in src/ or perfbench/: {unused}"
+
+
+def test_verify_family_table_is_the_single_source():
+    from batchq import verify
+
+    tree = ast.parse((SRC / "verify.py").read_text())
+    defined = [n.name.removeprefix("check_") for n in tree.body
+               if isinstance(n, ast.FunctionDef) and n.name.startswith("check_")]
+    families = [family for family, _, _ in verify.FAMILIES]
+    assert sorted(families) == sorted(defined), "each check_* function is one FAMILIES row"
+    assert all(callable(getattr(verify, "check_" + family)) for family in families)
+    suites = [suite for _, suite, _ in verify.FAMILIES]
+    assert verify.SUITES == tuple(dict.fromkeys(suites)) + ("all",)
+    # a suite's rows are contiguous, so the "all" report is the suites' reports in order
+    assert suites == sorted(suites, key=verify.SUITES.index)
+    indices = [index for _, _, index in verify.FAMILIES if index is not None]
+    assert len(set(indices)) == len(indices), "two families share a seed"

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -138,3 +141,33 @@ def test_continuous_check_names_its_first_failure(monkeypatch):
     assert not check["passed"] and check["observed"] == 1
     base, moved = nudged[2]
     assert check["first_failure"] == {"substream": 30_002, "base": base, "nudged": moved}
+
+
+def _calibration_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "calibrate_verify.py"
+    spec = importlib.util.spec_from_file_location("calibrate_verify", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_calibration_names_the_verify_seeds_of_its_failures(monkeypatch, tmp_path):
+    real, seeds = verify.check_joint_burke, []
+
+    def low_second_p_on_the_second_seed(seed):
+        seeds.append(seed)
+        checks = real(seed)
+        if len(seeds) == 2:
+            checks[1]["observed"] = 0.005
+        return checks
+
+    monkeypatch.setattr(verify, "check_joint_burke", low_second_p_on_the_second_seed)
+    out = tmp_path / "cal.json"
+    assert _calibration_tool().main(["--families", "joint_burke", "--seeds", "1:2",
+                                     "--out", str(out)]) == 0
+    # run_suite("queue", s) runs joint_burke on substream 4 of s
+    assert seeds == [RandomStream(s).substream(4).seed for s in (1, 2)]
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["name"], c["runs"], c["failed_seeds"]) for c in checks] == [
+        ("joint_burke_geom_plus_D_I", 2, []), ("joint_burke_bernoulli_D_T", 2, [2])]
+    assert all(c["kind"] == "stat" and 0.0 <= c["ks_p_value"] <= 1.0 for c in checks)

@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Calibrate verify's checks: run chosen families over a range of suite seeds.
+
+Run from the root of a checkout (or after ``pip install -e .``):
+
+    PYTHONPATH=src python3 tools/calibrate_verify.py --families tandem --seeds 1:400 --out tandem.json
+
+``--families`` names rows of ``verify.FAMILIES``; ``--seeds lo:hi`` runs
+suite seeds lo..hi, both included.  Each family runs on the seed that
+``batchq verify --seed s`` gives it, so that command reproduces any failure
+listed here.  A check fails at a seed when it fails as graded (an exact
+check) or when its p-value is below 0.01 (a statistical check, before the
+suite's Bonferroni correction).  The JSON gives, per check, its runs, the
+seeds where it failed and its rejection rate; a statistical check also gets
+the KS p-value of its p-values against U(0, 1), which are uniform when the
+check is calibrated.  The graded checks are verify's own: this tool changes
+none of them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+from batchq import verify
+from batchq.stats import ks_test
+
+LEVEL = 0.01
+
+
+def calibrate(families: list[str], seeds: range) -> list[dict]:
+    records, p_values = {}, {}
+    for seed in seeds:
+        for family in families:
+            for c in verify.run_family(family, seed):
+                key = (family, c["name"])
+                rec = records.setdefault(key, {"family": family, "name": c["name"],
+                                               "kind": c["kind"], "runs": 0, "failed_seeds": []})
+                rec["runs"] += 1
+                if c["kind"] == "stat":
+                    p_values.setdefault(key, []).append(c["observed"])
+                if c["observed"] < LEVEL if c["kind"] == "stat" else not c["passed"]:
+                    rec["failed_seeds"].append(seed)
+                    print(f"seed {seed}: {family}.{c['name']} failed", file=sys.stderr)
+    for key, rec in records.items():
+        rec["rejection_rate"] = len(rec["failed_seeds"]) / rec["runs"]
+        if key in p_values:
+            rec["ks_p_value"] = ks_test(p_values[key], lambda u: min(1.0, max(0.0, u))).p_value
+    return list(records.values())
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--families", required=True,
+                        help="comma-separated family names from verify.FAMILIES")
+    parser.add_argument("--seeds", required=True, help="lo:hi, both included")
+    parser.add_argument("--out", required=True, help="JSON report path")
+    args = parser.parse_args(argv)
+    families = list(dict.fromkeys(args.families.split(",")))
+    known = [family for family, _, _ in verify.FAMILIES]
+    unknown = [f for f in families if f not in known]
+    if unknown:
+        parser.error(f"unknown families {unknown}; choose from {known}")
+    try:
+        lo, hi = (int(v) for v in args.seeds.split(":"))
+    except ValueError:
+        parser.error(f"--seeds must be lo:hi, got {args.seeds!r}")
+    if not 0 <= lo <= hi:
+        parser.error(f"--seeds needs 0 <= lo <= hi, got {args.seeds!r}")
+    checks = calibrate(families, range(lo, hi + 1))
+    report = {"families": families, "seeds": [lo, hi], "level": LEVEL, "checks": checks}
+    with open(args.out, "w") as f:
+        json.dump(report, f, indent=1)
+        f.write("\n")
+    for c in checks:
+        ks = f", KS p {c['ks_p_value']:.3g}" if "ks_p_value" in c else ""
+        print(f"{c['family']}.{c['name']}: {len(c['failed_seeds'])}/{c['runs']} failed{ks}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
