@@ -11,16 +11,22 @@ Exit codes: 0 success, 1 failed verification, 2 usage or validation error.
 
 Outputs are deterministic for a fixed argv and seed: floats print with
 17 significant digits and JSON keys are sorted.  --threads is accepted
-and still ignored: perc simulate uses one worker process per usable CPU
-on its own, and its output is byte-identical for any worker count.
-perc simulate draws one field per replica from the seed's
-substream(0) and reads every --x grid point off it, so rows at
+and still ignored: perc simulate and queue (without --out) use one
+worker process per usable CPU on their own, forked through
+batchq.workers.fork_map, and their output is byte-identical for any
+worker count.  perc simulate draws one field per replica from the
+seed's substream(0) and reads every --x grid point off it, so rows at
 different x are correlated.  The cost of perc identity is linear in
---window.  queue and tandem share one block loop: it runs the slots in
-blocks with the one-block run's draws and bytes, writes --out rows as
-each block is made and sums the summary means exactly, so memory is
-bounded by the block; no --threads-like knob sets the block size.  A
-subcommand imports only the modules it uses.
+--window.  queue --out and tandem share one block loop: it runs the
+slots in blocks with the one-block run's draws and bytes, writes --out
+rows as each block is made and sums the summary means exactly, so
+memory is bounded by the block.  queue without --out needs only four
+exact integers (sum X and sum A after burn-in, X at the burn-in slot
+and at the end); queue_core.scan_means computes them from the same
+draws with a Lindley scan sharded over contiguous slot ranges, so its
+summary is byte-identical to the block loop's.  No --threads-like knob
+sets the block size or the shard count.  A subcommand imports only the
+modules it uses.
 """
 
 from __future__ import annotations
@@ -32,10 +38,9 @@ import json
 import sys
 
 from . import distributions as dist
-from .queue_core import (QueueParams, check_condition, condition_holds, simulate_blocks,
-                         stationary_law, tee_csv, write_csv)
+from .queue_core import (QueueParams, check_condition, condition_holds, scan_means,
+                         simulate_blocks, slot_means, stationary_law, tee_csv, write_csv)
 from .streams import RandomStream
-from .tandem import TandemConfig, TandemTrace
 
 __all__ = ["main", "run"]
 
@@ -237,22 +242,28 @@ def _cmd_dist(args, parser) -> int:
     return 0
 
 
-def _block_means(blocks, burn: int, out: str | None) -> dict:
-    """Means after burn-in of X, Y and D, keyed (stage, name), over Trace or TandemTrace blocks.
+def _block_means(blocks, burn: int, out: str | None) -> list[dict]:
+    """Per stage, :func:`slot_means` after burn-in of Trace or TandemTrace blocks.
 
-    With ``out`` the CSV rows are written as the blocks pass.  Each mean is an
-    exact integer sum divided once: numpy's mean while a sum is below 2**53.
+    With ``out`` the CSV rows are written as the blocks pass.  Each stage
+    sums X and A exactly and keeps X at the burn-in slot and at the end.
     """
     if out:
         blocks = tee_csv(blocks, out)
-    sums, first = {}, 0
+    sums, first = [], 0
     for blk in blocks:
+        stages = getattr(blk, "stages", [blk])
+        if not sums:
+            sums = [[0, 0, 0, 0] for _ in stages]  # sum X, sum A, X at burn-in, X at the end
         k = max(burn - first, 0)
-        for r, tr in enumerate(blk.stages if isinstance(blk, TandemTrace) else [blk]):
-            for name in "xyd":
-                sums[r, name] = sums.get((r, name), 0) + int(getattr(tr, name)[k:].sum())
+        for tr, acc in zip(stages, sums):
+            acc[0] += int(tr.x[k:].sum())
+            acc[1] += int(tr.a[k:].sum())
+            if k < len(tr) and burn >= first:
+                acc[2] = int(tr.x[k])
+            acc[3] = int(tr.final_x)
         first += len(blk)
-    return {key: total / (first - burn) for key, total in sums.items()}
+    return [slot_means(*acc, first - burn) for acc in sums]
 
 
 def _series_args(args, parser) -> tuple[QueueParams, int, int, dict]:
@@ -267,10 +278,14 @@ def _series_args(args, parser) -> tuple[QueueParams, int, int, dict]:
 
 def _cmd_queue(args, parser) -> int:
     params, slots, burn, summary = _series_args(args, parser)
-    blocks = simulate_blocks(params.arrival_spec, [params.service_spec], slots,
-                             RandomStream(_seed_of(args)), init_x=args.init_x or 0)
-    means = _block_means((stages[0] for stages in blocks), burn, args.out)
-    summary["empirical"] = {f"mean_{name}": means[0, name] for name in "xyd"}
+    arrival, service, stream = params.arrival_spec, params.service_spec, RandomStream(_seed_of(args))
+    init_x = args.init_x or 0
+    if args.out:
+        blocks = simulate_blocks(arrival, [service], slots, stream, init_x)
+        means = _block_means((stages[0] for stages in blocks), burn, args.out)[0]
+    else:
+        means = scan_means(arrival, service, slots, stream, init_x, burn)
+    summary["empirical"] = {f"mean_{name}": means[name] for name in "xyd"}
     summary["condition_residual"] = check_condition(params)
     if params.is_stable and condition_holds(params):
         summary["stationary"] = stationary_law(params).to_dict()
@@ -279,13 +294,14 @@ def _cmd_queue(args, parser) -> int:
 
 
 def _cmd_tandem(args, parser) -> int:
+    from .tandem import TandemConfig, TandemTrace
     params, slots, burn, summary = _series_args(args, parser)
     summary["stages"] = stages = 2 if args.stages is None else args.stages
     config = TandemConfig.bergeom(params, stages)
     blocks = simulate_blocks(config.arrival, config.services, slots, RandomStream(_seed_of(args)))
     means = _block_means((TandemTrace(config, st) for st in blocks), burn, args.out)
-    summary["empirical_mean_x"] = [means[r, "x"] for r in range(stages)]
-    summary["empirical_mean_d"] = [means[r, "d"] for r in range(stages)]
+    summary["empirical_mean_x"] = [m["x"] for m in means]
+    summary["empirical_mean_d"] = [m["d"] for m in means]
     if params.is_stable and condition_holds(params):
         summary["stationary_mean_x"] = stationary_law(params).mean_x
     sys.stdout.write(_json_dump(summary))

@@ -18,7 +18,8 @@ of the value) and consume a fixed number of uniforms per draw, so a seeded
 Each kind's transform from uniforms to values is written once
 (``_values``) and shared by :func:`sample_n`, :func:`sample_block` (one
 ``uniforms`` call per block) and :func:`sample_chunks`, which yields one
-``sample_n`` call in bounded slices read from stream cursors.
+``sample_n`` call, or a range of its values, in bounded slices read from
+stream cursors.
 """
 
 from __future__ import annotations
@@ -408,29 +409,33 @@ def sample_block(spec: DistSpec, stream: RandomStream, k: int, n: int) -> np.nda
     return _rows(spec, stream, k, n)
 
 
-def sample_chunks(spec: DistSpec, stream: RandomStream, n: int,
-                  block: int) -> Iterator[np.ndarray]:
-    """``sample_n(spec, stream, n)`` in consecutive slices of at most ``block`` values.
+def sample_chunks(spec: DistSpec, stream: RandomStream, n: int, block: int,
+                  lo: int = 0, hi: int | None = None) -> Iterator[np.ndarray]:
+    """Values lo..hi-1 of ``sample_n(spec, stream, n)`` in consecutive slices of at most ``block``.
 
-    The slices concatenate to one ``sample_n`` call bit for bit, with
-    memory bounded by the block, and the stream moves past all n values at
-    the call.  One slice (0 < n <= block) is that call; more are read later
-    from cursors (:meth:`~batchq.streams.RandomStream.ahead`), for the
-    Bernoulli-mixed kinds at offset 0 for the Bernoulli uniforms and at
-    offset n for the magnitudes.
+    The slices concatenate to that part of one ``sample_n`` call bit for
+    bit, with memory bounded by the block, and the stream moves past all n
+    values at the call, whatever the range (``hi`` defaults to n).  One
+    slice of all n values (0 < n <= block) is that call; the others are
+    read later from cursors (:meth:`~batchq.streams.RandomStream.ahead`)
+    opened at value lo, for the Bernoulli-mixed kinds at offset lo for the
+    Bernoulli uniforms and at offset n + lo for the magnitudes.
     """
+    hi = n if hi is None else hi
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if not 0 <= lo <= hi <= n:
+        raise ValueError(f"need 0 <= lo <= hi <= n, got lo={lo}, hi={hi}, n={n}")
     if block < 1:
         raise ValueError("block must be positive")
-    if 0 < n <= block:
+    if 0 < n <= block and (lo, hi) == (0, n):
         return iter([sample_n(spec, stream, n)])
     width = _uniforms_per_value(spec)
     if width == 0:
         _constant(spec, 0)  # refuse a value beyond int64 now, not at the first slice
-    cursors = [stream.ahead(j * n) for j in range(width)]
+    cursors = [stream.ahead(j * n + lo) for j in range(width)]
     stream.skip(width * n)
-    return _slices(spec, cursors, n, block)
+    return _slices(spec, cursors, hi - lo, block)
 
 
 def _slices(spec: DistSpec, cursors: list[RandomStream], n: int,

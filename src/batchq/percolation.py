@@ -36,14 +36,14 @@ stream draws its block in the order of one ``sample_n`` call per column.
 A whole x-grid is read off one field per replica, at column floor(x N),
 so the estimates at different x are correlated.  A large estimate uses
 one worker process per usable CPU: the replicas split into contiguous
-shards, each swept in a forked worker, and the values join in replica
+shards, this process sweeps the first and a forked worker each other
+one (:func:`~batchq.workers.fork_map`), and the values join in replica
 order, so the estimates are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, islice
@@ -54,6 +54,7 @@ import numpy as np
 from .distributions import DistSpec, sample_block, sample_n
 from .streams import RandomStream
 from .tandem import TandemConfig, simulate_tandem
+from .workers import fork_map, usable_cpus
 
 __all__ = [
     "WeightField",
@@ -120,7 +121,9 @@ def _sweep(columns, pinned: bool):
     pinned paths start at the top row of the first column, free ones anywhere.
 
     Rows run along the last axis of each column; leading axes index
-    independent fields swept together.
+    independent fields swept together.  Every yield is the same array,
+    updated in place for the next column, so a sweep allocates no array
+    per column.
     """
     columns = iter(columns)
     first = next(columns)
@@ -130,8 +133,10 @@ def _sweep(columns, pinned: bool):
     else:
         dp = first.astype(float, copy=True)
     yield dp
+    low = np.empty_like(dp)
     for col in columns:
-        dp = col + np.minimum.accumulate(dp, axis=-1)
+        np.minimum.accumulate(dp, axis=-1, out=low)
+        np.add(col, low, out=dp)
         yield dp
 
 
@@ -233,14 +238,14 @@ class TimeConstantEstimate:
 _BLOCK_COLUMNS = 8
 _BLOCK_CELLS = 1 << 19
 
-# Replicas are split into one shard per usable CPU, each run in a forked
-# worker, once the estimate draws at least _FORK_CELLS weights (replicas x
-# rows x columns).  Measured on 2 vCPUs (Python 3.11, numpy 2.4.6): one
-# process sweeps about 50 M weights/s; importing multiprocessing and
-# concurrent.futures costs about 25 ms and an empty 2-worker fork pool
-# about 15 ms.  At 2**23 weights (170 ms of serial work) two shards save
-# about 85 ms, twice that cost; smaller estimates stay in-process.
-_FORK_CELLS = 1 << 23
+# Replicas are split into one shard per usable CPU, each but the first run
+# in a forked worker, once the estimate draws at least _FORK_CELLS weights
+# (replicas x rows x columns).  Measured on 2 vCPUs (Python 3.11, numpy
+# 2.4.6): one process sweeps 3-5e7 weights/s, and a fork_map of two empty
+# tasks costs about 4 ms (os.fork of the imported CLI, a pipe and a wait).
+# Two shards break even near 6e5 weights (19 ms either way), save 4 ms of
+# 39 at 1.5e6 and half the time from 6e6 on; smaller estimates stay in-process.
+_FORK_CELLS = 1 << 20
 
 
 def _columns(weight_spec: DistSpec, streams: list[RandomStream], n_cols: int, rows: int):
@@ -283,27 +288,16 @@ def _shard(weight_spec: DistSpec, stream: RandomStream, n: int, cols: Sequence[i
 
 def _replica_values(weight_spec: DistSpec, stream: RandomStream, n: int, cols: Sequence[int],
                     replicas: int) -> dict[int, np.ndarray]:
-    """:func:`_shard` over all replicas: one contiguous shard per usable CPU,
-    capped at ``replicas``, each run in a forked worker and joined in replica
-    order; or one shard in-process when the field is below ``_FORK_CELLS``
-    weights, there is one CPU, or the platform cannot fork."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    shards = min(cpus, replicas)
-    if shards > 1 and replicas * (n + 1) * (max(cols) + 1) >= _FORK_CELLS:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            bounds = [replicas * i // shards for i in range(shards + 1)]
-            # fork, not spawn: a spawned worker would import numpy and batchq again
-            with ProcessPoolExecutor(shards, mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = [pool.submit(_shard, weight_spec, stream, n, cols, lo, hi)
-                           for lo, hi in zip(bounds, bounds[1:])]
-                parts = [f.result() for f in futures]
-            return {c: np.concatenate([p[c] for p in parts]) for c in cols}
-    return _shard(weight_spec, stream, n, cols, 0, replicas)
+    """:func:`_shard` over all replicas, joined in replica order: one contiguous
+    shard per usable CPU, capped at ``replicas``, through :func:`fork_map`; or
+    one shard when the field is below ``_FORK_CELLS`` weights."""
+    shards = min(usable_cpus(), replicas)
+    if replicas * (n + 1) * (max(cols) + 1) < _FORK_CELLS:
+        shards = 1
+    bounds = [replicas * i // shards for i in range(shards + 1)]
+    parts = fork_map(_shard, [(weight_spec, stream, n, cols, lo, hi)
+                              for lo, hi in zip(bounds, bounds[1:])])
+    return {c: np.concatenate([p[c] for p in parts]) for c in cols}
 
 
 def estimate_curve(weight_spec: DistSpec, xs: Sequence[float], n: int, replicas: int,
@@ -318,9 +312,9 @@ def estimate_curve(weight_spec: DistSpec, xs: Sequence[float], n: int, replicas:
     ``sample_n`` call per column.  A field's first columns do not depend
     on its length, so each estimate equals that of a one-point grid, and
     of one replica at a time.  Large estimates split the replicas into
-    one contiguous shard per usable CPU, each swept in a forked worker
-    process; the values, and so the estimates, are bit for bit those of
-    one process.  Estimates come back in the order of ``xs``; repeated
+    one contiguous shard per usable CPU, each but the first swept in a
+    forked worker process; the values, and so the estimates, are bit for
+    bit those of one process.  Estimates come back in the order of ``xs``; repeated
     and unsorted values are allowed.
     """
     if len(xs) == 0:

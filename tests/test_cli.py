@@ -307,7 +307,7 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
 def test_perc_simulate_worker_error_exits_2(monkeypatch, capsys):
     # every estimate forks, and a worker raises: geom_plus draws beyond int64
     monkeypatch.setattr(perc, "_FORK_CELLS", 0)
-    monkeypatch.setattr(perc.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     code, err = _exit_code_and_stderr(["perc", "simulate", "--weights",
                                        '{"kind": "geom_plus", "alpha": 1e-300}', "--x", "1",
                                        "--n", "10", "--replicas", "4"], capsys)
@@ -327,13 +327,14 @@ def _batchq(code: str, argv: list[str]) -> subprocess.CompletedProcess:
                           timeout=120)
 
 
-# perc simulate with every estimate forked into three workers, after a stdout
-# write still in the pipe's buffer when the workers fork
+# perc simulate and queue with every estimate and scan forked into three
+# shards, after a stdout write still in the pipe's buffer when the workers fork
 FORKED_RUN = """
 import os, sys
-from batchq import percolation
+from batchq import percolation, queue_core
 from batchq.cli import run
 percolation._FORK_CELLS = 0
+queue_core._FORK_SLOTS = 0
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 sys.stdout.write("before\\n")
 sys.exit(run(sys.argv[1:]))
@@ -354,22 +355,33 @@ def test_forked_perc_simulate_writes_its_output_once(tmp_path, capsys):
     assert forked.stdout == b"before\n" and out.read_bytes() == serial
 
 
+def test_forked_queue_writes_its_output_once(capsys):
+    argv = ["queue", *P, "--slots", "5000", "--init-x", "7", "--burn-in", "2500", "--seed", "3"]
+    assert run(argv) == 0
+    serial = capsys.readouterr().out.encode()
+    forked = _batchq(FORKED_RUN, argv)
+    assert forked.returncode == 0, forked.stderr
+    assert forked.stdout == b"before\n" + serial
+
+
 # the modules a command loaded, on stderr after the command's own output
 LOADED = """
 import sys
 from batchq.cli import run
 code = run(sys.argv[1:])
 sys.stderr.write(" ".join(m for m in ("multiprocessing", "concurrent.futures", "batchq.verify",
-                                      "batchq.timeconstants", "batchq.percolation")
+                                      "batchq.timeconstants", "batchq.tandem",
+                                      "batchq.percolation")
                           if m in sys.modules))
 sys.exit(code)
 """
 
 
 @pytest.mark.parametrize("argv,loaded", [
-    (["perc", "identity", *P, "--window", "20", "--instances", "3"], "batchq.percolation"),
+    (["perc", "identity", *P, "--window", "20", "--instances", "3"],
+     "batchq.tandem batchq.percolation"),
     (["queue", *P, "--slots", "2000"], ""),
-    (["tandem", *P, "--slots", "2000"], ""),
+    (["tandem", *P, "--slots", "2000"], "batchq.tandem"),
     (["tc", "--variant", "exp", "--x", "3"], "batchq.timeconstants"),
 ], ids=["perc-identity", "queue", "tandem", "tc"])
 def test_commands_import_only_what_they_use(argv, loaded):
@@ -429,3 +441,33 @@ def test_streamed_queue_out_and_summary_equal_the_whole_trace(block, slots, init
         assert summary["empirical_mean_x"] == [float(tr.x[burn:].mean()) for tr in whole]
         assert summary["empirical_mean_d"] == [float(tr.d[burn:].mean()) for tr in whole]
     assert (root / "streamed.csv").read_bytes() == (root / "whole.csv").read_bytes()
+
+
+# BerGeom queues on the reversibility curve, off it, and unstable (mean arrival above service)
+_QUEUES = st.sampled_from([P, ["--p", "0.4", "--alpha", "0.5", "--q", "0.6", "--beta", "0.4"],
+                           ["--p", "0.6", "--alpha", "0.3", "--q", "0.3", "--beta", "0.7"]])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(params=_QUEUES, block=st.integers(1, 40), slots=st.integers(1, 300),
+       init_x=st.one_of(st.integers(0, 12), st.integers(60, 300)), seed=st.integers(0, 2**31),
+       cpus=st.sampled_from([1, 2, 3, 5]), cap=st.sampled_from([0, 1, 4, 1 << 16]),
+       data=st.data())
+def test_queue_scan_summary_equals_the_slot_engine(params, block, slots, init_x, seed, cpus, cap,
+                                                   data, tmp_path_factory):
+    burn = data.draw(st.integers(0, slots - 1))
+    argv = ["queue", *params, "--slots", str(slots), "--burn-in", str(burn),
+            "--init-x", str(init_x), "--seed", str(seed)]
+    engine, scan = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        # every scan forks, into shards of a few blocks, with a tiny level cap
+        mp.setattr(queue_core, "_BLOCK_SLOTS", block)
+        mp.setattr(queue_core, "_FORK_SLOTS", 0)
+        mp.setattr(queue_core, "_LEVEL_CAP", cap)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with contextlib.redirect_stdout(scan):
+            assert run(argv) == 0
+        out = tmp_path_factory.mktemp("scan") / "trace.csv"
+        with contextlib.redirect_stdout(engine):
+            assert run(argv + ["--out", str(out)]) == 0
+    assert scan.getvalue() == engine.getvalue()

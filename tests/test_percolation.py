@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -348,7 +349,7 @@ KIND_SPECS = [dist.exponential(1.3), dist.ber_exp(0.4, 0.8), dist.bernoulli(0.3)
 
 
 def _cpus(monkeypatch, k):
-    monkeypatch.setattr(perc.os, "sched_getaffinity", lambda pid: set(range(k)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
 
 
 @pytest.mark.parametrize("spec", KIND_SPECS, ids=lambda s: s.kind)
@@ -380,7 +381,6 @@ def _sweeps_here(monkeypatch):
 
 
 def test_shards_fork_only_with_fork_and_a_large_field(monkeypatch):
-    import multiprocessing
     spec, stream = dist.exponential(1.0), RandomStream(4)
     serial = perc.estimate_curve(spec, [1.0, 2.0], 30, 6, stream)
     _cpus(monkeypatch, 2)
@@ -388,14 +388,14 @@ def test_shards_fork_only_with_fork_and_a_large_field(monkeypatch):
     # 6 x 31 x 61 weights is below _FORK_CELLS: one shard, in-process
     assert perc.estimate_curve(spec, [1.0, 2.0], 30, 6, stream) == serial
     assert len(calls) == 1
+    # two shards; this process sweeps the first and a forked worker the second
     monkeypatch.setattr(perc, "_FORK_CELLS", 0)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
     assert perc.estimate_curve(spec, [1.0, 2.0], 30, 6, stream) == serial
     assert len(calls) == 2
-    # with fork every shard runs in a worker
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    # a platform without fork sweeps both shards here
+    monkeypatch.delattr(os, "fork")
     assert perc.estimate_curve(spec, [1.0, 2.0], 30, 6, stream) == serial
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from itertools import zip_longest
 
 import numpy as np
@@ -428,3 +429,49 @@ def test_tee_csv_writes_the_whole_trace_file(block, n, init_x, seed, tmp_path_fa
         passed = list(tee_csv((stages[0] for stages in blocks), root / "streamed.csv"))
     assert sum(map(len, passed)) == n
     assert (root / "streamed.csv").read_bytes() == (root / "whole.csv").read_bytes()
+
+
+def _engine_means(arrival, service, n, seed, init_x, burn):
+    tr = simulate(arrival, service, n, RandomStream(seed), init_x=init_x)
+    return {name: float(getattr(tr, name)[burn:].mean()) for name in "xyd"}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_scan_moves_the_stream_as_the_slot_engine_does(cpus, monkeypatch):
+    arrival, service = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
+    monkeypatch.setattr(queue_core, "_BLOCK_SLOTS", 64)
+    monkeypatch.setattr(queue_core, "_FORK_SLOTS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    engine, scanned = RandomStream(9), RandomStream(9)
+    simulate_blocks(arrival, [service], 1000, engine, init_x=3)
+    means = queue_core.scan_means(arrival, service, 1000, scanned, 3, 100)
+    assert means == _engine_means(arrival, service, 1000, 9, 3, 100)
+    assert scanned.uniform() == engine.uniform()
+
+
+def test_scan_reruns_a_shard_whose_levels_stop_below_its_start(monkeypatch):
+    arrival, service = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
+    calls, shard = [], queue_core._scan_shard
+    def spy(*args):
+        calls.append(args[4:])  # (lo, hi, burn, cap); a forked worker counts in its own copy
+        return shard(*args)
+    monkeypatch.setattr(queue_core, "_scan_shard", spy)
+    monkeypatch.setattr(queue_core, "_FORK_SLOTS", 0)
+    monkeypatch.setattr(queue_core, "_LEVEL_CAP", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # the queue drains about 0.7 a slot from 2000, so the second shard
+    # starts far above the 2 levels it records, and its M passes them
+    means = queue_core.scan_means(arrival, service, 2000, RandomStream(5), 2000, 10)
+    assert means == _engine_means(arrival, service, 2000, 5, 2000, 10)
+    # this process scans the first shard, then reruns the second with every level up to its start
+    assert [c[:3] for c in calls] == [(0, 1000, 10), (1000, 2000, 10)]
+    assert calls[0][3] == 2000 and calls[1][3] > 2
+
+
+def test_scan_means_validation():
+    a, s = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
+    for n, init_x, burn in ((0, 0, 0), (10, -1, 0), (10, 0, 10), (10, 0, -1)):
+        with pytest.raises(ValueError):
+            queue_core.scan_means(a, s, n, RandomStream(1), init_x, burn)
+    with pytest.raises(ValueError, match="integer-valued"):
+        queue_core.scan_means(dist.exponential(1.0), s, 10, RandomStream(1))

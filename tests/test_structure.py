@@ -71,3 +71,18 @@ def test_verify_family_table_is_the_single_source():
     assert suites == sorted(suites, key=verify.SUITES.index)
     indices = [index for _, _, index in verify.FAMILIES if index is not None]
     assert len(set(indices)) == len(indices), "two families share a seed"
+
+
+def test_only_the_worker_helper_forks():
+    forking, pools = [], []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "fork"
+                    and getattr(node.value, "id", None) == "os"):
+                forking.append(path.name)
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            pools += [f"{path.name}: {n}" for n in names
+                      if n.split(".")[0] in ("multiprocessing", "concurrent")]
+    assert sorted(set(forking)) == ["workers.py"]
+    assert pools == [], "worker pools are the fork helper's job"
