@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 failed verification, 2 usage or validation error.
 
 Outputs are deterministic for a fixed argv and seed: floats print with
 17 significant digits and JSON keys are sorted.  --threads is accepted
-and still ignored: perc simulate and queue (without --out) use one
-worker process per usable CPU on their own, forked through
+and still ignored: perc simulate and queue (without --out) use up to
+one worker process per usable CPU on their own, forked through
 batchq.workers.fork_map, and their output is byte-identical for any
 worker count.  perc simulate draws one field per replica from the
 seed's substream(0) and reads every --x grid point off it, so rows at

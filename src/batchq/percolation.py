@@ -35,7 +35,7 @@ The time-constant estimator sweeps its replicas together: one
 stream draws its block in the order of one ``sample_n`` call per column.
 A whole x-grid is read off one field per replica, at column floor(x N),
 so the estimates at different x are correlated.  A large estimate uses
-one worker process per usable CPU: the replicas split into contiguous
+up to one worker process per usable CPU: the replicas split into contiguous
 shards, this process sweeps the first and a forked worker each other
 one (:func:`~batchq.workers.fork_map`), and the values join in replica
 order, so the estimates are byte-identical for any worker count.
@@ -123,7 +123,8 @@ def _sweep(columns, pinned: bool):
     Rows run along the last axis of each column; leading axes index
     independent fields swept together.  Every yield is the same array,
     updated in place for the next column, so a sweep allocates no array
-    per column.
+    per column: a caller reads a column's values before it asks for the
+    next and keeps no yield (``dp.copy()`` keeps one).
     """
     columns = iter(columns)
     first = next(columns)
@@ -238,14 +239,17 @@ class TimeConstantEstimate:
 _BLOCK_COLUMNS = 8
 _BLOCK_CELLS = 1 << 19
 
-# Replicas are split into one shard per usable CPU, each but the first run
-# in a forked worker, once the estimate draws at least _FORK_CELLS weights
-# (replicas x rows x columns).  Measured on 2 vCPUs (Python 3.11, numpy
-# 2.4.6): one process sweeps 3-5e7 weights/s, and a fork_map of two empty
-# tasks costs about 4 ms (os.fork of the imported CLI, a pipe and a wait).
-# Two shards break even near 6e5 weights (19 ms either way), save 4 ms of
-# 39 at 1.5e6 and half the time from 6e6 on; smaller estimates stay in-process.
-_FORK_CELLS = 1 << 20
+# Replicas are split into contiguous shards, at most one per _SHARD_CELLS
+# weights (replicas x rows x columns), per usable CPU and per replica,
+# each but the first run in a forked worker; an estimate below
+# 2 * _SHARD_CELLS weights is one shard, in-process.  Measured on 2 vCPUs
+# (Python 3.11, numpy 2.4.6): one process sweeps 3-5e7 weights/s, and a
+# fork_map of two empty tasks costs about 4 ms (os.fork of the imported
+# CLI, a pipe and a wait).  Two shards break even near 6e5 weights (19 ms
+# either way), save 4 ms of 39 at 1.5e6 and half the time from 6e6 on.
+# Basing the count on the weights keeps shards of about 2**19 weights or
+# more on any number of CPUs; more than two were not measured.
+_SHARD_CELLS = 1 << 19
 
 
 def _columns(weight_spec: DistSpec, streams: list[RandomStream], n_cols: int, rows: int):
@@ -288,12 +292,11 @@ def _shard(weight_spec: DistSpec, stream: RandomStream, n: int, cols: Sequence[i
 
 def _replica_values(weight_spec: DistSpec, stream: RandomStream, n: int, cols: Sequence[int],
                     replicas: int) -> dict[int, np.ndarray]:
-    """:func:`_shard` over all replicas, joined in replica order: one contiguous
-    shard per usable CPU, capped at ``replicas``, through :func:`fork_map`; or
-    one shard when the field is below ``_FORK_CELLS`` weights."""
-    shards = min(usable_cpus(), replicas)
-    if replicas * (n + 1) * (max(cols) + 1) < _FORK_CELLS:
-        shards = 1
+    """:func:`_shard` over all replicas, joined in replica order: contiguous
+    shards, at most one per ``_SHARD_CELLS`` weights, per usable CPU and
+    per replica, through :func:`fork_map`."""
+    cells = replicas * (n + 1) * (max(cols) + 1)
+    shards = max(1, min(usable_cpus(), replicas, cells // _SHARD_CELLS))
     bounds = [replicas * i // shards for i in range(shards + 1)]
     parts = fork_map(_shard, [(weight_spec, stream, n, cols, lo, hi)
                               for lo, hi in zip(bounds, bounds[1:])])
@@ -312,7 +315,7 @@ def estimate_curve(weight_spec: DistSpec, xs: Sequence[float], n: int, replicas:
     ``sample_n`` call per column.  A field's first columns do not depend
     on its length, so each estimate equals that of a one-point grid, and
     of one replica at a time.  Large estimates split the replicas into
-    one contiguous shard per usable CPU, each but the first swept in a
+    contiguous shards, at most one per usable CPU, each but the first swept in a
     forked worker process; the values, and so the estimates, are bit for
     bit those of one process.  Estimates come back in the order of ``xs``; repeated
     and unsorted values are allowed.
@@ -350,7 +353,7 @@ def estimate_time_constant(weight_spec: DistSpec, x: float, n: int, replicas: in
     The one-point case of :func:`estimate_curve`: replica r draws its
     field from ``stream.substream(r)``, so the estimate equals the row at
     ``x`` of any grid estimated on the same stream.  Like it, a large
-    estimate uses one worker process per usable CPU and is bit for bit
+    estimate uses up to one worker process per usable CPU and is bit for bit
     the one-process estimate.  ``threads`` is accepted and still ignored.
     """
     return estimate_curve(weight_spec, [x], n, replicas, stream)[0]

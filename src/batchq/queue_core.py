@@ -31,7 +31,7 @@ values in blocks of 2**16 slots (a module constant), so its memory is
 bounded by the block.  :func:`tee_csv` writes the CSV as blocks pass.
 :func:`scan_means` gets the single queue's summary means from the same
 draws without the engine: a Lindley scan sharded over contiguous slot
-ranges, one per usable CPU, on :func:`~batchq.workers.fork_map`, with
+ranges, at most one per usable CPU, on :func:`~batchq.workers.fork_map`, with
 every shard's contribution exact for any start it is later given.
 :func:`slot_means` turns four exact integers into the means, for both.
 Simulations draw from a :class:`~batchq.streams.RandomStream` the caller
@@ -425,14 +425,17 @@ def slot_means(sum_x: int, sum_a: int, x_burn: int, x_end: int, count: int) -> d
             "d": (sum_a + x_burn - x_end) / count}
 
 
-# scan_means runs one shard per usable CPU, each but the first in a forked
-# worker, once a queue has at least _FORK_SLOTS slots; below that the one
-# shard runs in-process.  Measured on 2 vCPUs (Python 3.11, numpy 2.4.6):
-# one process scans about 1.5e7 slots/s and a fork_map of two empty tasks
-# costs about 4 ms.  Two shards take 11.5 ms against 5.3 ms for one at
-# 2**16 slots, 34 ms against 35 ms at 2**19 (the break-even) and 44 ms
-# against 70 ms at 2**20.
-_FORK_SLOTS = 1 << 19
+# scan_means splits a queue into shards of at least _SHARD_SLOTS slots, at
+# most one per usable CPU, and runs each but the first in a forked worker;
+# a queue below 2 * _SHARD_SLOTS slots is one shard, in-process.  Measured
+# on 2 vCPUs (Python 3.11, numpy 2.4.6): one process scans about 1.5e7
+# slots/s and a fork_map of two empty tasks costs about 4 ms.  Two shards
+# take 11.5 ms against 5.3 ms for one at 2**16 slots, 34 ms against 35 ms
+# at 2**19 (the break-even) and 44 ms against 70 ms at 2**20.  Basing the
+# count on the slots per shard keeps a shard of at least 2**18 slots,
+# about 17 ms of scanning, on any number of CPUs; more than two were not
+# measured.
+_SHARD_SLOTS = 1 << 18
 # A shard other than the first records its level counts up to _LEVEL_CAP
 # (512 KB of int64); a later start above that reruns the shard.
 _LEVEL_CAP = 1 << 16
@@ -514,8 +517,8 @@ def scan_means(arrival: DistSpec, service: DistSpec, n_slots: int, stream: Rando
                init_x: int = 0, burn_in: int = 0) -> dict[str, float]:
     """:func:`slot_means` of slots burn_in.. of ``simulate_blocks``' single queue, sharded.
 
-    The slots split into one contiguous shard per usable CPU (one below
-    ``_FORK_SLOTS`` slots), run through :func:`~batchq.workers.fork_map`;
+    The slots split into contiguous shards of at least ``_SHARD_SLOTS``
+    slots, at most one per usable CPU, run through :func:`~batchq.workers.fork_map`;
     each shard reads its part of the same draws from cursors and is
     scanned without its start (:class:`_ShardScan`).  The start then
     carries through the shards in order, and a shard whose recorded
@@ -532,7 +535,7 @@ def scan_means(arrival: DistSpec, service: DistSpec, n_slots: int, stream: Rando
         raise ValueError("init_x must be nonnegative")
     if not 0 <= burn_in < n_slots:
         raise ValueError(f"burn_in must lie in [0, {n_slots}), got {burn_in}")
-    shards = min(usable_cpus(), n_slots) if n_slots >= _FORK_SLOTS else 1
+    shards = max(1, min(usable_cpus(), n_slots // _SHARD_SLOTS))
     bounds = [n_slots * i // shards for i in range(shards + 1)]
     spans = list(zip(bounds, bounds[1:]))
     start = stream.ahead(0)

@@ -306,7 +306,7 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
 
 def test_perc_simulate_worker_error_exits_2(monkeypatch, capsys):
     # every estimate forks, and a worker raises: geom_plus draws beyond int64
-    monkeypatch.setattr(perc, "_FORK_CELLS", 0)
+    monkeypatch.setattr(perc, "_SHARD_CELLS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     code, err = _exit_code_and_stderr(["perc", "simulate", "--weights",
                                        '{"kind": "geom_plus", "alpha": 1e-300}', "--x", "1",
@@ -333,8 +333,8 @@ FORKED_RUN = """
 import os, sys
 from batchq import percolation, queue_core
 from batchq.cli import run
-percolation._FORK_CELLS = 0
-queue_core._FORK_SLOTS = 0
+percolation._SHARD_CELLS = 1
+queue_core._SHARD_SLOTS = 1
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 sys.stdout.write("before\\n")
 sys.exit(run(sys.argv[1:]))
@@ -462,7 +462,7 @@ def test_queue_scan_summary_equals_the_slot_engine(params, block, slots, init_x,
     with pytest.MonkeyPatch.context() as mp:
         # every scan forks, into shards of a few blocks, with a tiny level cap
         mp.setattr(queue_core, "_BLOCK_SLOTS", block)
-        mp.setattr(queue_core, "_FORK_SLOTS", 0)
+        mp.setattr(queue_core, "_SHARD_SLOTS", 1)
         mp.setattr(queue_core, "_LEVEL_CAP", cap)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         with contextlib.redirect_stdout(scan):

@@ -381,7 +381,7 @@ def test_sample_chunks_concatenate_to_one_sample_n_call(kind, data):
     n = data.draw(st.one_of(st.integers(0, 200),
                             st.sampled_from([block - 1, block, block + 1, 2 * block + 1])))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    s_one, s_chunks = RandomStream(seed), RandomStream(seed)
+    s_one, s_chunks, s_range = RandomStream(seed), RandomStream(seed), RandomStream(seed)
     one = dist.sample_n(spec, s_one, n)
     chunks = list(dist.sample_chunks(spec, s_chunks, n, block))
     # one slice, drawn straight from the stream, whenever 0 < n <= block
@@ -390,8 +390,17 @@ def test_sample_chunks_concatenate_to_one_sample_n_call(kind, data):
     assert sum(map(len, chunks)) == n
     joined = np.concatenate(chunks) if chunks else one[:0]
     assert joined.dtype == one.dtype and np.array_equal(joined, one)
-    # the stream is left where sample_n leaves it
-    assert s_chunks.uniform() == s_one.uniform()
+    # values lo..hi-1 are that part of the one call, in slices of at most block
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    part = list(dist.sample_chunks(spec, s_range, n, block, lo, hi))
+    assert len(part) == -(-(hi - lo) // block)
+    assert all(1 <= len(c) <= block for c in part)
+    joined = np.concatenate(part) if part else one[:0]
+    assert joined.dtype == one.dtype and np.array_equal(joined, one[lo:hi])
+    # the stream is left where sample_n leaves it, whatever the range
+    after = s_one.uniform()
+    assert s_chunks.uniform() == after and s_range.uniform() == after
 
 
 def test_sample_chunks_move_the_stream_at_the_call():
@@ -411,3 +420,9 @@ def test_sample_chunks_move_the_stream_at_the_call():
             next(chunks)
     with pytest.raises(ValueError):
         dist.sample_chunks(spec, s_chunks, 10, 0)
+    # a range outside 0 <= lo <= hi <= n is refused at the call, with the stream unmoved
+    for lo, hi in ((-1, 5), (6, 5), (0, 11), (11, 11)):
+        s_bad, s_ref = RandomStream(2), RandomStream(2)
+        with pytest.raises(ValueError, match="lo <= hi <= n"):
+            dist.sample_chunks(spec, s_bad, 10, 3, lo, hi)
+        assert s_bad.uniform() == s_ref.uniform()

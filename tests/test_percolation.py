@@ -269,10 +269,11 @@ def test_estimate_deterministic_and_thread_invariant():
        pinned=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_batched_sweep_is_the_1d_sweep_and_the_bruteforce(batch, rows, cols, pinned, seed):
     w = np.floor(RandomStream(seed).uniforms(batch * rows * cols) * 6).reshape(batch, rows, cols)
-    batched = list(perc._sweep(w.transpose(2, 0, 1), pinned))
+    # every yield is one array updated in place: keep a copy of each column
+    batched = [dp.copy() for dp in perc._sweep(w.transpose(2, 0, 1), pinned)]
     assert len(batched) == cols
     for b in range(batch):
-        single = list(perc._sweep(w[b].T, pinned))
+        single = [dp.copy() for dp in perc._sweep(w[b].T, pinned)]
         for dp_batch, dp in zip(batched, single):
             assert np.array_equal(dp_batch[b], dp)
         q = PathQuery((0, 0), (cols - 1, rows - 1), pinned=pinned)
@@ -360,7 +361,7 @@ def test_forked_shards_equal_the_serial_run(spec, xs, n, replicas, group, seed):
     serial = perc.estimate_curve(spec, xs, n, replicas, RandomStream(seed))
     with pytest.MonkeyPatch.context() as mp:
         # every estimate forks, and groups split inside the shards
-        mp.setattr(perc, "_FORK_CELLS", 0)
+        mp.setattr(perc, "_SHARD_CELLS", 1)
         mp.setattr(perc, "_BLOCK_CELLS", perc._BLOCK_COLUMNS * (n + 1) * group)
         for cpus in (1, 2, 3, replicas + 2):
             _cpus(mp, cpus)
@@ -385,11 +386,11 @@ def test_shards_fork_only_with_fork_and_a_large_field(monkeypatch):
     serial = perc.estimate_curve(spec, [1.0, 2.0], 30, 6, stream)
     _cpus(monkeypatch, 2)
     calls = _sweeps_here(monkeypatch)
-    # 6 x 31 x 61 weights is below _FORK_CELLS: one shard, in-process
+    # 6 x 31 x 61 weights is below 2 * _SHARD_CELLS: one shard, in-process
     assert perc.estimate_curve(spec, [1.0, 2.0], 30, 6, stream) == serial
     assert len(calls) == 1
     # two shards; this process sweeps the first and a forked worker the second
-    monkeypatch.setattr(perc, "_FORK_CELLS", 0)
+    monkeypatch.setattr(perc, "_SHARD_CELLS", 1)
     assert perc.estimate_curve(spec, [1.0, 2.0], 30, 6, stream) == serial
     assert len(calls) == 2
     # a platform without fork sweeps both shards here
@@ -398,11 +399,32 @@ def test_shards_fork_only_with_fork_and_a_large_field(monkeypatch):
     assert len(calls) == 4
 
 
+# 11 x 11 weights per replica, at most one shard per _SHARD_CELLS (300 here)
+# weights, per CPU and per replica
+@pytest.mark.parametrize("replicas, cpus, shards", [(2, 64, 1), (8, 64, 3), (8, 2, 2),
+                                                    (20, 64, 8), (20, 1, 1)])
+def test_shards_hold_at_least_the_shard_cells(replicas, cpus, shards, monkeypatch):
+    spec, stream = dist.exponential(1.0), RandomStream(3)
+    serial = perc.estimate_curve(spec, [1.0], 10, replicas, stream)
+    calls = []
+    def in_process(fn, tasks):
+        calls.append(tasks)
+        return [fn(*t) for t in tasks]
+    monkeypatch.setattr(perc, "fork_map", in_process)
+    monkeypatch.setattr(perc, "_SHARD_CELLS", 300)
+    _cpus(monkeypatch, cpus)
+    assert perc.estimate_curve(spec, [1.0], 10, replicas, stream) == serial
+    (tasks,) = calls
+    sizes = [(hi - lo) * 121 for *_, lo, hi in tasks]
+    assert len(sizes) == shards and sum(sizes) == replicas * 121
+    assert min(sizes) >= 121 * (replicas // shards)
+
+
 def test_worker_error_reaches_the_caller(monkeypatch):
     spec = dist.geom_plus(1e-300)  # every draw is beyond int64
     with pytest.raises(ValueError) as serial:
         perc.estimate_curve(spec, [1.0], 10, 4, RandomStream(1))
-    monkeypatch.setattr(perc, "_FORK_CELLS", 0)
+    monkeypatch.setattr(perc, "_SHARD_CELLS", 1)
     _cpus(monkeypatch, 2)
     with pytest.raises(ValueError) as forked:
         perc.estimate_curve(spec, [1.0], 10, 4, RandomStream(1))

@@ -440,7 +440,7 @@ def _engine_means(arrival, service, n, seed, init_x, burn):
 def test_scan_moves_the_stream_as_the_slot_engine_does(cpus, monkeypatch):
     arrival, service = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
     monkeypatch.setattr(queue_core, "_BLOCK_SLOTS", 64)
-    monkeypatch.setattr(queue_core, "_FORK_SLOTS", 0)
+    monkeypatch.setattr(queue_core, "_SHARD_SLOTS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     engine, scanned = RandomStream(9), RandomStream(9)
     simulate_blocks(arrival, [service], 1000, engine, init_x=3)
@@ -456,7 +456,7 @@ def test_scan_reruns_a_shard_whose_levels_stop_below_its_start(monkeypatch):
         calls.append(args[4:])  # (lo, hi, burn, cap); a forked worker counts in its own copy
         return shard(*args)
     monkeypatch.setattr(queue_core, "_scan_shard", spy)
-    monkeypatch.setattr(queue_core, "_FORK_SLOTS", 0)
+    monkeypatch.setattr(queue_core, "_SHARD_SLOTS", 1)
     monkeypatch.setattr(queue_core, "_LEVEL_CAP", 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     # the queue drains about 0.7 a slot from 2000, so the second shard
@@ -466,6 +466,26 @@ def test_scan_reruns_a_shard_whose_levels_stop_below_its_start(monkeypatch):
     # this process scans the first shard, then reruns the second with every level up to its start
     assert [c[:3] for c in calls] == [(0, 1000, 10), (1000, 2000, 10)]
     assert calls[0][3] == 2000 and calls[1][3] > 2
+
+
+# shards of at least _SHARD_SLOTS (100 here) slots, at most one per CPU
+@pytest.mark.parametrize("slots, cpus, shards", [(99, 64, 1), (199, 64, 1), (200, 64, 2),
+                                                 (1050, 64, 10), (1050, 3, 3), (1050, 1, 1)])
+def test_scan_shards_hold_at_least_the_shard_slots(slots, cpus, shards, monkeypatch):
+    arrival, service = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
+    calls = []
+    def in_process(fn, tasks):
+        calls.append(tasks)
+        return [fn(*t) for t in tasks]
+    monkeypatch.setattr(queue_core, "fork_map", in_process)
+    monkeypatch.setattr(queue_core, "_SHARD_SLOTS", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    means = queue_core.scan_means(arrival, service, slots, RandomStream(2), 5, 30)
+    assert means == _engine_means(arrival, service, slots, 2, 5, 30)
+    (tasks,) = calls
+    spans = [t[4:6] for t in tasks]
+    assert len(spans) == shards
+    assert all(hi - lo >= min(slots, 100) for lo, hi in spans)
 
 
 def test_scan_means_validation():
