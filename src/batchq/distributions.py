@@ -16,10 +16,11 @@ Samplers are inverse-transform based (geometric draws cost O(1) regardless
 of the value) and consume a fixed number of uniforms per draw, so a seeded
 :class:`~batchq.streams.RandomStream` reproduces sequences bit-exactly.
 Each kind's transform from uniforms to values is written once
-(``_values``) and shared by :func:`sample_n`, :func:`sample_block` (one
-``uniforms`` call per block) and :func:`sample_chunks`, which yields one
-``sample_n`` call, or a range of its values, in bounded slices read from
-stream cursors.
+(``_values``, which writes the values over the uniforms) and shared by
+:func:`sample_n`, :func:`sample_blocks`, which draws successive calls of
+many streams into one reused buffer and transforms each block at once,
+and :func:`sample_chunks`, which yields one ``sample_n`` call, or a range
+of its values, in bounded slices read from stream cursors.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,7 +52,7 @@ __all__ = [
     "variance",
     "pgf",
     "sample_n",
-    "sample_block",
+    "sample_blocks",
     "sample_chunks",
     "sample_compound_n",
     "tail_cutoff",
@@ -326,16 +327,32 @@ def _constant(spec: DistSpec, shape) -> np.ndarray:
     return np.full(shape, float(v), dtype=float)
 
 
+def _as_int64(k: np.ndarray) -> np.ndarray:
+    """The integer-valued doubles ``k`` cast to int64 over their own memory.
+
+    A cast along one axis reads each double before it writes its integer,
+    so numpy casts a contiguous ``k`` with no temporary; a strided ``k`` it
+    casts through a copy.
+    """
+    out = k.view(np.int64)
+    if k.flags.c_contiguous:
+        out.reshape(-1)[...] = k.reshape(-1)
+    else:
+        out[...] = k
+    return out
+
+
 def _geom_plus_values(alpha: float, u: np.ndarray) -> np.ndarray:
-    """Inverse-transform Geom+(alpha) values 1 + floor(log1p(-u) / log1p(-alpha))."""
-    k = np.negative(u)
-    np.log1p(k, out=k)
-    k /= math.log1p(-alpha)
-    np.floor(k, out=k)
-    k += 1
-    if k.size and k.max() >= 2.0**63:
+    """Inverse-transform Geom+(alpha) values 1 + floor(log1p(-u) / log1p(-alpha)),
+    written over ``u`` and returned as its int64 view."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u /= math.log1p(-alpha)
+    np.floor(u, out=u)
+    u += 1
+    if u.size and u.max() >= 2.0**63:
         raise ValueError(f"Geom+({alpha:g}) draw does not fit in int64; alpha is too small")
-    return k.astype(np.int64)
+    return _as_int64(u)
 
 
 def _geom_plus_draws(alpha: float, stream: RandomStream, n: int) -> np.ndarray:
@@ -346,41 +363,36 @@ def _geom_plus_draws(alpha: float, stream: RandomStream, n: int) -> np.ndarray:
 
 
 def _values(spec: DistSpec, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """Values of a random ``spec`` from its uniforms: the one copy of each transform.
+    """Values of a random ``spec`` written over its uniforms: the one copy of each transform.
 
-    ``u`` holds one uniform per value; the Bernoulli-mixed kinds read their
-    Bernoulli from ``u`` and their magnitude from ``v``.
+    ``u`` holds one uniform per value, in any shape; the Bernoulli-mixed
+    kinds read their Bernoulli from ``u`` and their magnitude from ``v``,
+    and write their values over ``v``.  The result is a view of the memory
+    written over, float64 for the continuous kinds and int64 for the
+    discrete ones, so a transform allocates at most a Bernoulli mask (one
+    byte per value) and, for a strided discrete block, numpy's cast copy.
     """
     if spec.kind == "bernoulli":
-        return (u < spec.p).astype(np.int64)
+        np.less(u, spec.p, out=u)
+        return _as_int64(u)
     if spec.kind == "geom_plus":
         return _geom_plus_values(spec.alpha, u)
     if spec.kind == "geom_zero":
-        return _geom_plus_values(spec.alpha, u) - 1
+        k = _geom_plus_values(spec.alpha, u)
+        k -= 1
+        return k
     if spec.kind == "ber_geom":
         k = _geom_plus_values(spec.alpha, v)
         k *= u < spec.p
         return k
-    if spec.kind == "exp":
-        return -np.log1p(-u) / spec.rate
-    # ber_exp
-    return np.where(u < spec.p, -np.log1p(-v) / spec.rate, 0.0)
-
-
-def _rows(spec: DistSpec, stream: RandomStream, k: int, n: int) -> np.ndarray:
-    """A (k, n) block of k successive n-value draws, from one ``uniforms`` call.
-
-    One draw of n values reads n uniforms per uniform of a value; the
-    Bernoulli-mixed kinds read their n Bernoulli uniforms first and then
-    their n magnitude uniforms.
-    """
-    width = _uniforms_per_value(spec)
-    if width == 0:
-        return _constant(spec, (k, n))
-    if width == 1:
-        return _values(spec, stream.uniforms(k * n).reshape(k, n))
-    u = stream.uniforms(2 * k * n).reshape(k, 2, n)
-    return _values(spec, u[:, 0], u[:, 1])
+    x = u if spec.kind == "exp" else v
+    # -log1p(-x) / rate, with the sign moved onto the divisor: the same bits
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    x /= -spec.rate
+    if spec.kind == "ber_exp":
+        x *= u < spec.p
+    return x
 
 
 def sample_n(spec: DistSpec, stream: RandomStream, n: int) -> np.ndarray:
@@ -388,25 +400,51 @@ def sample_n(spec: DistSpec, stream: RandomStream, n: int) -> np.ndarray:
 
     Draw budget per value is fixed (two uniforms for the Bernoulli-mixed
     kinds, one for the plain ones, none for deterministic), which keeps
-    replica substreams aligned regardless of the sampled values.
+    replica substreams aligned regardless of the sampled values.  The
+    Bernoulli-mixed kinds read their n Bernoulli uniforms first and then
+    their n magnitude uniforms.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _rows(spec, stream, 1, n)[0]
+    width = _uniforms_per_value(spec)
+    if width == 0:
+        return _constant(spec, n)
+    return _values(spec, *(stream.uniforms(n) for _ in range(width)))
 
 
-def sample_block(spec: DistSpec, stream: RandomStream, k: int, n: int) -> np.ndarray:
-    """A (k, n) block whose rows are k successive ``sample_n(spec, stream, n)`` calls.
+def sample_blocks(spec: DistSpec, streams: Sequence[RandomStream], calls: int, n: int,
+                  block: int) -> Iterator[np.ndarray]:
+    """``calls`` successive ``sample_n(spec, s, n)`` calls per stream s, in blocks of at most ``block``.
 
-    Every kind draws the whole block in one ``uniforms`` call; the
-    Bernoulli-mixed kinds take it as (k, 2, n), a Bernoulli and a magnitude
-    row per call.
+    Each yield is a (len(streams), m, n) array, m <= block, whose [i, j] row
+    is stream i's next call, bit for bit.  A block's uniforms go from each
+    stream straight into its slice of one (streams, block, uniforms per
+    value, n) buffer, and one :func:`_values` call transforms the block
+    over them.  Every block is written over that buffer, so a caller reads
+    a block before it asks for the next and keeps none (``.copy()`` keeps
+    one).
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _rows(spec, stream, k, n)
+    if calls < 0 or n < 0:
+        raise ValueError("calls and n must be nonnegative")
+    if block < 1:
+        raise ValueError("block must be positive")
+    return _blocks(spec, streams, calls, n, block)
+
+
+def _blocks(spec: DistSpec, streams: Sequence[RandomStream], calls: int, n: int,
+            block: int) -> Iterator[np.ndarray]:
+    width = _uniforms_per_value(spec)
+    if width == 0:
+        values = _constant(spec, (len(streams), block, n))
+        for c in range(0, calls, block):
+            yield values[:, :min(block, calls - c)]
+        return
+    buf = np.empty((len(streams), block, width, n))
+    for c in range(0, calls, block):
+        u = buf[:, :min(block, calls - c)]
+        for s, rows in zip(streams, u):
+            s.fill(rows)
+        yield _values(spec, *(u[:, :, j] for j in range(width)))
 
 
 def sample_chunks(spec: DistSpec, stream: RandomStream, n: int, block: int,

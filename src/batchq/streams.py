@@ -78,5 +78,11 @@ class RandomStream:
         """``n`` doubles in [0, 1)."""
         return self._gen.random(n)
 
+    def fill(self, out: np.ndarray) -> None:
+        """Write the next ``out.size`` doubles over the C-contiguous float64 ``out``,
+        in its memory order: ``uniforms(out.size)`` bit for bit, and the stream
+        moves the same way."""
+        self._gen.random(out=out)
+
     def uniform(self) -> float:
         return float(self._gen.random())

@@ -370,7 +370,7 @@ import sys
 from batchq.cli import run
 code = run(sys.argv[1:])
 sys.stderr.write(" ".join(m for m in ("multiprocessing", "concurrent.futures", "batchq.verify",
-                                      "batchq.timeconstants", "batchq.tandem",
+                                      "batchq.timeconstants", "batchq.stats", "batchq.tandem",
                                       "batchq.percolation")
                           if m in sys.modules))
 sys.exit(code)
@@ -383,7 +383,9 @@ sys.exit(code)
     (["queue", *P, "--slots", "2000"], ""),
     (["tandem", *P, "--slots", "2000"], "batchq.tandem"),
     (["tc", "--variant", "exp", "--x", "3"], "batchq.timeconstants"),
-], ids=["perc-identity", "queue", "tandem", "tc"])
+    (["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}', "--x", "1", "--n", "10",
+      "--replicas", "2"], "batchq.percolation"),
+], ids=["perc-identity", "queue", "tandem", "tc", "perc-simulate"])
 def test_commands_import_only_what_they_use(argv, loaded):
     res = _batchq(LOADED, argv)
     assert res.returncode == 0, res.stderr

@@ -290,39 +290,6 @@ def test_geom_samplers_refuse_draws_beyond_int64():
     assert draws.dtype == np.int64 and draws.min() >= 1
 
 
-PROB = st.floats(0.02, 0.98)
-ALL_KINDS = st.one_of(
-    st.builds(dist.bernoulli, PROB),
-    st.builds(dist.geom_plus, PROB),
-    st.builds(dist.geom_zero, PROB),
-    st.builds(dist.ber_geom, PROB, PROB),
-    st.builds(dist.exponential, st.floats(0.1, 10.0)),
-    st.builds(dist.ber_exp, PROB, st.floats(0.1, 10.0)),
-    st.builds(dist.deterministic, st.sampled_from([0, 1, 3, 0.5, 2.25])),
-)
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(spec=ALL_KINDS, k=st.integers(1, 5), n=st.integers(0, 20),
-       seed=st.integers(0, 2**32 - 1))
-def test_sample_block_is_k_stacked_sample_n_calls(spec, k, n, seed):
-    s_block, s_calls = RandomStream(seed), RandomStream(seed)
-    block = dist.sample_block(spec, s_block, k, n)
-    calls = np.stack([dist.sample_n(spec, s_calls, n) for _ in range(k)])
-    assert block.shape == (k, n) and block.dtype == calls.dtype
-    assert np.array_equal(block, calls)
-    # both leave the stream at the same place
-    assert s_block.uniform() == s_calls.uniform()
-    assert block.dtype == (np.int64 if spec.is_discrete else np.float64)
-    assert np.all(block >= 0)
-    if spec.kind == "bernoulli":
-        assert np.all(block <= 1)
-    elif spec.kind == "geom_plus":
-        assert np.all(block >= 1)
-    elif spec.kind == "deterministic":
-        assert np.all(block == spec.value)
-
-
 _EDGE_PROB = st.floats(1e-6, 1 - 1e-9)
 _EDGE_RATE = st.floats(1e-6, 1e6)
 _EDGE_SPEC_OF_KIND = {
@@ -426,3 +393,96 @@ def test_sample_chunks_move_the_stream_at_the_call():
         with pytest.raises(ValueError, match="lo <= hi <= n"):
             dist.sample_chunks(spec, s_bad, 10, 3, lo, hi)
         assert s_bad.uniform() == s_ref.uniform()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(shape=st.lists(st.integers(0, 6), min_size=1, max_size=3), before=st.integers(0, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_fill_is_uniforms_in_memory_order(shape, before, seed):
+    s_fill, s_draw = RandomStream(seed), RandomStream(seed)
+    s_fill.skip(before)
+    s_draw.skip(before)
+    out = np.empty(shape)
+    s_fill.fill(out)
+    assert np.array_equal(out.reshape(-1), s_draw.uniforms(out.size))
+    # the stream moves past the doubles it wrote, as uniforms(out.size) moves it
+    assert s_fill.uniform() == s_draw.uniform()
+    # a contiguous slice of a larger buffer takes the same doubles
+    buf = np.zeros((3, *shape))
+    RandomStream(seed).ahead(before).fill(buf[1])
+    assert np.array_equal(buf[1], out) and not buf[0].any() and not buf[2].any()
+
+
+@pytest.mark.parametrize("kind", sorted(dist._KINDS))
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_sample_blocks_are_stacked_sample_n_calls(kind, data):
+    spec = data.draw(_EDGE_SPEC_OF_KIND[kind].filter(
+        lambda s: s.kind != "deterministic" or s.value < 2**63))
+    streams = data.draw(st.integers(1, 4))
+    block = data.draw(st.integers(1, 5))
+    # calls that fill whole blocks, and calls that end in a short last block
+    calls = data.draw(st.one_of(st.integers(1, 12), st.sampled_from([block, 2 * block + 1])))
+    n = data.draw(st.integers(0, 20))
+    root = RandomStream(data.draw(st.integers(0, 2**32 - 1)))
+    s_blocks = [root.substream(i) for i in range(streams)]
+    s_calls = [root.substream(i) for i in range(streams)]
+    # every block is written over one buffer: keep a copy of each
+    blocks = [b.copy() for b in dist.sample_blocks(spec, s_blocks, calls, n, block)]
+    assert [b.shape for b in blocks] == [(streams, min(block, calls - c), n)
+                                         for c in range(0, calls, block)]
+    calls_ = np.stack([np.stack([dist.sample_n(spec, s, n) for _ in range(calls)])
+                       for s in s_calls])
+    joined = np.concatenate(blocks, axis=1)
+    assert joined.dtype == calls_.dtype == (np.int64 if spec.is_discrete else np.float64)
+    assert np.array_equal(joined, calls_)
+    # each stream is left where its sample_n calls leave it
+    assert [s.uniform() for s in s_blocks] == [s.uniform() for s in s_calls]
+    assert np.all(joined >= (1 if kind == "geom_plus" else 0))
+    if kind == "bernoulli":
+        assert np.all(joined <= 1)
+    elif kind == "deterministic":
+        assert np.all(joined == spec.value)
+
+
+def test_sample_blocks_validation_and_no_calls():
+    spec = dist.exponential(1.0)
+    stream, ref = RandomStream(4), RandomStream(4)
+    assert list(dist.sample_blocks(spec, [stream], 0, 5, 3)) == []
+    assert stream.uniform() == ref.uniform()
+    for calls, n, block in ((-1, 5, 3), (2, -1, 3), (2, 5, 0)):
+        with pytest.raises(ValueError):
+            dist.sample_blocks(spec, [stream], calls, n, block)
+
+
+def _values_out_of_place(spec, u, v):
+    """Reference: each kind's transform written out of place, as numpy expressions."""
+    def geom_plus(alpha, x):
+        return (1 + np.floor(np.log1p(-x) / math.log1p(-alpha))).astype(np.int64)
+    return {"bernoulli": lambda: (u < spec.p).astype(np.int64),
+            "geom_plus": lambda: geom_plus(spec.alpha, u),
+            "geom_zero": lambda: geom_plus(spec.alpha, u) - 1,
+            "ber_geom": lambda: geom_plus(spec.alpha, v) * (u < spec.p),
+            "exp": lambda: -np.log1p(-u) / spec.rate,
+            "ber_exp": lambda: np.where(u < spec.p, -np.log1p(-v) / spec.rate, 0.0)}[spec.kind]()
+
+
+@pytest.mark.parametrize("kind", sorted(set(dist._KINDS) - {"deterministic"}))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data(), shape=st.sampled_from([(0,), (7,), (3, 5), (2, 3, 4)]),
+       strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_values_are_the_transforms_written_over_the_uniforms(kind, data, shape, strided, seed):
+    spec = data.draw(_EDGE_SPEC_OF_KIND[kind])
+    # contiguous uniforms, or every other row of a larger block as the block path reads them
+    size = math.prod(shape) * (2 if strided else 1)
+    u, v = (RandomStream(seed).substream(j).uniforms(size) for j in range(2))
+    if strided:
+        u, v = (x.reshape(*shape[:-1], 2, shape[-1])[..., 0, :] for x in (u, v))
+    else:
+        u, v = u.reshape(shape), v.reshape(shape)
+    want = _values_out_of_place(spec, u, v)
+    got = dist._values(spec, u, v)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the values are a view of the uniforms they were written over
+    assert got.shape == shape
+    assert got.size == 0 or np.shares_memory(got, v if kind.startswith("ber_") else u)

@@ -138,6 +138,32 @@ def test_query_validation():
         enumerate_first_passage(WeightField(np.full((2, 3), np.inf)), PathQuery((0, 0), (2, 1)))
 
 
+
+def test_weight_field_refuses_nan_and_negative_weights():
+    # a NaN weight would otherwise pass the nonnegativity check and be
+    # skipped by the sweep's fmin, which makes first_passage 2.5 here
+    for bad in ([[0.5, np.nan, 1], [1, 1, 1]], [[0.5, -1, 1], [1, 1, 1]], [[-0.5]]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            WeightField(np.array(bad))
+    assert WeightField(np.array([[-0.0, np.inf]])).columns == 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 6), pinned=st.booleans(), data=st.data())
+def test_dp_equals_bruteforce_with_infinite_and_signed_zero_weights(rows, cols, pinned, data):
+    rows = 1 if cols == 1 else rows
+    w = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf]),
+                           min_size=rows * cols, max_size=rows * cols))
+    field = WeightField(np.array(w).reshape(rows, cols))
+    q = PathQuery((0, 0), (cols - 1, rows - 1), pinned=pinned)
+    got = first_passage(field, q)
+    try:
+        want = enumerate_first_passage(field, q)
+    except ValueError as exc:  # every path crosses an infinite weight
+        assert "empty path set" in str(exc) and got == math.inf
+        return
+    assert got == want
+
 def test_monotonicity_in_weights():
     stream = RandomStream(55)
     for i in range(100):
@@ -195,8 +221,9 @@ def test_continuous_validation():
         continuous_first_passage(jf, 0.0, 2.0, 0, 1)
     with pytest.raises(ValueError):
         JumpField(times=[np.array([2.0, 1.0])], weights=[np.array([1.0, 1.0])], horizon=3.0)
-    with pytest.raises(ValueError):
-        JumpField(times=[np.array([1.0])], weights=[np.array([0.0])], horizon=3.0)
+    for bad in (0.0, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            JumpField(times=[np.array([1.0])], weights=[np.array([bad])], horizon=3.0)
 
 
 def test_continuous_switch_point_insensitivity():
