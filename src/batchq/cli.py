@@ -4,6 +4,7 @@ Subcommands: dist {pmf|sample}, queue, tandem, perc {simulate|identity},
 tc, verify.  Common flags (--seed, --out, --threads, --config) are
 accepted by every subcommand; values from a --config JSON file fill in
 any flag not given explicitly, checked with the flag's type and choices.
+A --seed must lie in [0, 2**64), the seeds of the PRNG; any other exits 2.
 An explicit --burn-in is used as given and must lie in [0, --slots); the
 default is min(10^4, slots // 2).  --format exists only where it is read:
 dist takes csv or json, and tc takes csv (a table even for one --x).
@@ -12,21 +13,17 @@ Exit codes: 0 success, 1 failed verification, 2 usage or validation error.
 Outputs are deterministic for a fixed argv and seed: floats print with
 17 significant digits and JSON keys are sorted.  --threads is accepted
 and still ignored: perc simulate and queue (without --out) use up to
-one worker process per usable CPU on their own, forked through
-batchq.workers.fork_map, and their output is byte-identical for any
-worker count.  perc simulate draws one field per replica from the
-seed's substream(0) and reads every --x grid point off it, so rows at
-different x are correlated.  The cost of perc identity is linear in
---window.  queue --out and tandem share one block loop: it runs the
-slots in blocks with the one-block run's draws and bytes, writes --out
-rows as each block is made and sums the summary means exactly, so
-memory is bounded by the block.  queue without --out needs only four
-exact integers (sum X and sum A after burn-in, X at the burn-in slot
-and at the end); queue_core.scan_means computes them from the same
-draws with a Lindley scan sharded over contiguous slot ranges, so its
-summary is byte-identical to the block loop's.  No --threads-like knob
-sets the block size or the shard count.  A subcommand imports only the
-modules it uses.
+one worker process per usable CPU on their own (batchq.workers), and
+their output is byte-identical for any worker count.  perc simulate
+draws one field per replica from the seed's substream(0) and reads
+every --x grid point off it, so rows at different x are correlated.
+The cost of perc identity is linear in --window.  This module does no
+queue arithmetic: queue --out and tandem pass the slot engine's blocks
+to queue_core.block_means, which writes --out rows as each block is
+made, so memory is bounded by the block; queue without --out calls
+queue_core.scan_means, a sharded Lindley scan of the same draws, whose
+summary is byte-identical.  No --threads-like knob sets the block size
+or the shard count.  A subcommand imports only the modules it uses.
 """
 
 from __future__ import annotations
@@ -36,11 +33,13 @@ import importlib
 import io
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from . import distributions as dist
-from .queue_core import (QueueParams, check_condition, condition_holds, scan_means,
-                         simulate_blocks, slot_means, stationary_law, tee_csv, write_csv)
 from .streams import RandomStream
+
+if TYPE_CHECKING:
+    from .queue_core import QueueParams
 
 __all__ = ["main", "run"]
 
@@ -81,7 +80,7 @@ def _json_dump(obj) -> str:
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=None, help="PRNG seed (default 1)")
+    sp.add_argument("--seed", type=int, default=None, help="PRNG seed in [0, 2**64) (default 1)")
     sp.add_argument("--out", default=None, help="write the primary output to this file")
     sp.add_argument("--threads", type=int, default=None,
                     help="accepted for compatibility; has no effect")
@@ -118,6 +117,7 @@ def _seed_of(args: argparse.Namespace) -> int:
 
 
 def _queue_params(args, parser) -> QueueParams:
+    from .queue_core import QueueParams
     missing = [k for k in ("p", "alpha", "q", "beta") if getattr(args, k) is None]
     if missing:
         parser.error(f"missing required flags: {', '.join('--' + m for m in missing)}")
@@ -235,35 +235,12 @@ def _cmd_dist(args, parser) -> int:
             vals = [int(v) for v in draws] if spec.is_discrete else [float(v) for v in draws]
             text = _json_dump({"spec": spec.to_dict(), "seed": _seed_of(args), "samples": vals})
         else:
+            from .queue_core import write_csv
             buf = io.BytesIO()
             write_csv(buf, ["value"], [draws])
             text = buf.getvalue().decode()
     _write_out(text, args.out)
     return 0
-
-
-def _block_means(blocks, burn: int, out: str | None) -> list[dict]:
-    """Per stage, :func:`slot_means` after burn-in of Trace or TandemTrace blocks.
-
-    With ``out`` the CSV rows are written as the blocks pass.  Each stage
-    sums X and A exactly and keeps X at the burn-in slot and at the end.
-    """
-    if out:
-        blocks = tee_csv(blocks, out)
-    sums, first = [], 0
-    for blk in blocks:
-        stages = getattr(blk, "stages", [blk])
-        if not sums:
-            sums = [[0, 0, 0, 0] for _ in stages]  # sum X, sum A, X at burn-in, X at the end
-        k = max(burn - first, 0)
-        for tr, acc in zip(stages, sums):
-            acc[0] += int(tr.x[k:].sum())
-            acc[1] += int(tr.a[k:].sum())
-            if k < len(tr) and burn >= first:
-                acc[2] = int(tr.x[k])
-            acc[3] = int(tr.final_x)
-        first += len(blk)
-    return [slot_means(*acc, first - burn) for acc in sums]
 
 
 def _series_args(args, parser) -> tuple[QueueParams, int, int, dict]:
@@ -277,12 +254,14 @@ def _series_args(args, parser) -> tuple[QueueParams, int, int, dict]:
 
 
 def _cmd_queue(args, parser) -> int:
+    from .queue_core import (block_means, check_condition, condition_holds, scan_means,
+                             simulate_blocks, stationary_law)
     params, slots, burn, summary = _series_args(args, parser)
     arrival, service, stream = params.arrival_spec, params.service_spec, RandomStream(_seed_of(args))
     init_x = args.init_x or 0
     if args.out:
         blocks = simulate_blocks(arrival, [service], slots, stream, init_x)
-        means = _block_means((stages[0] for stages in blocks), burn, args.out)[0]
+        means = block_means((stages[0] for stages in blocks), burn, args.out)[0]
     else:
         means = scan_means(arrival, service, slots, stream, init_x, burn)
     summary["empirical"] = {f"mean_{name}": means[name] for name in "xyd"}
@@ -294,12 +273,13 @@ def _cmd_queue(args, parser) -> int:
 
 
 def _cmd_tandem(args, parser) -> int:
+    from .queue_core import block_means, condition_holds, simulate_blocks, stationary_law
     from .tandem import TandemConfig, TandemTrace
     params, slots, burn, summary = _series_args(args, parser)
     summary["stages"] = stages = 2 if args.stages is None else args.stages
     config = TandemConfig.bergeom(params, stages)
     blocks = simulate_blocks(config.arrival, config.services, slots, RandomStream(_seed_of(args)))
-    means = _block_means((TandemTrace(config, st) for st in blocks), burn, args.out)
+    means = block_means((TandemTrace(config, st) for st in blocks), burn, args.out)
     summary["empirical_mean_x"] = [m["x"] for m in means]
     summary["empirical_mean_d"] = [m["d"] for m in means]
     if params.is_stable and condition_holds(params):
@@ -387,6 +367,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             args = parser.parse_args(_with_config(argv, args, parser))
+        if args.seed is not None and not 0 <= args.seed < 1 << 64:
+            parser.error(f"--seed must lie in [0, 2**64), got {args.seed}")
         return handlers[args.command](args, parser)
     except (ValueError, ArithmeticError, OSError) as exc:
         parser.error(str(exc))

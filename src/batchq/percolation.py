@@ -53,7 +53,7 @@ import numpy as np
 
 from .distributions import DistSpec, sample_blocks, sample_n
 from .streams import RandomStream
-from .workers import fork_map, usable_cpus
+from .workers import fork_map, shard_spans
 
 __all__ = [
     "WeightField",
@@ -287,14 +287,12 @@ def _shard(weight_spec: DistSpec, stream: RandomStream, n: int, cols: Sequence[i
 
 def _replica_values(weight_spec: DistSpec, stream: RandomStream, n: int, cols: Sequence[int],
                     replicas: int) -> dict[int, np.ndarray]:
-    """:func:`_shard` over all replicas, joined in replica order: contiguous
-    shards, at most one per ``_SHARD_CELLS`` weights, per usable CPU and
-    per replica, through :func:`fork_map`."""
+    """:func:`_shard` over all replicas, joined in replica order: the
+    contiguous shards of :func:`shard_spans`, at most one per
+    ``_SHARD_CELLS`` weights, through :func:`fork_map`."""
     cells = replicas * (n + 1) * (max(cols) + 1)
-    shards = max(1, min(usable_cpus(), replicas, cells // _SHARD_CELLS))
-    bounds = [replicas * i // shards for i in range(shards + 1)]
     parts = fork_map(_shard, [(weight_spec, stream, n, cols, lo, hi)
-                              for lo, hi in zip(bounds, bounds[1:])])
+                              for lo, hi in shard_spans(replicas, cells, _SHARD_CELLS)])
     return {c: np.concatenate([p[c] for p in parts]) for c in cols}
 
 

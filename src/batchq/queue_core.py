@@ -22,21 +22,22 @@ stationary law of X is BerGeom(c, gamma) with
 
 This module provides the simulator, the one-parameter-family solver, a
 detailed-balance residual check, busy-period likelihoods, and an
-independent truncated-Markov-chain oracle for stationary laws.  One slot
-engine runs queues in series on the kernel behind :func:`lindley`; the
-single queue is its one-stage case and the tandem its R-stage case.
-Whole traces (:func:`simulate`, :func:`simulate_series`) are one block of
-all the slots, and :func:`simulate_blocks` streams the same draws and
-values in blocks of 2**16 slots (a module constant), so its memory is
-bounded by the block.  :func:`tee_csv` writes the CSV as blocks pass.
-:func:`scan_means` gets the single queue's summary means from the same
-draws without the engine: a Lindley scan sharded over contiguous slot
-ranges, at most one per usable CPU, on :func:`~batchq.workers.fork_map`, with
-every shard's contribution exact for any start it is later given.
-:func:`slot_means` turns four exact integers into the means, for both.
-Simulations draw from a :class:`~batchq.streams.RandomStream` the caller
-passes in; a :class:`Trace` keeps the driving sequences and the queue
-lengths, and derives the other per-slot quantities from them.
+independent truncated-Markov-chain oracle for stationary laws.  One
+Lindley kernel (X_j = c_j + max(X_0, M_j), c the prefix sums of A - S
+and M the running maximum of -c) serves the slot engine, which runs
+queues in series (the single queue is its one-stage case), and the
+queue scan.  Whole traces (:func:`simulate`, :func:`simulate_series`)
+are one block of all the slots; :func:`simulate_blocks` streams the same
+draws and values in blocks of 2**16 slots, so its memory is bounded by
+the block, and :func:`tee_csv` writes the CSV as blocks pass.  The
+summary means divide four exact integers by one private formula, summed
+by :func:`block_means` over blocks and by :func:`scan_means` in a Lindley
+scan of the same draws, sharded by :func:`~batchq.workers.shard_spans` on
+:func:`~batchq.workers.fork_map`, with every shard's contribution exact
+for any start it is later given.  Simulations draw from a
+:class:`~batchq.streams.RandomStream` the caller passes in; a
+:class:`Trace` keeps the driving sequences and the queue lengths, and
+derives the other per-slot quantities from them.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from .distributions import (DistSpec, ber_geom, mean, pmf, pmf_vector, sample_chunks, sf,
                             tail_cutoff)
 from .streams import RandomStream
-from .workers import fork_map, usable_cpus
+from .workers import fork_map, shard_spans
 
 __all__ = [
     "QueueParams",
@@ -63,7 +64,7 @@ __all__ = [
     "simulate_blocks",
     "simulate_series",
     "simulate",
-    "slot_means",
+    "block_means",
     "scan_means",
     "path_max_X",
     "check_condition",
@@ -148,41 +149,27 @@ def step(x, a, s):
     return y - d, d, s - d
 
 
-def _lindley_block(a: np.ndarray, s: np.ndarray, init_x, carry, out: np.ndarray):
-    """Write X before and after each slot of a block to ``out``; return the carry.
+def _prefix(a: np.ndarray, s: np.ndarray, c0, m0, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Lindley kernel: c_0 = c0, M_0 = m0, c_j = c_{j-1} + A_j - S_j, M_j = max(M_{j-1}, -c_j).
 
-    ``carry`` holds the prefix sum of A - S over the earlier slots, its
-    running minimum and the last X (None before the first slot).  Going on
-    with those sums adds in the one-shot order, so every X is the one-shot
-    value bit for bit, for float batches too.
+    A queue started at X_0 = h has X_j = c_j + max(h, M_j).  A block started
+    from the previous block's last (c, M) adds in the one-shot order, so its
+    values, its first X among them, are the one-shot ones bit for bit.
     """
-    out[0] = init_x if carry is None else carry[2]
-    c = a - s
-    if not len(c):
-        return carry
-    if carry is not None:
-        c[0] += carry[0]
+    c = np.empty(len(a) + 1, dtype=dtype)
+    c[0] = c0
+    np.subtract(a, s, out=c[1:])
     np.cumsum(c, out=c)
-    runmin = np.minimum.accumulate(c)
-    if carry is not None:
-        np.minimum(runmin, carry[1], out=runmin)
-    low = runmin[-1]
-    np.negative(runmin, out=runmin)
-    out[1:] = c + np.maximum(init_x, runmin)
-    return c[-1], low, out[-1]
+    m = np.negative(c)
+    m[0] = m0
+    np.maximum.accumulate(m, out=m)
+    return c, m
 
 
 def lindley(a: np.ndarray, s: np.ndarray, init_x) -> np.ndarray:
-    """Queue lengths X_0..X_n for driving sequences of length n.
-
-    Uses the running-minimum form of the recursion so the whole path is
-    computed with vector operations:
-    X_k = C_k + max(init_x, -min_{1<=m<=k} C_m) with C_k the prefix sums
-    of A - S.
-    """
-    x = np.empty(len(a) + 1, dtype=np.result_type(a, s))
-    _lindley_block(a, s, init_x, None, x)
-    return x
+    """Queue lengths X_0..X_n for driving sequences of length n: the one-block :func:`_prefix`."""
+    c, m = _prefix(a, s, 0, 0, np.result_type(a, s))
+    return c + np.maximum(init_x, m)
 
 
 _CSV_BLOCK_ROWS = 1 << 14
@@ -379,16 +366,16 @@ def _series(arrival: DistSpec, services: Sequence[DistSpec], n_slots: int,
 
 
 def _run_series(blocks, inits) -> Iterator[list[Trace]]:
-    carries = [None] * len(inits)
+    carries = [(0, 0)] * len(inits)  # each stage's last (c, M) of _prefix
     for a, *services in blocks:
         stages = []
         for r, s in enumerate(services):
             a = stages[-1].d if stages else a
             if a.dtype != s.dtype:
                 a, s = a.astype(float), s.astype(float)
-            x_full = np.empty(len(a) + 1, dtype=a.dtype)
-            carries[r] = _lindley_block(a, s, inits[r], carries[r], x_full)
-            stages.append(Trace(a=a, s=s, x_full=x_full))
+            c, m = _prefix(a, s, *carries[r], a.dtype)
+            carries[r] = c[-1], m[-1]
+            stages.append(Trace(a=a, s=s, x_full=c + np.maximum(inits[r], m)))
         yield stages
 
 
@@ -413,7 +400,7 @@ def simulate(arrival: DistSpec, service: DistSpec, n_slots: int, stream: RandomS
     return simulate_series(arrival, [service], n_slots, stream, init_x)[0]
 
 
-def slot_means(sum_x: int, sum_a: int, x_burn: int, x_end: int, count: int) -> dict[str, float]:
+def _slot_means(sum_x: int, sum_a: int, x_burn: int, x_end: int, count: int) -> dict[str, float]:
     """Means of X, Y and D over ``count`` slots from four exact integers.
 
     ``sum_x`` and ``sum_a`` sum X and A over the slots, ``x_burn`` is X at
@@ -423,6 +410,30 @@ def slot_means(sum_x: int, sum_a: int, x_burn: int, x_end: int, count: int) -> d
     """
     return {"x": sum_x / count, "y": (sum_x + sum_a) / count,
             "d": (sum_a + x_burn - x_end) / count}
+
+
+def block_means(blocks: Iterable, burn_in: int, out=None) -> list[dict[str, float]]:
+    """Per stage, the means of X, Y and D after burn-in of Trace or TandemTrace blocks.
+
+    With ``out`` the blocks' joint CSV is written as they pass (:func:`tee_csv`).
+    Each stage sums X and A exactly and keeps X at the burn-in slot and at the end.
+    """
+    if out:
+        blocks = tee_csv(blocks, out)
+    sums, first = [], 0
+    for blk in blocks:
+        stages = getattr(blk, "stages", [blk])
+        if not sums:
+            sums = [[0, 0, 0, 0] for _ in stages]  # sum X, sum A, X at burn-in, X at the end
+        k = max(burn_in - first, 0)
+        for tr, acc in zip(stages, sums):
+            acc[0] += int(tr.x[k:].sum())
+            acc[1] += int(tr.a[k:].sum())
+            if k < len(tr) and burn_in >= first:
+                acc[2] = int(tr.x[k])
+            acc[3] = int(tr.final_x)
+        first += len(blk)
+    return [_slot_means(*acc, first - burn_in) for acc in sums]
 
 
 # scan_means splits a queue into shards of at least _SHARD_SLOTS slots, at
@@ -485,13 +496,7 @@ def _scan_shard(arrival: DistSpec, service: DistSpec, n_slots: int, stream: Rand
     first = lo
     for a, s in zip(*draws):
         m = len(a)
-        c = np.empty(m + 1, dtype=np.int64)
-        c[0] = c0
-        np.subtract(a, s, out=c[1:])
-        np.cumsum(c, out=c)
-        mx = np.negative(c)
-        mx[0] = m0
-        np.maximum.accumulate(mx, out=mx)
+        c, mx = _prefix(a, s, c0, m0, np.int64)
         k = max(burn - first, 0)
         if k < m:
             if burn >= first:
@@ -515,10 +520,10 @@ def _scan_shard(arrival: DistSpec, service: DistSpec, n_slots: int, stream: Rand
 
 def scan_means(arrival: DistSpec, service: DistSpec, n_slots: int, stream: RandomStream,
                init_x: int = 0, burn_in: int = 0) -> dict[str, float]:
-    """:func:`slot_means` of slots burn_in.. of ``simulate_blocks``' single queue, sharded.
+    """The means of X, Y and D over slots burn_in.. of ``simulate_blocks``' single queue, sharded.
 
-    The slots split into contiguous shards of at least ``_SHARD_SLOTS``
-    slots, at most one per usable CPU, run through :func:`~batchq.workers.fork_map`;
+    The slots split into the contiguous shards of :func:`~batchq.workers.shard_spans`,
+    of at least ``_SHARD_SLOTS`` slots each, run through :func:`~batchq.workers.fork_map`;
     each shard reads its part of the same draws from cursors and is
     scanned without its start (:class:`_ShardScan`).  The start then
     carries through the shards in order, and a shard whose recorded
@@ -535,9 +540,7 @@ def scan_means(arrival: DistSpec, service: DistSpec, n_slots: int, stream: Rando
         raise ValueError("init_x must be nonnegative")
     if not 0 <= burn_in < n_slots:
         raise ValueError(f"burn_in must lie in [0, {n_slots}), got {burn_in}")
-    shards = max(1, min(usable_cpus(), n_slots // _SHARD_SLOTS))
-    bounds = [n_slots * i // shards for i in range(shards + 1)]
-    spans = list(zip(bounds, bounds[1:]))
+    spans = shard_spans(n_slots, n_slots, _SHARD_SLOTS)
     start = stream.ahead(0)
     # the first shard starts at init_x, known: it needs no level above it
     tasks = [(arrival, service, n_slots, stream, 0, spans[0][1], burn_in, init_x)]
@@ -552,7 +555,7 @@ def scan_means(arrival: DistSpec, service: DistSpec, n_slots: int, stream: Rando
         sum_x += part.sum_x(h)
         sum_a += part.sum_a
         h = part.end[0] + max(h, part.end[1])
-    return slot_means(sum_x, sum_a, x_burn, h, n_slots - burn_in)
+    return _slot_means(sum_x, sum_a, x_burn, h, n_slots - burn_in)
 
 
 def path_max_X(arrivals: Sequence[float], services: Sequence[float]):

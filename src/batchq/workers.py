@@ -1,9 +1,12 @@
 """Run independent shards of one computation in forked worker processes.
 
-:func:`fork_map` is the package's one use of ``os.fork``: the queue scan
-(:func:`batchq.queue_core.scan_means`) and the time-constant estimator
-(:func:`batchq.percolation.estimate_curve`) split their work into
-contiguous shards and run them through it.  A forked child inherits the
+:func:`shard_spans` is the package's one shard split: contiguous spans
+of the items, at most one per usable CPU, per item and per unit of
+work.  :func:`fork_map` is its one use of ``os.fork``.
+The queue scan (:func:`batchq.queue_core.scan_means`), the time-constant
+estimator (:func:`batchq.percolation.estimate_curve`) and the calibration
+tool (``tools/calibrate_verify.py``) split their work with the one and
+run the shards through the other.  A forked child inherits the
 parent's memory, so it imports nothing and its arguments are not copied;
 only its result comes back, pickled, through its own pipe.  Results come
 back in task order whether or not the platform can fork.
@@ -15,7 +18,7 @@ import os
 import pickle
 from typing import Callable, Sequence
 
-__all__ = ["usable_cpus", "fork_map"]
+__all__ = ["usable_cpus", "shard_spans", "fork_map"]
 
 
 def usable_cpus() -> int:
@@ -24,6 +27,15 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def shard_spans(items: int, work: int, unit: int) -> list[tuple[int, int]]:
+    """``max(1, min(usable_cpus(), items, work // unit))`` contiguous ``(lo, hi)`` spans
+    of near-equal size that cover ``range(items)`` in order: at most one per usable CPU,
+    per item and per ``unit`` of the ``work``."""
+    shards = max(1, min(usable_cpus(), items, work // unit))
+    bounds = [items * i // shards for i in range(shards + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _child(fn: Callable, args: tuple, r: int, w: int) -> None:

@@ -245,12 +245,15 @@ def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, capsys):
                                   "dist-negative-max-k", "queue-format", "verify-format",
                                   "tc-format-json", "config-slots-not-int",
                                   "config-format-not-a-choice", "config-tc-format-json",
-                                  "queue-burn-in-at-slots", "tandem-burn-in-above-slots"])
+                                  "queue-burn-in-at-slots", "tandem-burn-in-above-slots",
+                                  "seed-negative", "seed-2-to-the-64", "config-seed-negative"])
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir" / "x.csv")
     list_config = tmp_path / "list.json"
     list_config.write_text("[1]")
-    configs = {"slots": {"slots": "abc"}, "xml": {"format": "xml"}, "json": {"format": "json"}}
+    configs = {"slots": {"slots": "abc"}, "xml": {"format": "xml"}, "json": {"format": "json"},
+               "seed": {"seed": -1}}
+    exp = '{"kind": "exp", "rate": 1.0}'
     for name, conf in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(conf))
     argv = {
@@ -298,6 +301,11 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
                                   "--config", str(tmp_path / "json.json")],
         "queue-burn-in-at-slots": ["queue", *P, "--slots", "1000", "--burn-in", "1000"],
         "tandem-burn-in-above-slots": ["tandem", *P, "--slots", "1000", "--burn-in", "5000"],
+        # a seed outside [0, 2**64) is refused, not reduced mod 2**64
+        "seed-negative": ["dist", "sample", "--spec", exp, "--n", "3", "--seed", "-1"],
+        "seed-2-to-the-64": ["dist", "sample", "--spec", exp, "--n", "3", "--seed", str(2**64)],
+        "config-seed-negative": ["dist", "sample", "--spec", exp, "--n", "3",
+                                 "--config", str(tmp_path / "seed.json")],
     }[case]
     code, err = _exit_code_and_stderr(argv, capsys)
     assert code == 2
@@ -370,8 +378,8 @@ import sys
 from batchq.cli import run
 code = run(sys.argv[1:])
 sys.stderr.write(" ".join(m for m in ("multiprocessing", "concurrent.futures", "batchq.verify",
-                                      "batchq.timeconstants", "batchq.stats", "batchq.tandem",
-                                      "batchq.percolation")
+                                      "batchq.timeconstants", "batchq.stats",
+                                      "batchq.queue_core", "batchq.tandem", "batchq.percolation")
                           if m in sys.modules))
 sys.exit(code)
 """
@@ -379,10 +387,10 @@ sys.exit(code)
 
 @pytest.mark.parametrize("argv,loaded", [
     (["perc", "identity", *P, "--window", "20", "--instances", "3"],
-     "batchq.tandem batchq.percolation"),
-    (["queue", *P, "--slots", "2000"], ""),
-    (["tandem", *P, "--slots", "2000"], "batchq.tandem"),
-    (["tc", "--variant", "exp", "--x", "3"], "batchq.timeconstants"),
+     "batchq.queue_core batchq.tandem batchq.percolation"),
+    (["queue", *P, "--slots", "2000"], "batchq.queue_core"),
+    (["tandem", *P, "--slots", "2000"], "batchq.queue_core batchq.tandem"),
+    (["tc", "--variant", "exp", "--x", "3"], "batchq.timeconstants batchq.queue_core"),
     (["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}', "--x", "1", "--n", "10",
       "--replicas", "2"], "batchq.percolation"),
 ], ids=["perc-identity", "queue", "tandem", "tc", "perc-simulate"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -162,6 +163,8 @@ def test_calibration_names_the_verify_seeds_of_its_failures(monkeypatch, tmp_pat
         return checks
 
     monkeypatch.setattr(verify, "check_joint_burke", low_second_p_on_the_second_seed)
+    # one usable CPU: every seed runs in this process, where the spy records it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     out = tmp_path / "cal.json"
     assert _calibration_tool().main(["--families", "joint_burke", "--seeds", "1:2",
                                      "--out", str(out)]) == 0
@@ -171,3 +174,13 @@ def test_calibration_names_the_verify_seeds_of_its_failures(monkeypatch, tmp_pat
     assert [(c["name"], c["runs"], c["failed_seeds"]) for c in checks] == [
         ("joint_burke_geom_plus_D_I", 2, []), ("joint_burke_bernoulli_D_T", 2, [2])]
     assert all(c["kind"] == "stat" and 0.0 <= c["ks_p_value"] <= 1.0 for c in checks)
+
+
+def test_calibration_report_is_the_same_on_forked_workers(monkeypatch, tmp_path):
+    tool, reports = _calibration_tool(), []
+    for cpus in (1, 2):  # at 2 CPUs, seeds 1 and 2..3 run in two processes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / f"cal{cpus}.json"
+        assert tool.main(["--families", "joint_burke", "--seeds", "1:3", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

@@ -1,4 +1,5 @@
-"""The fork helper: results in task order, errors raised here, no child left behind."""
+"""The fork helper: results in task order, errors raised here, no child left behind;
+the shard split: contiguous spans that cover the items."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import time
 
 import pytest
 
-from batchq.workers import fork_map, usable_cpus
+from batchq import workers
+from batchq.workers import fork_map, shard_spans, usable_cpus
 
 
 def _no_children_left() -> bool:
@@ -72,3 +74,19 @@ def test_a_child_without_a_result_raises_runtime_error(where, match):
 def test_without_fork_every_task_runs_here_in_order(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert fork_map(_task, [(i, None) for i in range(3)]) == [(i, os.getpid()) for i in range(3)]
+
+
+# (items, work, unit): more items than CPUs, fewer (items < cpus), work below
+# one unit (work < unit), a count set by the work, and no items at all
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("items, work, unit", [(1000, 1000, 1), (3, 10**6, 1), (5, 9, 10),
+                                               (100, 350, 100), (7, 7, 1), (1, 1, 1),
+                                               (0, 0, 1)])
+def test_shard_spans_are_contiguous_and_cover_the_items(cpus, items, work, unit, monkeypatch):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    spans = shard_spans(items, work, unit)
+    assert len(spans) == max(1, min(cpus, items, work // unit))
+    assert spans[0][0] == 0 and spans[-1][1] == items
+    assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+    sizes = [hi - lo for lo, hi in spans]
+    assert max(sizes) - min(sizes) <= 1 and (items == 0 or min(sizes) >= 1)

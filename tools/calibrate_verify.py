@@ -14,7 +14,9 @@ suite's Bonferroni correction).  The JSON gives, per check, its runs, the
 seeds where it failed and its rejection rate; a statistical check also gets
 the KS p-value of its p-values against U(0, 1), which are uniform when the
 check is calibrated.  The graded checks are verify's own: this tool changes
-none of them.
+none of them.  The seed range splits into contiguous spans, at most one per
+usable CPU, run on forked workers (``batchq.workers``); the records join in
+seed order, so the report is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -22,27 +24,36 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from batchq import verify
 from batchq.stats import ks_test
+from batchq.workers import fork_map, shard_spans
 
 LEVEL = 0.01
 
 
+def _run(families: list[str], seeds: range) -> list[tuple[int, str, list[dict]]]:
+    """Every family's checks at every seed, in seed order."""
+    return [(seed, family, verify.run_family(family, seed)) for seed in seeds
+            for family in families]
+
+
 def calibrate(families: list[str], seeds: range) -> list[dict]:
     records, p_values = {}, {}
-    for seed in seeds:
-        for family in families:
-            for c in verify.run_family(family, seed):
-                key = (family, c["name"])
-                rec = records.setdefault(key, {"family": family, "name": c["name"],
-                                               "kind": c["kind"], "runs": 0, "failed_seeds": []})
-                rec["runs"] += 1
-                if c["kind"] == "stat":
-                    p_values.setdefault(key, []).append(c["observed"])
-                if c["observed"] < LEVEL if c["kind"] == "stat" else not c["passed"]:
-                    rec["failed_seeds"].append(seed)
-                    print(f"seed {seed}: {family}.{c['name']} failed", file=sys.stderr)
+    spans = shard_spans(len(seeds), len(seeds), 1)
+    runs = fork_map(_run, [(families, seeds[lo:hi]) for lo, hi in spans])
+    for seed, family, checks in chain.from_iterable(runs):
+        for c in checks:
+            key = (family, c["name"])
+            rec = records.setdefault(key, {"family": family, "name": c["name"],
+                                           "kind": c["kind"], "runs": 0, "failed_seeds": []})
+            rec["runs"] += 1
+            if c["kind"] == "stat":
+                p_values.setdefault(key, []).append(c["observed"])
+            if c["observed"] < LEVEL if c["kind"] == "stat" else not c["passed"]:
+                rec["failed_seeds"].append(seed)
+                print(f"seed {seed}: {family}.{c['name']} failed", file=sys.stderr)
     for key, rec in records.items():
         rec["rejection_rate"] = len(rec["failed_seeds"]) / rec["runs"]
         if key in p_values:
