@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DistSpec",
     "QueueParams",
-    "StationaryLaw",
     "Trace",
     "RandomStream",
     "distributions",
@@ -26,8 +25,8 @@ __all__ = [
 _MODULES = ("distributions", "percolation", "queue_core", "stats", "streams", "tandem",
             "timeconstants", "verify")
 # re-exported name -> the submodule that defines it
-_NAMES = {"DistSpec": "distributions", "QueueParams": "queue_core", "StationaryLaw": "queue_core",
-          "Trace": "queue_core", "RandomStream": "streams"}
+_NAMES = {"DistSpec": "distributions", "QueueParams": "queue_core", "Trace": "queue_core",
+          "RandomStream": "streams"}
 
 
 def __getattr__(name: str):

@@ -47,7 +47,6 @@ __all__ = [
     "pmf",
     "pmf_vector",
     "sf",
-    "cdf",
     "mean",
     "variance",
     "pgf",
@@ -239,18 +238,6 @@ def sf(spec: DistSpec, x: float) -> float:
         return (1.0 - spec.alpha) ** k
     # ber_geom
     return spec.p * (1.0 - spec.alpha) ** (k - 1)
-
-
-def cdf(spec: DistSpec, x: float) -> float:
-    """P(X <= x)."""
-    if x < 0:
-        return 0.0
-    if spec.kind == "exp":
-        return -math.expm1(-spec.rate * x)
-    if spec.kind == "ber_exp":
-        # atom of mass 1-p at zero, exponential tail above
-        return 1.0 - spec.p * math.exp(-spec.rate * x)
-    return 1.0 - sf(spec, math.floor(x) + 1)
 
 
 def mean(spec: DistSpec) -> float:

@@ -27,6 +27,8 @@ def mix64(seed: int, index: int) -> int:
 class RandomStream:
     """A seeded PCG64 stream; identical seeds give bit-identical draws.
 
+    A seed is an integer in [0, 2**64); any other raises ``ValueError``.
+
     Streams are single-owner: never share one instance across concurrent
     tasks.  Replica parallelism uses ``substream(i)``, which derives an
     independent child stream keyed by ``mix64(seed, i)``.
@@ -40,7 +42,9 @@ class RandomStream:
     __slots__ = ("seed", "_gen")
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = int(seed)
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"a seed must lie in [0, 2**64), got {seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def __repr__(self) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,11 +18,11 @@ from hypothesis import given, settings, strategies as st
 from batchq import distributions as dist
 from batchq import percolation as perc
 from batchq import queue_core
-from batchq.cli import run
-from batchq.queue_core import QueueParams, lindley
+from batchq.cli import build_parser, run
+from batchq.queue_core import QueueParams
 from batchq.streams import RandomStream
 from batchq.tandem import TandemConfig, TandemTrace
-from test_queue_core import _old_write_csv
+from test_queue_core import _old_write_csv, _one_shot
 
 
 def test_tc_single_value_prints_plain_float(capsys):
@@ -212,6 +213,17 @@ def _exit_code_and_stderr(argv, capsys):
     return code, capsys.readouterr().err
 
 
+def _assert_refused(code, err, prog):
+    """Exit 2 with the usage of the leaf subcommand ``prog`` and one error: line."""
+    assert code == 2
+    assert err.startswith(f"usage: {prog} [-h]") and f"\n{prog}: error: " in err, err
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def _prog(argv):
+    return "batchq " + " ".join(argv[:2] if argv[0] in ("dist", "perc") else argv[:1])
+
+
 P = ["--p", "0.3333333333333333", "--alpha", "0.6666666666666666", "--q", "0.5", "--beta", "0.5"]
 
 
@@ -230,8 +242,7 @@ P = ["--p", "0.3333333333333333", "--alpha", "0.6666666666666666", "--q", "0.5",
         "identity-stages", "identity-instances", "perc-n", "perc-replicas"])
 def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, capsys):
     code, err = _exit_code_and_stderr(argv, capsys)
-    assert code == 2
-    assert err.count("error:") == 1
+    _assert_refused(code, err, _prog(argv))
 
 
 @pytest.mark.parametrize("case", ["zero-step-grid", "legendre-arithmetic", "missing-config",
@@ -246,13 +257,16 @@ def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, capsys):
                                   "tc-format-json", "config-slots-not-int",
                                   "config-format-not-a-choice", "config-tc-format-json",
                                   "queue-burn-in-at-slots", "tandem-burn-in-above-slots",
-                                  "seed-negative", "seed-2-to-the-64", "config-seed-negative"])
+                                  "seed-negative", "seed-2-to-the-64", "config-seed-negative",
+                                  "tc-seed-2-to-the-64", "config-dispatch-key",
+                                  "tandem-stages-2-to-the-62",
+                                  "identity-stages-2-to-the-62"])
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir" / "x.csv")
     list_config = tmp_path / "list.json"
     list_config.write_text("[1]")
     configs = {"slots": {"slots": "abc"}, "xml": {"format": "xml"}, "json": {"format": "json"},
-               "seed": {"seed": -1}}
+               "seed": {"seed": -1}, "handler": {"handler": 1}}
     exp = '{"kind": "exp", "rate": 1.0}'
     for name, conf in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(conf))
@@ -306,10 +320,18 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
         "seed-2-to-the-64": ["dist", "sample", "--spec", exp, "--n", "3", "--seed", str(2**64)],
         "config-seed-negative": ["dist", "sample", "--spec", exp, "--n", "3",
                                  "--config", str(tmp_path / "seed.json")],
+        # checked by the flag itself: tc builds no stream that could refuse it
+        "tc-seed-2-to-the-64": ["tc", "--variant", "exp", "--x", "3", "--seed", str(2**64)],
+        # a name that dispatch stores in the namespace is not a flag
+        "config-dispatch-key": ["tc", "--variant", "exp", "--x", "3",
+                                "--config", str(tmp_path / "handler.json")],
+        # a count too large to allocate is refused before anything is allocated
+        "tandem-stages-2-to-the-62": ["tandem", *P, "--stages", str(2**62), "--slots", "10"],
+        "identity-stages-2-to-the-62": ["perc", "identity", *P, "--stages", str(2**62),
+                                        "--window", "5", "--instances", "2"],
     }[case]
     code, err = _exit_code_and_stderr(argv, capsys)
-    assert code == 2
-    assert err.count("error:") == 1 and "Traceback" not in err
+    _assert_refused(code, err, _prog(argv))
 
 
 def test_perc_simulate_worker_error_exits_2(monkeypatch, capsys):
@@ -319,9 +341,61 @@ def test_perc_simulate_worker_error_exits_2(monkeypatch, capsys):
     code, err = _exit_code_and_stderr(["perc", "simulate", "--weights",
                                        '{"kind": "geom_plus", "alpha": 1e-300}', "--x", "1",
                                        "--n", "10", "--replicas", "4"], capsys)
-    assert code == 2
-    assert err.count("error:") == 1 and "Traceback" not in err
+    _assert_refused(code, err, "batchq perc simulate")
     assert "does not fit in int64" in err
+
+
+def _leaves(parser: argparse.ArgumentParser) -> list[argparse.ArgumentParser]:
+    """The parser of every leaf subcommand under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [parser]
+    return [leaf for sp in subs[0].choices.values() for leaf in _leaves(sp)]
+
+
+EXP = '{"kind": "exp", "rate": 1.0}'
+# one small valid argv per leaf subcommand, by the leaf's usage name
+SMALL = {
+    "batchq dist pmf": ["dist", "pmf", "--spec", '{"kind": "geom_zero", "alpha": 0.5}',
+                        "--max-k", "5"],
+    "batchq dist sample": ["dist", "sample", "--spec", EXP, "--n", "5"],
+    "batchq queue": ["queue", *P, "--slots", "200", "--burn-in", "10"],
+    "batchq tandem": ["tandem", *P, "--stages", "3", "--slots", "200"],
+    "batchq perc simulate": ["perc", "simulate", "--weights", EXP, "--x", "1", "--n", "10",
+                             "--replicas", "3"],
+    "batchq perc identity": ["perc", "identity", *P, "--stages", "2", "--window", "10",
+                             "--instances", "3"],
+    "batchq tc": ["tc", "--variant", "ber_geom", "--q", "0.5", "--beta", "0.5", "--x", "2"],
+    "batchq verify": ["verify", "--suite", "stats"],
+}
+LEAVES = {leaf.prog: leaf for leaf in _leaves(build_parser())}
+# every typed (numeric) flag of every leaf with one edge value; no valid count
+# is large enough to start a long run
+EDGES = [(prog, f"{action.option_strings[-1]}={value}") for prog, leaf in LEAVES.items()
+         for action in leaf._actions if action.type is not None
+         for value in ("0", "-1", "nan", "inf", "-inf", "-0.0", "1e300", "x", "1_000")]
+
+
+def test_every_leaf_subcommand_has_a_small_valid_argv(capsys):
+    assert sorted(SMALL) == sorted(LEAVES)
+    for argv in SMALL.values():
+        assert run(argv) == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=len(EDGES) + 50)
+@given(edge=st.sampled_from(EDGES))
+def test_a_numeric_flag_at_an_edge_value_keeps_the_cli_contract(edge):
+    # the last --flag=value wins, so it replaces the small argv's value
+    prog, flag = edge
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run(SMALL[prog] + [flag])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        _assert_refused(code, err.getvalue(), prog)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -340,7 +414,7 @@ def _batchq(code: str, argv: list[str]) -> subprocess.CompletedProcess:
 FORKED_RUN = """
 import os, sys
 from batchq import percolation, queue_core
-from batchq.cli import run
+from batchq.cli import build_parser, run
 percolation._SHARD_CELLS = 1
 queue_core._SHARD_SLOTS = 1
 os.sched_getaffinity = lambda pid: {0, 1, 2}
@@ -375,7 +449,7 @@ def test_forked_queue_writes_its_output_once(capsys):
 # the modules a command loaded, on stderr after the command's own output
 LOADED = """
 import sys
-from batchq.cli import run
+from batchq.cli import build_parser, run
 code = run(sys.argv[1:])
 sys.stderr.write(" ".join(m for m in ("multiprocessing", "concurrent.futures", "batchq.verify",
                                       "batchq.timeconstants", "batchq.stats",
@@ -430,15 +504,9 @@ def test_streamed_queue_out_and_summary_equal_the_whole_trace(block, slots, init
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
         mp.setattr(queue_core, "_BLOCK_SLOTS", block)
         assert run(argv) == 0
-    # the whole trace at once: every sampler call, then one Lindley pass per stage
     params = QueueParams(*(float(v) for v in P[1::2]))
-    stream = RandomStream(seed)
-    a = dist.sample_n(params.arrival_spec, stream, slots)
-    services = [dist.sample_n(params.service_spec, stream, slots) for _ in range(stages)]
-    whole = []
-    for r, s in enumerate(services):
-        whole.append(queue_core.Trace(a=a, s=s, x_full=lindley(a, s, init_x if r == 0 else 0)))
-        a = whole[-1].d
+    whole = _one_shot(params.arrival_spec, [params.service_spec] * stages, slots,
+                      RandomStream(seed), init_x)
     summary = json.loads(stdout.getvalue())
     assert summary["burn_in"] == burn
     if command == "queue":

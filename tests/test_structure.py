@@ -26,17 +26,17 @@ def test_no_private_imports_across_modules(path):
     assert private == [], f"{path.name} imports private names {private}"
 
 
-def _names_used(path: Path) -> set[str]:
-    """Every name a file uses: loaded names, attributes and imported names."""
-    used = set()
+def _names_used(path: Path) -> tuple[set[str], set[str]]:
+    """A file's bare names, and the attributes and imported names it uses."""
+    bare, qualified = set(), set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            qualified.add(node.attr)
         elif isinstance(node, ast.alias):
-            used.add(node.name.rpartition(".")[2])
-    return used
+            qualified.add(node.name.rpartition(".")[2])
+    return bare, qualified
 
 
 def _exported(path: Path) -> list[str]:
@@ -47,13 +47,35 @@ def _exported(path: Path) -> list[str]:
     return []
 
 
+def _unused(modules: list[Path], callers: list[Path]) -> list[str]:
+    """Names in the ``__all__`` of ``modules`` that no file of ``modules + callers`` uses.
+
+    Attributes and imported names count wherever they are.  A bare name
+    counts only in the module that defines the exported name: elsewhere it
+    is another binding (a parameter, a local) unless that file imports the
+    name, and the import counts already.  A definition and its ``__all__``
+    entry are not uses.
+    """
+    used = {path: _names_used(path) for path in modules + callers}
+    qualified = set().union(*(q for _, q in used.values()))
+    return [f"{p.stem}.{name}" for p in modules for name in _exported(p)
+            if name not in qualified and name not in used[p][0]]
+
+
 def test_every_exported_name_has_a_caller_in_the_library_or_the_benchmark():
-    # a name only tests use is not part of the library's surface (its
-    # definition and its __all__ entry are not uses)
-    callers = SRC.parent.parent / "perfbench"
-    used = set().union(*map(_names_used, MODULES + sorted(callers.glob("*.py"))))
-    unused = [f"{p.stem}.{name}" for p in MODULES for name in _exported(p) if name not in used]
+    # a name only tests use is not part of the library's surface
+    unused = _unused(MODULES, sorted((SRC.parent.parent / "perfbench").glob("*.py")))
     assert unused == [], f"exported names with no caller in src/ or perfbench/: {unused}"
+
+
+def test_a_parameter_of_an_exported_name_is_not_a_caller(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text('__all__ = ["cdf", "sf"]\ndef cdf(x): return 1 - sf(x)\ndef sf(x): return x\n')
+    user.write_text("def ks(samples, cdf): return max(cdf(x) for x in samples)\n")
+    assert _unused([lib, user], []) == ["lib.cdf"]
+    for use in ("from lib import cdf\n", "import lib\nlib.cdf(0)\n"):
+        user.write_text(use)
+        assert _unused([lib, user], []) == []
 
 
 def test_verify_family_table_is_the_single_source():

@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from batchq import distributions as dist
 from batchq import percolation as perc
@@ -184,3 +185,14 @@ def test_calibration_report_is_the_same_on_forked_workers(monkeypatch, tmp_path)
         assert tool.main(["--families", "joint_burke", "--seeds", "1:3", "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_calibration_refuses_seeds_that_verify_refuses(tmp_path, capsys):
+    out = tmp_path / "cal.json"
+    with pytest.raises(SystemExit) as exc:
+        _calibration_tool().main(["--families", "joint_burke", "--seeds",
+                                  f"{2**64}:{2**64}", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "2**64" in err
+    assert not out.exists()

@@ -6,7 +6,7 @@ Run from the root of a checkout (or after ``pip install -e .``):
     PYTHONPATH=src python3 tools/calibrate_verify.py --families tandem --seeds 1:400 --out tandem.json
 
 ``--families`` names rows of ``verify.FAMILIES``; ``--seeds lo:hi`` runs
-suite seeds lo..hi, both included.  Each family runs on the seed that
+suite seeds lo..hi, both included, in [0, 2**64).  Each family runs on the seed that
 ``batchq verify --seed s`` gives it, so that command reproduces any failure
 listed here.  A check fails at a seed when it fails as graded (an exact
 check) or when its p-value is below 0.01 (a statistical check, before the
@@ -77,8 +77,8 @@ def main(argv: list[str] | None = None) -> int:
         lo, hi = (int(v) for v in args.seeds.split(":"))
     except ValueError:
         parser.error(f"--seeds must be lo:hi, got {args.seeds!r}")
-    if not 0 <= lo <= hi:
-        parser.error(f"--seeds needs 0 <= lo <= hi, got {args.seeds!r}")
+    if not 0 <= lo <= hi < 1 << 64:  # the seeds of batchq verify --seed
+        parser.error(f"--seeds needs 0 <= lo <= hi < 2**64, got {args.seeds!r}")
     checks = calibrate(families, range(lo, hi + 1))
     report = {"families": families, "seeds": [lo, hi], "level": LEVEL, "checks": checks}
     with open(args.out, "w") as f:
