@@ -1,7 +1,8 @@
 """Batch queues, Burke-type verification, and first-passage time constants.
 
-Submodules and the re-exported names load on first access, so a command
-imports only the modules it uses.
+Submodules load on first access, so a command imports only the modules it
+uses.  The package re-exports no names: each one is reached through the
+submodule that defines it.
 """
 
 import importlib
@@ -9,10 +10,6 @@ import importlib
 __version__ = "0.1.0"
 
 __all__ = [
-    "DistSpec",
-    "QueueParams",
-    "Trace",
-    "RandomStream",
     "distributions",
     "queue_core",
     "tandem",
@@ -24,18 +21,12 @@ __all__ = [
 
 _MODULES = ("distributions", "percolation", "queue_core", "stats", "streams", "tandem",
             "timeconstants", "verify")
-# re-exported name -> the submodule that defines it
-_NAMES = {"DistSpec": "distributions", "QueueParams": "queue_core", "Trace": "queue_core",
-          "RandomStream": "streams"}
 
 
 def __getattr__(name: str):
-    if name in _NAMES:
-        value = getattr(importlib.import_module(f".{_NAMES[name]}", __name__), name)
-    elif name in _MODULES:
-        value = importlib.import_module(f".{name}", __name__)
-    else:
+    if name not in _MODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{name}", __name__)
     globals()[name] = value
     return value
 

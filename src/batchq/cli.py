@@ -332,9 +332,9 @@ def _cmd_identity(args) -> int:
     params = _queue_params(args)
     if args.instances < 1:
         raise ValueError("--instances must be >= 1")
-    failures, first = identity_trials(params.arrival_spec, params.service_spec,
-                                      [args.stages] * args.instances, args.window,
-                                      RandomStream(args.seed))
+    failures, first = identity_trials(params.arrival_spec,
+                                      [[params.service_spec] * args.stages] * args.instances,
+                                      args.window, RandomStream(args.seed))
     report = {"stages": args.stages, "window": args.window, "instances": args.instances,
               "failures": failures, "all_equal": failures == 0, "seed": args.seed}
     if first is not None:

@@ -129,9 +129,6 @@ class DistSpec:
             d[f] = float(getattr(self, f))
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @staticmethod
     def from_dict(d: dict) -> "DistSpec":
         """Parse the JSON object form; any malformed input raises ValueError."""

@@ -18,7 +18,9 @@ empty at slot ``-window`` and driven by shared draws,
 where G(m) is the free-endpoint first passage over service weights
 S[r][n] on columns m..-1 and rows 1..R (the m = 0 term is empty and
 contributes 0).  This identity is exact pathwise, which is what
-:func:`tandem_identity_check` verifies; with pinned endpoints it fails
+:func:`tandem_identity_check` verifies: it drives the slot engine of
+:mod:`batchq.queue_core` (:func:`~batchq.queue_core.simulate_series`) and
+the column sweep with the same draws.  With pinned endpoints it fails
 for R >= 2 on finite windows, because the optimal service path may skip
 the first or last stages entirely.  Reversing the service field in both
 axes turns the free paths on columns m..-1 into prefix paths, so one
@@ -449,14 +451,14 @@ def tandem_identity_check(arrival: DistSpec, services: Sequence[DistSpec],
     Costs O(window x R).  Equality is exact when arrivals and services are
     both integer-valued, and to 1e-9 otherwise.
     """
-    from .tandem import TandemConfig, simulate_tandem  # only the identity check drives a tandem
+    from .queue_core import simulate_series  # only the identity check runs the slot engine
 
     if window < 1:
         raise ValueError("window must be >= 1")
-    trace = simulate_tandem(TandemConfig(arrival, services), window, stream)
-    total = sum(tr.final_x for tr in trace.stages)
-    a = trace.stages[0].a
-    w = np.stack([tr.s for tr in trace.stages])
+    stages = simulate_series(arrival, services, window, stream)
+    total = sum(tr.final_x for tr in stages)
+    a = stages[0].a
+    w = np.stack([tr.s for tr in stages])
     # g[k] = G(m) for window start m = window-1-k: the first k+1 reversed columns
     g = np.fromiter((dp.min() for dp in _sweep(w[::-1, ::-1].T, pinned=False)),
                     float, count=window)
@@ -469,16 +471,16 @@ def tandem_identity_check(arrival: DistSpec, services: Sequence[DistSpec],
     return IdentityCheck(lhs=float(lhs), rhs=float(rhs), equal=bool(equal), best_m=-i)
 
 
-def identity_trials(arrival: DistSpec, service: DistSpec, stages: Sequence[int], window: int,
+def identity_trials(arrival: DistSpec, services: Sequence[Sequence[DistSpec]], window: int,
                     stream: RandomStream) -> tuple[int, dict | None]:
     """Failure count and first failure (``instance``, ``lhs``, ``rhs``, ``best_m``;
     None if there is none) of one :func:`tandem_identity_check` per entry of
-    ``stages``: instance i runs ``stages[i]`` copies of ``service`` on
+    ``services``: instance i runs the stages ``services[i]`` on
     ``stream.substream(i)``, so one call on that substream replays it.
     """
     failures, first = 0, None
-    for i, r in enumerate(stages):
-        res = tandem_identity_check(arrival, [service] * r, window, stream.substream(i))
+    for i, stages in enumerate(services):
+        res = tandem_identity_check(arrival, stages, window, stream.substream(i))
         if not res.equal:
             failures += 1
             if first is None:

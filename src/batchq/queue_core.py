@@ -60,7 +60,6 @@ __all__ = [
     "write_csv",
     "tee_csv",
     "step",
-    "lindley",
     "simulate_blocks",
     "simulate_series",
     "simulate",
@@ -164,12 +163,6 @@ def _prefix(a: np.ndarray, s: np.ndarray, c0, m0, dtype) -> tuple[np.ndarray, np
     m[0] = m0
     np.maximum.accumulate(m, out=m)
     return c, m
-
-
-def lindley(a: np.ndarray, s: np.ndarray, init_x) -> np.ndarray:
-    """Queue lengths X_0..X_n for driving sequences of length n: the one-block :func:`_prefix`."""
-    c, m = _prefix(a, s, 0, 0, np.result_type(a, s))
-    return c + np.maximum(init_x, m)
 
 
 _CSV_BLOCK_ROWS = 1 << 14
@@ -296,22 +289,25 @@ class Trace:
         return len(self.a)
 
     def check_invariants(self) -> None:
-        """Raise if any slot violates the transition identities by more than 1e-12."""
-        y, d, u = self.y, self.d, self.u
-        checks = [
-            ("Y = X + A", y, self.x + self.a),
-            ("D = min(Y, S)", d, np.minimum(y, self.s)),
-            ("D + U = S", d + u, self.s),
-            ("X' = Y - D", self.x_full[1:], y - d),
-            ("X' - X = A - D", self.x_full[1:] - self.x, self.a - d),
-            ("T = U + A", self.t, u + self.a),
-        ]
-        if len(self) > 1:
-            checks.append(("I = U + A'", self.i, u[:-1] + self.a[1:]))
-        for label, lhs, rhs in checks:
-            err = np.abs(np.asarray(lhs, dtype=float) - np.asarray(rhs, dtype=float)).max()
-            if err > 1e-12:
-                raise ValueError(f"trace invariant violated: {label} (max error {err})")
+        """Raise unless every X is nonnegative and every slot has X' = Y - D.
+
+        Y, D, U, T and I are defined from A, S and X, so only these can fail.
+        An integer trace holds them exactly; a float trace to 8 ulp of
+        max(1, X_0, the running max of |c|), c the prefix sums of A - S at
+        whose size the kernel rounds X.  A float block of
+        :func:`simulate_blocks` after the first is rounded at the c carried
+        into it, which this bound does not see.
+        """
+        x, y = self.x_full, self.y
+        if not np.all(x >= 0):  # NaN fails the comparison too
+            raise ValueError(f"trace invariant violated: X >= 0 (min {np.min(x)})")
+        err = np.abs(x[1:] - (y - np.minimum(y, self.s)))
+        tol = 0
+        if not np.issubdtype(err.dtype, np.integer):
+            size = np.maximum.accumulate(np.abs(np.cumsum(self.a - self.s)))
+            tol = 8 * np.finfo(float).eps * np.maximum(size, max(1.0, float(x[0])))
+        if np.any(err > tol):
+            raise ValueError(f"trace invariant violated: X' = Y - D (max error {err.max()})")
 
     def _columns(self, first_n: int, nxt) -> list[np.ndarray]:
         """CSV columns of these slots, numbered from ``first_n``; the next block completes I."""
@@ -355,12 +351,15 @@ def _series(arrival: DistSpec, services: Sequence[DistSpec], n_slots: int,
     Arrivals are drawn first, then each stage's services in stage order,
     each one ``sample_n`` call read in slices of ``block``.  Stage r's
     departures are stage r+1's arrivals; stage 1 starts at ``init_x``, the
-    others empty.  A stage whose arrival and service dtypes differ runs in float.
+    others empty.  A stage whose arrival and service dtypes differ runs in
+    float.  A series needs at least one stage.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     if init_x < 0:
         raise ValueError("init_x must be nonnegative")
+    if not services:
+        raise ValueError("need at least one stage")
     draws = [sample_chunks(spec, stream, n_slots, block) for spec in (arrival, *services)]
     return _run_series(zip(*draws), [init_x] + [0] * len(services))
 
@@ -564,15 +563,16 @@ def path_max_X(arrivals: Sequence[float], services: Sequence[float]):
     For aligned driving sequences over slots m..n-1 this returns
     max over m <= k <= n of sum_{r=k}^{n-1} (A_r - S_r) (empty sum = 0),
     which equals X_n obtained by iterating :func:`step` from X_m = 0.
-    It is the last entry of :func:`lindley` started at 0.
+    The suffix sums are one cumulative sum of the reversed A - S, so this
+    oracle shares no code with the slot engine's Lindley kernel.  An
+    integer drive gives an int, a float drive a float.
     """
     a = np.asarray(arrivals)
     s = np.asarray(services)
     if a.shape != s.shape or a.ndim != 1:
         raise ValueError("arrivals and services must be aligned 1-d sequences")
-    if len(a) == 0:
-        return 0
-    return lindley(a, s, 0)[-1].item()
+    # the suffix sums for k = n-1 down to m; initial=0 is the empty one, k = n
+    return np.cumsum((a - s)[::-1]).max(initial=0).item()
 
 
 def _odds_product(a: float, p: float) -> float:

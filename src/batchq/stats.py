@@ -250,8 +250,6 @@ def independence_chi2(x: Sequence[int], y: Sequence[int],
             table = np.vstack([table[:-2], table[-2] + table[-1]])
         elif table.shape[1] > 2:
             table = np.hstack([table[:, :-2], (table[:, -2] + table[:, -1])[:, None]])
-        elif table.shape[0] > 2:
-            table = np.vstack([table[:-2], table[-2] + table[-1]])
         else:
             raise ValueError("insufficient counts: cannot reach expected >= 5")
     stat = float(((table - expected) ** 2 / expected).sum())
@@ -298,8 +296,6 @@ def ks_distance(samples: Sequence[float], cdf: Callable[[float], float]) -> floa
 
 
 def _kolmogorov_sf(t: float) -> float:
-    if t <= 0:
-        return 1.0
     total = 0.0
     for j in range(1, 101):
         term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * t * t)

@@ -47,9 +47,6 @@ class RandomStream:
             raise ValueError(f"a seed must lie in [0, 2**64), got {seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def __repr__(self) -> str:
-        return f"RandomStream(seed={self.seed})"
-
     def substream(self, index: int) -> RandomStream:
         """Independent stream for replica ``index``; see :func:`mix64`."""
         if index < 0:

@@ -468,8 +468,10 @@ def check_percolation_exact(seed: int) -> list[dict]:
 
 
 def check_identity(seed: int) -> list[dict]:
-    fails, first = perc.identity_trials(dist.ber_geom(1 / 3, 2 / 3), dist.ber_geom(1 / 2, 1 / 2),
-                                        [1 + i % 4 for i in range(1000)], 50, RandomStream(seed))
+    service = dist.ber_geom(1 / 2, 1 / 2)
+    fails, first = perc.identity_trials(dist.ber_geom(1 / 3, 2 / 3),
+                                        [[service] * (1 + i % 4) for i in range(1000)], 50,
+                                        RandomStream(seed))
     return [_with_first(_exact("tandem_identity_1000_instances", fails, 0), first)]
 
 

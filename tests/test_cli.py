@@ -68,6 +68,13 @@ def test_dist_pmf_csv(capsys):
     assert [float(l.split(",")[1]) for l in lines[1:]] == [0.5, 0.25, 0.125]
 
 
+def test_dist_pmf_json(capsys):
+    spec = {"kind": "ber_geom", "p": 0.5, "alpha": 0.5}
+    assert run(["dist", "pmf", "--spec", json.dumps(spec), "--max-k", "2",
+                "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"spec": spec, "pmf": [0.5, 0.25, 0.125]}
+
+
 def test_dist_sample_deterministic_json(capsys, tmp_path):
     spec = '{"kind": "geom_plus", "alpha": 0.5}'
     assert run(["dist", "sample", "--spec", spec, "--n", "5", "--seed", "42",
@@ -78,7 +85,8 @@ def test_dist_sample_deterministic_json(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out) == first
     # the CSV is the per-cell formatter's text, for a discrete and a continuous kind
     for spec in (dist.geom_plus(0.5), dist.exponential(1.5)):
-        assert run(["dist", "sample", "--spec", spec.to_json(), "--n", "3000", "--seed", "42"]) == 0
+        assert run(["dist", "sample", "--spec", json.dumps(spec.to_dict(), sort_keys=True),
+                    "--n", "3000", "--seed", "42"]) == 0
         _old_write_csv(tmp_path / "old.csv", ["value"],
                        [dist.sample_n(spec, RandomStream(42), 3000)])
         assert capsys.readouterr().out == (tmp_path / "old.csv").read_text()
@@ -260,7 +268,7 @@ def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, capsys):
                                   "seed-negative", "seed-2-to-the-64", "config-seed-negative",
                                   "tc-seed-2-to-the-64", "config-dispatch-key",
                                   "tandem-stages-2-to-the-62",
-                                  "identity-stages-2-to-the-62"])
+                                  "identity-stages-2-to-the-62", "verify-suite-not-a-choice"])
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir" / "x.csv")
     list_config = tmp_path / "list.json"
@@ -329,6 +337,8 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
         "tandem-stages-2-to-the-62": ["tandem", *P, "--stages", str(2**62), "--slots", "10"],
         "identity-stages-2-to-the-62": ["perc", "identity", *P, "--stages", str(2**62),
                                         "--window", "5", "--instances", "2"],
+        # the choices are read from verify on demand; argparse lists them in the error
+        "verify-suite-not-a-choice": ["verify", "--suite", "nope"],
     }[case]
     code, err = _exit_code_and_stderr(argv, capsys)
     _assert_refused(code, err, _prog(argv))
@@ -461,7 +471,7 @@ sys.exit(code)
 
 @pytest.mark.parametrize("argv,loaded", [
     (["perc", "identity", *P, "--window", "20", "--instances", "3"],
-     "batchq.queue_core batchq.tandem batchq.percolation"),
+     "batchq.queue_core batchq.percolation"),
     (["queue", *P, "--slots", "2000"], "batchq.queue_core"),
     (["tandem", *P, "--slots", "2000"], "batchq.queue_core batchq.tandem"),
     (["tc", "--variant", "exp", "--x", "3"], "batchq.timeconstants batchq.queue_core"),
@@ -472,6 +482,15 @@ def test_commands_import_only_what_they_use(argv, loaded):
     res = _batchq(LOADED, argv)
     assert res.returncode == 0, res.stderr
     assert res.stderr.decode() == loaded
+
+
+def test_dir_lists_the_submodules_before_they_load():
+    res = _batchq("import sys, batchq\nprint(' '.join(dir(batchq)), 'batchq.verify' in sys.modules)",
+                  [])
+    assert res.returncode == 0, res.stderr
+    names = res.stdout.decode().split()
+    assert set(names) >= {"distributions", "percolation", "queue_core", "stats", "tandem",
+                          "timeconstants", "verify"} and names[-1] == "False"
 
 
 def test_explicit_burn_in_is_used_as_given(capsys):

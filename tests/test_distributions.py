@@ -67,6 +67,17 @@ def test_variance_against_series(spec):
     assert dist.variance(spec) == pytest.approx(second - m * m, abs=1e-9)
 
 
+@pytest.mark.parametrize("spec", [dist.exponential(1.5), dist.ber_exp(0.4, 1.5)])
+def test_continuous_moments_integrate_the_survival_function(spec):
+    # E[X] = int sf and E[X^2] = int 2 x sf over x > 0, by the trapezoid rule
+    x = np.linspace(0.0, 40.0, 400_001)
+    sf = np.array([dist.sf(spec, v) for v in x[1:]])
+    sf = np.concatenate(([spec.p if spec.kind == "ber_exp" else 1.0], sf))
+    m = np.trapezoid(sf, x)
+    assert dist.mean(spec) == pytest.approx(m, rel=1e-8)
+    assert dist.variance(spec) == pytest.approx(np.trapezoid(2 * x * sf, x) - m * m, rel=1e-8)
+
+
 def test_pgf_normalization_and_atom():
     for spec in ALL_DISCRETE:
         assert dist.pgf(spec, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -170,10 +181,12 @@ def test_compound_boundary_case_gives_unit_summands():
     compound = (1 - p) / (1 - p * phi_w)
     direct = np.array([dist.pgf(dist.ber_geom(p, a), z) for z in zs])
     assert np.abs(compound - direct).max() <= 1e-12
-    draws = dist.sample_compound_n(p, a, RandomStream(5), 200_000)
-    emp = EmpiricalPmf.from_samples(draws, cutoff=25)
-    res = chi_square_gof(emp, lambda k: dist.pmf(dist.ber_geom(p, a), k))
-    assert res.passed, res
+    # 2/3 over 1 - 1/3 rounds below 1; at p = a = 0.5 it is 1 exactly, the degenerate Geom+(1)
+    for p, a in ((p, a), (0.5, 0.5)):
+        draws = dist.sample_compound_n(p, a, RandomStream(5), 200_000)
+        emp = EmpiricalPmf.from_samples(draws, cutoff=25)
+        res = chi_square_gof(emp, lambda k: dist.pmf(dist.ber_geom(p, a), k))
+        assert res.passed, res
 
 
 def test_compound_matches_bergeom_chi_square():
@@ -215,7 +228,7 @@ def test_json_round_trip_and_field_names():
     d = spec.to_dict()
     assert set(d) == {"kind", "p", "alpha"}
     assert dist.DistSpec.from_dict(d) == spec
-    assert dist.DistSpec.from_json(spec.to_json()) == spec
+    assert dist.DistSpec.from_json(json.dumps(d, sort_keys=True)) == spec
     assert dist.DistSpec.from_json('{"kind": "exp", "rate": 2.0}') == dist.exponential(2.0)
     for bad in ({"kind": "ber_geom", "p": 0.5, "alpha": 0.5, "oops": 1}, [1],
                 {"kind": "exp"}, {"kind": "exp", "rate": "a"},
@@ -227,8 +240,7 @@ def test_json_round_trip_and_field_names():
         dist.DistSpec.from_json("[1]")
     with pytest.raises(ValueError, match="'rate'"):
         dist.DistSpec.from_json('{"kind": "exp"}')
-    parsed = json.loads(dist.ber_exp(0.4, 1.5).to_json())
-    assert set(parsed) == {"kind", "p", "rate"}
+    assert set(dist.ber_exp(0.4, 1.5).to_dict()) == {"kind", "p", "rate"}
 
 
 _PROB = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -252,7 +264,7 @@ def test_spec_round_trips_through_dict_and_json(kind, data):
     spec = data.draw(_SPEC_OF_KIND[kind])
     assert spec.kind == kind
     assert dist.DistSpec.from_dict(spec.to_dict()) == spec
-    assert dist.DistSpec.from_json(spec.to_json()) == spec
+    assert dist.DistSpec.from_json(json.dumps(spec.to_dict(), sort_keys=True)) == spec
 
 
 def test_round_trip_covers_every_kind():
@@ -263,6 +275,12 @@ def test_tail_cutoff_bounds_the_tail():
     for spec in ALL_DISCRETE:
         k = dist.tail_cutoff(spec, 1e-12)
         assert dist.sf(spec, k + 1) <= 1e-12
+    # a nonzero mass at or below the tolerance needs no tail beyond 1
+    assert dist.tail_cutoff(dist.ber_geom(1e-13, 0.5), 1e-12) == 1
+    # a tolerance just below (1 - a)**55, where the logarithm's estimate rounds to 55
+    spec, tol = dist.geom_plus(0.25158329759496567), 1.1964399593355166e-07
+    assert dist.tail_cutoff(spec, tol) == 56
+    assert dist.sf(spec, 57) <= tol < dist.sf(spec, 56)
 
 
 def test_substreams_are_decorrelated_and_documented():

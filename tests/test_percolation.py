@@ -481,14 +481,16 @@ def test_estimate_validation():
 
 
 def test_identity_single_stage_is_lindley():
-    failures, first = identity_trials(dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.45),
-                                      [1] * 100, 30, RandomStream(200))
+    failures, first = identity_trials(dist.ber_geom(0.4, 0.5), [[dist.ber_geom(0.6, 0.45)]] * 100,
+                                      30, RandomStream(200))
     assert failures == 0, first
 
 
 def test_identity_multi_stage_exact():
-    failures, first = identity_trials(dist.ber_geom(1 / 3, 2 / 3), dist.ber_geom(1 / 2, 1 / 2),
-                                      [1 + i % 4 for i in range(200)], 50, RandomStream(201))
+    service = dist.ber_geom(1 / 2, 1 / 2)
+    failures, first = identity_trials(dist.ber_geom(1 / 3, 2 / 3),
+                                      [[service] * (1 + i % 4) for i in range(200)], 50,
+                                      RandomStream(201))
     assert failures == 0, first
 
 
@@ -502,7 +504,8 @@ def test_identity_trials_runs_instance_i_on_substream_i(monkeypatch):
 
     monkeypatch.setattr(perc, "tandem_identity_check", record)
     stages = [2, 1, 4, 3]
-    failures, first = identity_trials(dist.bernoulli(0.3), dist.bernoulli(0.6), stages, 7,
+    failures, first = identity_trials(dist.bernoulli(0.3),
+                                      [[dist.bernoulli(0.6)] * r for r in stages], 7,
                                       RandomStream(11))
     assert seen == [(r, 7, RandomStream(11).substream(i).seed) for i, r in enumerate(stages)]
     assert failures == 1 and first == {"instance": 2, "lhs": 1.0, "rhs": 0.0, "best_m": -3}
@@ -518,12 +521,10 @@ def test_identity_zero_arrivals():
 
 def test_identity_heterogeneous_and_unstable_services():
     # the identity is pathwise, so it holds regardless of stability
-    stream = RandomStream(202)
     services = [dist.geom_zero(0.7), dist.bernoulli(0.4), dist.deterministic(1)]
-    for i in range(100):
-        res = tandem_identity_check(dist.ber_geom(0.5, 0.5), services,
-                                    window=40, stream=stream.substream(i))
-        assert res.equal, (i, res)
+    failures, first = identity_trials(dist.ber_geom(0.5, 0.5), [services] * 100, 40,
+                                      RandomStream(202))
+    assert failures == 0, first
 
 
 def test_identity_exact_only_when_arrivals_and_services_are_integer():

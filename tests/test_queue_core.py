@@ -13,14 +13,19 @@ from hypothesis import given, settings, strategies as st
 from batchq import distributions as dist
 from batchq import queue_core
 from batchq.queue_core import (QueueParams, Trace, check_condition, excursion_loglik,
-                               lindley, markov_oracle, match_arrival_bernoulli,
-                               path_max_X, simulate, simulate_blocks, simulate_series,
-                               solve_arrival, stationary_law, step, tee_csv,
-                               verify_detailed_balance, write_csv)
+                               markov_oracle, match_arrival_bernoulli, path_max_X, simulate,
+                               simulate_blocks, simulate_series, solve_arrival, stationary_law,
+                               step, tee_csv, verify_detailed_balance, write_csv)
 from batchq.stats import EmpiricalPmf, chi_square_gof
 from batchq.streams import RandomStream
 
 MAIN = QueueParams(p=1 / 3, alpha=2 / 3, q=1 / 2, beta=1 / 2)
+
+
+def _lindley(a, s, init_x):
+    """Queue lengths X_0..X_n from X_0 = ``init_x``: one block of the slot engine's kernel."""
+    c, m = queue_core._prefix(a, s, 0, 0, np.result_type(a, s))
+    return c + np.maximum(init_x, m)
 
 
 def test_step_examples():
@@ -47,6 +52,35 @@ def test_trace_invariants_discrete_and_continuous():
     assert trc.a.dtype == np.float64
 
 
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
+def test_float_trace_invariants_hold_at_the_kernel_rounding(n):
+    # X is rounded at the size of the prefix sums of A - S, which grow with n
+    tr = simulate(dist.exponential(2.0), dist.exponential(1.0), n, RandomStream(1))
+    tr.check_invariants()
+    moved = tr.x_full.copy()
+    moved[n // 2] += 1e-6
+    with pytest.raises(ValueError, match="X' = Y - D"):
+        Trace(tr.a, tr.s, moved).check_invariants()
+
+
+def test_trace_invariants_refuse_a_moved_or_negative_queue_length():
+    tr = simulate(dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4), 1000, RandomStream(3))
+    moved = tr.x_full.copy()
+    moved[500] += 1
+    with pytest.raises(ValueError, match="X' = Y - D"):
+        Trace(tr.a, tr.s, moved).check_invariants()
+    # X' = Y - D holds from X_0 = -5 (Y = 5, D = 3, X_1 = 2): only X >= 0 refuses it
+    for x_full in ([-5, 2], [-5.0, 2.0]):
+        with pytest.raises(ValueError, match="X >= 0"):
+            Trace(np.array([10]), np.array([3]), np.array(x_full)).check_invariants()
+
+
+def test_an_empty_series_is_refused():
+    for run in (simulate_series, simulate_blocks):
+        with pytest.raises(ValueError, match="need at least one stage"):
+            run(dist.bernoulli(0.3), [], 10, RandomStream(0))
+
+
 def test_trace_csv(tmp_path):
     tr = simulate(dist.ber_geom(0.4, 0.5), dist.geom_zero(0.5), 5, stream=RandomStream(6))
     path = tmp_path / "trace.csv"
@@ -65,6 +99,9 @@ def test_unstable_parameters_allowed():
 def test_path_max_examples():
     assert path_max_X([0, 0, 0], [1, 1, 1]) == 0
     assert path_max_X([3, 0], [1, 1]) == 1
+    # an empty window is the empty sum alone, of the drive's dtype (numpy reads [] as float)
+    assert path_max_X(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)) == 0
+    assert path_max_X([], []) == 0.0
     with pytest.raises(ValueError):
         path_max_X([1, 2], [1])
 
@@ -97,14 +134,16 @@ _DRIVES = st.one_of(
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(drive=_DRIVES)
 def test_lindley_and_path_max_equal_iterated_step(drive):
+    # the kernel and the window-maximum oracle share no code; each must equal the scalar step
     a, s, init_x = drive
     discrete = isinstance(init_x, int)
-    path = lindley(np.array(a), np.array(s), init_x)
+    path = _lindley(np.array(a), np.array(s), init_x)
     xs, x, from_zero = [init_x], init_x, 0
     for ak, sk in zip(a, s):
         x, _, _ = step(x, ak, sk)
         from_zero, _, _ = step(from_zero, ak, sk)
         xs.append(x)
+    assert type(path_max_X(a, s)) is (int if discrete else float)
     if discrete:
         assert path.tolist() == xs
         assert path_max_X(a, s) == from_zero
@@ -301,7 +340,7 @@ def _one_shot(arrival, services, n, stream, init_x):
             a, s = a.astype(float), s.astype(float)
         x0 = init_x if r == 0 else 0
         x0 = x0 if a.dtype == np.int64 else float(x0)
-        stages.append(Trace(a=a, s=s, x_full=lindley(a, s, x0)))
+        stages.append(Trace(a=a, s=s, x_full=_lindley(a, s, x0)))
         a = stages[-1].d
     return stages
 

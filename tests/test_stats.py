@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from batchq import distributions as dist
-from batchq.stats import (EmpiricalPmf, batch_mean_stderr, chi2_sf,
+from batchq.stats import (EmpiricalPmf, _pool_tail, batch_mean_stderr, chi2_sf,
                           chi_square_gof, chi_square_two_sample, encode_pairs,
                           independence_chi2, ks_distance, ks_test, lag_autocorr)
 from batchq.streams import RandomStream
@@ -59,6 +59,12 @@ def test_gof_pools_small_expected_cells():
     res = chi_square_gof(emp, lambda k: dist.pmf(spec, k))
     assert res.passed
     assert res.dof < 40  # pooling merged the deep tail
+
+
+def test_pooling_joins_deficient_front_cells_to_the_first_full_group():
+    # from the tail: 3 + 50 and 50 reach 5; the front cell (expected 1) joins the 50
+    o, e = _pool_tail(np.array([1.0, 50.0, 50.0, 3.0]), np.array([1.0, 50.0, 50.0, 3.0]))
+    assert o.tolist() == e.tolist() == [51.0, 53.0]
 
 
 def test_gof_insufficient_counts():

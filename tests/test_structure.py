@@ -26,17 +26,26 @@ def test_no_private_imports_across_modules(path):
     assert private == [], f"{path.name} imports private names {private}"
 
 
-def _names_used(path: Path) -> tuple[set[str], set[str]]:
-    """A file's bare names, and the attributes and imported names it uses."""
-    bare, qualified = set(), set()
+def _module(path: Path) -> str:
+    """The name a file's module is imported by: its stem, or its package's for ``__init__``."""
+    return path.parent.name if path.stem == "__init__" else path.stem
+
+
+def _names_used(path: Path) -> tuple[set[str], set[str], set[tuple[str, str]]]:
+    """A file's bare names, the attributes it uses, and the (module, name) pairs it imports."""
+    bare, attrs, imported = set(), set(), set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name):
             bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            qualified.add(node.attr)
-        elif isinstance(node, ast.alias):
-            qualified.add(node.name.rpartition(".")[2])
-    return bare, qualified
+            attrs.add(node.attr)
+        elif isinstance(node, ast.Import):
+            imported |= {tuple(a.name.rpartition(".")[::2]) for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            # "from . import x" imports from the importing file's own package
+            source = (node.module or path.parent.name).rpartition(".")[2]
+            imported |= {(source, a.name) for a in node.names}
+    return bare, attrs, imported
 
 
 def _exported(path: Path) -> list[str]:
@@ -50,16 +59,19 @@ def _exported(path: Path) -> list[str]:
 def _unused(modules: list[Path], callers: list[Path]) -> list[str]:
     """Names in the ``__all__`` of ``modules`` that no file of ``modules + callers`` uses.
 
-    Attributes and imported names count wherever they are.  A bare name
-    counts only in the module that defines the exported name: elsewhere it
-    is another binding (a parameter, a local) unless that file imports the
-    name, and the import counts already.  A definition and its ``__all__``
-    entry are not uses.
+    Attributes count wherever they are.  An import counts only for the
+    module it imports from, so importing a name from where it is defined
+    does not use a re-export of it.  A bare name counts only in the module
+    that defines the exported name: elsewhere it is another binding (a
+    parameter, a local) unless that file imports the name, and the import
+    counts already.  A definition and its ``__all__`` entry are not uses.
     """
     used = {path: _names_used(path) for path in modules + callers}
-    qualified = set().union(*(q for _, q in used.values()))
+    attrs = set().union(*(a for _, a, _ in used.values()))
+    imported = set().union(*(i for _, _, i in used.values()))
     return [f"{p.stem}.{name}" for p in modules for name in _exported(p)
-            if name not in qualified and name not in used[p][0]]
+            if name not in attrs and (_module(p), name) not in imported
+            and name not in used[p][0]]
 
 
 def test_every_exported_name_has_a_caller_in_the_library_or_the_benchmark():
@@ -76,6 +88,16 @@ def test_a_parameter_of_an_exported_name_is_not_a_caller(tmp_path):
     for use in ("from lib import cdf\n", "import lib\nlib.cdf(0)\n"):
         user.write_text(use)
         assert _unused([lib, user], []) == []
+
+
+def test_an_import_counts_only_for_the_module_it_imports_from(tmp_path):
+    lib, reexport, user = tmp_path / "lib.py", tmp_path / "reexport.py", tmp_path / "user.py"
+    lib.write_text('__all__ = ["sf"]\ndef sf(x): return x\n')
+    reexport.write_text('__all__ = ["sf"]\nfrom lib import sf\n')
+    user.write_text("from lib import sf\n")
+    assert _unused([lib, reexport, user], []) == ["reexport.sf"]
+    user.write_text("from reexport import sf\n")
+    assert _unused([lib, reexport, user], []) == []
 
 
 def test_verify_family_table_is_the_single_source():

@@ -145,9 +145,9 @@ def test_continuous_check_names_its_first_failure(monkeypatch):
     assert check["first_failure"] == {"substream": 30_002, "base": base, "nudged": moved}
 
 
-def _calibration_tool():
-    path = Path(__file__).resolve().parent.parent / "tools" / "calibrate_verify.py"
-    spec = importlib.util.spec_from_file_location("calibrate_verify", path)
+def _tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -167,7 +167,7 @@ def test_calibration_names_the_verify_seeds_of_its_failures(monkeypatch, tmp_pat
     # one usable CPU: every seed runs in this process, where the spy records it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     out = tmp_path / "cal.json"
-    assert _calibration_tool().main(["--families", "joint_burke", "--seeds", "1:2",
+    assert _tool("calibrate_verify").main(["--families", "joint_burke", "--seeds", "1:2",
                                      "--out", str(out)]) == 0
     # run_suite("queue", s) runs joint_burke on substream 4 of s
     assert seeds == [RandomStream(s).substream(4).seed for s in (1, 2)]
@@ -178,7 +178,7 @@ def test_calibration_names_the_verify_seeds_of_its_failures(monkeypatch, tmp_pat
 
 
 def test_calibration_report_is_the_same_on_forked_workers(monkeypatch, tmp_path):
-    tool, reports = _calibration_tool(), []
+    tool, reports = _tool("calibrate_verify"), []
     for cpus in (1, 2):  # at 2 CPUs, seeds 1 and 2..3 run in two processes
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         out = tmp_path / f"cal{cpus}.json"
@@ -190,9 +190,19 @@ def test_calibration_report_is_the_same_on_forked_workers(monkeypatch, tmp_path)
 def test_calibration_refuses_seeds_that_verify_refuses(tmp_path, capsys):
     out = tmp_path / "cal.json"
     with pytest.raises(SystemExit) as exc:
-        _calibration_tool().main(["--families", "joint_burke", "--seeds",
+        _tool("calibrate_verify").main(["--families", "joint_burke", "--seeds",
                                   f"{2**64}:{2**64}", "--out", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "2**64" in err
     assert not out.exists()
+
+
+def test_every_listed_mutant_applies_exactly_once(tmp_path):
+    tool = _tool("mutants")
+    assert tool.check_patterns(tool.MUTANTS, Path(verify.__file__).parent) == []
+    (tmp_path / "lib.py").write_text("x = 1\nx = 1\n")
+    bad = [tool.Mutant("twice", "lib.py", "x = 1", "x = 2"),
+           tool.Mutant("never", "lib.py", "y = 1", "y = 2")]
+    assert tool.check_patterns(bad, tmp_path) == ["twice: pattern occurs 2 times in lib.py",
+                                                  "never: pattern occurs 0 times in lib.py"]
