@@ -84,14 +84,11 @@ def _json_dump(obj) -> str:
 
 
 def _seed(text: str) -> int:
-    """A --seed value: an integer in [0, 2**64), the seeds of the PRNG."""
+    """A --seed value: an integer that :class:`RandomStream` takes, in [0, 2**64)."""
     try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= seed < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {seed}")
-    return seed
+        return RandomStream(int(text)).seed
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _leaf(sp: argparse.ArgumentParser, handler) -> None:
@@ -135,7 +132,7 @@ def _with_config(argv: list[str], args: argparse.Namespace) -> list[str]:
             continue
         text = val if isinstance(val, str) else json.dumps(val)
         flags.append(f"--{attr.replace('_', '-')}={text}")
-    depth = 2 if args.command in ("dist", "perc") else 1
+    depth = args.leaf.prog.count(" ")  # the words after "batchq" name the subcommand
     return argv[:depth] + flags + argv[depth:]
 
 

@@ -501,17 +501,16 @@ def tail_cutoff(spec: DistSpec, tol: float = 1e-12) -> int:
     _require_discrete(spec, "tail_cutoff")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if spec.kind == "bernoulli":
-        return 1
     if spec.kind == "deterministic":
         return int(spec.value)
-    a = spec.alpha
-    scale = spec.p if spec.kind == "ber_geom" else 1.0
-    # P(X > K) = scale * (1-a)**K for the geometric-tailed kinds
-    if scale <= tol:
-        return 1
-    k = math.ceil(math.log(tol / scale) / math.log1p(-a))
-    k = max(k, 1)
+    k = 0
+    if spec.kind != "bernoulli":
+        # P(X > K) is about scale * (1-a)**K for the geometric-tailed kinds
+        scale = spec.p if spec.kind == "ber_geom" else 1.0
+        k = max(math.ceil(math.log(tol / scale) / math.log1p(-spec.alpha)), 0)
+    # the estimate, corrected down and then up: P(X > K) = sf(K + 1)
+    while k > 0 and sf(spec, k) <= tol:
+        k -= 1
     while sf(spec, k + 1) > tol:
         k += 1
     return k

@@ -28,9 +28,10 @@ column sweep of the reversed field gives G(m) for every m.
 :func:`identity_trials` runs the check over many instances.  The
 continuous-time model is the lattice model on event columns, one column
 per distinct event time, so ``_sweep`` is the only copy of the DP.
-:func:`sample_jump_field` draws its events at Poisson rate 1 per row.
-:func:`enumerate_first_passage` is the brute-force oracle for the DP; it
-refuses shapes with more than a million paths.
+:func:`sample_jump_field` draws its events at Poisson rate 1 per row
+(Exp(1) ``sample_n`` gaps).  :func:`enumerate_first_passage` is the
+brute-force oracle for the DP; it refuses shapes with more than a million
+paths, and :meth:`PathQuery.validate` a query that no path fits.
 
 The time-constant estimator sweeps its replicas together: one
 (replicas x rows) DP steps through blocks of columns, and each replica's
@@ -53,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DistSpec, sample_blocks, sample_n
+from .distributions import DistSpec, exponential, sample_blocks, sample_n
 from .streams import RandomStream
 from .workers import fork_map, shard_spans
 
@@ -111,10 +112,13 @@ class PathQuery:
             raise ValueError("need start column <= end column and start row <= end row")
 
     def validate(self, field: WeightField) -> None:
+        """Refuse endpoints outside ``field`` and a pinned query that no path fits."""
         i, j = self.start
         k, l = self.end
         if not (0 <= i and k < field.columns and 0 <= j and l < field.rows):
             raise ValueError("query endpoints outside the field")
+        if self.pinned and i == k and j != l:
+            raise ValueError("no pinned path: a single column cannot span two rows")
 
 
 def _sweep(columns, pinned: bool):
@@ -157,8 +161,6 @@ def first_passage(field: WeightField, query: PathQuery) -> float:
     i, j = query.start
     k, l = query.end
     sub = field.weights[j:l + 1, i:k + 1]
-    if query.pinned and i == k and j != l:
-        raise ValueError("no pinned path: a single column cannot span two rows")
     for dp in _sweep(sub.T, query.pinned):
         pass
     out = dp[-1] if query.pinned else dp.min()
@@ -206,8 +208,6 @@ def enumerate_first_passage(field: WeightField, query: PathQuery) -> float:
     paths = math.comb(n_cols + span - 1, span - 1)
     if paths > 1_000_000:
         raise ValueError("too many paths for brute-force enumeration")
-    if query.pinned and i == k and j != l:
-        raise ValueError("no pinned path: a single column cannot span two rows")
     if paths * n_cols <= _ENUM_CELLS:
         blocks = _small_row_sequences(n_cols, span)
     else:
@@ -390,7 +390,7 @@ def sample_jump_field(n_rows: int, horizon: float, weight_spec: DistSpec,
         # exponential gaps, drawn in blocks until the horizon is passed
         t, acc = [], 0.0
         while acc <= horizon:
-            for g in -np.log1p(-stream.uniforms(64)):
+            for g in sample_n(exponential(1.0), stream, 64):
                 acc += g
                 if acc > horizon:
                     break

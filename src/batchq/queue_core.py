@@ -37,7 +37,9 @@ scan of the same draws, sharded by :func:`~batchq.workers.shard_spans` on
 for any start it is later given.  Simulations draw from a
 :class:`~batchq.streams.RandomStream` the caller passes in; a
 :class:`Trace` keeps the driving sequences and the queue lengths, and
-derives the other per-slot quantities from them.
+derives the other per-slot quantities from them.  One check refuses a
+run of no slots, a start below empty or a burn-in outside [0, slots) for
+the engine, :func:`scan_means` and :func:`block_means`; CSV integers are >= 0.
 """
 
 from __future__ import annotations
@@ -166,26 +168,18 @@ def _prefix(a: np.ndarray, s: np.ndarray, c0, m0, dtype) -> tuple[np.ndarray, np
 
 
 _CSV_BLOCK_ROWS = 1 << 14
-_DIGIT, _COMMA, _NEWLINE, _MINUS = (np.uint8(ord(ch)) for ch in "0,\n-")
+_DIGIT, _COMMA, _NEWLINE = (np.uint8(ord(ch)) for ch in "0,\n")
 
 
 def _int_cells(col: np.ndarray) -> np.ndarray:
-    """Decimal text of integer cells: character position by cell, NUL where a cell is shorter."""
-    if col.dtype.kind == "u":
-        mag, neg = col.astype(np.uint64), None
-    else:
-        v = col.astype(np.int64, copy=False)
-        neg = v < 0
-        # two's complement: -v as uint64 is |v|, also for the int64 minimum
-        mag = v.view(np.uint64).copy()
-        np.negative(mag, out=mag, where=neg)
+    """Decimal text of integer cells >= 0: character position by cell, NUL where shorter."""
     if not len(col):
         return np.zeros((0, 0), dtype=np.uint8)
+    if col.min() < 0:
+        raise ValueError(f"integer CSV cells must be >= 0, got {col.min()}")
+    mag = col.astype(np.uint64)
     width = len(str(int(mag.max())))
-    sign = 1 if neg is not None and neg.any() else 0
-    chars = np.zeros((sign + width, len(col)), dtype=np.uint8)
-    if sign:
-        chars[0, neg] = _MINUS
+    chars = np.zeros((width, len(col)), dtype=np.uint8)
     ten = np.uint64(10)
     for j in range(1, width + 1):
         # the j-th digit from the right; NUL where the number is shorter
@@ -230,9 +224,10 @@ def _write_rows(fh, columns: Sequence[np.ndarray]) -> None:
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write per-slot columns as CSV to a file name or an open binary file.
 
-    Integer columns are exact, others have 17 digits.  A column shorter than
-    the first leaves its trailing cells empty.  Cells are rendered a block of
-    rows at a time, integers by numpy digit arithmetic.
+    Integer columns are exact and must be >= 0 (``ValueError`` otherwise),
+    others have 17 digits.  A column shorter than the first leaves its
+    trailing cells empty.  Cells are rendered a block of rows at a time,
+    integers by numpy digit arithmetic.
     """
     if not hasattr(path, "write"):
         with open(path, "wb") as fh:
@@ -344,6 +339,16 @@ def tee_csv(blocks: Iterable, path) -> Iterator:
 _BLOCK_SLOTS = 1 << 16
 
 
+def _check_run(n_slots: int, init_x=0, burn_in: int = 0) -> None:
+    """Refuse a queue of no slots, one started below empty, or a burn-in outside its slots."""
+    if n_slots < 1:
+        raise ValueError("n_slots must be >= 1")
+    if init_x < 0:
+        raise ValueError("init_x must be nonnegative")
+    if not 0 <= burn_in < n_slots:
+        raise ValueError(f"burn_in must lie in [0, {n_slots}), got {burn_in}")
+
+
 def _series(arrival: DistSpec, services: Sequence[DistSpec], n_slots: int,
             stream: RandomStream, init_x, block: int) -> Iterator[list[Trace]]:
     """The slot engine: queues in series, one trace per stage for each block of slots.
@@ -354,10 +359,7 @@ def _series(arrival: DistSpec, services: Sequence[DistSpec], n_slots: int,
     others empty.  A stage whose arrival and service dtypes differ runs in
     float.  A series needs at least one stage.
     """
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    if init_x < 0:
-        raise ValueError("init_x must be nonnegative")
+    _check_run(n_slots, init_x)
     if not services:
         raise ValueError("need at least one stage")
     draws = [sample_chunks(spec, stream, n_slots, block) for spec in (arrival, *services)]
@@ -416,6 +418,7 @@ def block_means(blocks: Iterable, burn_in: int, out=None) -> list[dict[str, floa
 
     With ``out`` the blocks' joint CSV is written as they pass (:func:`tee_csv`).
     Each stage sums X and A exactly and keeps X at the burn-in slot and at the end.
+    A burn-in outside [0, slots) raises ``ValueError`` once the blocks have passed.
     """
     if out:
         blocks = tee_csv(blocks, out)
@@ -432,6 +435,7 @@ def block_means(blocks: Iterable, burn_in: int, out=None) -> list[dict[str, floa
                 acc[2] = int(tr.x[k])
             acc[3] = int(tr.final_x)
         first += len(blk)
+    _check_run(first, burn_in=burn_in)
     return [_slot_means(*acc, first - burn_in) for acc in sums]
 
 
@@ -533,12 +537,7 @@ def scan_means(arrival: DistSpec, service: DistSpec, n_slots: int, stream: Rando
     """
     if not (arrival.is_discrete and service.is_discrete):
         raise ValueError("the queue scan needs integer-valued arrivals and services")
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    if init_x < 0:
-        raise ValueError("init_x must be nonnegative")
-    if not 0 <= burn_in < n_slots:
-        raise ValueError(f"burn_in must lie in [0, {n_slots}), got {burn_in}")
+    _check_run(n_slots, init_x, burn_in)
     spans = shard_spans(n_slots, n_slots, _SHARD_SLOTS)
     start = stream.ahead(0)
     # the first shard starts at init_x, known: it needs no level above it

@@ -1,4 +1,4 @@
-"""Deterministic random streams with splittable replica substreams."""
+"""Deterministic random streams with splittable substreams; RandomStream owns the seed range."""
 
 from __future__ import annotations
 

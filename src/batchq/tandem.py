@@ -40,8 +40,6 @@ class TandemConfig:
     def __init__(self, arrival: DistSpec, services: Sequence[DistSpec]):
         object.__setattr__(self, "arrival", arrival)
         object.__setattr__(self, "services", tuple(services))
-        if len(self.services) < 1:
-            raise ValueError("need at least one stage")
 
     @property
     def stages(self) -> int:

@@ -18,10 +18,12 @@ Continuous-time variants (one lattice direction replaced by time) are
 prefixed ``ftilde``.
 
 Each formula has one implementation, which checks its inputs
-(probabilities strictly in (0, 1), abscissa positive) before computing.
+(probabilities strictly in (0, 1), abscissa positive) before computing;
+a variational one returns its objective and interval for :func:`golden_max`.
 :func:`curve` tabulates a variant through one table row per variant: its
-parameter names and that implementation, so a curve point and the
-public ``f_*``/``ftilde_*`` value at the same input are the same number.
+parameter names and that implementation, so a curve point and the public
+``f_*``/``ftilde_*`` value at the same input are the same number, and
+:func:`objective` hands the checks that scan it the same objective.
 """
 
 from __future__ import annotations
@@ -50,10 +52,12 @@ __all__ = [
     "CurvePoint",
     "CurveResult",
     "curve",
+    "objective",
     "VARIANTS",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_Objective = tuple[Callable[[float], float], float, float]  # fn, and (lo, hi) to search
 
 
 def golden_max(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -129,34 +133,34 @@ def _check(x: float, *probs: float) -> None:
         raise ValueError(f"abscissa must be positive, got {x}")
 
 
-def _sup_bergeom_p(q: float, b: float, x: float) -> tuple[float, float]:
+def _bergeom_p(q: float, b: float, x: float) -> _Objective:
     _check(x, q, b)
 
-    def objective(p: float) -> float:
+    def fn(p: float) -> float:
         return (p * (p * (1.0 - q) + (q - p) * b) / (1.0 - p)
                 * (x - (1.0 - q) / (q - p)) / (b * q))
 
-    return golden_max(objective, 0.0, q)
+    return fn, 0.0, q
 
 
 def f_bergeom(q: float, b: float, x: float) -> float:
     """Time constant for BerGeom(q, b) weights (variational, p form)."""
-    return max(0.0, _sup_bergeom_p(q, b, x)[1])
+    return max(0.0, golden_max(*_bergeom_p(q, b, x))[1])
 
 
-def _sup_bergeom_alpha(q: float, b: float, x: float) -> tuple[float, float]:
+def _bergeom_alpha(q: float, b: float, x: float) -> _Objective:
     _check(x, q, b)
 
-    def objective(a: float) -> float:
+    def fn(a: float) -> float:
         return (b * (1.0 - a) / a
                 * (q * x / (a * (1.0 - b - q) + b * q) - 1.0 / (a - b)))
 
-    return golden_max(objective, b, 1.0)
+    return fn, b, 1.0
 
 
 def f_bergeom_alpha(q: float, b: float, x: float) -> float:
     """Same time constant through the alpha parameterization."""
-    return max(0.0, _sup_bergeom_alpha(q, b, x)[1])
+    return max(0.0, golden_max(*_bergeom_alpha(q, b, x))[1])
 
 
 def f_bernoulli(q: float, x: float) -> float:
@@ -181,46 +185,46 @@ def f_exponential(x: float) -> float:
     return (math.sqrt(1.0 + x) - 1.0) ** 2
 
 
-def _sup_berexp(q: float, x: float) -> tuple[float, float]:
+def _berexp(q: float, x: float) -> _Objective:
     _check(x, q)
 
-    def objective(r: float) -> float:
+    def fn(r: float) -> float:
         return r * r * (q * x / (1.0 - q + r * q) - 1.0 / (1.0 - r))
 
-    return golden_max(objective, 0.0, 1.0)
+    return fn, 0.0, 1.0
 
 
 def f_berexp(q: float, x: float) -> float:
     """Time constant for BerExp(q, 1) weights (variational)."""
-    return max(0.0, _sup_berexp(q, x)[1])
+    return max(0.0, golden_max(*_berexp(q, x))[1])
 
 
-def _sup_tilde_geom(b: float, y: float) -> tuple[float, float]:
+def _tilde_geom(b: float, y: float) -> _Objective:
     _check(y, b)
 
-    def objective(a: float) -> float:
+    def fn(a: float) -> float:
         return b * (1.0 - a) / a * (y / (a * (1.0 - b)) - 1.0 / (a - b))
 
-    return golden_max(objective, b, 1.0)
+    return fn, b, 1.0
 
 
 def ftilde_geom(b: float, y: float) -> float:
     """Continuous-time variant with Geom+(b) jump weights (variational)."""
-    return max(0.0, _sup_tilde_geom(b, y)[1])
+    return max(0.0, golden_max(*_tilde_geom(b, y))[1])
 
 
-def _sup_tilde_exp(y: float) -> tuple[float, float]:
+def _tilde_exp(y: float) -> _Objective:
     _check(y)
 
-    def objective(r: float) -> float:
+    def fn(r: float) -> float:
         return r * r * (y - 1.0 / (1.0 - r))
 
-    return golden_max(objective, 0.0, 1.0)
+    return fn, 0.0, 1.0
 
 
 def ftilde_exp_sup(y: float) -> float:
     """Continuous-time, Exp(1) jump weights: the variational form."""
-    return max(0.0, _sup_tilde_exp(y)[1])
+    return max(0.0, golden_max(*_tilde_exp(y))[1])
 
 
 def ftilde_exp(y: float) -> float:
@@ -242,14 +246,14 @@ def ftilde_poisson(y: float) -> float:
     return max(0.0, math.sqrt(y) - 1.0) ** 2
 
 
-def _sup_legendre(q: float, b: float, x: float) -> tuple[float, float]:
+def _legendre(q: float, b: float, x: float) -> _Objective:
     _check(x, q, b)
     mu = q / b
 
-    def objective(lam: float) -> float:
+    def fn(lam: float) -> float:
         return lam * x - h_of_lambda(q, b, lam)
 
-    return golden_max(objective, mu * 1e-9, mu * (1.0 - 1e-9))
+    return fn, mu * 1e-9, mu * (1.0 - 1e-9)
 
 
 def f_legendre(q: float, b: float, x: float) -> float:
@@ -258,23 +262,24 @@ def f_legendre(q: float, b: float, x: float) -> float:
     Must agree with :func:`f_bergeom` everywhere; the two routes share no
     code beyond the golden-section helper.
     """
-    return max(0.0, _sup_legendre(q, b, x)[1])
+    return max(0.0, golden_max(*_legendre(q, b, x))[1])
 
 
 # --- curve tabulation -------------------------------------------------------
 
-# variant -> (parameter names, function of (*params, x) returning (maximizer, value));
-# closed forms have no maximizer
-_TABLE: dict[str, tuple[tuple[str, ...], Callable[..., tuple[float | None, float]]]] = {
-    "ber": (("q",), lambda q, x: (None, f_bernoulli(q, x))),
-    "geom": (("beta",), lambda b, x: (None, f_geometric(b, x))),
-    "exp": ((), lambda x: (None, f_exponential(x))),
-    "ber_geom": (("q", "beta"), _sup_bergeom_p),
-    "ber_exp": (("q",), _sup_berexp),
-    "cont_geom": (("beta",), _sup_tilde_geom),
-    "cont_exp": ((), _sup_tilde_exp),
-    "cont_poisson": ((), lambda y: (None, ftilde_poisson(y))),
-    "legendre": (("q", "beta"), _sup_legendre),
+# variant -> (parameter names, function of (*params, x), variational): a variational
+# variant's function gives its objective (fn, lo, hi), whose supremum is the value and
+# whose argmax the maximizer; a closed form's gives the value, with no maximizer
+_TABLE: dict[str, tuple[tuple[str, ...], Callable, bool]] = {
+    "ber": (("q",), f_bernoulli, False),
+    "geom": (("beta",), f_geometric, False),
+    "exp": ((), f_exponential, False),
+    "ber_geom": (("q", "beta"), _bergeom_p, True),
+    "ber_exp": (("q",), _berexp, True),
+    "cont_geom": (("beta",), _tilde_geom, True),
+    "cont_exp": ((), _tilde_exp, True),
+    "cont_poisson": ((), ftilde_poisson, False),
+    "legendre": (("q", "beta"), _legendre, True),
 }
 
 VARIANTS = tuple(_TABLE)
@@ -302,20 +307,40 @@ class CurveResult:
         return rows
 
 
-def curve(variant: str, params: dict, xs: Sequence[float]) -> CurveResult:
-    """Tabulate (x, f(x), maximizer) for one model variant on a grid."""
+def _lookup(variant: str, params: dict) -> tuple[Callable, bool, dict]:
+    """A variant's table row, with its parameters by name in place of their names."""
     if variant not in _TABLE:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    names, point = _TABLE[variant]
+    names, fn, variational = _TABLE[variant]
     missing = [k for k in names if k not in params]
     if missing:
         raise ValueError(f"variant {variant} needs parameters {missing}")
+    return fn, variational, {k: params[k] for k in names}
+
+
+def objective(variant: str, params: dict, x: float) -> _Objective:
+    """The objective (fn, lo, hi) whose supremum on (lo, hi) is a variational variant at x.
+
+    It is the function that :func:`curve` and the public ``f_*``/``ftilde_*``
+    value hand to :func:`golden_max`; a closed-form variant has none and raises.
+    """
+    fn, variational, args = _lookup(variant, params)
+    if not variational:
+        raise ValueError(f"variant {variant} is a closed form; it has no objective")
+    return fn(*args.values(), float(x))
+
+
+def curve(variant: str, params: dict, xs: Sequence[float]) -> CurveResult:
+    """Tabulate (x, f(x), maximizer) for one model variant on a grid."""
+    fn, variational, args = _lookup(variant, params)
     xs = list(xs)
     if not xs:
         raise ValueError("empty abscissa grid")
-    args = [params[k] for k in names]
     pts = []
     for x in map(float, xs):
-        xm, val = point(*args, x)
+        if variational:
+            xm, val = golden_max(*fn(*args.values(), x))
+        else:
+            xm, val = None, fn(*args.values(), x)
         pts.append(CurvePoint(x, max(0.0, val), xm))
-    return CurveResult(variant=variant, params=dict(zip(names, args)), points=pts)
+    return CurveResult(variant=variant, params=args, points=pts)

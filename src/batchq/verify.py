@@ -548,14 +548,11 @@ def check_timeconstants() -> list[dict]:
         d2 = np.diff(vals, 2)
         worst = max(worst, float(max(0.0, -(d1.min()))), float(max(0.0, -(d2.min()))))
     out.append(_exact("curves_nonnegative_nondecreasing_convex", worst, 1e-9))
-    # unimodality scans back the golden-section searches
-    uni_ok = all((
-        tc.scan_is_unimodal(lambda p: p * (p * 0.5 + (0.5 - p) * 0.5) / (1 - p)
-                            * (3.0 - 0.5 / (0.5 - p)), 0.0, 0.5),
-        tc.scan_is_unimodal(lambda r: r * r * (3.0 * 0.5 / (0.5 + r * 0.5) - 1 / (1 - r)), 0.0, 1.0),
-        tc.scan_is_unimodal(lambda r: r * r * (2.0 - 1 / (1 - r)), 0.0, 1.0),
-        tc.scan_is_unimodal(lambda lam: lam * 3.0 - tc.h_of_lambda(0.5, 0.5, lam), 1e-9, 1 - 1e-9),
-    ))
+    # unimodality scans back the golden-section searches, on the objectives they maximize
+    uni_ok = all(tc.scan_is_unimodal(*tc.objective(variant, pr, x)) for variant, pr, x in (
+        ("ber_geom", {"q": 0.5, "beta": 0.5}, 3.0), ("ber_exp", {"q": 0.5}, 3.0),
+        ("cont_geom", {"beta": 0.5}, 4.0), ("cont_exp", {}, 2.0),
+        ("legendre", {"q": 0.5, "beta": 0.5}, 3.0)))
     out.append(_exact("objectives_unimodal_on_scan", 0.0 if uni_ok else 1.0, 0.5))
     return out
 

@@ -484,13 +484,11 @@ def test_commands_import_only_what_they_use(argv, loaded):
     assert res.stderr.decode() == loaded
 
 
-def test_dir_lists_the_submodules_before_they_load():
-    res = _batchq("import sys, batchq\nprint(' '.join(dir(batchq)), 'batchq.verify' in sys.modules)",
+def test_import_batchq_loads_no_submodule():
+    res = _batchq("import sys, batchq\nprint(sorted(m for m in sys.modules if m.startswith('batchq')))",
                   [])
     assert res.returncode == 0, res.stderr
-    names = res.stdout.decode().split()
-    assert set(names) >= {"distributions", "percolation", "queue_core", "stats", "tandem",
-                          "timeconstants", "verify"} and names[-1] == "False"
+    assert res.stdout.decode().strip() == "['batchq']"
 
 
 def test_explicit_burn_in_is_used_as_given(capsys):

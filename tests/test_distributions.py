@@ -275,12 +275,26 @@ def test_tail_cutoff_bounds_the_tail():
     for spec in ALL_DISCRETE:
         k = dist.tail_cutoff(spec, 1e-12)
         assert dist.sf(spec, k + 1) <= 1e-12
-    # a nonzero mass at or below the tolerance needs no tail beyond 1
-    assert dist.tail_cutoff(dist.ber_geom(1e-13, 0.5), 1e-12) == 1
+    # a nonzero mass at or below the tolerance needs no table beyond 0
+    assert dist.tail_cutoff(dist.ber_geom(1e-13, 0.5), 1e-12) == 0
     # a tolerance just below (1 - a)**55, where the logarithm's estimate rounds to 55
     spec, tol = dist.geom_plus(0.25158329759496567), 1.1964399593355166e-07
     assert dist.tail_cutoff(spec, tol) == 56
     assert dist.sf(spec, 57) <= tol < dist.sf(spec, 56)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(["bernoulli", "geom_plus", "geom_zero", "ber_geom"]),
+       p=st.floats(1e-15, 1 - 1e-9), alpha=st.floats(1e-6, 1 - 1e-9),
+       tol=st.sampled_from([1e-14, 1e-12, 1e-6, 0.3]))
+def test_tail_cutoff_is_the_smallest_k(kind, p, alpha, tol):
+    # P(X > K) = sf(K + 1): K bounds the tail and K - 1 does not
+    spec = {"bernoulli": lambda: dist.bernoulli(p), "geom_plus": lambda: dist.geom_plus(alpha),
+            "geom_zero": lambda: dist.geom_zero(alpha),
+            "ber_geom": lambda: dist.ber_geom(p, alpha)}[kind]()
+    k = dist.tail_cutoff(spec, tol)
+    assert k >= 0 and dist.sf(spec, k + 1) <= tol
+    assert k == 0 or dist.sf(spec, k) > tol
 
 
 def test_substreams_are_decorrelated_and_documented():

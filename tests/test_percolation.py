@@ -127,8 +127,10 @@ def test_query_validation():
         PathQuery((2, 0), (1, 0))
     with pytest.raises(ValueError):
         first_passage(field, PathQuery((0, 0), (3, 1)))
-    with pytest.raises(ValueError, match="no pinned path"):
-        first_passage(field, PathQuery((1, 0), (1, 2), pinned=True))
+    # a pinned single column spanning two rows is refused by the query, for the DP and its oracle
+    for fn in (first_passage, enumerate_first_passage, lambda f, q: q.validate(f)):
+        with pytest.raises(ValueError, match="no pinned path"):
+            fn(field, PathQuery((1, 0), (1, 2), pinned=True))
     # the free variant does allow a single-column multi-row query
     assert first_passage(field, PathQuery((1, 0), (1, 2), pinned=False)) == 1.0
     with pytest.raises(ValueError, match="too many paths"):
@@ -224,6 +226,27 @@ def test_continuous_validation():
     for bad in (0.0, np.nan):
         with pytest.raises(ValueError, match="positive"):
             JumpField(times=[np.array([1.0])], weights=[np.array([bad])], horizon=3.0)
+
+
+def _jump_times(stream: RandomStream, horizon: float) -> list[float]:
+    """One row's event times from gaps -log(1 - U), drawn 64 uniforms at a time."""
+    t, acc = [], 0.0
+    while acc <= horizon:
+        for g in -np.log1p(-stream.uniforms(64)):
+            acc += g
+            if acc > horizon:
+                break
+            t.append(acc)
+    return t
+
+
+def test_jump_field_gaps_are_exp1_inverse_transforms_of_the_stream():
+    for seed in range(5):
+        # deterministic weights draw no uniforms, so the rows' gaps are the stream's blocks
+        jf = sample_jump_field(3, 150.0, dist.deterministic(2), RandomStream(seed))
+        ref = RandomStream(seed)
+        for times in jf.times:
+            assert times.tobytes() == np.array(_jump_times(ref, 150.0)).tobytes()
 
 
 def test_continuous_switch_point_insensitivity():

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from batchq import distributions as dist
-from batchq.stats import (EmpiricalPmf, _pool_tail, batch_mean_stderr, chi2_sf,
-                          chi_square_gof, chi_square_two_sample, encode_pairs,
+from batchq.stats import (EmpiricalPmf, _kolmogorov_sf, _pool_tail, batch_mean_stderr,
+                          chi2_sf, chi_square_gof, chi_square_two_sample, encode_pairs,
                           independence_chi2, ks_distance, ks_test, lag_autocorr)
 from batchq.streams import RandomStream
 
@@ -145,6 +145,19 @@ def test_ks_test_calibration():
     assert res.passed
     res = ks_test(u**2, lambda x: min(1.0, max(0.0, x)))
     assert res.p_value < 1e-10
+
+
+def test_ks_p_value_of_a_sample_that_fits_too_well_is_one():
+    # midpoints of n equal cells have D = 1/(2n), t about 0.005 at n = 10**4:
+    # below the t where 100 terms of the alternating series converge
+    for n in (10**4, 4 * 10**4):
+        res = ks_test((np.arange(n) + 0.5) / n, lambda x: x)
+        assert res.p_value > 1 - 1e-12
+    assert _kolmogorov_sf(0.01) == 1.0
+    # both sides of the switch to the small-t series give scipy.special.kolmogorov's values
+    for t, sf in ((0.04, 1.0), (0.05, 1.0), (0.5, 0.9639452436648751),
+                  (1.0, 0.26999967167735456)):
+        assert abs(_kolmogorov_sf(t) - sf) <= 1e-12
 
 
 def test_two_sample_chi_square():

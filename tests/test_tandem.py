@@ -41,8 +41,9 @@ def test_feed_forward_identity_and_window_conservation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TandemConfig(dist.bernoulli(0.5), [])
+    # the slot engine, not the config, refuses a series of no stages
+    with pytest.raises(ValueError, match="need at least one stage"):
+        simulate_tandem(TandemConfig(dist.bernoulli(0.5), []), 10, RandomStream(1))
     config = TandemConfig(dist.bernoulli(0.2), [dist.geom_plus(0.5), dist.deterministic(1)])
     assert config.stages == 2
     with pytest.raises(ValueError, match="Bernoulli-geometric"):

@@ -124,13 +124,21 @@ def test_legendre_flat_region():
 
 
 def test_objectives_are_unimodal_on_scans():
-    assert tc.scan_is_unimodal(
-        lambda p: p * (p * 0.5 + (0.5 - p) * 0.5) / (1 - p) * (3.0 - 0.5 / (0.5 - p)), 0.0, 0.5)
-    assert tc.scan_is_unimodal(
-        lambda a: 0.5 * (1 - a) / a * (0.5 * 3.0 / (a * 0.0 + 0.25) - 1 / (a - 0.5)), 0.5, 1.0)
-    assert tc.scan_is_unimodal(lambda r: r * r * (2.0 - 1 / (1 - r)), 0.0, 1.0)
-    assert tc.scan_is_unimodal(lambda lam: lam * 3.0 - tc.h_of_lambda(0.5, 0.5, lam),
-                               1e-9, 1 - 1e-9)
+    # the objectives golden_max maximizes, at parameters of each variational form
+    for variant, params, x in (("ber_geom", {"q": 0.5, "beta": 0.5}, 3.0),
+                               ("ber_geom", {"q": 0.35, "beta": 0.25}, 6.0),
+                               ("ber_exp", {"q": 0.5}, 3.0), ("cont_geom", {"beta": 0.5}, 4.0),
+                               ("cont_exp", {}, 2.0), ("legendre", {"q": 0.5, "beta": 0.5}, 3.0)):
+        assert tc.scan_is_unimodal(*tc.objective(variant, params, x)), variant
+    assert tc.scan_is_unimodal(*tc._bergeom_alpha(0.5, 0.5, 3.0))
+
+
+def test_closed_forms_have_no_objective():
+    for variant in ("ber", "geom", "exp", "cont_poisson"):
+        with pytest.raises(ValueError, match="closed form"):
+            tc.objective(variant, {"q": 0.5, "beta": 0.5}, 2.0)
+    with pytest.raises(ValueError, match="needs parameters"):
+        tc.objective("ber_geom", {"q": 0.5}, 2.0)
 
 
 def test_curves_are_nonnegative_nondecreasing_convex():
@@ -170,6 +178,9 @@ PUBLIC = {
 }
 
 
+VARIATIONAL = ("ber_geom", "ber_exp", "cont_geom", "cont_exp", "legendre")
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(variant=st.sampled_from(tc.VARIANTS), q=st.floats(0.02, 0.98), beta=st.floats(0.02, 0.98),
        x=st.floats(0.01, 12.0))
@@ -183,6 +194,9 @@ def test_curve_points_are_the_public_values(variant, q, beta, x):
             tc.curve(variant, params, [x])
         return
     assert tc.curve(variant, params, [x]).points[0].f == expect
+    if variant in VARIATIONAL:
+        # the objective the checks scan is the one the value maximizes
+        assert max(0.0, tc.golden_max(*tc.objective(variant, params, x))[1]) == expect
 
 
 BAD_PROB = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan))

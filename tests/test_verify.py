@@ -201,6 +201,9 @@ def test_calibration_refuses_seeds_that_verify_refuses(tmp_path, capsys):
 def test_every_listed_mutant_applies_exactly_once(tmp_path):
     tool = _tool("mutants")
     assert tool.check_patterns(tool.MUTANTS, Path(verify.__file__).parent) == []
+    assert tool.missing_tests(tool.MUTANTS) == []
+    assert tool.missing_tests([tool.Mutant("untested", "lib.py", "x", "y")]) == [
+        "untested: no test file tests/test_lib.py"]
     (tmp_path / "lib.py").write_text("x = 1\nx = 1\n")
     bad = [tool.Mutant("twice", "lib.py", "x = 1", "x = 2"),
            tool.Mutant("never", "lib.py", "y = 1", "y = 2")]

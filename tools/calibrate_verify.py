@@ -28,6 +28,7 @@ from itertools import chain
 
 from batchq import verify
 from batchq.stats import ks_test
+from batchq.streams import RandomStream
 from batchq.workers import fork_map, shard_spans
 
 LEVEL = 0.01
@@ -73,12 +74,12 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [f for f in families if f not in known]
     if unknown:
         parser.error(f"unknown families {unknown}; choose from {known}")
-    try:
-        lo, hi = (int(v) for v in args.seeds.split(":"))
-    except ValueError:
-        parser.error(f"--seeds must be lo:hi, got {args.seeds!r}")
-    if not 0 <= lo <= hi < 1 << 64:  # the seeds of batchq verify --seed
-        parser.error(f"--seeds needs 0 <= lo <= hi < 2**64, got {args.seeds!r}")
+    try:  # RandomStream takes the seeds of batchq verify --seed
+        lo, hi = (RandomStream(int(v)).seed for v in args.seeds.split(":"))
+    except ValueError as exc:
+        parser.error(f"--seeds must be lo:hi, two seeds, got {args.seeds!r}: {exc}")
+    if lo > hi:
+        parser.error(f"--seeds needs lo <= hi, got {args.seeds!r}")
     checks = calibrate(families, range(lo, hi + 1))
     report = {"families": families, "seeds": [lo, hi], "level": LEVEL, "checks": checks}
     with open(args.out, "w") as f:

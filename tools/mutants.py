@@ -7,9 +7,10 @@ Run from the root of a checkout:
 
 A mutant is one exact text substitution in one file of ``src/batchq``.  It
 is refused, with exit 2 before anything runs, unless its pattern occurs
-exactly once in that file.  Each mutant runs in its own temporary copy of
-``src/`` and ``tests/``, never in the checkout: pytest runs, with ``-x``,
-the mutated module's test file (``tests/test_<module>.py``) and
+exactly once in that file and its test files exist.  Each mutant runs in
+its own temporary copy of ``src/`` and ``tests/``, never in the checkout:
+pytest runs, with ``-x``, the mutated module's test file
+(``tests/test_<module>.py``, or the files the mutant names) and
 ``tests/test_acceptance.py``, and the mutant is killed when they fail or
 time out.  The unmutated copy must pass every one of those files first,
 or the tool exits 2.  The JSON lists, per mutant, its name, file, whether
@@ -41,6 +42,7 @@ class Mutant(NamedTuple):
     module: str  # a file of src/batchq
     pattern: str
     replacement: str
+    tests: tuple[str, ...] = ()  # test files to run, if not tests/test_<module>.py
 
 
 MUTANTS = [
@@ -59,6 +61,34 @@ MUTANTS = [
            "if not services:", "if False:"),
     Mutant("identity_instance_on_next_substream", "percolation.py",
            "stages, window, stream.substream(i))", "stages, window, stream.substream(i + 1))"),
+    # one copy of each rule and formula
+    Mutant("pinned_refusal_dropped_from_validate", "percolation.py",
+           "if self.pinned and i == k and j != l:", "if False:"),
+    Mutant("seed_bound_inclusive", "streams.py",
+           "if not 0 <= self.seed < 1 << 64:", "if not 0 <= self.seed <= 1 << 64:",
+           ("tests/test_distributions.py", "tests/test_cli.py")),
+    Mutant("config_depth_off_by_one", "cli.py",
+           'depth = args.leaf.prog.count(" ")', 'depth = args.leaf.prog.count(" ") + 1'),
+    Mutant("jump_gap_rate_off", "percolation.py",
+           "sample_n(exponential(1.0), stream, 64)", "sample_n(exponential(1.5), stream, 64)"),
+    Mutant("init_x_check_dropped", "queue_core.py", "if init_x < 0:", "if False:"),
+    Mutant("negative_csv_cell_accepted", "queue_core.py", "if col.min() < 0:", "if False:"),
+    Mutant("legendre_row_runs_the_p_form", "timeconstants.py",
+           '"legendre": (("q", "beta"), _legendre, True)',
+           '"legendre": (("q", "beta"), _bergeom_p, True)'),
+    Mutant("bergeom_objective_formula_changed", "timeconstants.py",
+           "* (x - (1.0 - q) / (q - p)) / (b * q))", "* (x - (1.0 - b) / (q - p)) / (b * q))"),
+    Mutant("objective_accessor_at_another_x", "timeconstants.py",
+           "return fn(*args.values(), float(x))", "return fn(*args.values(), 2.0 * float(x))"),
+    # the satellite fixes
+    Mutant("block_means_burn_in_check_dropped", "queue_core.py",
+           "_check_run(first, burn_in=burn_in)", "None"),
+    Mutant("ks_small_t_branch_never_taken", "stats.py",
+           "small = 2.0 * math.exp(-2.0 * 100 * 100 * t * t) >= 1e-16", "small = False"),
+    Mutant("tail_cutoff_floor_at_1", "distributions.py",
+           "while k > 0 and sf(spec, k) <= tol:", "while k > 1 and sf(spec, k) <= tol:"),
+    Mutant("tail_cutoff_not_corrected_down", "distributions.py",
+           "while k > 0 and sf(spec, k) <= tol:", "while False:"),
     # earlier hand mutants
     Mutant("prefix_carry_dropped", "queue_core.py", "c[0] = c0", "c[0] = 0"),
     Mutant("magnitude_cursor_one_double_off", "distributions.py",
@@ -70,7 +100,7 @@ MUTANTS = [
 
 
 def _tests_for(m: Mutant) -> list[str]:
-    return [f"tests/test_{Path(m.module).stem}.py", "tests/test_acceptance.py"]
+    return [*(m.tests or [f"tests/test_{Path(m.module).stem}.py"]), "tests/test_acceptance.py"]
 
 
 def _copy(dest: Path) -> None:
@@ -102,6 +132,13 @@ def check_patterns(mutants: list[Mutant], src: Path) -> list[str]:
     return bad
 
 
+def missing_tests(mutants: list[Mutant]) -> list[str]:
+    """One complaint per test file of a mutant that does not exist: pytest would fail on
+    it, and the mutant would pass as killed."""
+    return [f"{m.name}: no test file {f}" for m in mutants for f in _tests_for(m)
+            if not (ROOT / f).is_file()]
+
+
 def run_mutant(m: Mutant) -> dict:
     with tempfile.TemporaryDirectory(prefix="batchq-mutant-") as tmp:
         tree = Path(tmp)
@@ -119,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON report path")
     args = parser.parse_args(argv)
-    bad = check_patterns(MUTANTS, ROOT / "src" / "batchq")
+    bad = check_patterns(MUTANTS, ROOT / "src" / "batchq") + missing_tests(MUTANTS)
     if bad:
         parser.error("; ".join(bad))
     files = sorted({f for m in MUTANTS for f in _tests_for(m)})
