@@ -9,8 +9,9 @@ and choices.  A --seed must lie in [0, 2**64), the seeds of the PRNG.  An
 explicit --burn-in is used as given and must lie in [0, --slots); the
 default is min(10^4, slots // 2).  --format exists only where it is read:
 dist takes csv or json, and tc takes csv (a table even for one --x).
-Exit codes: 0 success, 1 failed verification, 2 usage or validation error
-(a count too large to allocate is one).  Every exit 2 prints the
+Exit codes: 0 success, 1 failed verification (a verify family that
+raises is one failed check), 2 usage or validation error (a count too
+large to allocate is one).  Every exit 2 prints the
 subcommand's usage and one error: line, whether argparse, a handler or
 the library refused the input.
 
@@ -327,6 +328,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_identity(args) -> int:
     from .percolation import identity_trials
     params = _queue_params(args)
+    if args.window < 1:
+        raise ValueError("--window must be >= 1")
     if args.instances < 1:
         raise ValueError("--instances must be >= 1")
     failures, first = identity_trials(params.arrival_spec,

@@ -449,12 +449,11 @@ def tandem_identity_check(arrival: DistSpec, services: Sequence[DistSpec],
     the max over window starts m of (arrivals in [m, 0) minus the
     free-endpoint first passage of the service weights on columns m..-1).
     Costs O(window x R).  Equality is exact when arrivals and services are
-    both integer-valued, and to 1e-9 otherwise.
+    both integer-valued, and to 1e-9 otherwise.  The slot engine refuses a
+    ``window`` below 1.
     """
     from .queue_core import simulate_series  # only the identity check runs the slot engine
 
-    if window < 1:
-        raise ValueError("window must be >= 1")
     stages = simulate_series(arrival, services, window, stream)
     total = sum(tr.final_x for tr in stages)
     a = stages[0].a

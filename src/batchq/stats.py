@@ -75,6 +75,7 @@ _ITMAX = 800
 
 
 def _gamma_p_series(a: float, x: float) -> float:
+    """P(a, x) over the prefactor exp(-x) x^a / Gamma(a), by its power series."""
     ap = a
     total = term = 1.0 / a
     for _ in range(_ITMAX):
@@ -83,10 +84,11 @@ def _gamma_p_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return total
 
 
 def _gamma_q_contfrac(a: float, x: float) -> float:
+    """Q(a, x) over the prefactor exp(-x) x^a / Gamma(a), by its continued fraction."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -106,7 +108,7 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return h
 
 
 def gamma_q(a: float, x: float) -> float:
@@ -115,9 +117,10 @@ def gamma_q(a: float, x: float) -> float:
         raise ValueError("gamma_q requires a > 0 and x >= 0")
     if x == 0.0:
         return 1.0
+    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
     if x < a + 1.0:
-        return max(0.0, min(1.0, 1.0 - _gamma_p_series(a, x)))
-    return max(0.0, min(1.0, _gamma_q_contfrac(a, x)))
+        return max(0.0, min(1.0, 1.0 - prefactor * _gamma_p_series(a, x)))
+    return max(0.0, min(1.0, prefactor * _gamma_q_contfrac(a, x)))
 
 
 def chi2_sf(stat: float, dof: int) -> float:

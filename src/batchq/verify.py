@@ -5,12 +5,19 @@ Each ``check_*`` function returns a list of plain dicts, one per check:
     {"name": ..., "kind": "exact" | "stat", "passed": bool,
      "observed": float, "requirement": str, ...}
 
-Exact checks compare against hard numeric thresholds; a failing exact
-check that loops over seeded trials names its first failure (the
-substream index and the two compared values).  Statistical checks
-carry a chi-square or KS p-value; :func:`run_suite` re-grades them at a
-Bonferroni-corrected level (0.01 divided by the number of statistical
-checks in the suite) so the suite-level false-alarm rate stays at 1%.
+An exact check grades one measured error against its threshold, and a
+NaN error fails.  A check over several cases measures the worst case's
+error (:func:`_worst`); failing, it names that case under
+``worst_case``.  A check over seeded trials measures the number of
+failing comparisons (:func:`_trials`); failing, it names the first
+under ``first_failure``, with its substream index and the compared
+values.  A family that raises is one failed exact check, named
+``<family>_raised``, with the exception's type and message, so its
+suite fails (``batchq verify`` exits 1).
+Statistical checks carry a chi-square or KS p-value; :func:`run_suite`
+re-grades them at a Bonferroni-corrected level (0.01 divided by the
+number of statistical checks in the suite) so the suite-level
+false-alarm rate stays at 1%.
 
 One table, :data:`FAMILIES`, lists every family in report order with
 its suite and its substream index; ``check_<family>`` runs it.  A
@@ -23,6 +30,7 @@ byte-identical across runs.  The acceptance criteria call the same
 from __future__ import annotations
 
 import math
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -78,9 +86,24 @@ def _exact(name: str, observed: float, threshold: float, below: bool = True) -> 
             "observed": float(observed), "requirement": req}
 
 
-def _with_first(check: dict, first: dict | None, key: str = "first_failure") -> dict:
-    """The check, plus its first failure's reproducer under ``key`` when there is one."""
-    return check if first is None else {**check, key: first}
+def _worst(name: str, cases: Iterable[tuple[dict, float]], threshold: float) -> dict:
+    """The exact check of the largest error among the ``(case, error)`` pairs
+    ``cases``, where NaN ranks above every number; failing, it names the case."""
+    case, error = max(cases, key=lambda ce: math.inf if math.isnan(ce[1]) else ce[1])
+    check = _exact(name, error, threshold)
+    return check if check["passed"] else {**check, "worst_case": case}
+
+
+def _trials(name: str, indices: range,
+            trial: Callable[[int], list[tuple[float, float, dict]]]) -> dict:
+    """The exact check that every comparison ``(error, tolerance, values)`` of
+    every seeded trial ``trial(i)``, i in ``indices``, has ``error <= tolerance``
+    (NaN fails).  It counts the failing comparisons; failing, it names the
+    first: its substream i and its ``values``."""
+    failures = [{"substream": i, **values} for i in indices
+                for error, tolerance, values in trial(i) if not error <= tolerance]
+    check = _exact(name, len(failures), 0)
+    return check if check["passed"] else {**check, "first_failure": failures[0]}
 
 
 def _stat(result: TestResult) -> dict:
@@ -97,27 +120,30 @@ def check_distributions(seed: int) -> list[dict]:
     specs = [dist.ber_geom(1 / 3, 2 / 3), dist.geom_plus(0.4), dist.geom_zero(0.25),
              dist.bernoulli(0.3), dist.ber_geom(0.2, 0.4)]
     # pmf sums to 1 with the analytic tail beyond k=1000
-    err = max(abs(sum(dist.pmf(s, k) for k in range(1001)) + dist.sf(s, 1001) - 1.0)
-              for s in specs)
-    out.append(_exact("pmf_normalization_with_tail", err, 1e-12))
+    out.append(_worst("pmf_normalization_with_tail", (
+        ({"spec": s.to_dict()},
+         abs(sum(dist.pmf(s, k) for k in range(1001)) + dist.sf(s, 1001) - 1.0)) for s in specs),
+        1e-12))
     # mean equals the central pgf derivative at z=1
     h = 1e-6
-    err = max(abs((dist.pgf(s, 1.0 + h) - dist.pgf(s, 1.0 - h)) / (2 * h) - dist.mean(s))
-              for s in specs)
-    out.append(_exact("pgf_derivative_matches_mean", err, 1e-5))
+    out.append(_worst("pgf_derivative_matches_mean", (
+        ({"spec": s.to_dict()},
+         abs((dist.pgf(s, 1.0 + h) - dist.pgf(s, 1.0 - h)) / (2 * h) - dist.mean(s)))
+        for s in specs), 1e-5))
     # BerGeom conditioned on being nonzero is Geom+
     bg = dist.ber_geom(1 / 3, 2 / 3)
-    err = max(abs(dist.pmf(bg, k) / bg.p - dist.pmf(dist.geom_plus(bg.alpha), k))
-              for k in range(1, 101))
-    out.append(_exact("bergeom_conditional_nonzero_is_geom_plus", err, 1e-12))
+    out.append(_worst("bergeom_conditional_nonzero_is_geom_plus", (
+        ({"k": k}, abs(dist.pmf(bg, k) / bg.p - dist.pmf(dist.geom_plus(bg.alpha), k)))
+        for k in range(1, 101)), 1e-12))
     # BerGeom(p, a) with p = 1 - a coincides with Geom0(a)
-    err = max(abs(dist.pmf(dist.ber_geom(0.5, 0.5), k) - dist.pmf(dist.geom_zero(0.5), k))
-              for k in range(51))
-    out.append(_exact("bergeom_p_eq_1_minus_a_is_geom_zero", err, 1e-12))
+    out.append(_worst("bergeom_p_eq_1_minus_a_is_geom_zero", (
+        ({"k": k}, abs(dist.pmf(dist.ber_geom(0.5, 0.5), k) - dist.pmf(dist.geom_zero(0.5), k)))
+        for k in range(51)), 1e-12))
     # a -> 1 degenerates to Bernoulli
     near = dist.ber_geom(0.3, 1 - 1e-9)
-    err = max(abs(dist.pmf(near, k) - dist.pmf(dist.bernoulli(0.3), k)) for k in range(4))
-    out.append(_exact("bergeom_alpha_to_1_degenerates_to_bernoulli", err, 1e-8))
+    out.append(_worst("bergeom_alpha_to_1_degenerates_to_bernoulli", (
+        ({"k": k}, abs(dist.pmf(near, k) - dist.pmf(dist.bernoulli(0.3), k))) for k in range(4)),
+        1e-8))
     # truncated-series oracles
     tail_mean = sum(k * dist.pmf(dist.geom_plus(0.25), k) for k in range(1, 10_001))
     out.append(_exact("geom_plus_mean_vs_series", abs(tail_mean - 4.0), 1e-10))
@@ -160,9 +186,9 @@ def check_distributions(seed: int) -> list[dict]:
 # --- queue ------------------------------------------------------------------
 
 def check_detailed_balance() -> list[dict]:
-    out = []
-    worst = max(verify_detailed_balance(p) for p in CONDITION_SETS)
-    out.append(_exact("detailed_balance_residual_5_sets", worst, 1e-12))
+    out = [_worst("detailed_balance_residual_5_sets",
+                  (({"set": i}, verify_detailed_balance(p)) for i, p in enumerate(CONDITION_SETS)),
+                  1e-12)]
     out.append(_exact("detailed_balance_violation_detected",
                       verify_detailed_balance(VIOLATING_PARAMS), 1e-6, below=False))
     return out
@@ -170,13 +196,15 @@ def check_detailed_balance() -> list[dict]:
 
 def check_stationary_oracle() -> list[dict]:
     out = []
-    worst = 0.0
-    for p in CONDITION_SETS:
+
+    def errors(p: QueueParams) -> np.ndarray:
         law = stationary_law(p)
         pi = markov_oracle(p.arrival_spec, p.service_spec, K=200)
-        ref = np.array([law.x_pmf(k) for k in range(len(pi))])
-        worst = max(worst, float(np.abs(pi - ref).max()))
-    out.append(_exact("stationary_oracle_supnorm_5_sets", worst, 1e-10))
+        return np.abs(pi - np.array([law.x_pmf(k) for k in range(len(pi))]))
+
+    out.append(_worst("stationary_oracle_supnorm_5_sets", (
+        ({"set": i, "k": k}, e) for i, p in enumerate(CONDITION_SETS)
+        for k, e in enumerate(errors(p))), 1e-10))
     # Bernoulli limit of the formula law against a Bernoulli/Bernoulli oracle
     p_, q_ = 0.3, 0.6
     alpha = 1 - 1e-9
@@ -304,8 +332,8 @@ def check_queue_small(seed: int) -> list[dict]:
     out = []
     # window-maximum formula equals the iterated recurrence
     stream = RandomStream(seed)
-    worst, first = 0, None
-    for i in range(1000):
+
+    def path_max_trial(i: int) -> list:
         st = stream.substream(i)
         n = 1 + int(st.uniform() * 20)
         a = dist.sample_n(dist.ber_geom(0.5, 0.4), st, n)
@@ -314,24 +342,23 @@ def check_queue_small(seed: int) -> list[dict]:
         for k in range(n):
             x, _, _ = step(x, int(a[k]), int(s[k]))
         pm = path_max_X(a, s)
-        worst = max(worst, abs(pm - x))
-        if pm != x:
-            first = first or {"substream": i, "path_max": pm, "iterated": x}
-    out.append(_with_first(_exact("path_max_equals_iterated_recurrence", worst, 0), first))
+        return [(abs(pm - x), 0, {"path_max": pm, "iterated": x})]
+
+    out.append(_trials("path_max_equals_iterated_recurrence", range(1000), path_max_trial))
+
     # fixed-point solver round trip on a (q, b, lambda) grid
-    worst = 0.0
-    for q in (0.3, 0.5, 0.7):
-        for b in (0.2, 0.5, 0.6):
-            mu = q / b
-            for frac in (0.2, 0.5, 0.9):
-                lam = frac * mu
-                p, a = solve_arrival(q, b, lam)
-                params = QueueParams(p=p, alpha=a, q=q, beta=b)
-                worst = max(worst, abs(p / a - lam), abs(check_condition(params)))
-                lam1 = p * (p / (1 - p) * (1 - q) / q * (1 - b) / b + 1)
-                lam2 = (1 - a) * b * q / (a * a * (1 - b - q) + a * b * q)
-                worst = max(worst, abs(lam1 - lam), abs(lam2 - lam))
-    out.append(_exact("solve_arrival_roundtrip", worst, 1e-10))
+    def roundtrip_error(q: float, b: float, lam: float) -> float:
+        p, a = solve_arrival(q, b, lam)
+        lam1 = p * (p / (1 - p) * (1 - q) / q * (1 - b) / b + 1)
+        lam2 = (1 - a) * b * q / (a * a * (1 - b - q) + a * b * q)
+        residual = check_condition(QueueParams(p=p, alpha=a, q=q, beta=b))
+        return float(np.max(np.abs([p / a - lam, residual, lam1 - lam, lam2 - lam])))
+
+    grid = [(q, b, frac * (q / b)) for q in (0.3, 0.5, 0.7) for b in (0.2, 0.5, 0.6)
+            for frac in (0.2, 0.5, 0.9)]
+    out.append(_worst("solve_arrival_roundtrip", (
+        ({"q": q, "beta": b, "lambda": lam}, roundtrip_error(q, b, lam)) for q, b, lam in grid),
+        1e-10))
     # excursion likelihood: reversal invariance holds exactly on the family
     params = MAIN_PARAMS
     fwd = excursion_loglik(params, [2, 0], [1, 1])
@@ -383,8 +410,8 @@ def check_tandem(seed: int) -> list[dict]:
 def check_percolation_exact(seed: int) -> list[dict]:
     out = []
     stream = RandomStream(seed)
-    mism, first = 0, None
-    for i in range(1000):
+
+    def dp_trial(i: int) -> list:
         st = stream.substream(i)
         rows = 1 + int(st.uniform() * 8)
         cols = 1 + int(st.uniform() * 8)
@@ -392,18 +419,18 @@ def check_percolation_exact(seed: int) -> list[dict]:
             rows = 1
         w = np.floor(st.uniforms(rows * cols) * 6).reshape(rows, cols)
         field = perc.WeightField(w)
+        comparisons = []
         for pinned in (True, False):
             q = perc.PathQuery((0, 0), (cols - 1, rows - 1), pinned=pinned)
             dp, brute = perc.first_passage(field, q), perc.enumerate_first_passage(field, q)
-            if dp != brute:
-                mism += 1
-                if first is None:
-                    first = {"substream": i, "pinned": pinned, "dp": dp, "bruteforce": brute}
-    out.append(_with_first(_exact("dp_equals_bruteforce_1000_fields", mism, 0), first,
-                           "first_mismatch"))
+            comparisons.append((abs(dp - brute), 0,
+                                {"pinned": pinned, "dp": dp, "bruteforce": brute}))
+        return comparisons
+
+    out.append(_trials("dp_equals_bruteforce_1000_fields", range(1000), dp_trial))
+
     # monotonicity: raising one weight never lowers the first passage
-    bad, first = 0, None
-    for i in range(10_000, 10_200):
+    def monotonicity_trial(i: int) -> list:
         st = stream.substream(i)
         w = np.floor(st.uniforms(5 * 6) * 4).reshape(5, 6)
         field = perc.WeightField(w.copy())
@@ -412,13 +439,12 @@ def check_percolation_exact(seed: int) -> list[dict]:
         r, c = int(st.uniform() * 5), int(st.uniform() * 6)
         w[r, c] += 1 + st.uniform() * 3
         raised = perc.first_passage(perc.WeightField(w), q)
-        if raised < base - 1e-12:
-            bad += 1
-            first = first or {"substream": i, "base": base, "raised": raised}
-    out.append(_with_first(_exact("weight_monotonicity", bad, 0), first))
+        return [(base - raised, 1e-12, {"base": base, "raised": raised})]
+
+    out.append(_trials("weight_monotonicity", range(10_000, 10_200), monotonicity_trial))
+
     # subadditivity through a shared corner
-    bad, first = 0, None
-    for i in range(20_000, 20_200):
+    def subadditivity_trial(i: int) -> list:
         st = stream.substream(i)
         k, r = 4, 3
         w = st.uniforms((2 * r + 1) * (2 * k + 1)).reshape(2 * r + 1, 2 * k + 1)
@@ -426,19 +452,17 @@ def check_percolation_exact(seed: int) -> list[dict]:
         whole = perc.first_passage(field, perc.PathQuery((0, 0), (2 * k, 2 * r)))
         halves = (perc.first_passage(field, perc.PathQuery((0, 0), (k, r)))
                   + perc.first_passage(field, perc.PathQuery((k + 1, r), (2 * k, 2 * r))))
-        if whole > halves + 1e-12:
-            bad += 1
-            first = first or {"substream": i, "whole": whole, "halves": halves}
-    out.append(_with_first(_exact("subadditivity", bad, 0), first))
+        return [(whole - halves, 1e-12, {"whole": whole, "halves": halves})]
+
+    out.append(_trials("subadditivity", range(20_000, 20_200), subadditivity_trial))
     # continuous model: worked two-row example and switch-point insensitivity
     jf = perc.JumpField(times=[np.array([1.0]), np.array([2.0])],
                         weights=[np.array([5.0]), np.array([3.0])], horizon=3.0)
     got = perc.continuous_first_passage(jf, 0.0, 3.0, 0, 1)
     out.append(_exact("continuous_two_row_example", abs(got - 3.0), 0))
-    bad, first = 0, None
-    for i in range(100):
-        st = stream.substream(30_000 + i)
-        jf = perc.sample_jump_field(4, 10.0, dist.exponential(1.0), st)
+
+    def continuous_trial(i: int) -> list:
+        jf = perc.sample_jump_field(4, 10.0, dist.exponential(1.0), stream.substream(i))
         base = perc.continuous_first_passage(jf, 0.0, 10.0, 0, 3)
         # nudge every event a quarter of the way toward the next event of
         # the merged sequence: order is preserved, so the value must not move
@@ -449,9 +473,7 @@ def check_percolation_exact(seed: int) -> list[dict]:
             times2[r][k] = t + 0.25 * (nxt - t)
         jf2 = perc.JumpField(times=times2, weights=jf.weights, horizon=10.0)
         nudged = perc.continuous_first_passage(jf2, 0.0, 10.0, 0, 3)
-        if abs(nudged - base) > 1e-9:
-            bad += 1
-            first = first or {"substream": 30_000 + i, "base": base, "nudged": nudged}
+        comparisons = [(abs(nudged - base), 1e-9, {"base": base, "nudged": nudged})]
         # decreasing one weight must not increase the value
         w2 = [w.copy() for w in jf.weights]
         row = i % 4
@@ -459,11 +481,11 @@ def check_percolation_exact(seed: int) -> list[dict]:
             w2[row][0] *= 0.5
             jf3 = perc.JumpField(times=jf.times, weights=w2, horizon=10.0)
             lowered = perc.continuous_first_passage(jf3, 0.0, 10.0, 0, 3)
-            if lowered > base + 1e-9:
-                bad += 1
-                first = first or {"substream": 30_000 + i, "base": base, "lowered": lowered}
-    out.append(_with_first(_exact("continuous_switch_insensitivity_and_monotonicity", bad, 0),
-                           first))
+            comparisons.append((lowered - base, 1e-9, {"base": base, "lowered": lowered}))
+        return comparisons
+
+    out.append(_trials("continuous_switch_insensitivity_and_monotonicity", range(30_000, 30_100),
+                       continuous_trial))
     return out
 
 
@@ -472,7 +494,8 @@ def check_identity(seed: int) -> list[dict]:
     fails, first = perc.identity_trials(dist.ber_geom(1 / 3, 2 / 3),
                                         [[service] * (1 + i % 4) for i in range(1000)], 50,
                                         RandomStream(seed))
-    return [_with_first(_exact("tandem_identity_1000_instances", fails, 0), first)]
+    check = _exact("tandem_identity_1000_instances", fails, 0)
+    return [check if first is None else {**check, "first_failure": first}]
 
 
 def check_percolation_sim(seed: int) -> list[dict]:
@@ -499,14 +522,12 @@ def check_timeconstants() -> list[dict]:
         (0.6, 0.3): np.linspace(0.3, 5.0, 50),
         (0.35, 0.25): np.linspace(0.5, 8.0, 50),
     }
-    worst_leg = worst_alpha = 0.0
-    for (q, b), xs in grids.items():
-        for x in xs:
-            fp = tc.f_bergeom(q, b, float(x))
-            worst_leg = max(worst_leg, abs(tc.f_legendre(q, b, float(x)) - fp))
-            worst_alpha = max(worst_alpha, abs(tc.f_bergeom_alpha(q, b, float(x)) - fp))
-    out.append(_exact("legendre_equals_variational", worst_leg, 1e-8))
-    out.append(_exact("alpha_form_equals_p_form", worst_alpha, 1e-8))
+    points = [(q, b, float(x)) for (q, b), xs in grids.items() for x in xs]
+    p_form = [tc.f_bergeom(*pt) for pt in points]
+    for name, f in (("legendre_equals_variational", tc.f_legendre),
+                    ("alpha_form_equals_p_form", tc.f_bergeom_alpha)):
+        out.append(_worst(name, (({"q": q, "beta": b, "x": x}, abs(f(q, b, x) - fp))
+                                 for (q, b, x), fp in zip(points, p_form)), 1e-8))
     out.append(_exact("geom_case_closed_form",
                       abs(tc.f_bergeom(0.5, 0.5, 3.0) - (6 - 4 * math.sqrt(2))), 1e-8))
     out.append(_exact("bernoulli_limit_closed_form",
@@ -515,39 +536,42 @@ def check_timeconstants() -> list[dict]:
                       abs(tc.f_berexp(1 - 1e-6, 3.0) - tc.f_exponential(3.0)), 1e-3))
     out.append(_exact("berexp_limit_of_bergeom",
                       abs(1e-4 * tc.f_bergeom(0.5, 1e-4, 5.0) - tc.f_berexp(0.5, 5.0)), 1e-3))
-    worst = max(abs(tc.ftilde_exp_sup(y) - tc.ftilde_exp(y)) for y in np.linspace(0.5, 5.0, 46))
-    out.append(_exact("cont_exp_sup_equals_quadratic_root", worst, 1e-10))
+    out.append(_worst("cont_exp_sup_equals_quadratic_root", (
+        ({"y": float(y)}, abs(tc.ftilde_exp_sup(y) - tc.ftilde_exp(y)))
+        for y in np.linspace(0.5, 5.0, 46)), 1e-10))
     out.append(_exact("cont_geom_poisson_limit",
                       abs(tc.ftilde_geom(1 - 1e-4, 4.0) - tc.ftilde_poisson(4.0)), 1e-2))
     out.append(_exact("poisson_closed_form", abs(tc.ftilde_poisson(4.0) - 1.0), 0.0))
     # h: both printed forms agree and the map is convex increasing
-    worst = 0.0
-    for q, b in ((0.5, 0.5), (0.6, 0.3), (0.7, 0.4)):
-        mu = q / b
-        hs = [tc.h_of_lambda(q, b, f * mu) for f in np.linspace(0.05, 0.95, 19)]
-        if any(h2 <= h1 for h1, h2 in zip(hs, hs[1:])):
-            worst = max(worst, 1.0)
-        d2 = np.diff(hs, 2)
-        worst = max(worst, float(max(0.0, -(d2.min()))))
-    out.append(_exact("h_increasing_convex", worst, 1e-9))
+    def h_errors(q: float, b: float) -> tuple:
+        hs = [tc.h_of_lambda(q, b, f * (q / b)) for f in np.linspace(0.05, 0.95, 19)]
+        return (({"q": q, "beta": b, "property": "increasing"},
+                 0.0 if np.all(np.diff(hs) > 0) else 1.0),
+                ({"q": q, "beta": b, "property": "convex"}, -np.diff(hs, 2).min()))
+
+    out.append(_worst("h_increasing_convex", (ce for q, b in ((0.5, 0.5), (0.6, 0.3), (0.7, 0.4))
+                                              for ce in h_errors(q, b)), 1e-9))
     # flat regions: exactly zero below the critical ratio, positive above
-    flat = max(tc.f_bergeom(0.5, 0.5, 0.5), tc.f_bergeom(0.5, 0.5, 1.0),
-               tc.f_bernoulli(0.5, 1.0), tc.f_geometric(0.5, 1.0), tc.ftilde_exp(1.0))
-    out.append(_exact("flat_regions_exactly_zero", flat, 0.0))
+    flat = ((tc.f_bergeom, 0.5, 0.5, 0.5), (tc.f_bergeom, 0.5, 0.5, 1.0),
+            (tc.f_bernoulli, 0.5, 1.0), (tc.f_geometric, 0.5, 1.0), (tc.ftilde_exp, 1.0))
+    out.append(_worst("flat_regions_exactly_zero",
+                      (({"f": f.__name__, "args": args}, f(*args)) for f, *args in flat), 0.0))
     out.append(_exact("just_past_critical_is_positive",
                       tc.f_bergeom(0.5, 0.5, 1.01), 1e-12, below=False))
     # convexity and monotonicity of every curve on a grid
-    worst = 0.0
-    for variant, pr in (("ber", {"q": 0.5}), ("geom", {"beta": 0.5}), ("exp", {}),
-                        ("ber_geom", {"q": 0.5, "beta": 0.5}), ("ber_exp", {"q": 0.5}),
-                        ("cont_geom", {"beta": 0.5}), ("cont_exp", {}), ("cont_poisson", {})):
+    def curve_errors(variant: str, pr: dict) -> tuple:
         vals = [p.f for p in tc.curve(variant, pr, np.linspace(0.4, 6.0, 29)).points]
-        if min(vals) < 0:
-            worst = max(worst, 1.0)
-        d1 = np.diff(vals)
-        d2 = np.diff(vals, 2)
-        worst = max(worst, float(max(0.0, -(d1.min()))), float(max(0.0, -(d2.min()))))
-    out.append(_exact("curves_nonnegative_nondecreasing_convex", worst, 1e-9))
+        return (({"variant": variant, **pr, "property": "nonnegative"},
+                 1.0 if min(vals) < 0 else 0.0),
+                ({"variant": variant, **pr, "property": "nondecreasing"}, -np.diff(vals).min()),
+                ({"variant": variant, **pr, "property": "convex"}, -np.diff(vals, 2).min()))
+
+    out.append(_worst("curves_nonnegative_nondecreasing_convex", (
+        ce for variant, pr in (
+            ("ber", {"q": 0.5}), ("geom", {"beta": 0.5}), ("exp", {}),
+            ("ber_geom", {"q": 0.5, "beta": 0.5}), ("ber_exp", {"q": 0.5}),
+            ("cont_geom", {"beta": 0.5}), ("cont_exp", {}), ("cont_poisson", {}))
+        for ce in curve_errors(variant, pr)), 1e-9))
     # unimodality scans back the golden-section searches, on the objectives they maximize
     uni_ok = all(tc.scan_is_unimodal(*tc.objective(variant, pr, x)) for variant, pr, x in (
         ("ber_geom", {"q": 0.5, "beta": 0.5}, 3.0), ("ber_exp", {"q": 0.5}, 3.0),
@@ -621,10 +645,16 @@ SUITES = tuple(dict.fromkeys(suite for _, suite, _ in FAMILIES)) + ("all",)
 
 def run_family(family: str, seed: int) -> list[dict]:
     """The ungraded checks of ``check_<family>`` under suite seed ``seed``:
-    a seeded family runs on its table row's substream of that seed."""
+    a seeded family runs on its table row's substream of that seed.  A family
+    that raises gives one failed exact check, ``<family>_raised``; ``check_<family>``
+    on the seed this function gives it raises again, with the traceback."""
     index = next(i for name, _, i in FAMILIES if name == family)
     check = globals()["check_" + family]
-    return check() if index is None else check(RandomStream(seed).substream(index).seed)
+    try:
+        return check() if index is None else check(RandomStream(seed).substream(index).seed)
+    except Exception as exc:
+        return [{**_exact(f"{family}_raised", 1, 0), "exception": type(exc).__name__,
+                 "message": str(exc)}]
 
 
 def _suite_checks(suite: str, seed: int) -> list[dict]:

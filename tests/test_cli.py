@@ -235,22 +235,24 @@ def _prog(argv):
 P = ["--p", "0.3333333333333333", "--alpha", "0.6666666666666666", "--q", "0.5", "--beta", "0.5"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["queue", *P, "--slots", "0"],
-    ["tandem", *P, "--stages", "0", "--slots", "100"],
-    ["tandem", *P, "--slots", "0"],
-    ["perc", "identity", *P, "--window", "0", "--instances", "2"],
-    ["perc", "identity", *P, "--stages", "0", "--window", "5", "--instances", "2"],
-    ["perc", "identity", *P, "--window", "5", "--instances", "0"],
-    ["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}', "--x", "0.2",
-     "--replicas", "2", "--n", "0"],
-    ["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}', "--x", "0.2",
-     "--n", "10", "--replicas", "0"],
+@pytest.mark.parametrize("argv, refusal", [
+    (["queue", *P, "--slots", "0"], "n_slots must be >= 1"),
+    (["tandem", *P, "--stages", "0", "--slots", "100"], "need at least one stage"),
+    (["tandem", *P, "--slots", "0"], "n_slots must be >= 1"),
+    (["perc", "identity", *P, "--window", "0", "--instances", "2"], "--window must be >= 1"),
+    (["perc", "identity", *P, "--stages", "0", "--window", "5", "--instances", "2"],
+     "need at least one stage"),
+    (["perc", "identity", *P, "--window", "5", "--instances", "0"], "--instances must be >= 1"),
+    (["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}', "--x", "0.2",
+      "--replicas", "2", "--n", "0"], "N must be at least 10"),
+    (["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}', "--x", "0.2",
+      "--n", "10", "--replicas", "0"], "need at least 2 replicas for a confidence interval"),
 ], ids=["queue-slots", "tandem-stages", "tandem-slots", "identity-window",
         "identity-stages", "identity-instances", "perc-n", "perc-replicas"])
-def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, capsys):
+def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, refusal, capsys):
     code, err = _exit_code_and_stderr(argv, capsys)
     _assert_refused(code, err, _prog(argv))
+    assert err.endswith(f"{_prog(argv)}: error: {refusal}\n"), err
 
 
 @pytest.mark.parametrize("case", ["zero-step-grid", "legendre-arithmetic", "missing-config",

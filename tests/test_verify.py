@@ -1,9 +1,10 @@
-"""Verify checks name the reproducer of their first failure."""
+"""Verify's exact checks fail on NaN and name the reproducer of their failure."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -11,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from batchq import cli
 from batchq import distributions as dist
 from batchq import percolation as perc
+from batchq import timeconstants as tc
 from batchq import verify
 from batchq.streams import RandomStream
 
@@ -32,8 +35,8 @@ def test_percolation_exact_names_its_first_mismatch(monkeypatch):
     assert not check["passed"] and check["observed"] == 1
     dp = perc.first_passage(*calls[7])
     assert not calls[7][1].pinned
-    assert check["first_mismatch"] == {"substream": 3, "pinned": False, "dp": dp,
-                                       "bruteforce": dp + 1.0}
+    assert check["first_failure"] == {"substream": 3, "pinned": False, "dp": dp,
+                                      "bruteforce": dp + 1.0}
 
 
 def test_passing_checks_carry_no_reproducer():
@@ -71,7 +74,7 @@ def test_path_max_check_names_its_first_failure(monkeypatch):
 
     monkeypatch.setattr(verify, "path_max_X", off_by_one_on_substreams_3_and_8)
     check = _check(verify.check_queue_small(5), "path_max_equals_iterated_recurrence")
-    assert not check["passed"] and check["observed"] == 1
+    assert not check["passed"] and check["observed"] == 2
     assert check["first_failure"] == {"substream": 3, "path_max": values[3] + 1,
                                       "iterated": values[3]}
 
@@ -145,6 +148,111 @@ def test_continuous_check_names_its_first_failure(monkeypatch):
     assert check["first_failure"] == {"substream": 30_002, "base": base, "nudged": moved}
 
 
+def nan(*args, **kwargs):
+    return math.nan
+
+
+def _nan(real):
+    return nan
+
+
+_SET = verify.CONDITION_SETS[3]
+
+
+def _nan_on_set_3(real):
+    return lambda params: math.nan if params == _SET else real(params)
+
+
+def _nan_at_k_5_of_set_3(real):
+    def oracle(arrival, service, K):
+        pi = real(arrival, service, K=K)
+        if (arrival, service) == (_SET.arrival_spec, _SET.service_spec):
+            pi = pi.copy()
+            pi[5] = math.nan
+        return pi
+    return oracle
+
+
+_NAN_PASSAGES = [(perc, "first_passage", _nan), (perc, "enumerate_first_passage", _nan),
+                 (perc, "continuous_first_passage", _nan)]
+
+
+# (check, family, patches, reproducer key, its expected case or first substream)
+_NAN_CASES = [
+    ("legendre_equals_variational", "timeconstants", [(tc, "f_legendre", _nan)],
+     "worst_case", {"q": 0.5, "beta": 0.5, "x": 0.5}),
+    ("alpha_form_equals_p_form", "timeconstants", [(tc, "f_bergeom_alpha", _nan)],
+     "worst_case", {"q": 0.5, "beta": 0.5, "x": 0.5}),
+    ("detailed_balance_residual_5_sets", "detailed_balance",
+     [(verify, "verify_detailed_balance", _nan_on_set_3)], "worst_case", {"set": 3}),
+    ("stationary_oracle_supnorm_5_sets", "stationary_oracle",
+     [(verify, "markov_oracle", _nan_at_k_5_of_set_3)], "worst_case", {"set": 3, "k": 5}),
+    ("weight_monotonicity", "percolation_exact", _NAN_PASSAGES, "first_failure", 10_000),
+    ("subadditivity", "percolation_exact", _NAN_PASSAGES, "first_failure", 20_000),
+    ("continuous_switch_insensitivity_and_monotonicity", "percolation_exact", _NAN_PASSAGES,
+     "first_failure", 30_000),
+    ("h_increasing_convex", "timeconstants", [(tc, "h_of_lambda", _nan)],
+     "worst_case", {"q": 0.5, "beta": 0.5, "property": "convex"}),
+    ("flat_regions_exactly_zero", "timeconstants", [(tc, "f_bernoulli", _nan)],
+     "worst_case", {"f": "nan", "args": [0.5, 1.0]}),
+]
+
+
+@pytest.mark.parametrize("name, family, patches, key, reproducer", _NAN_CASES,
+                         ids=[case[0] for case in _NAN_CASES])
+def test_a_nan_error_fails_and_names_its_case(name, family, patches, key, reproducer,
+                                              monkeypatch):
+    for module, attr, patch in patches:
+        monkeypatch.setattr(module, attr, patch(getattr(module, attr)))
+    check = _check(verify.run_family(family, 5), name)
+    assert not check["passed"]
+    if key == "worst_case":
+        assert math.isnan(check["observed"]) and check["worst_case"] == reproducer
+    else:  # every trial compares NaN, so the first trial fails
+        assert check["first_failure"]["substream"] == reproducer
+
+
+def test_stationary_oracle_names_the_set_and_state_of_its_worst_error(monkeypatch):
+    real = verify.stationary_law
+
+    class MovedAt7:
+        def __init__(self, law):
+            self.law = law
+
+        def x_pmf(self, k):
+            return self.law.x_pmf(k) + (1e-6 if k == 7 else 0.0)
+
+    def moved_on_set_2(params):
+        law = real(params)
+        return MovedAt7(law) if params == verify.CONDITION_SETS[2] else law
+
+    monkeypatch.setattr(verify, "stationary_law", moved_on_set_2)
+    check = _check(verify.check_stationary_oracle(), "stationary_oracle_supnorm_5_sets")
+    assert not check["passed"] and check["observed"] == pytest.approx(1e-6, rel=1e-3)
+    assert check["worst_case"] == {"set": 2, "k": 7}
+
+
+def test_passing_worst_error_checks_carry_no_case():
+    assert all("worst_case" not in c for c in verify.check_detailed_balance())
+
+
+@pytest.mark.parametrize("exc", [ValueError("reversibility condition violated"),
+                                 ArithmeticError("math domain error")],
+                         ids=["ValueError", "ArithmeticError"])
+def test_a_family_that_raises_is_one_failed_check(exc, monkeypatch, tmp_path, capsys):
+    def raising(seed):
+        raise exc
+
+    monkeypatch.setattr(verify, "check_stats", raising)
+    out = tmp_path / "report.json"
+    assert cli.run(["verify", "--suite", "stats", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert not report["passed"] and report["checks"] == [
+        {"name": "stats_raised", "kind": "exact", "passed": False, "observed": 1.0,
+         "requirement": "<= 0", "exception": type(exc).__name__, "message": str(exc)}]
+    assert capsys.readouterr().out == "stats: 0/1 checks passed\n"
+
+
 def _tool(name):
     path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
@@ -160,7 +268,7 @@ def test_calibration_names_the_verify_seeds_of_its_failures(monkeypatch, tmp_pat
         seeds.append(seed)
         checks = real(seed)
         if len(seeds) == 2:
-            checks[1]["observed"] = 0.005
+            checks[1].update(observed=0.005, passed=False)
         return checks
 
     monkeypatch.setattr(verify, "check_joint_burke", low_second_p_on_the_second_seed)
@@ -175,6 +283,26 @@ def test_calibration_names_the_verify_seeds_of_its_failures(monkeypatch, tmp_pat
     assert [(c["name"], c["runs"], c["failed_seeds"]) for c in checks] == [
         ("joint_burke_geom_plus_D_I", 2, []), ("joint_burke_bernoulli_D_T", 2, [2])]
     assert all(c["kind"] == "stat" and 0.0 <= c["ks_p_value"] <= 1.0 for c in checks)
+
+
+def test_calibration_records_a_family_that_raises_at_its_seed(monkeypatch, tmp_path):
+    real, calls = verify.check_detailed_balance, []
+
+    def raising_on_the_second_seed():
+        calls.append(None)
+        if len(calls) == 2:
+            raise ArithmeticError("math domain error")
+        return real()
+
+    monkeypatch.setattr(verify, "check_detailed_balance", raising_on_the_second_seed)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    out = tmp_path / "cal.json"
+    assert _tool("calibrate_verify").main(["--families", "detailed_balance", "--seeds", "1:2",
+                                           "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["name"], c["runs"], c["failed_seeds"]) for c in checks] == [
+        ("detailed_balance_residual_5_sets", 1, []),
+        ("detailed_balance_violation_detected", 1, []), ("detailed_balance_raised", 1, [2])]
 
 
 def test_calibration_report_is_the_same_on_forked_workers(monkeypatch, tmp_path):

@@ -8,8 +8,8 @@ Run from the root of a checkout:
 A mutant is one exact text substitution in one file of ``src/batchq``.  It
 is refused, with exit 2 before anything runs, unless its pattern occurs
 exactly once in that file and its test files exist.  Each mutant runs in
-its own temporary copy of ``src/`` and ``tests/``, never in the checkout:
-pytest runs, with ``-x``, the mutated module's test file
+its own temporary copy of ``src/``, ``tests/`` and ``tools/``, never in
+the checkout: pytest runs, with ``-x``, the mutated module's test file
 (``tests/test_<module>.py``, or the files the mutant names) and
 ``tests/test_acceptance.py``, and the mutant is killed when they fail or
 time out.  The unmutated copy must pass every one of those files first,
@@ -89,6 +89,16 @@ MUTANTS = [
            "while k > 0 and sf(spec, k) <= tol:", "while k > 1 and sf(spec, k) <= tol:"),
     Mutant("tail_cutoff_not_corrected_down", "distributions.py",
            "while k > 0 and sf(spec, k) <= tol:", "while False:"),
+    # verify's grading rule, the family guard and the identity's window refusal
+    Mutant("worst_ranks_nan_as_a_number", "verify.py",
+           "key=lambda ce: math.inf if math.isnan(ce[1]) else ce[1]", "key=lambda ce: ce[1]"),
+    Mutant("trials_keep_the_last_failure", "verify.py",
+           '"first_failure": failures[0]}', '"first_failure": failures[-1]}'),
+    Mutant("trials_read_only_the_first_comparison", "verify.py",
+           "values in trial(i) if not", "values in trial(i)[:1] if not"),
+    Mutant("run_family_catches_only_value_error", "verify.py",
+           "except Exception as exc:", "except ValueError as exc:"),
+    Mutant("cli_window_check_dropped", "cli.py", "if args.window < 1:", "if False:"),
     # earlier hand mutants
     Mutant("prefix_carry_dropped", "queue_core.py", "c[0] = c0", "c[0] = 0"),
     Mutant("magnitude_cursor_one_double_off", "distributions.py",
@@ -105,7 +115,7 @@ def _tests_for(m: Mutant) -> list[str]:
 
 def _copy(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "tools"):  # tests load tools/ from the tree
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
 
 
