@@ -326,22 +326,23 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    from .percolation import identity_trials
+    from . import percolation as perc
     params = _queue_params(args)
     if args.window < 1:
         raise ValueError("--window must be >= 1")
     if args.instances < 1:
         raise ValueError("--instances must be >= 1")
-    failures, first = identity_trials(params.arrival_spec,
-                                      [[params.service_spec] * args.stages] * args.instances,
-                                      args.window, RandomStream(args.seed))
+    services = [params.service_spec] * args.stages
+    failures = RandomStream(args.seed).trial_failures(
+        range(args.instances), lambda i, st: perc.tandem_identity_check(
+            params.arrival_spec, services, args.window, st).comparisons())
     report = {"stages": args.stages, "window": args.window, "instances": args.instances,
-              "failures": failures, "all_equal": failures == 0, "seed": args.seed}
-    if first is not None:
-        # replayed by one tandem_identity_check call on the seed's substream(instance)
-        report["first_failure"] = first
+              "failures": len(failures), "all_equal": not failures, "seed": args.seed}
+    if failures:
+        # replayed by one tandem_identity_check call on the seed's substream
+        report["first_failure"] = failures[0]
     _write_out(_json_dump(report), args.out)
-    return 0 if failures == 0 else 1
+    return 1 if failures else 0
 
 
 def _cmd_tc(args) -> int:

@@ -25,9 +25,11 @@ for R >= 2 on finite windows, because the optimal service path may skip
 the first or last stages entirely.  Reversing the service field in both
 axes turns the free paths on columns m..-1 into prefix paths, so one
 column sweep of the reversed field gives G(m) for every m.
-:func:`identity_trials` runs the check over many instances.  The
-continuous-time model is the lattice model on event columns, one column
-per distinct event time, so ``_sweep`` is the only copy of the DP.
+Many instances run as seeded trials: instance i on substream i of a
+stream (:meth:`~batchq.streams.RandomStream.trial_failures`), each one
+comparison (:meth:`IdentityCheck.comparisons`).  The continuous-time
+model is the lattice model on event columns, one column per distinct
+event time, so ``_sweep`` is the only copy of the DP.
 :func:`sample_jump_field` draws its events at Poisson rate 1 per row
 (Exp(1) ``sample_n`` gaps).  :func:`enumerate_first_passage` is the
 brute-force oracle for the DP; it refuses shapes with more than a million
@@ -71,7 +73,6 @@ __all__ = [
     "sample_jump_field",
     "continuous_first_passage",
     "tandem_identity_check",
-    "identity_trials",
 ]
 
 
@@ -439,6 +440,13 @@ class IdentityCheck:
     equal: bool
     best_m: int
 
+    def comparisons(self) -> list[tuple[float, float, dict]]:
+        """This check as the one comparison of a seeded trial
+        (:meth:`~batchq.streams.RandomStream.trial_failures`): it fails when
+        the sides differ, and names ``lhs``, ``rhs`` and ``best_m``."""
+        return [(float(not self.equal), 0.0,
+                 {"lhs": self.lhs, "rhs": self.rhs, "best_m": self.best_m})]
+
 
 def tandem_identity_check(arrival: DistSpec, services: Sequence[DistSpec],
                           window: int, stream: RandomStream) -> IdentityCheck:
@@ -468,20 +476,3 @@ def tandem_identity_check(arrival: DistSpec, services: Sequence[DistSpec],
     discrete = np.issubdtype(np.result_type(a, w), np.integer)
     equal = (lhs == rhs) if discrete else bool(abs(float(lhs) - float(rhs)) <= 1e-9)
     return IdentityCheck(lhs=float(lhs), rhs=float(rhs), equal=bool(equal), best_m=-i)
-
-
-def identity_trials(arrival: DistSpec, services: Sequence[Sequence[DistSpec]], window: int,
-                    stream: RandomStream) -> tuple[int, dict | None]:
-    """Failure count and first failure (``instance``, ``lhs``, ``rhs``, ``best_m``;
-    None if there is none) of one :func:`tandem_identity_check` per entry of
-    ``services``: instance i runs the stages ``services[i]`` on
-    ``stream.substream(i)``, so one call on that substream replays it.
-    """
-    failures, first = 0, None
-    for i, stages in enumerate(services):
-        res = tandem_identity_check(arrival, stages, window, stream.substream(i))
-        if not res.equal:
-            failures += 1
-            if first is None:
-                first = {"instance": i, "lhs": res.lhs, "rhs": res.rhs, "best_m": res.best_m}
-    return failures, first

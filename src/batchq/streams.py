@@ -1,6 +1,10 @@
-"""Deterministic random streams with splittable substreams; RandomStream owns the seed range."""
+"""Deterministic random streams with splittable substreams; RandomStream owns the
+seed range and the seeded-trial rule: trial i runs on substream i, and a
+failing comparison names that substream."""
 
 from __future__ import annotations
+
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -52,6 +56,18 @@ class RandomStream:
         if index < 0:
             raise ValueError("substream index must be nonnegative")
         return RandomStream(mix64(self.seed, index))
+
+    def trial_failures(self, indices: Iterable[int],
+                       trial: Callable[[int, RandomStream], list[tuple]]) -> list[dict]:
+        """The failing comparisons of the seeded trials i in ``indices``: trial
+        i is ``trial(i, st)`` on ``st = self.substream(i)`` and returns
+        ``(error, tolerance, values)`` comparisons, and one fails unless
+        ``error <= tolerance`` (NaN fails).  A failure is ``{"substream": i,
+        **values}``, in trial order, so one trial call on that substream
+        replays it."""
+        return [{"substream": i, **values} for i in indices
+                for error, tolerance, values in trial(i, self.substream(i))
+                if not error <= tolerance]
 
     def ahead(self, k: int) -> RandomStream:
         """A cursor k doubles ahead of this stream, which does not move.

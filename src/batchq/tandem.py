@@ -72,11 +72,15 @@ class TandemTrace:
     def R(self) -> int:
         return len(self.stages)
 
-    def check_feed_forward(self) -> None:
-        """Exact conservation: departures of stage r are arrivals of stage r+1."""
-        for r in range(self.R - 1):
-            if not np.array_equal(self.stages[r].d, self.stages[r + 1].a):
-                raise ValueError(f"feed-forward identity violated between stages {r+1} and {r+2}")
+    def check_feed_forward(self) -> tuple[int, tuple[int, int] | None]:
+        """Exact conservation, departures of stage r are arrivals of stage r+1:
+        the number of slots, over every pair of consecutive stages, where
+        stage r's D differs from stage r+1's A, and the first such (r, slot)
+        in stage order, stages numbered from 1 (None when there is none)."""
+        slots = [np.flatnonzero(self.stages[r].d != self.stages[r + 1].a)
+                 for r in range(self.R - 1)]
+        first = next(((r + 1, int(s[0])) for r, s in enumerate(slots) if s.size), None)
+        return sum(s.size for s in slots), first
 
     @property
     def _csv_header(self) -> list[str]:

@@ -97,10 +97,13 @@ def golden_max(fn: Callable[[float], float], lo: float, hi: float) -> tuple[floa
 
 
 def scan_is_unimodal(fn: Callable[[float], float], lo: float, hi: float) -> bool:
-    """No interior dip, beyond a relative 1e-12, on a 1000-point scan (three-point check)."""
+    """No interior dip, beyond a relative 1e-12, on a 1000-point scan (three-point
+    check); a NaN anywhere on the scan is not unimodal."""
     n, tol = 1000, 1e-12
     step = (hi - lo) / (n + 1)
     vals = [fn(lo + step * (i + 1)) for i in range(n)]
+    if any(math.isnan(v) for v in vals):
+        return False
     scale = max(1.0, max(abs(v) for v in vals))
     for i in range(1, n - 1):
         if vals[i] < vals[i - 1] - tol * scale and vals[i] < vals[i + 1] - tol * scale:

@@ -8,9 +8,11 @@ Each ``check_*`` function returns a list of plain dicts, one per check:
 An exact check grades one measured error against its threshold, and a
 NaN error fails.  A check over several cases measures the worst case's
 error (:func:`_worst`); failing, it names that case under
-``worst_case``.  A check over seeded trials measures the number of
-failing comparisons (:func:`_trials`); failing, it names the first
-under ``first_failure``, with its substream index and the compared
+``worst_case``.  A check over seeded trials, the tandem identity's
+instances among them, runs trial i on substream i of its seed
+(:meth:`~batchq.streams.RandomStream.trial_failures`) and measures the
+number of failing comparisons (:func:`_trials`); failing, it names the
+first under ``first_failure``, with its substream index and the compared
 values.  A family that raises is one failed exact check, named
 ``<family>_raised``, with the exception's type and message, so its
 suite fails (``batchq verify`` exits 1).
@@ -30,7 +32,7 @@ byte-identical across runs.  The acceptance criteria call the same
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -94,14 +96,9 @@ def _worst(name: str, cases: Iterable[tuple[dict, float]], threshold: float) -> 
     return check if check["passed"] else {**check, "worst_case": case}
 
 
-def _trials(name: str, indices: range,
-            trial: Callable[[int], list[tuple[float, float, dict]]]) -> dict:
-    """The exact check that every comparison ``(error, tolerance, values)`` of
-    every seeded trial ``trial(i)``, i in ``indices``, has ``error <= tolerance``
-    (NaN fails).  It counts the failing comparisons; failing, it names the
-    first: its substream i and its ``values``."""
-    failures = [{"substream": i, **values} for i in indices
-                for error, tolerance, values in trial(i) if not error <= tolerance]
+def _trials(name: str, failures: list[dict]) -> dict:
+    """The exact check that no seeded trial failed: it counts the ``failures``
+    of :meth:`RandomStream.trial_failures`; failing, it names the first."""
     check = _exact(name, len(failures), 0)
     return check if check["passed"] else {**check, "first_failure": failures[0]}
 
@@ -321,9 +318,11 @@ def check_general_service_ratios() -> list[dict]:
     out = []
     for name, arr, svc in GENERAL_SERVICE_CASES:
         pi = markov_oracle(arr, svc, K=300)
-        ratios = pi[2:52] / pi[1:51]
-        spread = float(ratios.max() - ratios.min())
-        out.append(_exact(f"general_service_constant_ratio_{name}", spread, 1e-9))
+        ratios = pi[2:52] / pi[1:51]  # ratios[j] = pi(k + 1) / pi(k) at state k = j + 1
+        check = _exact(f"general_service_constant_ratio_{name}",
+                       float(ratios.max() - ratios.min()), 1e-9)
+        out.append(check if check["passed"] else {**check, "worst_case": {
+            "max_ratio_k": int(ratios.argmax()) + 1, "min_ratio_k": int(ratios.argmin()) + 1}})
     return out
 
 
@@ -331,10 +330,7 @@ def check_queue_small(seed: int) -> list[dict]:
     """Exact structural checks: recurrences, fixed points, excursions."""
     out = []
     # window-maximum formula equals the iterated recurrence
-    stream = RandomStream(seed)
-
-    def path_max_trial(i: int) -> list:
-        st = stream.substream(i)
+    def path_max_trial(i: int, st: RandomStream) -> list:
         n = 1 + int(st.uniform() * 20)
         a = dist.sample_n(dist.ber_geom(0.5, 0.4), st, n)
         s = dist.sample_n(dist.ber_geom(0.6, 0.5), st, n)
@@ -344,7 +340,8 @@ def check_queue_small(seed: int) -> list[dict]:
         pm = path_max_X(a, s)
         return [(abs(pm - x), 0, {"path_max": pm, "iterated": x})]
 
-    out.append(_trials("path_max_equals_iterated_recurrence", range(1000), path_max_trial))
+    out.append(_trials("path_max_equals_iterated_recurrence",
+                       RandomStream(seed).trial_failures(range(1000), path_max_trial)))
 
     # fixed-point solver round trip on a (q, b, lambda) grid
     def roundtrip_error(q: float, b: float, lam: float) -> float:
@@ -382,12 +379,13 @@ def check_queue_small(seed: int) -> list[dict]:
 # --- tandem -------------------------------------------------------------
 
 def check_tandem(seed: int) -> list[dict]:
-    out = []
     params = MAIN_PARAMS
     config = TandemConfig.bergeom(params, 4)
     tt = simulate_tandem(config, N_SLOTS, stream=RandomStream(seed))
-    tt.check_feed_forward()
-    out.append(_exact("feed_forward_conservation", 0.0, 0.0))
+    violations, first = tt.check_feed_forward()
+    check = _exact("feed_forward_conservation", violations, 0)
+    out = [check if first is None else
+           {**check, "first_violation": {"stage": first[0], "slot": first[1]}}]
     for r, tr in enumerate(tt.stages):
         emp = EmpiricalPmf.from_samples(tr.d[BURN_IN:], cutoff=20)
         out.append(_stat(chi_square_gof(emp, lambda k: dist.pmf(params.arrival_spec, k),
@@ -411,8 +409,7 @@ def check_percolation_exact(seed: int) -> list[dict]:
     out = []
     stream = RandomStream(seed)
 
-    def dp_trial(i: int) -> list:
-        st = stream.substream(i)
+    def dp_trial(i: int, st: RandomStream) -> list:
         rows = 1 + int(st.uniform() * 8)
         cols = 1 + int(st.uniform() * 8)
         if cols == 1:
@@ -427,11 +424,11 @@ def check_percolation_exact(seed: int) -> list[dict]:
                                 {"pinned": pinned, "dp": dp, "bruteforce": brute}))
         return comparisons
 
-    out.append(_trials("dp_equals_bruteforce_1000_fields", range(1000), dp_trial))
+    out.append(_trials("dp_equals_bruteforce_1000_fields",
+                       stream.trial_failures(range(1000), dp_trial)))
 
     # monotonicity: raising one weight never lowers the first passage
-    def monotonicity_trial(i: int) -> list:
-        st = stream.substream(i)
+    def monotonicity_trial(i: int, st: RandomStream) -> list:
         w = np.floor(st.uniforms(5 * 6) * 4).reshape(5, 6)
         field = perc.WeightField(w.copy())
         q = perc.PathQuery((0, 0), (5, 4))
@@ -441,11 +438,11 @@ def check_percolation_exact(seed: int) -> list[dict]:
         raised = perc.first_passage(perc.WeightField(w), q)
         return [(base - raised, 1e-12, {"base": base, "raised": raised})]
 
-    out.append(_trials("weight_monotonicity", range(10_000, 10_200), monotonicity_trial))
+    out.append(_trials("weight_monotonicity",
+                       stream.trial_failures(range(10_000, 10_200), monotonicity_trial)))
 
     # subadditivity through a shared corner
-    def subadditivity_trial(i: int) -> list:
-        st = stream.substream(i)
+    def subadditivity_trial(i: int, st: RandomStream) -> list:
         k, r = 4, 3
         w = st.uniforms((2 * r + 1) * (2 * k + 1)).reshape(2 * r + 1, 2 * k + 1)
         field = perc.WeightField(w)
@@ -454,15 +451,16 @@ def check_percolation_exact(seed: int) -> list[dict]:
                   + perc.first_passage(field, perc.PathQuery((k + 1, r), (2 * k, 2 * r))))
         return [(whole - halves, 1e-12, {"whole": whole, "halves": halves})]
 
-    out.append(_trials("subadditivity", range(20_000, 20_200), subadditivity_trial))
+    out.append(_trials("subadditivity",
+                       stream.trial_failures(range(20_000, 20_200), subadditivity_trial)))
     # continuous model: worked two-row example and switch-point insensitivity
     jf = perc.JumpField(times=[np.array([1.0]), np.array([2.0])],
                         weights=[np.array([5.0]), np.array([3.0])], horizon=3.0)
     got = perc.continuous_first_passage(jf, 0.0, 3.0, 0, 1)
     out.append(_exact("continuous_two_row_example", abs(got - 3.0), 0))
 
-    def continuous_trial(i: int) -> list:
-        jf = perc.sample_jump_field(4, 10.0, dist.exponential(1.0), stream.substream(i))
+    def continuous_trial(i: int, st: RandomStream) -> list:
+        jf = perc.sample_jump_field(4, 10.0, dist.exponential(1.0), st)
         base = perc.continuous_first_passage(jf, 0.0, 10.0, 0, 3)
         # nudge every event a quarter of the way toward the next event of
         # the merged sequence: order is preserved, so the value must not move
@@ -484,18 +482,17 @@ def check_percolation_exact(seed: int) -> list[dict]:
             comparisons.append((lowered - base, 1e-9, {"base": base, "lowered": lowered}))
         return comparisons
 
-    out.append(_trials("continuous_switch_insensitivity_and_monotonicity", range(30_000, 30_100),
-                       continuous_trial))
+    out.append(_trials("continuous_switch_insensitivity_and_monotonicity",
+                       stream.trial_failures(range(30_000, 30_100), continuous_trial)))
     return out
 
 
 def check_identity(seed: int) -> list[dict]:
-    service = dist.ber_geom(1 / 2, 1 / 2)
-    fails, first = perc.identity_trials(dist.ber_geom(1 / 3, 2 / 3),
-                                        [[service] * (1 + i % 4) for i in range(1000)], 50,
-                                        RandomStream(seed))
-    check = _exact("tandem_identity_1000_instances", fails, 0)
-    return [check if first is None else {**check, "first_failure": first}]
+    arrival, service = dist.ber_geom(1 / 3, 2 / 3), dist.ber_geom(1 / 2, 1 / 2)
+    # instance i runs 1 + i % 4 stages for 50 slots
+    return [_trials("tandem_identity_1000_instances", RandomStream(seed).trial_failures(
+        range(1000), lambda i, st: perc.tandem_identity_check(
+            arrival, [service] * (1 + i % 4), 50, st).comparisons()))]
 
 
 def check_percolation_sim(seed: int) -> list[dict]:

@@ -183,7 +183,7 @@ def test_perc_identity_reports_first_failure(monkeypatch, capsys):
     assert report["failures"] == 2 and not report["all_equal"]
     replay = real(dist.ber_geom(0.3333333333333333, 0.6666666666666666),
                   [dist.ber_geom(0.5, 0.5)] * 2, window=30, stream=RandomStream(9).substream(2))
-    assert report["first_failure"] == {"instance": 2, "lhs": replay.lhs, "rhs": replay.rhs,
+    assert report["first_failure"] == {"substream": 2, "lhs": replay.lhs, "rhs": replay.rhs,
                                        "best_m": replay.best_m}
 
 

@@ -308,6 +308,25 @@ def test_substreams_are_decorrelated_and_documented():
         s.substream(-1)
 
 
+def test_trial_i_runs_on_substream_i_and_a_failure_names_it():
+    seen = []
+
+    def trial(i, st):
+        seen.append((i, st.seed, st.uniform()))
+        return [(1.0 if i == 5 else 0.0, 0.5, {"k": 0}),
+                (math.nan if i in (3, 5) else 0.0, 0.5, {"k": 1, "drawn": seen[-1][2]})]
+
+    stream = RandomStream(17)
+    failures = stream.trial_failures(range(2, 7), trial)
+    assert seen == [(i, stream.substream(i).seed, stream.substream(i).uniform())
+                    for i in range(2, 7)]
+    # every failing comparison (NaN fails), in trial order, keyed by its substream
+    assert failures == [{"substream": 3, "k": 1, "drawn": seen[1][2]},
+                        {"substream": 5, "k": 0},
+                        {"substream": 5, "k": 1, "drawn": seen[3][2]}]
+    assert stream.trial_failures(range(3), lambda i, st: [(0.0, 0.0, {})]) == []
+
+
 def test_stream_seeds_outside_the_pcg64_range_are_refused():
     # a seed names one stream: none is reduced mod 2**64 onto another's
     for seed in (-1, 2**64, 2**64 + 1):

@@ -15,7 +15,7 @@ from batchq import percolation as perc
 from batchq.percolation import (IdentityCheck, JumpField, PathQuery,
                                 WeightField, continuous_first_passage,
                                 enumerate_first_passage, estimate_time_constant,
-                                first_passage, identity_trials, sample_jump_field,
+                                first_passage, sample_jump_field,
                                 tandem_identity_check)
 from batchq.streams import RandomStream
 from batchq.tandem import TandemConfig, simulate_tandem
@@ -503,21 +503,25 @@ def test_estimate_validation():
         perc.estimate_curve(dist.exponential(1.0), [], 10, 5, RandomStream(0))
 
 
+def _identity_failures(arrival, services, window, stream):
+    """The failing identity instances; instance i runs ``services[i]`` on substream i."""
+    return stream.trial_failures(range(len(services)), lambda i, st: perc.tandem_identity_check(
+        arrival, services[i], window, st).comparisons())
+
+
 def test_identity_single_stage_is_lindley():
-    failures, first = identity_trials(dist.ber_geom(0.4, 0.5), [[dist.ber_geom(0.6, 0.45)]] * 100,
-                                      30, RandomStream(200))
-    assert failures == 0, first
+    assert _identity_failures(dist.ber_geom(0.4, 0.5), [[dist.ber_geom(0.6, 0.45)]] * 100,
+                              30, RandomStream(200)) == []
 
 
 def test_identity_multi_stage_exact():
     service = dist.ber_geom(1 / 2, 1 / 2)
-    failures, first = identity_trials(dist.ber_geom(1 / 3, 2 / 3),
-                                      [[service] * (1 + i % 4) for i in range(200)], 50,
-                                      RandomStream(201))
-    assert failures == 0, first
+    assert _identity_failures(dist.ber_geom(1 / 3, 2 / 3),
+                              [[service] * (1 + i % 4) for i in range(200)], 50,
+                              RandomStream(201)) == []
 
 
-def test_identity_trials_runs_instance_i_on_substream_i(monkeypatch):
+def test_identity_instance_i_runs_on_substream_i(monkeypatch):
     seen = []
 
     def record(arrival, services, window, stream):
@@ -527,11 +531,10 @@ def test_identity_trials_runs_instance_i_on_substream_i(monkeypatch):
 
     monkeypatch.setattr(perc, "tandem_identity_check", record)
     stages = [2, 1, 4, 3]
-    failures, first = identity_trials(dist.bernoulli(0.3),
-                                      [[dist.bernoulli(0.6)] * r for r in stages], 7,
-                                      RandomStream(11))
+    failures = _identity_failures(dist.bernoulli(0.3), [[dist.bernoulli(0.6)] * r for r in stages],
+                                  7, RandomStream(11))
     assert seen == [(r, 7, RandomStream(11).substream(i).seed) for i, r in enumerate(stages)]
-    assert failures == 1 and first == {"instance": 2, "lhs": 1.0, "rhs": 0.0, "best_m": -3}
+    assert failures == [{"substream": 2, "lhs": 1.0, "rhs": 0.0, "best_m": -3}]
 
 
 def test_identity_zero_arrivals():
@@ -545,9 +548,8 @@ def test_identity_zero_arrivals():
 def test_identity_heterogeneous_and_unstable_services():
     # the identity is pathwise, so it holds regardless of stability
     services = [dist.geom_zero(0.7), dist.bernoulli(0.4), dist.deterministic(1)]
-    failures, first = identity_trials(dist.ber_geom(0.5, 0.5), [services] * 100, 40,
-                                      RandomStream(202))
-    assert failures == 0, first
+    assert _identity_failures(dist.ber_geom(0.5, 0.5), [services] * 100, 40,
+                              RandomStream(202)) == []
 
 
 def test_identity_exact_only_when_arrivals_and_services_are_integer():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from batchq import distributions as dist
+from batchq import queue_core
 from batchq.queue_core import QueueParams, simulate
-from batchq.tandem import TandemConfig, simulate_tandem, verify_product_form
+from batchq.tandem import TandemConfig, TandemTrace, simulate_tandem, verify_product_form
 from batchq.streams import RandomStream
 
 MAIN = QueueParams(p=1 / 3, alpha=2 / 3, q=1 / 2, beta=1 / 2)
@@ -29,15 +30,35 @@ def test_deterministic_tandem_stays_empty():
         assert np.all(tr.x == 0)
 
 
+def miswired(tt: TandemTrace, stages) -> TandemTrace:
+    """``tt`` with each stage index in ``stages`` fed the external arrivals,
+    serving its own services from empty."""
+    a = tt.stages[0].a
+    return TandemTrace(tt.config, [next(queue_core._run_series([(a, tr.s)], [0]))[0]
+                                   if r in stages else tr for r, tr in enumerate(tt.stages)])
+
+
 def test_feed_forward_identity_and_window_conservation():
     config = TandemConfig.bergeom(MAIN, 4)
     tt = simulate_tandem(config, 20_000, stream=RandomStream(23))
-    tt.check_feed_forward()
+    assert tt.check_feed_forward() == (0, None)
     for r in range(3):
         lo, hi = 500, 12_000
         assert tt.stages[r].d[lo:hi].sum() == tt.stages[r + 1].a[lo:hi].sum()
     for tr in tt.stages:
         tr.check_invariants()
+
+
+def test_feed_forward_counts_the_slots_a_miswired_stage_breaks():
+    tt = simulate_tandem(TandemConfig.bergeom(MAIN, 3), 2000, stream=RandomStream(5))
+    # only the last pair breaks: stage 2's D against the external A fed to stage 3
+    broken = np.flatnonzero(tt.stages[1].d != tt.stages[0].a)
+    assert broken.size and miswired(tt, {2}).check_feed_forward() == (broken.size,
+                                                                     (2, int(broken[0])))
+    # every pair breaks: stage 1's D against A first
+    first = np.flatnonzero(tt.stages[0].d != tt.stages[0].a)
+    count, where = miswired(tt, {1, 2}).check_feed_forward()
+    assert where == (1, int(first[0])) and count > first.size
 
 
 def test_config_validation():

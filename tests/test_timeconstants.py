@@ -31,6 +31,13 @@ def test_scan_unimodality():
     assert not tc.scan_is_unimodal(lambda x: math.sin(5 * x), 0.0, 3.0)
 
 
+@pytest.mark.parametrize("fn", [lambda x: math.nan,
+                                lambda x: math.nan if 0.4 < x < 0.6 else -(x - 0.5) ** 2],
+                         ids=["nan-everywhere", "nan-on-0.4-0.6"])
+def test_a_nan_objective_is_not_unimodal(fn):
+    assert not tc.scan_is_unimodal(fn, 0.0, 1.0)
+
+
 def test_h_of_lambda_examples():
     assert tc.h_of_lambda(0.5, 0.5, 0.5) == pytest.approx(1.5, abs=1e-10)
     assert tc.h_of_lambda(0.5, 0.5, 1e-8) < 1e-6

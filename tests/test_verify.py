@@ -18,6 +18,7 @@ from batchq import percolation as perc
 from batchq import timeconstants as tc
 from batchq import verify
 from batchq.streams import RandomStream
+from test_tandem import miswired
 
 
 def test_percolation_exact_names_its_first_mismatch(monkeypatch):
@@ -57,7 +58,7 @@ def test_identity_names_its_first_failure(monkeypatch):
     # instance 6 runs 1 + 6 % 4 = 3 stages
     replay = real(dist.ber_geom(1 / 3, 2 / 3), [dist.ber_geom(1 / 2, 1 / 2)] * 3, 50,
                   RandomStream(5).substream(6))
-    assert check["first_failure"] == {"instance": 6, "lhs": replay.lhs, "rhs": replay.rhs,
+    assert check["first_failure"] == {"substream": 6, "lhs": replay.lhs, "rhs": replay.rhs,
                                       "best_m": replay.best_m}
 
 
@@ -230,6 +231,42 @@ def test_stationary_oracle_names_the_set_and_state_of_its_worst_error(monkeypatc
     check = _check(verify.check_stationary_oracle(), "stationary_oracle_supnorm_5_sets")
     assert not check["passed"] and check["observed"] == pytest.approx(1e-6, rel=1e-3)
     assert check["worst_case"] == {"set": 2, "k": 7}
+
+
+def test_a_miswired_tandem_fails_feed_forward_and_the_family_still_reports(monkeypatch):
+    real, bad = verify.simulate_tandem, []
+
+    def every_stage_fed_the_external_arrivals(config, n_slots, stream):
+        bad.append(miswired(real(config, n_slots, stream), range(1, config.stages)))
+        return bad[-1]
+
+    names = [c["name"] for c in verify.run_family("tandem", 5)]
+    monkeypatch.setattr(verify, "simulate_tandem", every_stage_fed_the_external_arrivals)
+    checks = verify.run_family("tandem", 5)
+    assert [c["name"] for c in checks] == names
+    check = _check(checks, "feed_forward_conservation")
+    count, (stage, slot) = bad[0].check_feed_forward()
+    assert not check["passed"] and check["observed"] == count > 0
+    assert check["first_violation"] == {"stage": stage, "slot": slot}
+    assert bad[0].stages[stage - 1].d[slot] != bad[0].stages[stage].a[slot]
+
+
+def test_general_service_ratio_names_the_states_of_its_extreme_ratios(monkeypatch):
+    real = verify.markov_oracle
+    bernoulli = verify.GENERAL_SERVICE_CASES[1][2]
+
+    def pi_10_raised(arrival, service, K):
+        pi = real(arrival, service, K=K)
+        if service is bernoulli:
+            pi = pi.copy()
+            pi[10] *= 1 + 1e-6  # raises pi(10) / pi(9), lowers pi(11) / pi(10)
+        return pi
+
+    monkeypatch.setattr(verify, "markov_oracle", pi_10_raised)
+    checks = verify.check_general_service_ratios()
+    assert [c["passed"] for c in checks] == [True, False, True]
+    assert checks[1]["worst_case"] == {"max_ratio_k": 9, "min_ratio_k": 10}
+    assert all("worst_case" not in c for c in (checks[0], checks[2]))
 
 
 def test_passing_worst_error_checks_carry_no_case():

@@ -56,11 +56,9 @@ MUTANTS = [
            "tol = 8 * np.finfo(float).eps", "tol = 8e6 * np.finfo(float).eps"),
     Mutant("no_nonnegative_x_check", "queue_core.py",
            "if not np.all(x >= 0):", "if False:"),
-    # the slot engine and the identity trials
+    # the slot engine
     Mutant("empty_series_accepted", "queue_core.py",
            "if not services:", "if False:"),
-    Mutant("identity_instance_on_next_substream", "percolation.py",
-           "stages, window, stream.substream(i))", "stages, window, stream.substream(i + 1))"),
     # one copy of each rule and formula
     Mutant("pinned_refusal_dropped_from_validate", "percolation.py",
            "if self.pinned and i == k and j != l:", "if False:"),
@@ -89,16 +87,27 @@ MUTANTS = [
            "while k > 0 and sf(spec, k) <= tol:", "while k > 1 and sf(spec, k) <= tol:"),
     Mutant("tail_cutoff_not_corrected_down", "distributions.py",
            "while k > 0 and sf(spec, k) <= tol:", "while False:"),
-    # verify's grading rule, the family guard and the identity's window refusal
+    # the seeded-trial rule, verify's grading, the family guard and the identity's window refusal
+    Mutant("trial_on_next_substream", "streams.py",
+           "trial(i, self.substream(i))", "trial(i, self.substream(i + 1))",
+           ("tests/test_distributions.py", "tests/test_cli.py")),
+    Mutant("trials_read_only_the_first_comparison", "streams.py",
+           "values in trial(i, self.substream(i))", "values in trial(i, self.substream(i))[:1]",
+           ("tests/test_distributions.py",)),
     Mutant("worst_ranks_nan_as_a_number", "verify.py",
            "key=lambda ce: math.inf if math.isnan(ce[1]) else ce[1]", "key=lambda ce: ce[1]"),
     Mutant("trials_keep_the_last_failure", "verify.py",
            '"first_failure": failures[0]}', '"first_failure": failures[-1]}'),
-    Mutant("trials_read_only_the_first_comparison", "verify.py",
-           "values in trial(i) if not", "values in trial(i)[:1] if not"),
     Mutant("run_family_catches_only_value_error", "verify.py",
            "except Exception as exc:", "except ValueError as exc:"),
     Mutant("cli_window_check_dropped", "cli.py", "if args.window < 1:", "if False:"),
+    # checks that can fail and name their case
+    Mutant("unimodal_scan_without_nan_guard", "timeconstants.py",
+           "if any(math.isnan(v) for v in vals):", "if False:"),
+    Mutant("feed_forward_skips_the_last_stage_pair", "tandem.py",
+           "for r in range(self.R - 1)]", "for r in range(self.R - 2)]"),
+    Mutant("general_service_worst_state_off_by_one", "verify.py",
+           '"max_ratio_k": int(ratios.argmax()) + 1', '"max_ratio_k": int(ratios.argmax())'),
     # earlier hand mutants
     Mutant("prefix_carry_dropped", "queue_core.py", "c[0] = c0", "c[0] = 0"),
     Mutant("magnitude_cursor_one_double_off", "distributions.py",
