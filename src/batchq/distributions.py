@@ -25,7 +25,6 @@ of its values, in bounded slices read from stream cursors.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -105,8 +104,8 @@ class DistSpec:
             _check_prob("p", self.p)
         if self.alpha is not None:
             _check_prob("alpha", self.alpha)
-        if self.rate is not None and not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if self.rate is not None and not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
         if self.value is not None and not self.value >= 0:
             raise ValueError(f"deterministic value must be >= 0, got {self.value}")
 
@@ -146,10 +145,6 @@ class DistSpec:
             if isinstance(d[f], bool) or not isinstance(d[f], numbers.Real):
                 raise ValueError(f"field {f!r} of {kind} must be a number, got {d[f]!r}")
         return DistSpec(kind=kind, **{f: d[f] for f in _FIELDS[kind]})
-
-    @staticmethod
-    def from_json(s: str) -> "DistSpec":
-        return DistSpec.from_dict(json.loads(s))
 
 
 def bernoulli(p: float) -> DistSpec:
@@ -346,6 +341,11 @@ def _geom_plus_draws(alpha: float, stream: RandomStream, n: int) -> np.ndarray:
     return _geom_plus_values(alpha, stream.uniforms(n))
 
 
+# the largest Exp(1) value the transform below makes, -log1p(-u) at the largest uniform
+# 1 - 2**-53: a rate whose draws would overflow float64 is refused before any is made
+_EXP1_MAX = 53 * math.log(2.0)
+
+
 def _values(spec: DistSpec, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     """Values of a random ``spec`` written over its uniforms: the one copy of each transform.
 
@@ -370,6 +370,9 @@ def _values(spec: DistSpec, u: np.ndarray, v: np.ndarray | None = None) -> np.nd
         k *= u < spec.p
         return k
     x = u if spec.kind == "exp" else v
+    if not math.isfinite(_EXP1_MAX / spec.rate):
+        raise ValueError(f"{spec.kind} draws overflow float64 at rate {spec.rate:g}; "
+                         "the rate is too small")
     # -log1p(-x) / rate, with the sign moved onto the divisor: the same bits
     np.negative(x, out=x)
     np.log1p(x, out=x)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -270,7 +271,8 @@ def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, refusal, capsys
                                   "seed-negative", "seed-2-to-the-64", "config-seed-negative",
                                   "tc-seed-2-to-the-64", "config-dispatch-key",
                                   "tandem-stages-2-to-the-62",
-                                  "identity-stages-2-to-the-62", "verify-suite-not-a-choice"])
+                                  "identity-stages-2-to-the-62", "verify-suite-not-a-choice",
+                                  "config-repeated-key", "config-nan"])
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir" / "x.csv")
     list_config = tmp_path / "list.json"
@@ -280,6 +282,8 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     exp = '{"kind": "exp", "rate": 1.0}'
     for name, conf in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(conf))
+    (tmp_path / "repeated.json").write_text('{"slots": 10, "slots": 20}')
+    (tmp_path / "nan.json").write_text('{"burn_in": NaN}')
     argv = {
         "zero-step-grid": ["tc", "--variant", "exp", "--x", "1:4:0"],
         "legendre-arithmetic": ["tc", "--variant", "legendre", "--q", "0.5",
@@ -341,6 +345,9 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
                                         "--window", "5", "--instances", "2"],
         # the choices are read from verify on demand; argparse lists them in the error
         "verify-suite-not-a-choice": ["verify", "--suite", "nope"],
+        # a --config file is read as strictly as --spec
+        "config-repeated-key": ["queue", *P, "--config", str(tmp_path / "repeated.json")],
+        "config-nan": ["queue", *P, "--slots", "10", "--config", str(tmp_path / "nan.json")],
     }[case]
     code, err = _exit_code_and_stderr(argv, capsys)
     _assert_refused(code, err, _prog(argv))
@@ -410,26 +417,85 @@ def test_a_numeric_flag_at_an_edge_value_keeps_the_cli_contract(edge):
         _assert_refused(code, err.getvalue(), prog)
 
 
+# bad values of every free-text flag, by its dest, with the refusal each must name; the
+# JSON ones go to every flag that takes a distribution, and each value replaces the
+# flag's value in the leaf's small argv
+_JSON_EDGES = [('{"kind": "exp", "rate": 1.0', "Expecting ',' delimiter"),
+               ('{"kind": "exp", "rate": "1.0"}', "must be a number"),
+               ('{"kind": "exp", "rate": 1.0, "p": 0.5}', "unexpected fields"),
+               ('{"kind": "exp", "rate": 1.0, "rate": 2.0}', "repeated JSON key 'rate'"),
+               ('{"kind": "exp", "rate": NaN}', "NaN is not a JSON number"),
+               ('{"kind": "exp", "rate": Infinity}', "Infinity is not a JSON number"),
+               ('{"kind": "exp", "rate": 1e400}', "positive and finite"),
+               ('{"kind": "ber_exp", "p": 0.5, "rate": 1e400}', "positive and finite"),
+               ('{"kind": "exp", "rate": 1e-320}', "overflow"),
+               ('{"kind": "ber_exp", "p": 0.5, "rate": 1e-320}', "overflow")]
+STRING_EDGES = {
+    "spec": _JSON_EDGES + [('{"kind": "geom_zero", "alpha": 0.5, "alpha": 0.7}', "repeated")],
+    "weights": _JSON_EDGES,
+    "x": [(x, "bad grid") for x in ("1:2", "1:2:3:4", "1,,2", ",", "1,", "nan", "1,inf",
+                                     "1:inf:1", "nan:2:1", "a", "")]
+         + [("1:2:0", "the step must be positive"), ("1:2:-1", "the step must be positive")],
+}
+# dist pmf tabulates no continuous kind, so its exp specs name that refusal or one before it
+_PMF_REFUSALS = ("discrete-only", "not a JSON number", "repeated", "Expecting", "must be a number",
+                 "unexpected fields", "positive and finite")
+STRING_CASES = [(prog, action.option_strings[-1], value, refusal)
+                for prog, leaf in LEAVES.items() for action in leaf._actions
+                for value, refusal in STRING_EDGES.get(action.dest, ())]
+
+
+def test_every_free_text_flag_has_bad_values():
+    # a new string flag gets its edge values here; --out and --config name files
+    free = {action.dest for leaf in LEAVES.values() for action in leaf._actions
+            if action.option_strings and action.type is None and action.choices is None
+            and action.nargs != 0}
+    assert free - {"out", "config", "help"} == set(STRING_EDGES)
+
+
+@pytest.mark.parametrize("prog, flag, value, refusal", STRING_CASES, ids=[
+    f"{prog[7:].replace(' ', '-')}{flag}={''.join(value.split())}"
+    for prog, flag, value, _ in STRING_CASES])
+def test_a_string_flag_with_a_bad_value_is_refused(prog, flag, value, refusal):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run(SMALL[prog] + [f"{flag}={value}"])
+        except SystemExit as exc:
+            code = exc.code
+    _assert_refused(code, err.getvalue(), prog)
+    line = err.getvalue().rsplit("error: ", 1)[1]
+    assert refusal in line or prog == "batchq dist pmf" and any(r in line for r in _PMF_REFUSALS), \
+        line
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(args: list[str]) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args``; it imports this checkout's batchq."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
 
 
 def _batchq(code: str, argv: list[str]) -> subprocess.CompletedProcess:
     """Run ``code`` with ``argv`` in a fresh interpreter that imports this checkout's batchq."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
-                                                                     os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env,
-                          timeout=120)
+    return _python(["-c", code, *argv])
 
 
 # perc simulate and queue with every estimate and scan forked into three
 # shards, after a stdout write still in the pipe's buffer when the workers fork
-FORKED_RUN = """
-import os, sys
+FORKING = """
+import os
 from batchq import percolation, queue_core
-from batchq.cli import build_parser, run
 percolation._SHARD_CELLS = 1
 queue_core._SHARD_SLOTS = 1
 os.sched_getaffinity = lambda pid: {0, 1, 2}
+"""
+FORKED_RUN = FORKING + """
+import sys
+from batchq.cli import run
 sys.stdout.write("before\\n")
 sys.exit(run(sys.argv[1:]))
 """
@@ -456,6 +522,113 @@ def test_forked_queue_writes_its_output_once(capsys):
     forked = _batchq(FORKED_RUN, argv)
     assert forked.returncode == 0, forked.stderr
     assert forked.stdout == b"before\n" + serial
+
+
+def _as_main(argv: list[str], prelude: str | None = None) -> subprocess.CompletedProcess:
+    """``python -m batchq.cli argv`` in this checkout; with a ``prelude``, that code runs
+    first and the module then runs as ``__main__`` through runpy, as -m runs it."""
+    if prelude is None:
+        return _python(["-m", "batchq.cli", *argv])
+    return _batchq(prelude + "\nimport runpy\n"
+                   "runpy.run_module('batchq.cli', run_name='__main__', alter_sys=True)\n", argv)
+
+
+# every identity instance reported unequal, so perc identity exits 1
+UNEQUAL = """
+from dataclasses import replace
+from batchq import percolation
+real = percolation.tandem_identity_check
+percolation.tandem_identity_check = lambda *a, **k: replace(real(*a, **k), equal=False)
+"""
+
+
+@pytest.mark.parametrize("argv, prelude, code", [
+    (SMALL["batchq perc identity"], None, 0),
+    (SMALL["batchq perc identity"], UNEQUAL, 1),
+    (SMALL["batchq perc identity"] + ["--window", "0"], None, 2),
+    (["queue", *P, "--slots", "10", "--out", "/no/such/dir/q.csv"], None, 2),
+], ids=["ok", "failed-check", "refused", "unwritable-out"])
+def test_python_m_batchq_cli_keeps_the_exit_codes(argv, prelude, code):
+    res = _as_main(argv, prelude)
+    assert res.returncode == code, res.stderr
+    if code == 2:
+        _assert_refused(code, res.stderr.decode(), _prog(argv))
+    else:
+        assert json.loads(res.stdout)["all_equal"] is (code == 0) and not res.stderr
+
+
+@pytest.mark.parametrize("argv, prelude", [
+    (["queue", *P, "--slots", "5000", "--init-x", "7", "--seed", "3"], FORKING),
+    (["queue", *P, "--slots", "3000", "--seed", "3", "--out"], None),
+    (["perc", "simulate", "--weights", EXP, "--x", "1,2.5", "--n", "30", "--replicas", "7",
+      "--seed", "2"], FORKING),
+    (["perc", "simulate", "--weights", EXP, "--x", "1:2:0.5", "--n", "20", "--replicas", "5",
+      "--out"], FORKING),
+    (["perc", "identity", *P, "--stages", "3", "--window", "40", "--instances", "4"], None),
+    (["perc", "identity", *P, "--window", "20", "--instances", "2", "--out"], None),
+], ids=["queue-forked-scan", "queue-out", "perc-simulate-forked", "perc-simulate-forked-out",
+        "perc-identity", "perc-identity-out"])
+def test_python_m_batchq_cli_writes_what_run_writes(argv, prelude, tmp_path, capsys):
+    # the FORKING cases shrink the shards before the module runs, which imports numpy
+    # before the collector's pause; an argv ending in --out writes there: in process to one file, under -m to another
+    if argv[-1] == "--out":
+        argv = argv + [str(tmp_path / "run.out")]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    if argv[-2] == "--out":
+        expected += (tmp_path / "run.out").read_bytes()
+        argv = argv[:-1] + [str(tmp_path / "main.out")]
+    res = _as_main(argv, prelude)
+    assert res.returncode == 0, res.stderr
+    got = res.stdout + ((tmp_path / "main.out").read_bytes() if argv[-2] == "--out" else b"")
+    assert got == expected
+
+
+def test_run_leaves_the_callers_collector_as_it_was(capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv in (SMALL["batchq queue"], SMALL["batchq perc identity"],
+                         SMALL["batchq queue"] + ["--slots", "0"]):
+                _exit_code_and_stderr(argv, capsys)
+                assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, before[1])
+    finally:
+        (gc.enable if before[0] else gc.disable)()
+
+
+# the collector as the handler sees it at its first stdout write, and the collections
+# that started while numpy was loaded and nothing was frozen yet
+PROBED = """
+import gc, sys
+early = []
+gc.callbacks.append(lambda phase, info: phase == "start" and "numpy" in sys.modules
+                    and not gc.get_freeze_count() and early.append(info["generation"]))
+
+class Probe:
+    def __init__(self, out):
+        self.out, self.seen = out, None
+
+    def write(self, text):
+        self.seen = self.seen or f"enabled={gc.isenabled()} frozen={gc.get_freeze_count() > 0}"
+        return self.out.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.out, name)
+
+sys.stdout = probe = Probe(sys.stdout)
+import atexit
+atexit.register(lambda: print(f"handler {probe.seen}; import collections {len(early)}",
+                              file=sys.stderr))
+"""
+
+
+@pytest.mark.parametrize("argv", [SMALL["batchq perc identity"], SMALL["batchq queue"]],
+                         ids=["perc-identity", "queue"])
+def test_under_python_m_the_handler_runs_collected_on_a_frozen_import_heap(argv):
+    res = _as_main(argv, PROBED)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.decode() == "handler enabled=True frozen=True; import collections 0\n"
 
 
 # the modules a command loaded, on stderr after the command's own output

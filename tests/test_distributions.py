@@ -215,6 +215,11 @@ def test_spec_validation():
             dist.bernoulli(bad)
     with pytest.raises(ValueError):
         dist.exponential(0.0)
+    # JSON reads 1e400 as inf: a rate that is not finite is refused, not used
+    for rate in (math.inf, math.nan):
+        for make in (dist.exponential, lambda r: dist.ber_exp(0.5, r)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                make(rate)
     with pytest.raises(ValueError):
         dist.deterministic(-1)
     with pytest.raises(ValueError):
@@ -228,8 +233,8 @@ def test_json_round_trip_and_field_names():
     d = spec.to_dict()
     assert set(d) == {"kind", "p", "alpha"}
     assert dist.DistSpec.from_dict(d) == spec
-    assert dist.DistSpec.from_json(json.dumps(d, sort_keys=True)) == spec
-    assert dist.DistSpec.from_json('{"kind": "exp", "rate": 2.0}') == dist.exponential(2.0)
+    assert dist.DistSpec.from_dict(json.loads(json.dumps(d, sort_keys=True))) == spec
+    assert dist.DistSpec.from_dict({"kind": "exp", "rate": 2.0}) == dist.exponential(2.0)
     for bad in ({"kind": "ber_geom", "p": 0.5, "alpha": 0.5, "oops": 1}, [1],
                 {"kind": "exp"}, {"kind": "exp", "rate": "a"},
                 {"kind": "deterministic", "value": True},
@@ -237,9 +242,9 @@ def test_json_round_trip_and_field_names():
         with pytest.raises(ValueError):
             dist.DistSpec.from_dict(bad)
     with pytest.raises(ValueError, match="JSON object"):
-        dist.DistSpec.from_json("[1]")
+        dist.DistSpec.from_dict([1])
     with pytest.raises(ValueError, match="'rate'"):
-        dist.DistSpec.from_json('{"kind": "exp"}')
+        dist.DistSpec.from_dict({"kind": "exp"})
     assert set(dist.ber_exp(0.4, 1.5).to_dict()) == {"kind", "p", "rate"}
 
 
@@ -264,7 +269,7 @@ def test_spec_round_trips_through_dict_and_json(kind, data):
     spec = data.draw(_SPEC_OF_KIND[kind])
     assert spec.kind == kind
     assert dist.DistSpec.from_dict(spec.to_dict()) == spec
-    assert dist.DistSpec.from_json(json.dumps(spec.to_dict(), sort_keys=True)) == spec
+    assert dist.DistSpec.from_dict(json.loads(json.dumps(spec.to_dict(), sort_keys=True))) == spec
 
 
 def test_round_trip_covers_every_kind():
@@ -345,6 +350,23 @@ def test_geom_samplers_refuse_draws_beyond_int64():
     # a tiny but representable alpha still samples on the support
     draws = dist.sample_n(dist.geom_plus(1e-15), RandomStream(1), 1000)
     assert draws.dtype == np.int64 and draws.min() >= 1
+
+
+def test_exp_samplers_refuse_a_rate_whose_draws_overflow():
+    # -log1p(-u) / rate at the largest uniform, 1 - 2**-53, is 53 ln 2 / rate: above 2e-307
+    # every draw is finite, and below it the rate is refused before a draw is made
+    for spec in (dist.exponential(1e-320), dist.ber_exp(0.5, 1e-320), dist.exponential(2e-307)):
+        stream = RandomStream(1)
+        for draw in (lambda: dist.sample_n(spec, stream, 10),
+                     lambda: next(dist.sample_blocks(spec, [stream], 2, 10, 1)),
+                     lambda: next(dist.sample_chunks(spec, stream, 10, 4))):
+            with pytest.raises(ValueError, match="overflow"):
+                draw()
+    for spec in (dist.exponential(2.1e-307), dist.ber_exp(0.5, 2.1e-307)):
+        draws = dist.sample_n(spec, RandomStream(1), 1000)
+        assert np.isfinite(draws).all() and draws.max() > 1e307
+    largest = np.array([1.0 - 2.0**-53])
+    assert dist._values(dist.exponential(1.0), largest)[0] == dist._EXP1_MAX
 
 
 _EDGE_PROB = st.floats(1e-6, 1 - 1e-9)

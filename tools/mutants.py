@@ -108,6 +108,19 @@ MUTANTS = [
            "for r in range(self.R - 1)]", "for r in range(self.R - 2)]"),
     Mutant("general_service_worst_state_off_by_one", "verify.py",
            '"max_ratio_k": int(ratios.argmax()) + 1', '"max_ratio_k": int(ratios.argmax())'),
+    # the collector around a command, and the strict reading of its text inputs
+    Mutant("import_heap_not_frozen", "cli.py", "gc.freeze()", "pass"),
+    Mutant("handler_runs_with_the_collector_paused", "cli.py", "gc.enable()", "pass"),
+    Mutant("import_pause_dropped", "cli.py", "    gc.disable()  #", "    pass  #"),
+    Mutant("pause_inside_run", "cli.py", "    parser = build_parser()\n",
+           "    gc.disable()\n    parser = build_parser()\n"),
+    Mutant("infinite_rate_accepted", "distributions.py",
+           "not 0 < self.rate < math.inf", "not self.rate > 0"),
+    Mutant("overflowing_rate_accepted", "distributions.py",
+           "if not math.isfinite(_EXP1_MAX / spec.rate):", "if False:"),
+    Mutant("repeated_json_key_kept", "cli.py", "if key in obj:", "if False:"),
+    Mutant("empty_grid_item_skipped", "cli.py",
+           'text.split(":" if ranged else ",")]', 'text.split(":" if ranged else ",") if t]'),
     # earlier hand mutants
     Mutant("prefix_carry_dropped", "queue_core.py", "c[0] = c0", "c[0] = 0"),
     Mutant("magnitude_cursor_one_double_off", "distributions.py",
