@@ -15,12 +15,15 @@ everywhere by name, never as an unqualified "geometric":
 Samplers are inverse-transform based (geometric draws cost O(1) regardless
 of the value) and consume a fixed number of uniforms per draw, so a seeded
 :class:`~batchq.streams.RandomStream` reproduces sequences bit-exactly.
-Each kind's transform from uniforms to values is written once
-(``_values``, which writes the values over the uniforms) and shared by
-:func:`sample_n`, :func:`sample_blocks`, which draws successive calls of
-many streams into one reused buffer and transforms each block at once,
-and :func:`sample_chunks`, which yields one ``sample_n`` call, or a range
-of its values, in bounded slices read from stream cursors.
+One transform makes every value (``_values``, which writes the values
+over their uniforms; deterministic reads none), and one spec check
+(``_check_sampleable``) refuses, at the call and before any uniform is
+read, a spec none of whose values can be made.  The three samplers differ
+only in where their uniforms come from: :func:`sample_n` reads them from
+the stream, :func:`sample_chunks` yields one ``sample_n`` call, or a range
+of its values, in bounded slices read from stream cursors, and
+:func:`sample_blocks` draws successive calls of many streams into one
+reused block buffer and transforms each block at once.
 """
 
 from __future__ import annotations
@@ -106,8 +109,8 @@ class DistSpec:
             _check_prob("alpha", self.alpha)
         if self.rate is not None and not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
-        if self.value is not None and not self.value >= 0:
-            raise ValueError(f"deterministic value must be >= 0, got {self.value}")
+        if self.value is not None and not 0 <= self.value < math.inf:
+            raise ValueError(f"deterministic value must be finite and >= 0, got {self.value}")
 
     @property
     def is_continuous(self) -> bool:
@@ -296,16 +299,6 @@ def _uniforms_per_value(spec: DistSpec) -> int:
     return 2 if spec.kind in ("ber_geom", "ber_exp") else 1
 
 
-def _constant(spec: DistSpec, shape) -> np.ndarray:
-    """Deterministic draws: int64 for an integral value, float64 otherwise."""
-    v = spec.value
-    if not v < 2.0**63:
-        raise ValueError(f"deterministic value {v:g} does not fit in int64")
-    if float(v).is_integer():
-        return np.full(shape, int(v), dtype=np.int64)
-    return np.full(shape, float(v), dtype=float)
-
-
 def _as_int64(k: np.ndarray) -> np.ndarray:
     """The integer-valued doubles ``k`` cast to int64 over their own memory.
 
@@ -334,51 +327,56 @@ def _geom_plus_values(alpha: float, u: np.ndarray) -> np.ndarray:
     return _as_int64(u)
 
 
-def _geom_plus_draws(alpha: float, stream: RandomStream, n: int) -> np.ndarray:
-    """n inverse-transform Geom+ draws; alpha may be 1 (degenerate at 1)."""
-    if alpha >= 1.0:
-        return np.ones(n, dtype=np.int64)
-    return _geom_plus_values(alpha, stream.uniforms(n))
-
-
-# the largest Exp(1) value the transform below makes, -log1p(-u) at the largest uniform
-# 1 - 2**-53: a rate whose draws would overflow float64 is refused before any is made
+# the largest Exp(1) value the transform makes, -log1p(-u) at the largest uniform 1 - 2**-53
 _EXP1_MAX = 53 * math.log(2.0)
 
 
-def _values(spec: DistSpec, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """Values of a random ``spec`` written over its uniforms: the one copy of each transform.
+def _check_sampleable(spec: DistSpec) -> None:
+    """Refuse, before any uniform is read, a spec none of whose values can be made:
+    a deterministic value beyond int64, or a rate whose largest draw overflows."""
+    if spec.kind == "deterministic" and not spec.value < 2.0**63:
+        raise ValueError(f"deterministic value {spec.value:g} does not fit in int64")
+    if spec.is_continuous and not math.isfinite(_EXP1_MAX / spec.rate):
+        raise ValueError(f"{spec.kind} draws overflow float64 at rate {spec.rate:g}; "
+                         "the rate is too small")
 
-    ``u`` holds one uniform per value, in any shape; the Bernoulli-mixed
-    kinds read their Bernoulli from ``u`` and their magnitude from ``v``,
-    and write their values over ``v``.  The result is a view of the memory
-    written over, float64 for the continuous kinds and int64 for the
-    discrete ones, so a transform allocates at most a Bernoulli mask (one
-    byte per value) and, for a strided discrete block, numpy's cast copy.
+
+def _values(spec: DistSpec, u: Sequence[np.ndarray], shape) -> np.ndarray:
+    """Values of ``spec`` written over their uniforms: the one copy of each transform.
+
+    ``u`` holds one row of uniforms per uniform a value takes, each of the
+    values' ``shape``: deterministic reads none, the plain kinds their one
+    row, and the Bernoulli-mixed kinds their Bernoulli from row 0 and their
+    magnitude from row 1, which they write their values over.  The result
+    is a view of the row written over (float64 for the continuous kinds,
+    int64 for the discrete ones); a transform allocates at most a Bernoulli
+    mask and, for a strided discrete block, numpy's cast copy.  A Geom+
+    draw beyond int64, which depends on its uniform, is refused here.
     """
+    if spec.kind == "deterministic":
+        if spec.is_discrete:
+            return np.full(shape, int(spec.value), dtype=np.int64)
+        return np.full(shape, spec.value, dtype=float)
+    b, x = u[0], u[-1]  # the Bernoulli and the magnitude uniforms; one row for a plain kind
     if spec.kind == "bernoulli":
-        np.less(u, spec.p, out=u)
-        return _as_int64(u)
+        np.less(b, spec.p, out=b)
+        return _as_int64(b)
     if spec.kind == "geom_plus":
-        return _geom_plus_values(spec.alpha, u)
+        return _geom_plus_values(spec.alpha, x)
     if spec.kind == "geom_zero":
-        k = _geom_plus_values(spec.alpha, u)
+        k = _geom_plus_values(spec.alpha, x)
         k -= 1
         return k
     if spec.kind == "ber_geom":
-        k = _geom_plus_values(spec.alpha, v)
-        k *= u < spec.p
+        k = _geom_plus_values(spec.alpha, x)
+        k *= b < spec.p
         return k
-    x = u if spec.kind == "exp" else v
-    if not math.isfinite(_EXP1_MAX / spec.rate):
-        raise ValueError(f"{spec.kind} draws overflow float64 at rate {spec.rate:g}; "
-                         "the rate is too small")
     # -log1p(-x) / rate, with the sign moved onto the divisor: the same bits
     np.negative(x, out=x)
     np.log1p(x, out=x)
     x /= -spec.rate
     if spec.kind == "ber_exp":
-        x *= u < spec.p
+        x *= b < spec.p
     return x
 
 
@@ -393,10 +391,8 @@ def sample_n(spec: DistSpec, stream: RandomStream, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    width = _uniforms_per_value(spec)
-    if width == 0:
-        return _constant(spec, n)
-    return _values(spec, *(stream.uniforms(n) for _ in range(width)))
+    _check_sampleable(spec)
+    return _values(spec, [stream.uniforms(n) for _ in range(_uniforms_per_value(spec))], n)
 
 
 def sample_blocks(spec: DistSpec, streams: Sequence[RandomStream], calls: int, n: int,
@@ -415,23 +411,18 @@ def sample_blocks(spec: DistSpec, streams: Sequence[RandomStream], calls: int, n
         raise ValueError("calls and n must be nonnegative")
     if block < 1:
         raise ValueError("block must be positive")
+    _check_sampleable(spec)
     return _blocks(spec, streams, calls, n, block)
 
 
 def _blocks(spec: DistSpec, streams: Sequence[RandomStream], calls: int, n: int,
             block: int) -> Iterator[np.ndarray]:
-    width = _uniforms_per_value(spec)
-    if width == 0:
-        values = _constant(spec, (len(streams), block, n))
-        for c in range(0, calls, block):
-            yield values[:, :min(block, calls - c)]
-        return
-    buf = np.empty((len(streams), block, width, n))
+    buf = np.empty((len(streams), block, _uniforms_per_value(spec), n))
     for c in range(0, calls, block):
         u = buf[:, :min(block, calls - c)]
         for s, rows in zip(streams, u):
             s.fill(rows)
-        yield _values(spec, *(u[:, :, j] for j in range(width)))
+        yield _values(spec, np.moveaxis(u, 2, 0), u.shape[:2] + (n,))
 
 
 def sample_chunks(spec: DistSpec, stream: RandomStream, n: int, block: int,
@@ -453,24 +444,13 @@ def sample_chunks(spec: DistSpec, stream: RandomStream, n: int, block: int,
         raise ValueError(f"need 0 <= lo <= hi <= n, got lo={lo}, hi={hi}, n={n}")
     if block < 1:
         raise ValueError("block must be positive")
+    _check_sampleable(spec)
     if 0 < n <= block and (lo, hi) == (0, n):
         return iter([sample_n(spec, stream, n)])
-    width = _uniforms_per_value(spec)
-    if width == 0:
-        _constant(spec, 0)  # refuse a value beyond int64 now, not at the first slice
-    cursors = [stream.ahead(j * n + lo) for j in range(width)]
-    stream.skip(width * n)
-    return _slices(spec, cursors, hi - lo, block)
-
-
-def _slices(spec: DistSpec, cursors: list[RandomStream], n: int,
-            block: int) -> Iterator[np.ndarray]:
-    for lo in range(0, n, block):
-        m = min(block, n - lo)
-        if cursors:
-            yield _values(spec, *(c.uniforms(m) for c in cursors))
-        else:
-            yield _constant(spec, m)
+    cursors = [stream.ahead(j * n + lo) for j in range(_uniforms_per_value(spec))]
+    stream.skip(len(cursors) * n)
+    sizes = (min(block, hi - start) for start in range(lo, hi, block))
+    return (_values(spec, [c.uniforms(m) for c in cursors], m) for m in sizes)
 
 
 def sample_compound_n(p: float, alpha: float, stream: RandomStream, n: int) -> np.ndarray:
@@ -485,10 +465,13 @@ def sample_compound_n(p: float, alpha: float, stream: RandomStream, n: int) -> n
     _check_prob("alpha", alpha)
     if alpha - (1.0 - p) > 1e-12:
         raise ValueError("compound representation unavailable: requires alpha <= 1 - p")
+    def geom_plus_n(a: float, m: int) -> np.ndarray:
+        # Geom+(1), and a parameter rounded above 1, is the constant 1 and draws nothing
+        return sample_n(geom_plus(a) if a < 1.0 else deterministic(1), stream, m)
     # V = Geom+(1-p) - 1 counts the summands
-    v = _geom_plus_draws(1.0 - p, stream, n) - 1
+    v = geom_plus_n(1.0 - p, n) - 1
     total = int(v.sum())
-    w = _geom_plus_draws(min(alpha / (1.0 - p), 1.0), stream, total)
+    w = geom_plus_n(alpha / (1.0 - p), total)
     out = np.zeros(n, dtype=np.int64)
     ends = np.cumsum(v)
     starts = ends - v

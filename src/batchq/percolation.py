@@ -388,15 +388,15 @@ def sample_jump_field(n_rows: int, horizon: float, weight_spec: DistSpec,
         raise ValueError("need n_rows >= 1 and horizon > 0")
     times, weights = [], []
     for _ in range(n_rows):
-        # exponential gaps, drawn in blocks until the horizon is passed
-        t, acc = [], 0.0
+        # Exp(1) gaps in blocks of 64, each summed in order onto the last time, to the horizon
+        blocks, acc = [], 0.0
         while acc <= horizon:
-            for g in sample_n(exponential(1.0), stream, 64):
-                acc += g
-                if acc > horizon:
-                    break
-                t.append(acc)
-        t = np.array(t)
+            g = sample_n(exponential(1.0), stream, 64)
+            g[0] += acc
+            blocks.append(np.cumsum(g))
+            acc = blocks[-1][-1]
+        t = np.concatenate(blocks)
+        t = t[t <= horizon]
         w = sample_n(weight_spec, stream, len(t)).astype(float)
         if np.any(w <= 0):
             raise ValueError("weight spec must produce strictly positive weights")

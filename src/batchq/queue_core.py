@@ -291,18 +291,24 @@ class Trace:
         max(1, X_0, the running max of |c|), c the prefix sums of A - S at
         whose size the kernel rounds X.  A float block of
         :func:`simulate_blocks` after the first is rounded at the c carried
-        into it, which this bound does not see.
+        into it, which this bound does not see.  The message names the count
+        and the first of the failing X_k (as in ``x_full``) or slots (the CSV's n).
         """
         x, y = self.x_full, self.y
-        if not np.all(x >= 0):  # NaN fails the comparison too
-            raise ValueError(f"trace invariant violated: X >= 0 (min {np.min(x)})")
+        bad = np.flatnonzero(~(x >= 0))  # NaN fails the comparison too
+        if bad.size:
+            raise ValueError(f"trace invariant violated: X >= 0 fails at {bad.size} of "
+                             f"{x.size} values, first X_{bad[0]} = {x[bad[0]]}")
         err = np.abs(x[1:] - (y - np.minimum(y, self.s)))
         tol = 0
         if not np.issubdtype(err.dtype, np.integer):
             size = np.maximum.accumulate(np.abs(np.cumsum(self.a - self.s)))
             tol = 8 * np.finfo(float).eps * np.maximum(size, max(1.0, float(x[0])))
-        if np.any(err > tol):
-            raise ValueError(f"trace invariant violated: X' = Y - D (max error {err.max()})")
+        bad = np.flatnonzero(err > tol)
+        if bad.size:
+            raise ValueError(f"trace invariant violated: X' = Y - D fails in {bad.size} of "
+                             f"{err.size} slots, first slot {bad[0]} (error {err[bad[0]]}, "
+                             f"max error {err.max()})")
 
     def _columns(self, first_n: int, nxt) -> list[np.ndarray]:
         """CSV columns of these slots, numbered from ``first_n``; the next block completes I."""

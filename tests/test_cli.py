@@ -93,6 +93,36 @@ def test_dist_sample_deterministic_json(capsys, tmp_path):
         assert capsys.readouterr().out == (tmp_path / "old.csv").read_text()
 
 
+def test_dist_sample_writes_the_bytes_of_write_csv(capsysbinary, tmp_path):
+    # the rows go as bytes to stdout's buffer or to --out; a JSON run before each CSV run
+    # in one interpreter checks that text written before the rows comes out first
+    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+    argvs, want = [], b""
+    for spec in (dist.bernoulli(0.3), dist.geom_plus(0.4), dist.geom_zero(0.25),
+                 dist.ber_geom(0.3, 0.6), dist.exponential(1.5), dist.ber_exp(0.4, 2.0),
+                 dist.deterministic(3), dist.deterministic(2.5)):
+        for n in (10, 3000):
+            queue_core.write_csv(ref, ["value"], [dist.sample_n(spec, RandomStream(7), n)])
+            argv = ["dist", "sample", "--spec", json.dumps(spec.to_dict()), "--n", str(n),
+                    "--seed", "7"]
+            assert run(argv) == 0
+            assert capsysbinary.readouterr().out == ref.read_bytes()
+            assert run(argv + ["--out", str(out)]) == 0
+            assert out.read_bytes() == ref.read_bytes()
+            # an in-process caller's stdout with no binary buffer gets the same text
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                assert run(argv) == 0
+            assert text.getvalue().encode() == ref.read_bytes()
+            assert run(argv + ["--format", "json"]) == 0
+            want += capsysbinary.readouterr().out + ref.read_bytes()
+            argvs += [argv + ["--format", "json"], argv]
+    res = _batchq("import json, sys\nfrom batchq.cli import run\n"
+                  "for argv in json.loads(sys.argv[1]):\n    assert run(argv) == 0\n",
+                  [json.dumps(argvs)])
+    assert res.returncode == 0 and res.stdout == want, res.stderr
+
+
 def test_dist_bad_spec_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["dist", "pmf", "--spec", '{"kind": "nope"}'])
@@ -429,7 +459,8 @@ _JSON_EDGES = [('{"kind": "exp", "rate": 1.0', "Expecting ',' delimiter"),
                ('{"kind": "exp", "rate": 1e400}', "positive and finite"),
                ('{"kind": "ber_exp", "p": 0.5, "rate": 1e400}', "positive and finite"),
                ('{"kind": "exp", "rate": 1e-320}', "overflow"),
-               ('{"kind": "ber_exp", "p": 0.5, "rate": 1e-320}', "overflow")]
+               ('{"kind": "ber_exp", "p": 0.5, "rate": 1e-320}', "overflow"),
+               ('{"kind": "deterministic", "value": 1e400}', "finite and >= 0")]
 STRING_EDGES = {
     "spec": _JSON_EDGES + [('{"kind": "geom_zero", "alpha": 0.5, "alpha": 0.7}', "repeated")],
     "weights": _JSON_EDGES,

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from batchq import distributions as dist
 from batchq.stats import EmpiricalPmf, chi_square_gof, ks_test
@@ -209,6 +209,34 @@ def test_compound_unavailable_when_a_exceeds_1_minus_p():
         dist.sample_compound_n(0.5, 0.6, RandomStream(0), 10)
 
 
+def _compound_by_loop(p, alpha, stream, n):
+    """sample_compound_n value by value: n counts V = Geom+(1-p) - 1, then the summands
+    Geom+(alpha / (1-p)) of every count in turn, each value the sum of its own."""
+    def geom_plus(a, m):
+        if a >= 1.0:  # Geom+(1) is the constant 1 and draws nothing
+            return [1] * m
+        return [1 + math.floor(x) for x in np.log1p(-stream.uniforms(m)) / math.log1p(-a)]
+    counts = [k - 1 for k in geom_plus(1.0 - p, n)]
+    summands = iter(geom_plus(alpha / (1.0 - p), sum(counts)))
+    return [sum(next(summands) for _ in range(k)) for k in counts]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(p=st.one_of(st.floats(0.01, 0.95), st.just(1e-20)), share=st.floats(0.01, 1.0),
+       n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+@example(p=0.5, share=1.0, n=200, seed=1).via("the summand parameter at 1")
+@example(p=1 / 3, share=1.0, n=200, seed=2).via("the summand parameter rounded below 1")
+@example(p=1e-20, share=0.5, n=200, seed=3).via("the count parameter 1 - p rounded to 1")
+def test_compound_equals_the_per_value_loop(p, share, n, seed):
+    # share 1 puts the summand parameter alpha / (1-p) at 1, or a rounding of it, and
+    # p = 1e-20 puts the count's Geom+ parameter 1 - p at 1: Geom+(1) draws nothing
+    alpha = min(share * (1.0 - p), 1.0 - 2.0**-20)
+    s_lib, s_loop = RandomStream(seed), RandomStream(seed)
+    got = dist.sample_compound_n(p, alpha, s_lib, n)
+    assert got.dtype == np.int64 and got.tolist() == _compound_by_loop(p, alpha, s_loop, n)
+    assert s_lib.uniform() == s_loop.uniform()
+
+
 def test_spec_validation():
     for bad in (0.0, 1.0, -0.2, 1.4):
         with pytest.raises(ValueError):
@@ -220,8 +248,10 @@ def test_spec_validation():
         for make in (dist.exponential, lambda r: dist.ber_exp(0.5, r)):
             with pytest.raises(ValueError, match="positive and finite"):
                 make(rate)
-    with pytest.raises(ValueError):
-        dist.deterministic(-1)
+    # nor is a deterministic value that is not finite
+    for value in (-1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            dist.deterministic(value)
     with pytest.raises(ValueError):
         dist.DistSpec("ber_geom", p=0.5)  # missing alpha
     with pytest.raises(ValueError):
@@ -366,7 +396,19 @@ def test_exp_samplers_refuse_a_rate_whose_draws_overflow():
         draws = dist.sample_n(spec, RandomStream(1), 1000)
         assert np.isfinite(draws).all() and draws.max() > 1e307
     largest = np.array([1.0 - 2.0**-53])
-    assert dist._values(dist.exponential(1.0), largest)[0] == dist._EXP1_MAX
+    assert dist._values(dist.exponential(1.0), [largest], 1)[0] == dist._EXP1_MAX
+
+
+def test_geom_plus_values_floor_before_they_add_1():
+    # here x = log1p(-u) / log1p(-alpha) is the double just below 2, and x + 1 rounds to 3:
+    # the Geom+ value is floor(x) + 1 = 2, which a cast of x + 1 to an integer would miss
+    alpha, u = np.nextafter(0.5, 0.0), np.nextafter(0.75, 0.0)
+    x = np.log1p(-np.array([u])) / math.log1p(-alpha)
+    assert x[0] == np.nextafter(2.0, 0.0) and x[0] + 1 == 3.0
+    # ber_geom reads its Bernoulli, here 0 < p, from a row before its magnitude
+    for spec, rows, want in ((dist.geom_plus(alpha), [[u]], 2), (dist.geom_zero(alpha), [[u]], 1),
+                             (dist.ber_geom(0.5, alpha), [[0.0], [u]], 2)):
+        assert dist._values(spec, np.array(rows), 1).tolist() == [want]
 
 
 _EDGE_PROB = st.floats(1e-6, 1 - 1e-9)
@@ -379,7 +421,7 @@ _EDGE_SPEC_OF_KIND = {
     "exp": st.builds(dist.exponential, _EDGE_RATE),
     "ber_exp": st.builds(dist.ber_exp, _EDGE_PROB, _EDGE_RATE),
     "deterministic": st.builds(dist.deterministic, st.one_of(
-        st.integers(0, 2**63 - 1), st.floats(0.0, 1e300), st.just(math.inf))),
+        st.integers(0, 2**63 - 1), st.floats(0.0, 1e300), st.just(2.0**63))),
 }
 
 
@@ -534,6 +576,49 @@ def test_sample_blocks_validation_and_no_calls():
             dist.sample_blocks(spec, [stream], calls, n, block)
 
 
+@pytest.mark.parametrize("kind", sorted(dist._KINDS))
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_every_face_makes_the_values_of_one_sample_n_call(kind, data):
+    spec = data.draw(_EDGE_SPEC_OF_KIND[kind].filter(
+        lambda s: s.kind != "deterministic" or s.value < 2**63))
+    n = data.draw(st.integers(0, 60))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    calls = data.draw(st.integers(1, 4))
+    s_calls = RandomStream(seed)
+    want = [dist.sample_n(spec, s_calls, n) for _ in range(calls)]
+    assert want[0].dtype == (np.int64 if spec.is_discrete else np.float64)
+    # a range of the first call's values in slices, and every call in blocks
+    block = data.draw(st.integers(1, n + 2))
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    chunks = list(dist.sample_chunks(spec, RandomStream(seed), n, block, lo, hi))
+    blocks = np.concatenate([b.copy() for b in dist.sample_blocks(
+        spec, [RandomStream(seed)], calls, n, data.draw(st.integers(1, 3)))], axis=1)[0]
+    faces = {"sample_chunks": (np.concatenate(chunks) if chunks else want[0][:0], want[0][lo:hi]),
+             **{f"sample_blocks call {j}": (blocks[j], want[j]) for j in range(calls)}}
+    for face, (got, ref) in faces.items():
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), face
+
+
+def test_every_face_refuses_an_unusable_spec_at_the_call_with_the_stream_unmoved():
+    faces = {"sample_n": lambda spec, s: dist.sample_n(spec, s, 10),
+             "sample_chunks": lambda spec, s: dist.sample_chunks(spec, s, 10, 3),
+             "sample_chunks one slice": lambda spec, s: dist.sample_chunks(spec, s, 10, 10),
+             "sample_chunks range": lambda spec, s: dist.sample_chunks(spec, s, 10, 3, 2, 7),
+             "sample_blocks": lambda spec, s: dist.sample_blocks(spec, [s], 2, 10, 1)}
+    for spec, refusal in ((dist.deterministic(2**63), "does not fit in int64"),
+                          (dist.deterministic(2.0**63), "does not fit in int64"),
+                          (dist.exponential(1e-320), "overflow float64"),
+                          (dist.ber_exp(0.5, 1e-320), "overflow float64")):
+        for face, call in faces.items():
+            stream = RandomStream(3)
+            # the refusal comes from the call itself, before any value is asked for
+            with pytest.raises(ValueError, match=refusal):
+                call(spec, stream)
+            assert stream.uniform() == RandomStream(3).uniform(), (spec, face)
+
+
 def _values_out_of_place(spec, u, v):
     """Reference: each kind's transform written out of place, as numpy expressions."""
     def geom_plus(alpha, x):
@@ -560,7 +645,7 @@ def test_values_are_the_transforms_written_over_the_uniforms(kind, data, shape, 
     else:
         u, v = u.reshape(shape), v.reshape(shape)
     want = _values_out_of_place(spec, u, v)
-    got = dist._values(spec, u, v)
+    got = dist._values(spec, [u, v] if kind.startswith("ber_") else [u], shape)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     # the values are a view of the uniforms they were written over
     assert got.shape == shape

@@ -249,6 +249,43 @@ def test_jump_field_gaps_are_exp1_inverse_transforms_of_the_stream():
             assert times.tobytes() == np.array(_jump_times(ref, 150.0)).tobytes()
 
 
+def _jump_field_by_loop(n_rows, horizon, weight_spec, stream):
+    """sample_jump_field as it was written, one gap at a time: each row's times, added up
+    from Exp(1) sample_n blocks of 64 until one passes the horizon, then its weights."""
+    times, weights = [], []
+    for _ in range(n_rows):
+        t, acc = [], 0.0
+        while acc <= horizon:
+            for g in dist.sample_n(dist.exponential(1.0), stream, 64):
+                acc += g
+                if acc > horizon:
+                    break
+                t.append(acc)
+        times.append(np.array(t, dtype=float))
+        weights.append(dist.sample_n(weight_spec, stream, len(t)).astype(float))
+    return times, weights
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(rows=st.integers(1, 4), horizon=st.one_of(st.floats(1e-3, 2.0), st.floats(2.0, 300.0)),
+       weights=st.sampled_from([dist.exponential(0.7), dist.geom_plus(0.4),
+                                dist.deterministic(2.5)]),
+       seed=st.integers(0, 2**32 - 1), at_an_event=st.booleans())
+def test_jump_field_equals_the_per_value_loop(rows, horizon, weights, seed, at_an_event):
+    if at_an_event:
+        # a horizon equal to an event time keeps that event: row 0's times do not depend on it
+        first = sample_jump_field(1, horizon, weights, RandomStream(seed)).times[0]
+        horizon = float(first[-1]) if first.size else horizon
+    s_field, s_loop = RandomStream(seed), RandomStream(seed)
+    jf = sample_jump_field(rows, horizon, weights, s_field)
+    want = _jump_field_by_loop(rows, horizon, weights, s_loop)
+    for got, ref in zip((jf.times, jf.weights), want):
+        assert [(x.dtype, x.tobytes()) for x in got] == [(x.dtype, x.tobytes()) for x in ref]
+    if at_an_event and jf.times[0].size:
+        assert jf.times[0][-1] == horizon
+    assert s_field.uniform() == s_loop.uniform()
+
+
 def test_continuous_switch_point_insensitivity():
     stream = RandomStream(77)
     for i in range(30):

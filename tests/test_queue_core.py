@@ -76,6 +76,25 @@ def test_trace_invariants_refuse_a_moved_or_negative_queue_length():
             Trace(np.array([10]), np.array([3]), np.array(x_full)).check_invariants()
 
 
+def test_trace_invariants_name_the_count_and_the_first_violation():
+    tr = simulate(dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4), 1000, RandomStream(3))
+    moved = tr.x_full.copy()
+    moved[[500, 700]] += 1
+    # the slots whose X' = Y - D the moves break, by the per-slot recursion: slot k - 1 for a
+    # move of X_k, whose X' it is, and slot k too unless its service empties the one more
+    slots = [k for k in range(1000)
+             if moved[k + 1] != moved[k] + tr.a[k] - min(moved[k] + tr.a[k], tr.s[k])]
+    assert slots[0] == 499 and len(slots) >= 2
+    with pytest.raises(ValueError, match=f"fails in {len(slots)} of 1000 slots, first slot 499 "
+                                         r"\(error 1,"):
+        Trace(tr.a, tr.s, moved).check_invariants()
+    # a negative X is named by its index in x_full and its value
+    moved = tr.x_full.copy()
+    moved[[7, 9]] = -3
+    with pytest.raises(ValueError, match="X >= 0 fails at 2 of 1001 values, first X_7 = -3"):
+        Trace(tr.a, tr.s, moved).check_invariants()
+
+
 def test_an_empty_series_is_refused():
     for run in (simulate_series, simulate_blocks):
         with pytest.raises(ValueError, match="need at least one stage"):

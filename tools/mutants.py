@@ -55,7 +55,7 @@ MUTANTS = [
     Mutant("invariant_tolerance_times_1e6", "queue_core.py",
            "tol = 8 * np.finfo(float).eps", "tol = 8e6 * np.finfo(float).eps"),
     Mutant("no_nonnegative_x_check", "queue_core.py",
-           "if not np.all(x >= 0):", "if False:"),
+           "bad = np.flatnonzero(~(x >= 0))", "bad = np.flatnonzero(x < x)"),
     # the slot engine
     Mutant("empty_series_accepted", "queue_core.py",
            "if not services:", "if False:"),
@@ -117,7 +117,7 @@ MUTANTS = [
     Mutant("infinite_rate_accepted", "distributions.py",
            "not 0 < self.rate < math.inf", "not self.rate > 0"),
     Mutant("overflowing_rate_accepted", "distributions.py",
-           "if not math.isfinite(_EXP1_MAX / spec.rate):", "if False:"),
+           "if spec.is_continuous and not math.isfinite(_EXP1_MAX / spec.rate):", "if False:"),
     Mutant("repeated_json_key_kept", "cli.py", "if key in obj:", "if False:"),
     Mutant("empty_grid_item_skipped", "cli.py",
            'text.split(":" if ranged else ",")]', 'text.split(":" if ranged else ",") if t]'),
@@ -128,6 +128,22 @@ MUTANTS = [
     Mutant("shard_spans_bound_plus_one", "workers.py",
            "shards = max(1, min(usable_cpus(), items, work // unit))",
            "shards = max(1, min(usable_cpus(), items, work // unit + 1))"),
+    # one sampling core: one transform, one spec check, three sources of uniforms
+    Mutant("block_values_shaped_without_the_stream_axis", "distributions.py",
+           "u.shape[:2] + (n,)", "u.shape[1:2] + (n,)"),
+    Mutant("spec_check_skipped_in_sample_blocks", "distributions.py",
+           "    _check_sampleable(spec)\n    return _blocks(", "    return _blocks("),
+    Mutant("jump_field_keeps_times_past_the_horizon", "percolation.py",
+           "t = t[t <= horizon]", "t = t"),
+    Mutant("compound_constant_only_above_1", "distributions.py",
+           "geom_plus(a) if a < 1.0 else deterministic(1)",
+           "geom_plus(a) if a <= 1.0 else deterministic(1)"),
+    Mutant("compound_constant_just_below_1", "distributions.py",
+           "geom_plus(a) if a < 1.0 else deterministic(1)",
+           "geom_plus(a) if a < 1.0 - 1e-12 else deterministic(1)"),
+    Mutant("geom_plus_values_without_floor", "distributions.py",
+           "    np.floor(u, out=u)\n", ""),
+    Mutant("geom_plus_values_without_plus_1", "distributions.py", "    u += 1\n", ""),
 ]
 
 
