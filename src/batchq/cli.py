@@ -52,10 +52,10 @@ if __name__ == "__main__":
 
 import argparse
 import importlib
+import io
 import json
 import math
 import sys
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import distributions as dist
@@ -298,15 +298,13 @@ def _cmd_sample(args) -> int:
     draws = dist.sample_n(spec, RandomStream(args.seed), args.n)
     if args.format == "json":
         vals = [int(v) for v in draws] if spec.is_discrete else [float(v) for v in draws]
-        _write_out(_json_dump({"spec": spec.to_dict(), "seed": args.seed, "samples": vals}),
-                   args.out)
-        return 0
-    from .queue_core import write_csv
-    # bytes to --out, to stdout's buffer after its text, or decoded to a bufferless stdout
-    sys.stdout.flush()
-    write_csv(args.out or getattr(sys.stdout, "buffer", None)
-              or SimpleNamespace(write=lambda data: sys.stdout.write(data.decode())),
-              ["value"], [draws])
+        text = _json_dump({"spec": spec.to_dict(), "seed": args.seed, "samples": vals})
+    else:
+        from .queue_core import write_csv
+        buf = io.BytesIO()
+        write_csv(buf, ["value"], [draws])
+        text = buf.getvalue().decode()
+    _write_out(text, args.out)
     return 0
 
 

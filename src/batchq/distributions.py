@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -109,7 +110,7 @@ class DistSpec:
             _check_prob("alpha", self.alpha)
         if self.rate is not None and not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
-        if self.value is not None and not 0 <= self.value < math.inf:
+        if self.value is not None and not 0 <= self.value <= sys.float_info.max:
             raise ValueError(f"deterministic value must be finite and >= 0, got {self.value}")
 
     @property
@@ -444,9 +445,10 @@ def sample_chunks(spec: DistSpec, stream: RandomStream, n: int, block: int,
         raise ValueError(f"need 0 <= lo <= hi <= n, got lo={lo}, hi={hi}, n={n}")
     if block < 1:
         raise ValueError("block must be positive")
-    _check_sampleable(spec)
     if 0 < n <= block and (lo, hi) == (0, n):
+        # the call itself: opening a cursor costs more than drawing 1000 exp values
         return iter([sample_n(spec, stream, n)])
+    _check_sampleable(spec)
     cursors = [stream.ahead(j * n + lo) for j in range(_uniforms_per_value(spec))]
     stream.skip(len(cursors) * n)
     sizes = (min(block, hi - start) for start in range(lo, hi, block))

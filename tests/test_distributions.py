@@ -248,8 +248,8 @@ def test_spec_validation():
         for make in (dist.exponential, lambda r: dist.ber_exp(0.5, r)):
             with pytest.raises(ValueError, match="positive and finite"):
                 make(rate)
-    # nor is a deterministic value that is not finite
-    for value in (-1, math.inf, math.nan):
+    # nor is a deterministic value that is not finite, nor a JSON integer beyond every double
+    for value in (-1, math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="finite and >= 0"):
             dist.deterministic(value)
     with pytest.raises(ValueError):
