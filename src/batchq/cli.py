@@ -15,23 +15,24 @@ large to allocate is one).  Every exit 2 prints the
 subcommand's usage and one error: line, whether argparse, a handler or
 the library refused the input.
 
-Outputs are deterministic for a fixed argv and seed: floats print with
-17 significant digits and JSON keys are sorted.  --threads is accepted
-and still ignored: perc simulate and queue (without --out) use up to
-one worker process per usable CPU on their own (batchq.workers), and
-their output is byte-identical for any worker count.  perc simulate
-draws one field per replica from the seed's substream(0) and reads
-every --x grid point off it, so rows at different x are correlated.
-The cost of perc identity is linear in --window.  This module does no
-queue arithmetic: queue --out and tandem pass the slot engine's blocks
-to queue_core.block_means, which writes --out rows as each block is
-made, so memory is bounded by the block; queue without --out calls
-queue_core.scan_means, a sharded Lindley scan of the same draws, whose
-summary is byte-identical.  No --threads-like knob sets the block size
-or the shard count.  A subcommand imports only the modules it uses.
---spec, --weights and --config are read as strict JSON: a repeated key,
-NaN, Infinity, a rate or value that is not finite and a rate whose draws
-overflow are refused; an --x grid must hold finite numbers, no empty item.
+Outputs are deterministic for a fixed argv and seed: floats print with 17
+significant digits and JSON keys are sorted.  --threads is accepted and
+still ignored: perc simulate and queue (without --out) use up to one
+worker process per usable CPU on their own (batchq.workers), and their
+output is byte-identical for any worker count.  perc simulate draws one
+field per replica from the seed's substream(0) and reads every --x grid
+point off it, so rows at different x are correlated.  The cost of perc
+identity is linear in --window.  This module does no queue arithmetic:
+queue --out and tandem sum the slot engine's blocks with
+queue_core.block_means, which only sums, and queue --out and tandem --out
+write the blocks through queue_core.tee_csv as they pass, so memory is
+bounded by the block; queue without --out calls queue_core.scan_means, a
+sharded Lindley scan of the same draws, whose summary is byte-identical.
+No --threads-like knob sets the block size or the shard count.  A
+subcommand imports only the modules it uses.  --spec, --weights and
+--config are read as strict JSON: a repeated key, NaN, Infinity, a rate
+or value that is not finite and a rate whose draws overflow are refused;
+an --x grid must hold finite numbers, no empty item.
 
 Where a command's time goes (medians of 9 runs of the five benchmark
 commands, 2 vCPU, Python 3.11, numpy 2.4; before -> after the collector
@@ -326,12 +327,12 @@ def _series_args(args) -> tuple[QueueParams, int, dict]:
 
 def _cmd_queue(args) -> int:
     from .queue_core import (block_means, check_condition, condition_holds, scan_means,
-                             simulate_blocks, stationary_law)
+                             simulate_blocks, stationary_law, tee_csv)
     params, burn, summary = _series_args(args)
     arrival, service, stream = params.arrival_spec, params.service_spec, RandomStream(args.seed)
     if args.out:
         blocks = simulate_blocks(arrival, [service], args.slots, stream, args.init_x)
-        means = block_means((stages[0] for stages in blocks), burn, args.out)[0]
+        means = block_means(tee_csv((stages[0] for stages in blocks), args.out), burn)[0]
     else:
         means = scan_means(arrival, service, args.slots, stream, args.init_x, burn)
     summary["empirical"] = {f"mean_{name}": means[name] for name in "xyd"}
@@ -343,13 +344,14 @@ def _cmd_queue(args) -> int:
 
 
 def _cmd_tandem(args) -> int:
-    from .queue_core import block_means, condition_holds, simulate_blocks, stationary_law
+    from .queue_core import block_means, condition_holds, simulate_blocks, stationary_law, tee_csv
     from .tandem import TandemConfig, TandemTrace
     params, burn, summary = _series_args(args)
     summary["stages"] = args.stages
     config = TandemConfig.bergeom(params, args.stages)
-    blocks = simulate_blocks(config.arrival, config.services, args.slots, RandomStream(args.seed))
-    means = block_means((TandemTrace(config, st) for st in blocks), burn, args.out)
+    blocks = (TandemTrace(config, st) for st in simulate_blocks(
+        config.arrival, config.services, args.slots, RandomStream(args.seed)))
+    means = block_means(tee_csv(blocks, args.out) if args.out else blocks, burn)
     summary["empirical_mean_x"] = [m["x"] for m in means]
     summary["empirical_mean_d"] = [m["d"] for m in means]
     if params.is_stable and condition_holds(params):

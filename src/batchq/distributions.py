@@ -16,7 +16,8 @@ Samplers are inverse-transform based (geometric draws cost O(1) regardless
 of the value) and consume a fixed number of uniforms per draw, so a seeded
 :class:`~batchq.streams.RandomStream` reproduces sequences bit-exactly.
 One transform makes every value (``_values``, which writes the values
-over their uniforms; deterministic reads none), and one spec check
+over their uniforms; a deterministic batch reads none and is its one
+value, broadcast read-only to the batch's shape), and one spec check
 (``_check_sampleable``) refuses, at the call and before any uniform is
 read, a spec none of whose values can be made.  The three samplers differ
 only in where their uniforms come from: :func:`sample_n` reads them from
@@ -345,19 +346,17 @@ def _check_sampleable(spec: DistSpec) -> None:
 def _values(spec: DistSpec, u: Sequence[np.ndarray], shape) -> np.ndarray:
     """Values of ``spec`` written over their uniforms: the one copy of each transform.
 
-    ``u`` holds one row of uniforms per uniform a value takes, each of the
-    values' ``shape``: deterministic reads none, the plain kinds their one
-    row, and the Bernoulli-mixed kinds their Bernoulli from row 0 and their
-    magnitude from row 1, which they write their values over.  The result
-    is a view of the row written over (float64 for the continuous kinds,
-    int64 for the discrete ones); a transform allocates at most a Bernoulli
-    mask and, for a strided discrete block, numpy's cast copy.  A Geom+
-    draw beyond int64, which depends on its uniform, is refused here.
+    ``u`` holds one row of uniforms per uniform a value takes, each of the values'
+    ``shape``: deterministic reads none, the plain kinds their one row, and the
+    Bernoulli-mixed kinds their Bernoulli from row 0 and their magnitude from row 1,
+    which they write their values over.  The result is a view of the row written over
+    (float64 for the continuous kinds, int64 for the discrete ones), and deterministic's
+    is its one value; a transform allocates at most a Bernoulli mask and, for a strided
+    discrete block, numpy's cast copy.  A Geom+ draw beyond int64, which depends on its
+    uniform, is refused here.
     """
-    if spec.kind == "deterministic":
-        if spec.is_discrete:
-            return np.full(shape, int(spec.value), dtype=np.int64)
-        return np.full(shape, spec.value, dtype=float)
+    if spec.kind == "deterministic":  # its one value, read-only, with zero strides
+        return np.broadcast_to((np.int64 if spec.is_discrete else np.float64)(spec.value), shape)
     b, x = u[0], u[-1]  # the Bernoulli and the magnitude uniforms; one row for a plain kind
     if spec.kind == "bernoulli":
         np.less(b, spec.p, out=b)
@@ -388,7 +387,7 @@ def sample_n(spec: DistSpec, stream: RandomStream, n: int) -> np.ndarray:
     kinds, one for the plain ones, none for deterministic), which keeps
     replica substreams aligned regardless of the sampled values.  The
     Bernoulli-mixed kinds read their n Bernoulli uniforms first and then
-    their n magnitude uniforms.
+    their n magnitude uniforms.  A deterministic batch is one read-only value, broadcast.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -400,13 +399,12 @@ def sample_blocks(spec: DistSpec, streams: Sequence[RandomStream], calls: int, n
                   block: int) -> Iterator[np.ndarray]:
     """``calls`` successive ``sample_n(spec, s, n)`` calls per stream s, in blocks of at most ``block``.
 
-    Each yield is a (len(streams), m, n) array, m <= block, whose [i, j] row
-    is stream i's next call, bit for bit.  A block's uniforms go from each
-    stream straight into its slice of one (streams, block, uniforms per
-    value, n) buffer, and one :func:`_values` call transforms the block
-    over them.  Every block is written over that buffer, so a caller reads
-    a block before it asks for the next and keeps none (``.copy()`` keeps
-    one).
+    Each yield is a (len(streams), m, n) array, m <= block, whose [i, j] row is stream i's
+    next call, bit for bit.  A block's uniforms go from each stream straight into its slice
+    of one (streams, block, uniforms per value, n) buffer, and one :func:`_values` call
+    transforms the block over them (a deterministic block is a read-only view of its one
+    value).  Every block is written over that buffer, so a caller reads a block before it
+    asks for the next and keeps none (``.copy()`` keeps one).
     """
     if calls < 0 or n < 0:
         raise ValueError("calls and n must be nonnegative")
@@ -430,13 +428,12 @@ def sample_chunks(spec: DistSpec, stream: RandomStream, n: int, block: int,
                   lo: int = 0, hi: int | None = None) -> Iterator[np.ndarray]:
     """Values lo..hi-1 of ``sample_n(spec, stream, n)`` in consecutive slices of at most ``block``.
 
-    The slices concatenate to that part of one ``sample_n`` call bit for
-    bit, with memory bounded by the block, and the stream moves past all n
-    values at the call, whatever the range (``hi`` defaults to n).  One
-    slice of all n values (0 < n <= block) is that call; the others are
-    read later from cursors (:meth:`~batchq.streams.RandomStream.ahead`)
-    opened at value lo, for the Bernoulli-mixed kinds at offset lo for the
-    Bernoulli uniforms and at offset n + lo for the magnitudes.
+    The slices concatenate to that part of one ``sample_n`` call bit for bit, with memory
+    bounded by the block, and the stream moves past all n values at the call, whatever the
+    range (``hi`` defaults to n).  One slice of all n values (0 < n <= block) is that call;
+    the others are read later from cursors (:meth:`~batchq.streams.RandomStream.ahead`)
+    opened at value lo, for the Bernoulli-mixed kinds at offset lo for the Bernoulli
+    uniforms and at offset n + lo for the magnitudes.
     """
     hi = n if hi is None else hi
     if n < 0:

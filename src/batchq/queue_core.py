@@ -31,10 +31,10 @@ are one block of all the slots; :func:`simulate_blocks` streams the same
 draws and values in blocks of 2**16 slots, so its memory is bounded by
 the block, and :func:`tee_csv` writes the CSV as blocks pass.  The
 summary means divide four exact integers by one private formula, summed
-by :func:`block_means` over blocks and by :func:`scan_means` in a Lindley
-scan of the same draws, sharded by :func:`~batchq.workers.shard_spans` on
-:func:`~batchq.workers.fork_map`, with every shard's contribution exact
-for any start it is later given.  Simulations draw from a
+by :func:`block_means` over blocks (it only sums) and by :func:`scan_means`
+in a Lindley scan of the same draws, sharded by :func:`~batchq.workers.shard_spans`
+on :func:`~batchq.workers.fork_map`, each shard's contribution exact for
+any start it is later given.  Simulations draw from a
 :class:`~batchq.streams.RandomStream` the caller passes in; a
 :class:`Trace` keeps the driving sequences and the queue lengths, and
 derives the other per-slot quantities from them.  One check refuses a
@@ -167,6 +167,8 @@ def _prefix(a: np.ndarray, s: np.ndarray, c0, m0, dtype) -> tuple[np.ndarray, np
     return c, m
 
 
+# Rows per rendered CSV block: on 2 vCPUs (Python 3.11, numpy 2.4.6) queue 1e6 and tandem 2e5
+# slots wrote their CSVs in 0.30-0.32 s (median of 5, in process) at 2**12 to 2**16 rows.
 _CSV_BLOCK_ROWS = 1 << 14
 _DIGIT, _COMMA, _NEWLINE = (np.uint8(ord(ch)) for ch in "0,\n")
 
@@ -286,13 +288,12 @@ class Trace:
     def check_invariants(self) -> None:
         """Raise unless every X is nonnegative and every slot has X' = Y - D.
 
-        Y, D, U, T and I are defined from A, S and X, so only these can fail.
-        An integer trace holds them exactly; a float trace to 8 ulp of
-        max(1, X_0, the running max of |c|), c the prefix sums of A - S at
-        whose size the kernel rounds X.  A float block of
-        :func:`simulate_blocks` after the first is rounded at the c carried
-        into it, which this bound does not see.  The message names the count
-        and the first of the failing X_k (as in ``x_full``) or slots (the CSV's n).
+        Y, D, U, T and I are defined from A, S and X, so only these can fail.  An integer
+        trace holds them exactly; a float trace to 8 ulp of max(1, X_0, the running max of
+        |c|), c the prefix sums of A - S at whose size the kernel rounds X.  A float block of
+        :func:`simulate_blocks` after the first is rounded at the c carried into it, which
+        this bound does not see.  The message names the count and the first of the failing
+        X_k (as in ``x_full``) or slots (the CSV's n).
         """
         x, y = self.x_full, self.y
         bad = np.flatnonzero(~(x >= 0))  # NaN fails the comparison too
@@ -342,6 +343,9 @@ def tee_csv(blocks: Iterable, path) -> Iterator:
             _write_rows(fh, prev._columns(first_n, None))
 
 
+# Slots per engine block and scan slice: on 2 vCPUs (Python 3.11, numpy 2.4.6; medians of 5-7
+# runs in process) 2**14 to 2**18 slots ran those CSV runs in 0.25-0.30 s and a 1e7-slot scan
+# in 0.20-0.26 s; the 1e6-slot queue with its CSV peaked at 39, 44 and 65 MB at 2**14, 16, 18.
 _BLOCK_SLOTS = 1 << 16
 
 
@@ -355,21 +359,27 @@ def _check_run(n_slots: int, init_x=0, burn_in: int = 0) -> None:
         raise ValueError(f"burn_in must lie in [0, {n_slots}), got {burn_in}")
 
 
+def _draws(arrival: DistSpec, services: Sequence[DistSpec], n_slots: int, stream: RandomStream,
+           block: int, lo: int = 0, hi: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+    """A run's draws, the one copy of their order: arrivals, then each stage's services,
+    each one ``sample_n`` call of ``n_slots`` values, of which values lo..hi-1 are
+    read in slices of ``block``; zipped into (arrivals, *services) slices."""
+    return zip(*(sample_chunks(spec, stream, n_slots, block, lo, hi)
+                 for spec in (arrival, *services)))
+
+
 def _series(arrival: DistSpec, services: Sequence[DistSpec], n_slots: int,
             stream: RandomStream, init_x, block: int) -> Iterator[list[Trace]]:
-    """The slot engine: queues in series, one trace per stage for each block of slots.
+    """The slot engine on the :func:`_draws` of all slots: one trace per stage per block.
 
-    Arrivals are drawn first, then each stage's services in stage order,
-    each one ``sample_n`` call read in slices of ``block``.  Stage r's
-    departures are stage r+1's arrivals; stage 1 starts at ``init_x``, the
-    others empty.  A stage whose arrival and service dtypes differ runs in
-    float.  A series needs at least one stage.
+    Stage r's departures are stage r+1's arrivals; stage 1 starts at ``init_x``, the
+    others empty.  A stage whose arrival and service dtypes differ runs in float.
     """
     _check_run(n_slots, init_x)
     if not services:
         raise ValueError("need at least one stage")
-    draws = [sample_chunks(spec, stream, n_slots, block) for spec in (arrival, *services)]
-    return _run_series(zip(*draws), [init_x] + [0] * len(services))
+    return _run_series(_draws(arrival, services, n_slots, stream, block),
+                       [init_x] + [0] * len(services))
 
 
 def _run_series(blocks, inits) -> Iterator[list[Trace]]:
@@ -419,15 +429,13 @@ def _slot_means(sum_x: int, sum_a: int, x_burn: int, x_end: int, count: int) -> 
             "d": (sum_a + x_burn - x_end) / count}
 
 
-def block_means(blocks: Iterable, burn_in: int, out=None) -> list[dict[str, float]]:
+def block_means(blocks: Iterable, burn_in: int) -> list[dict[str, float]]:
     """Per stage, the means of X, Y and D after burn-in of Trace or TandemTrace blocks.
 
-    With ``out`` the blocks' joint CSV is written as they pass (:func:`tee_csv`).
-    Each stage sums X and A exactly and keeps X at the burn-in slot and at the end.
-    A burn-in outside [0, slots) raises ``ValueError`` once the blocks have passed.
+    It only sums: each stage sums X and A exactly and keeps X at the burn-in slot and
+    at the end.  A burn-in outside [0, slots) raises ``ValueError`` once the blocks
+    have passed.
     """
-    if out:
-        blocks = tee_csv(blocks, out)
     sums, first = [], 0
     for blk in blocks:
         stages = getattr(blk, "stages", [blk])
@@ -465,12 +473,11 @@ _LEVEL_CAP = 1 << 16
 class _ShardScan:
     """What a shard of slots lo..hi-1 knows of its queue before it knows X_lo.
 
-    With c_j the shard's prefix sums of A - S (c_0 = 0) and
-    M_j = max_{i<=j} -c_i, the queue started at X_lo = h has
-    X_{lo+j} = c_j + max(h, M_j).  The sums run over the counted slots,
-    those from the burn-in on; ``levels[v-1]`` counts the counted slots
-    with M_j < v for v = 1..min(top, cap), ``top`` being M at the last
-    counted slot (0 without one), and every counted slot has M_j < v above top.
+    With c_j the shard's prefix sums of A - S (c_0 = 0) and M_j = max_{i<=j} -c_i, the queue
+    started at X_lo = h has X_{lo+j} = c_j + max(h, M_j).  The sums run over the counted
+    slots, those from the burn-in on; ``levels[v-1]`` counts the counted slots with M_j < v
+    for v = 1..min(top, cap), ``top`` being M at the last counted slot (0 without one), and
+    every counted slot has M_j < v above top.
     """
 
     sum_c: int
@@ -498,12 +505,10 @@ def _scan_shard(arrival: DistSpec, service: DistSpec, n_slots: int, stream: Rand
 
     The stream moves past all the queue's draws, as ``simulate_blocks`` moves it.
     """
-    draws = [sample_chunks(spec, stream, n_slots, _BLOCK_SLOTS, lo, hi)
-             for spec in (arrival, service)]
     sum_c = sum_m = sum_a = count = top = c0 = m0 = have = 0
     at_burn, levels = None, []
     first = lo
-    for a, s in zip(*draws):
+    for a, s in _draws(arrival, [service], n_slots, stream, _BLOCK_SLOTS, lo, hi):
         m = len(a)
         c, mx = _prefix(a, s, c0, m0, np.int64)
         k = max(burn - first, 0)
@@ -531,15 +536,13 @@ def scan_means(arrival: DistSpec, service: DistSpec, n_slots: int, stream: Rando
                init_x: int = 0, burn_in: int = 0) -> dict[str, float]:
     """The means of X, Y and D over slots burn_in.. of ``simulate_blocks``' single queue, sharded.
 
-    The slots split into the contiguous shards of :func:`~batchq.workers.shard_spans`,
-    of at least ``_SHARD_SLOTS`` slots each, run through :func:`~batchq.workers.fork_map`;
-    each shard reads its part of the same draws from cursors and is
-    scanned without its start (:class:`_ShardScan`).  The start then
-    carries through the shards in order, and a shard whose recorded
-    levels stop below it is rescanned here with every level.  The four
-    integers, and so the means, are those of the slot engine, and the
-    stream moves as ``simulate_blocks`` moves it.  The batches must be
-    integer-valued.
+    The slots split into the contiguous shards of :func:`~batchq.workers.shard_spans`, of at
+    least ``_SHARD_SLOTS`` slots each, run through :func:`~batchq.workers.fork_map`; each shard
+    reads its part of the same draws from cursors and is scanned without its start
+    (:class:`_ShardScan`).  The start then carries through the shards in order, and a shard
+    whose recorded levels stop below it is rescanned here with every level.  The four integers,
+    and so the means, are those of the slot engine, and the stream moves as ``simulate_blocks``
+    moves it.  The batches must be integer-valued.
     """
     if not (arrival.is_discrete and service.is_discrete):
         raise ValueError("the queue scan needs integer-valued arrivals and services")
@@ -748,12 +751,12 @@ def excursion_loglik(params: QueueParams, a_seq: Sequence[int], d_seq: Sequence[
     return ll
 
 
-def _pmf_table(spec, tol: float) -> np.ndarray:
-    """pmf of a discrete spec on 0..tail_cutoff(spec, tol), or a checked explicit pmf vector."""
+def _pmf_table(spec) -> np.ndarray:
+    """pmf of a discrete spec on 0..tail_cutoff(spec, 1e-14), or a checked explicit pmf vector."""
     if isinstance(spec, DistSpec):
         if not spec.is_discrete:
             raise ValueError("markov_oracle needs discrete specs")
-        return pmf_vector(spec, tail_cutoff(spec, tol))
+        return pmf_vector(spec, tail_cutoff(spec, 1e-14))
     v = np.asarray(spec, dtype=float)
     if v.ndim != 1 or np.any(v < 0) or abs(v.sum() - 1.0) > 1e-12:
         raise ValueError("explicit pmf must be a nonnegative vector summing to 1")
@@ -763,20 +766,18 @@ def _pmf_table(spec, tol: float) -> np.ndarray:
 def markov_oracle(arrival: DistSpec, service, K: int = 200) -> np.ndarray:
     """Stationary pmf of the queue-length chain on {0..K}, brute force.
 
-    Builds the exact one-slot kernel from pmfs and tails (``service`` may
-    be a DistSpec or an explicit finite pmf vector), then solves pi P = pi
-    by GTH elimination (Grassmann, Taksar & Heyman 1985): states are
-    censored out from K down to 1, each exit rate is the sum of the
-    remaining off-diagonal row entries, and no step subtracts, so every
-    entry of the result carries a small relative error.  Arrival batches
-    are truncated where their tail drops below 1e-14 and the lost kernel
-    mass is left unreflected, so the result is honest about truncation:
-    if the law leaves more than 1e-12 mass near the truncation boundary
-    the call fails asking for a larger K, and otherwise it fails when the
-    residual of pi P = pi exceeds 1e-13.
+    Builds the exact one-slot kernel from pmfs and tails (``service`` may be a DistSpec or
+    an explicit finite pmf vector), then solves pi P = pi by GTH elimination (Grassmann,
+    Taksar & Heyman 1985): states are censored out from K down to 1, each exit rate is the
+    sum of the remaining off-diagonal row entries, and no step subtracts, so every entry of
+    the result carries a small relative error.  Arrival batches are truncated where their
+    tail drops below 1e-14 and the lost kernel mass is left unreflected, so the result is
+    honest about truncation: if the law leaves more than 1e-12 mass near the truncation
+    boundary the call fails asking for a larger K, and otherwise it fails when the residual
+    of pi P = pi exceeds 1e-13.
     """
-    a_pmf = _pmf_table(arrival, 1e-14)
-    s_pmf = _pmf_table(service, 1e-14)
+    a_pmf = _pmf_table(arrival)
+    s_pmf = _pmf_table(service)
     service_mean = float(np.arange(len(s_pmf)) @ s_pmf)
     if mean(arrival) >= service_mean:
         raise ValueError("unstable queue: oracle needs mean service > mean arrival")

@@ -5,13 +5,16 @@ p-values come from our own regularized incomplete gamma (series plus
 continued fraction, accurate to ~1e-12), so no statistics library is
 required.  The pooling rule is fixed: cells are merged from the tail
 downward until every expected count reaches 5, and a deficient leading
-group is folded into its neighbour.
+group is folded into its neighbour.  A chi-square result also keeps its
+pooled cell count and its worst cell (the largest term of the statistic):
+the values the cell pools ("3", "3..5", or "6+" for a cell that holds the
+tail from 6 on), and its observed and expected counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +36,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one statistical check at a declared significance level."""
+    """Outcome of one statistical check at a declared significance level.
+
+    A chi-square test sets ``_cells`` to ``{"cells": n, "worst_cell": {"values": ...,
+    "observed": ..., "expected": ...}}``, which a report shows for a failed check only.
+    """
 
     name: str
     statistic: float
@@ -41,6 +48,7 @@ class TestResult:
     p_value: float
     level: float
     passed: bool
+    _cells: dict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -133,29 +141,50 @@ def chi2_sf(stat: float, dof: int) -> float:
 # --- pooling --------------------------------------------------------------
 
 def _pool_tail(observed: np.ndarray, expected: np.ndarray):
-    """Merge cells from the tail downward until expected counts reach 5."""
+    """Merge cells from the tail downward until expected counts reach 5: the pooled
+    observed and expected counts, and the index of each pooled cell's first cell."""
     groups_o: list[float] = []
     groups_e: list[float] = []
+    starts: list[int] = []
     acc_o = acc_e = 0.0
-    for o, e in zip(observed[::-1], expected[::-1]):
-        acc_o += o
-        acc_e += e
+    for i in range(len(observed) - 1, -1, -1):
+        acc_o += observed[i]
+        acc_e += expected[i]
         if acc_e >= 5.0:
             groups_o.append(acc_o)
             groups_e.append(acc_e)
+            starts.append(i)
             acc_o = acc_e = 0.0
     if acc_e > 0.0 and groups_e:
         # deficient front group joins the front-most complete group
         groups_o[-1] += acc_o
         groups_e[-1] += acc_e
+        starts[-1] = 0
     elif acc_e > 0.0:
         groups_o.append(acc_o)
         groups_e.append(acc_e)
+        starts.append(0)
     o = np.array(groups_o[::-1])
     e = np.array(groups_e[::-1])
     if len(o) < 2 or e.min() < 5.0:
         raise ValueError("insufficient counts: fewer than two cells with expected >= 5")
-    return o, e
+    return o, e, starts[::-1]
+
+
+def _spans(starts: list[int], size: int, tail: bool) -> list[str]:
+    """The values each pooled cell holds, from the first cells ``starts`` of ``size`` cells;
+    with ``tail`` the last cell holds every value from its index on."""
+    ends = [*(s - 1 for s in starts[1:]), size - 1]
+    return [f"{lo}+" if tail and hi == size - 1 else str(lo) if lo == hi else f"{lo}..{hi}"
+            for lo, hi in zip(starts, ends)]
+
+
+def _worst_cell(terms: np.ndarray, values: list, observed, expected) -> dict:
+    """The pooled cell count and the cell of the largest statistic term, as JSON values."""
+    w = int(np.argmax(terms))
+    return {"cells": int(terms.size),
+            "worst_cell": {"values": values[w], "observed": np.asarray(observed)[..., w].tolist(),
+                           "expected": np.asarray(expected)[..., w].tolist()}}
 
 
 def chi_square_gof(emp: EmpiricalPmf,
@@ -177,11 +206,13 @@ def chi_square_gof(emp: EmpiricalPmf,
         if probs.shape != emp.counts.shape:
             raise ValueError("expected vector must align with emp.counts")
     e = probs * emp.n
-    o, e = _pool_tail(emp.counts.astype(float), e)
-    stat = float(((o - e) ** 2 / e).sum())
+    o, e, starts = _pool_tail(emp.counts.astype(float), e)
+    terms = (o - e) ** 2 / e
+    stat = float(terms.sum())
     dof = len(o) - 1
     p = chi2_sf(stat, dof)
-    return TestResult(name, stat, dof, p, level, p >= level)
+    return TestResult(name, stat, dof, p, level, p >= level,
+                      _worst_cell(terms, _spans(starts, len(probs), True), o, e))
 
 
 def chi_square_two_sample(counts1: np.ndarray, counts2: np.ndarray,
@@ -202,14 +233,17 @@ def chi_square_two_sample(counts1: np.ndarray, counts2: np.ndarray,
         raise ValueError("empty histogram")
     pooled = (c1 + c2) / (n1 + n2)
     # pool both rows with a shared grouping driven by the smaller sample
-    c1p, _ = _pool_tail(c1, pooled * min(n1, n2))
-    c2p, _ = _pool_tail(c2, pooled * min(n1, n2))
+    c1p, _, starts = _pool_tail(c1, pooled * min(n1, n2))
+    c2p, _, _ = _pool_tail(c2, pooled * min(n1, n2))
     p_hat = (c1p + c2p) / (n1 + n2)
-    stat = float((((c1p - n1 * p_hat) ** 2) / (n1 * p_hat)).sum()
-                 + (((c2p - n2 * p_hat) ** 2) / (n2 * p_hat)).sum())
+    terms1 = ((c1p - n1 * p_hat) ** 2) / (n1 * p_hat)
+    terms2 = ((c2p - n2 * p_hat) ** 2) / (n2 * p_hat)
+    stat = float(terms1.sum() + terms2.sum())
     dof = len(c1p) - 1
     p = chi2_sf(stat, dof)
-    return TestResult(name, stat, dof, p, level, p >= level)
+    return TestResult(name, stat, dof, p, level, p >= level,
+                      _worst_cell(terms1 + terms2, _spans(starts, len(c1), False),
+                                  [c1p, c2p], [n1 * p_hat, n2 * p_hat]))
 
 
 def encode_pairs(a: np.ndarray, b: np.ndarray, cutoff: int) -> np.ndarray:
@@ -240,7 +274,8 @@ def independence_chi2(x: Sequence[int], y: Sequence[int],
     table = np.zeros((x_cutoff + 1, y_cutoff + 1))
     np.add.at(table, (xv, yv), 1.0)
     # drop empty categories, then merge tails until expected counts are valid
-    table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+    xs, ys = (np.flatnonzero(table.sum(axis=a) > 0).tolist() for a in (1, 0))
+    table = table[xs][:, ys]
     if table.shape[0] < 2 or table.shape[1] < 2:
         raise ValueError("degenerate marginals: need two categories per axis")
     while True:
@@ -251,14 +286,21 @@ def independence_chi2(x: Sequence[int], y: Sequence[int],
             break
         if table.shape[0] >= table.shape[1] and table.shape[0] > 2:
             table = np.vstack([table[:-2], table[-2] + table[-1]])
+            xs.pop()
         elif table.shape[1] > 2:
             table = np.hstack([table[:, :-2], (table[:, -2] + table[:, -1])[:, None]])
+            ys.pop()
         else:
             raise ValueError("insufficient counts: cannot reach expected >= 5")
-    stat = float(((table - expected) ** 2 / expected).sum())
+    terms = (table - expected) ** 2 / expected
+    stat = float(terms.sum())
     dof = (table.shape[0] - 1) * (table.shape[1] - 1)
     p = chi2_sf(stat, dof)
-    return TestResult(name, stat, dof, p, level, p >= level)
+    # a category holds its value up to the next one's; the last, from the cutoff on
+    cells = [{"x": x, "y": y} for x in _spans(xs, x_cutoff + 1, True)
+             for y in _spans(ys, y_cutoff + 1, True)]
+    return TestResult(name, stat, dof, p, level, p >= level,
+                      _worst_cell(terms.ravel(), cells, table.ravel(), expected.ravel()))
 
 
 def lag_autocorr(seq: Sequence[float], lag: int) -> tuple[float, float]:

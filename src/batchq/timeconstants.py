@@ -311,13 +311,17 @@ class CurveResult:
 
 
 def _lookup(variant: str, params: dict) -> tuple[Callable, bool, dict]:
-    """A variant's table row, with its parameters by name in place of their names."""
+    """A variant's table row, with its parameters by name in place of their names; a
+    missing parameter or one the variant does not take is refused."""
     if variant not in _TABLE:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     names, fn, variational = _TABLE[variant]
     missing = [k for k in names if k not in params]
     if missing:
         raise ValueError(f"variant {variant} needs parameters {missing}")
+    extra = sorted(set(params) - set(names))
+    if extra:
+        raise ValueError(f"variant {variant} does not take the parameters {extra}")
     return fn, variational, {k: params[k] for k in names}
 
 
@@ -334,7 +338,8 @@ def objective(variant: str, params: dict, x: float) -> _Objective:
 
 
 def curve(variant: str, params: dict, xs: Sequence[float]) -> CurveResult:
-    """Tabulate (x, f(x), maximizer) for one model variant on a grid."""
+    """Tabulate (x, f(x), maximizer) for one model variant on a grid; ``params`` holds
+    exactly the variant's parameters."""
     fn, variational, args = _lookup(variant, params)
     xs = list(xs)
     if not xs:

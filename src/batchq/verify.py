@@ -19,7 +19,10 @@ suite fails (``batchq verify`` exits 1).
 Statistical checks carry a chi-square or KS p-value; :func:`run_suite`
 re-grades them at a Bonferroni-corrected level (0.01 divided by the
 number of statistical checks in the suite) so the suite-level
-false-alarm rate stays at 1%.
+false-alarm rate stays at 1%.  A chi-square check that fails there names
+its pooled cell count under ``cells`` and the cell of its largest term
+under ``worst_cell``: the values it pools and its observed and expected
+counts.
 
 One table, :data:`FAMILIES`, lists every family in report order with
 its suite and its substream index; ``check_<family>`` runs it.  A
@@ -104,9 +107,13 @@ def _trials(name: str, failures: list[dict]) -> dict:
 
 
 def _stat(result: TestResult) -> dict:
-    return {"name": result.name, "kind": "stat", "passed": bool(result.passed),
-            "observed": float(result.p_value), "requirement": f"p >= {result.level:g}",
-            "statistic": float(result.statistic), "dof": int(result.dof)}
+    """The statistical check of ``result``; failing at its own level, a chi-square check
+    carries its pooled cell count and its worst cell, which :func:`run_suite` keeps only
+    where the check fails at the suite's level."""
+    check = {"name": result.name, "kind": "stat", "passed": bool(result.passed),
+             "observed": float(result.p_value), "requirement": f"p >= {result.level:g}",
+             "statistic": float(result.statistic), "dof": int(result.dof)}
+    return check if result.passed or result._cells is None else {**check, **result._cells}
 
 
 # --- distributions ----------------------------------------------------------
@@ -673,6 +680,9 @@ def run_suite(suite: str, seed: int) -> dict:
         if c["kind"] == "stat":
             c["passed"] = bool(c["observed"] >= level)
             c["requirement"] = f"p >= {level:.6g} (0.01 Bonferroni over {n_stat})"
+            if c["passed"]:
+                c.pop("cells", None)
+                c.pop("worst_cell", None)
     return {
         "suite": suite,
         "seed": seed,

@@ -266,7 +266,8 @@ def test_explicit_zero_counts_are_not_replaced_by_defaults(argv, refusal, capsys
                                   "tandem-negative-burn-in", "non-object-config",
                                   "tc-ber-geom-q-above-1", "tc-ber-exp-q-above-1",
                                   "tc-cont-geom-beta-above-1", "tc-ber-geom-negative-x",
-                                  "tc-cont-exp-negative-x", "non-object-spec", "non-object-weights",
+                                  "tc-cont-exp-negative-x", "tc-exp-with-q-and-beta",
+                                  "non-object-spec", "non-object-weights",
                                   "weights-missing-field", "spec-string-field", "spec-bool-field",
                                   "perc-x-below-one-column", "perc-empty-grid",
                                   "dist-negative-max-k", "queue-format", "verify-format",
@@ -308,6 +309,9 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
         "tc-ber-geom-negative-x": ["tc", "--variant", "ber_geom", "--q", "0.5", "--beta", "0.5",
                                    "--x", "-1"],
         "tc-cont-exp-negative-x": ["tc", "--variant", "cont_exp", "--x", "-1"],
+        # a flag the variant does not take is refused, not ignored
+        "tc-exp-with-q-and-beta": ["tc", "--variant", "exp", "--q", "0.5", "--beta", "0.9",
+                                   "--x", "3"],
         "non-object-spec": ["dist", "pmf", "--spec", "[1]"],
         "non-object-weights": ["perc", "simulate", "--weights", "[1]", "--x", "1", "--n", "10",
                                "--replicas", "2"],

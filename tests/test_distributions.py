@@ -601,6 +601,22 @@ def test_every_face_makes_the_values_of_one_sample_n_call(kind, data):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), face
 
 
+@pytest.mark.parametrize("value, dtype", [(3, np.int64), (2.5, np.float64)])
+def test_a_constant_batch_is_one_read_only_value(value, dtype):
+    spec = dist.deterministic(value)
+    faces = [("sample_n", dist.sample_n(spec, RandomStream(1), 9))]
+    # successive yields, each taken before the next is asked for
+    faces += [(f"sample_blocks yield {j}", b) for j, b in enumerate(
+        dist.sample_blocks(spec, [RandomStream(1), RandomStream(2)], 5, 7, 2))]
+    faces += [(f"sample_chunks slice {j}", c) for j, c in enumerate(
+        dist.sample_chunks(spec, RandomStream(1), 20, 6, 1, 19))]
+    assert len(faces) == 1 + 3 + 3
+    for face, got in faces:
+        assert got.dtype == dtype and (got == value).all(), face
+        # zero strides: every element is the one value's memory, whatever the shape
+        assert not got.flags.writeable and set(got.strides) == {0}, face
+
+
 def test_every_face_refuses_an_unusable_spec_at_the_call_with_the_stream_unmoved():
     faces = {"sample_n": lambda spec, s: dist.sample_n(spec, s, 10),
              "sample_chunks": lambda spec, s: dist.sample_chunks(spec, s, 10, 3),

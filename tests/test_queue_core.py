@@ -116,6 +116,17 @@ def test_unstable_parameters_allowed():
     assert tr.x[-1] > 100  # the queue grows without bound
 
 
+def test_a_run_draws_its_arrivals_then_each_stage_services_in_stage_order():
+    arrival = dist.ber_geom(0.3, 0.6)
+    services = [dist.ber_geom(0.5, 0.5), dist.geom_zero(0.4), dist.bernoulli(0.7)]
+    stream, ref = RandomStream(11), RandomStream(11)
+    stages = simulate_series(arrival, services, 500, stream)
+    assert np.array_equal(stages[0].a, dist.sample_n(arrival, ref, 500))
+    for tr, spec in zip(stages, services):
+        assert np.array_equal(tr.s, dist.sample_n(spec, ref, 500))
+    assert stream.uniform() == ref.uniform()  # and moves the stream past them all
+
+
 def test_path_max_examples():
     assert path_max_X([0, 0, 0], [1, 1, 1]) == 0
     assert path_max_X([3, 0], [1, 1]) == 1

@@ -63,8 +63,44 @@ def test_gof_pools_small_expected_cells():
 
 def test_pooling_joins_deficient_front_cells_to_the_first_full_group():
     # from the tail: 3 + 50 and 50 reach 5; the front cell (expected 1) joins the 50
-    o, e = _pool_tail(np.array([1.0, 50.0, 50.0, 3.0]), np.array([1.0, 50.0, 50.0, 3.0]))
+    o, e, starts = _pool_tail(np.array([1.0, 50.0, 50.0, 3.0]), np.array([1.0, 50.0, 50.0, 3.0]))
     assert o.tolist() == e.tolist() == [51.0, 53.0]
+    assert starts == [0, 2]
+
+
+def _span(text: str) -> tuple[float, float]:
+    """The values of a pooled cell's label: "3", "3..5", or "6+" (6 and above)."""
+    if text.endswith("+"):
+        return int(text[:-1]), math.inf
+    lo, _, hi = text.partition("..")
+    return int(lo), int(hi or lo)
+
+
+def test_a_chi_square_result_names_its_pooled_cells_and_its_worst_cell():
+    # gof: value 1 is 30 above its expected 300, and the tail (expected 2) pools from 3 on
+    emp = EmpiricalPmf(counts=np.array([470, 330, 150, 40, 10]), n=1000, cutoff=3)
+    cells = chi_square_gof(emp, np.array([0.5, 0.3, 0.15, 0.048, 0.002]))._cells
+    assert cells["cells"] == 4
+    assert cells["worst_cell"] == {"values": "1", "observed": 330.0,
+                                   "expected": pytest.approx(300.0)}
+    # two samples: the histograms differ at index 2, and the last three indices pool
+    cells = chi_square_two_sample([100, 200, 300, 50, 3, 1], [100, 200, 200, 50, 3, 1])._cells
+    assert cells["cells"] == 4
+    assert cells["worst_cell"]["values"] == "2"
+    assert cells["worst_cell"]["observed"] == [300.0, 200.0]
+    # independence: the worst cell's observed count is the pairs its labels hold
+    x = dist.sample_n(dist.geom_zero(0.4), RandomStream(1), 20_000)
+    y = dist.sample_n(dist.geom_zero(0.4), RandomStream(2), 20_000)
+    y[:3000] = x[:3000]
+    res = independence_chi2(x, y, 6, 6, min_pairs=1000)
+    cells = res._cells
+    assert not res.passed and cells["cells"] > res.dof
+    (xlo, xhi), (ylo, yhi) = (_span(cells["worst_cell"]["values"][k]) for k in "xy")
+    held = (xlo <= x) & (x <= xhi) & (ylo <= y) & (y <= yhi)
+    assert cells["worst_cell"]["observed"] == held.sum()
+    terms = ((cells["worst_cell"]["observed"] - cells["worst_cell"]["expected"]) ** 2
+             / cells["worst_cell"]["expected"])
+    assert terms >= res.statistic / cells["cells"]  # the largest term is at least the mean
 
 
 def test_gof_insufficient_counts():

@@ -143,7 +143,7 @@ def test_objectives_are_unimodal_on_scans():
 def test_closed_forms_have_no_objective():
     for variant in ("ber", "geom", "exp", "cont_poisson"):
         with pytest.raises(ValueError, match="closed form"):
-            tc.objective(variant, {"q": 0.5, "beta": 0.5}, 2.0)
+            tc.objective(variant, {k: 0.5 for k in PUBLIC[variant][1]}, 2.0)
     with pytest.raises(ValueError, match="needs parameters"):
         tc.objective("ber_geom", {"q": 0.5}, 2.0)
 
@@ -167,6 +167,13 @@ def test_curve_validation_and_rows():
         tc.curve("ber_geom", {"q": 0.5}, [1.0])
     with pytest.raises(ValueError, match="empty"):
         tc.curve("exp", {}, [])
+    # a parameter the variant does not take is refused, not ignored, on both paths
+    for variant, params in (("exp", {"q": 0.5, "bogus": 1}), ("ber", {"q": 0.5, "beta": 0.9}),
+                            ("cont_exp", {"beta": 0.5})):
+        with pytest.raises(ValueError, match="does not take the parameters"):
+            tc.curve(variant, params, [3.0])
+    with pytest.raises(ValueError, match=r"does not take the parameters \['q'\]"):
+        tc.objective("cont_geom", {"q": 0.5, "beta": 0.5}, 3.0)
     rows = tc.curve("ber", {"q": 0.5}, [2.0]).csv_rows()
     assert rows[0].startswith("ber,q=0.5,2,")
 
@@ -193,7 +200,7 @@ VARIATIONAL = ("ber_geom", "ber_exp", "cont_geom", "cont_exp", "legendre")
        x=st.floats(0.01, 12.0))
 def test_curve_points_are_the_public_values(variant, q, beta, x):
     fn, names = PUBLIC[variant]
-    params = {"q": q, "beta": beta}
+    params = {k: v for k, v in (("q", q), ("beta", beta)) if k in names}
     try:
         expect = fn(*(params[k] for k in names), x)
     except ArithmeticError:
@@ -214,7 +221,7 @@ BAD_X = st.one_of(st.floats(max_value=0.0), st.just(math.nan))
 @given(variant=st.sampled_from(tc.VARIANTS), data=st.data())
 def test_out_of_range_inputs_raise_on_every_path(variant, data):
     fn, names = PUBLIC[variant]
-    params, x = {"q": 0.5, "beta": 0.5}, 2.0
+    params, x = {k: 0.5 for k in names}, 2.0
     target = data.draw(st.sampled_from(["x", *names]))
     if target == "x":
         x = data.draw(BAD_X)

@@ -15,6 +15,7 @@ import pytest
 from batchq import cli
 from batchq import distributions as dist
 from batchq import percolation as perc
+from batchq import stats
 from batchq import timeconstants as tc
 from batchq import verify
 from batchq.streams import RandomStream
@@ -211,6 +212,33 @@ def test_a_nan_error_fails_and_names_its_case(name, family, patches, key, reprod
         assert math.isnan(check["observed"]) and check["worst_case"] == reproducer
     else:  # every trial compares NaN, so the first trial fails
         assert check["first_failure"]["substream"] == reproducer
+
+
+def test_a_failed_chi_square_check_names_its_pooled_cells_and_its_worst_cell(monkeypatch):
+    real = dist.sample_compound_n
+    # the compound sampler's draws, judged against BerGeom(p, alpha), come from alpha 10 % low
+    monkeypatch.setattr(dist, "sample_compound_n", lambda p, a, st, n: real(p, 0.9 * a, st, n))
+    report = verify.run_suite("distributions", 1)
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["compound_matches_bergeom_p0.2_a0.4",
+                                           "compound_matches_bergeom_p0.333333_a0.666667",
+                                           "compound_matches_bergeom_p0.1_a0.5"]
+    for c in failed:
+        cell = c["worst_cell"]
+        assert c["cells"] == c["dof"] + 1 and isinstance(cell["values"], str)
+        # the worst cell's term is the largest, so at least the statistic's mean term
+        assert (cell["observed"] - cell["expected"]) ** 2 / cell["expected"] >= (
+            c["statistic"] / c["cells"])
+    # a passing row is unchanged
+    assert not any({"cells", "worst_cell"} & set(c) for c in report["checks"] if c["passed"])
+    # so is one that fails at its own level 0.01 but passes at the suite's 0.005
+    pooled = {"cells": 2, "worst_cell": {"values": "0", "observed": 1.0, "expected": 2.0}}
+    results = [stats.TestResult(f"t{i}", 9.0, 1, p, 0.01, False, pooled)
+               for i, p in enumerate((0.006, 0.004))]
+    monkeypatch.setattr(verify, "check_stats", lambda seed: [verify._stat(r) for r in results])
+    checks = verify.run_suite("stats", 1)["checks"]
+    assert [(c["passed"], "cells" in c, "worst_cell" in c) for c in checks] == [
+        (True, False, False), (False, True, True)]
 
 
 def test_stationary_oracle_names_the_set_and_state_of_its_worst_error(monkeypatch):

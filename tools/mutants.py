@@ -144,6 +144,28 @@ MUTANTS = [
     Mutant("geom_plus_values_without_floor", "distributions.py",
            "    np.floor(u, out=u)\n", ""),
     Mutant("geom_plus_values_without_plus_1", "distributions.py", "    u += 1\n", ""),
+    # one owner of a run's draw order, the queue scan and the hand mutants named in prose
+    Mutant("services_drawn_before_arrivals", "queue_core.py",
+           "for spec in (arrival, *services)", "for spec in (*services, arrival)"),
+    Mutant("scan_levels_searched_right", "queue_core.py", 'side="left"', 'side="right"'),
+    Mutant("scan_burn_in_window_one_slot_late", "queue_core.py",
+           "k = max(burn - first, 0)", "k = max(burn - first + 1, 0)"),
+    Mutant("scan_rerun_skipped", "queue_core.py", "if not part.exact_for(h):", "if False:"),
+    Mutant("scan_start_not_carried", "queue_core.py",
+           "h = part.end[0] + max(h, part.end[1])", "h = part.end[0] + max(init_x, part.end[1])"),
+    Mutant("fork_map_results_out_of_task_order", "workers.py",
+           "results.append(value)", "results.insert(0, value)"),
+    Mutant("sweep_pinned_start_on_the_last_row", "percolation.py",
+           "dp[..., 0] = first[..., 0]", "dp[..., -1] = first[..., -1]"),
+    Mutant("gth_band_one_row_short", "queue_core.py",
+           "lo = max(0, k - a_max)", "lo = max(0, k - a_max + 1)"),
+    Mutant("pool_tail_expected_count_4", "stats.py", "if acc_e >= 5.0:", "if acc_e >= 4.0:"),
+    Mutant("bonferroni_level_dropped", "verify.py",
+           "level = 0.01 / max(1, n_stat)", "level = 0.01"),
+    Mutant("chi2_sf_dof_not_halved", "stats.py",
+           "gamma_q(dof / 2.0, stat / 2.0)", "gamma_q(dof, stat / 2.0)"),
+    Mutant("tc_extra_parameter_accepted", "timeconstants.py", "if extra:", "if False:",
+           ("tests/test_timeconstants.py", "tests/test_cli.py")),
 ]
 
 
