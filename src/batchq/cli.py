@@ -41,7 +41,9 @@ handling of main()): interpreter and site 0.08 s; the numpy import about
 every command compile its modules; the cyclic GC 37 collections and
 9.5 ms -> 4 or 5 collections and 0.9 ms; the handler, 0.07 s (perc
 identity) to 0.6 s (perc simulate); and the interpreter's exit
-42-53 ms -> 11-17 ms.
+42-53 ms -> 11-17 ms.  tc and dist pmf import no numpy (11 runs from an exec-only
+launcher): tc --variant exp --x 3 140 -> 72 ms and 30.6 -> 16.2 MB peak, the README
+tc curve 138 -> 73 ms, and dist pmf 122 -> 67 ms and 28.3 -> 15.7 MB.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 import gc
 
 if __name__ == "__main__":
-    gc.disable()  # over the imports; main() freezes what they made and enables it again
+    gc.disable()  # over the imports, to main()'s _start(), which freezes what they made
 
 import argparse
 import importlib
@@ -57,13 +59,9 @@ import io
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
 
-from . import distributions as dist
-from .streams import RandomStream
-
-if TYPE_CHECKING:
-    from .queue_core import QueueParams
+from . import laws
+from .streams import RandomStream, check_seed
 
 __all__ = ["main", "run"]
 
@@ -122,22 +120,22 @@ def _load_json(text: str):
     return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_not_a_number)
 
 
-def _spec(text: str) -> dist.DistSpec:
-    return dist.DistSpec.from_dict(_load_json(text))
+def _spec(text: str) -> laws.DistSpec:
+    return laws.DistSpec.from_dict(_load_json(text))
 
 
 def _seed(text: str) -> int:
-    """A --seed value: an integer that :class:`RandomStream` takes, in [0, 2**64)."""
+    """A --seed value: an integer in [0, 2**64), checked by :func:`~batchq.streams.check_seed`."""
     try:
-        return RandomStream(int(text)).seed
+        return check_seed(int(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _leaf(sp: argparse.ArgumentParser, handler) -> None:
-    """Give the subcommand ``sp`` the common flags, its handler, and itself, whose usage
-    any error in it prints."""
-    sp.set_defaults(handler=handler, leaf=sp)
+def _leaf(sp: argparse.ArgumentParser, handler, *modules: str) -> None:
+    """Give the subcommand ``sp`` the common flags, its handler, the batchq modules the
+    handler imports, and itself, whose usage any error in it prints."""
+    sp.set_defaults(handler=handler, leaf=sp, modules=modules)
     sp.add_argument("--seed", type=_seed, default=1,
                     help="PRNG seed in [0, 2**64) (default %(default)s)")
     sp.add_argument("--out", default=None, help="write the primary output to this file")
@@ -179,12 +177,11 @@ def _with_config(argv: list[str], args: argparse.Namespace) -> list[str]:
     return argv[:depth] + flags + argv[depth:]
 
 
-def _queue_params(args) -> QueueParams:
-    from .queue_core import QueueParams
+def _queue_params(args) -> laws.QueueParams:
     missing = [k for k in ("p", "alpha", "q", "beta") if getattr(args, k) is None]
     if missing:
         raise ValueError(f"missing required flags: {', '.join('--' + m for m in missing)}")
-    return QueueParams(p=args.p, alpha=args.alpha, q=args.q, beta=args.beta)
+    return laws.QueueParams(p=args.p, alpha=args.alpha, q=args.q, beta=args.beta)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -214,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("dist", help="distribution pmf tables and samples")
     dist_sub = p_dist.add_subparsers(dest="action", required=True)
-    for action, handler, hlp in (("pmf", _cmd_pmf, "tabulate the pmf"),
-                                 ("sample", _cmd_sample, "draw samples")):
+    for action, handler, hlp, modules in (("pmf", _cmd_pmf, "tabulate the pmf", ()),
+                                          ("sample", _cmd_sample, "draw samples",
+                                           ("distributions", "queue_core"))):
         sp = dist_sub.add_parser(action, help=hlp)
         sp.add_argument("--spec", required=True, help='distribution JSON, e.g. '
                         '\'{"kind": "ber_geom", "p": 0.333, "alpha": 0.667}\'')
@@ -225,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n", type=int, default=10, help="draw count (default %(default)s)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="(default %(default)s)")
-        _leaf(sp, handler)
+        _leaf(sp, handler, *modules)
 
     sp = sub.add_parser("queue", help="simulate one queue; trace CSV plus summary JSON")
     for flag in ("p", "alpha", "q", "beta"):
@@ -235,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="queue length before slot 1 (default %(default)s)")
     sp.add_argument("--burn-in", type=int, default=None,
                     help="slots left out of the means (default min(10^4, slots // 2))")
-    _leaf(sp, _cmd_queue)
+    _leaf(sp, _cmd_queue, "queue_core")
 
     sp = sub.add_parser("tandem", help="simulate queues in series; trace CSV plus summary")
     for flag in ("p", "alpha", "q", "beta"):
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--slots", type=int, default=100_000, help="slot count (default %(default)s)")
     sp.add_argument("--burn-in", type=int, default=None,
                     help="slots left out of the means (default min(10^4, slots // 2))")
-    _leaf(sp, _cmd_tandem)
+    _leaf(sp, _cmd_tandem, "queue_core", "tandem")
 
     p_perc = sub.add_parser("perc", help="percolation estimates and the tandem identity")
     perc_sub = p_perc.add_subparsers(dest="action", required=True)
@@ -253,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True, help="aspect ratio grid: comma list or lo:hi:step")
     sp.add_argument("--n", type=int, default=200, help="lattice size N (default %(default)s)")
     sp.add_argument("--replicas", type=int, default=50, help="replica count (default %(default)s)")
-    _leaf(sp, _cmd_simulate)
+    _leaf(sp, _cmd_simulate, "percolation")
     sp = perc_sub.add_parser("identity", help="pathwise tandem-vs-percolation identity")
     for flag in ("p", "alpha", "q", "beta"):
         sp.add_argument(f"--{flag}", type=float, default=None, help="required")
@@ -262,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="slots per instance (default %(default)s)")
     sp.add_argument("--instances", type=int, default=1000,
                     help="instance count (default %(default)s)")
-    _leaf(sp, _cmd_identity)
+    _leaf(sp, _cmd_identity, "percolation")
 
     sp = sub.add_parser("tc", help="time constants: single value or curve CSV")
     sp.add_argument("--variant", required=True, choices=_Choices("timeconstants", "VARIANTS"),
@@ -272,12 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=None, help="needed by some variants")
     sp.add_argument("--format", choices=("csv",), default=None,
                     help="a table even for one --x (default: one --x prints a bare value)")
-    _leaf(sp, _cmd_tc)
+    _leaf(sp, _cmd_tc, "timeconstants")
 
     sp = sub.add_parser("verify", help="run the verification suites; exit 0 iff all pass")
     sp.add_argument("--suite", default="all", choices=_Choices("verify", "SUITES"),
                     metavar="SUITE", help="one of %(choices)s (default %(default)s)")
-    _leaf(sp, _cmd_verify)
+    _leaf(sp, _cmd_verify, "verify")
     return parser
 
 
@@ -285,7 +283,7 @@ def _cmd_pmf(args) -> int:
     spec = _spec(args.spec)
     if args.max_k < 0:
         raise ValueError("--max-k must be >= 0")
-    rows = [(k, dist.pmf(spec, k)) for k in range(args.max_k + 1)]
+    rows = [(k, laws.pmf(spec, k)) for k in range(args.max_k + 1)]
     if args.format == "json":
         text = _json_dump({"spec": spec.to_dict(), "pmf": [v for _, v in rows]})
     else:
@@ -295,8 +293,9 @@ def _cmd_pmf(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .distributions import sample_n
     spec = _spec(args.spec)
-    draws = dist.sample_n(spec, RandomStream(args.seed), args.n)
+    draws = sample_n(spec, RandomStream(args.seed), args.n)
     if args.format == "json":
         vals = [int(v) for v in draws] if spec.is_discrete else [float(v) for v in draws]
         text = _json_dump({"spec": spec.to_dict(), "seed": args.seed, "samples": vals})
@@ -309,7 +308,7 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _series_args(args) -> tuple[QueueParams, int, dict]:
+def _series_args(args) -> tuple[laws.QueueParams, int, dict]:
     """Parameters and burn-in of queue and tandem, and the summary fields they share.
 
     An explicit --burn-in is used as given, in [0, slots); by default min(10^4, slots // 2).
@@ -326,8 +325,7 @@ def _series_args(args) -> tuple[QueueParams, int, dict]:
 
 
 def _cmd_queue(args) -> int:
-    from .queue_core import (block_means, check_condition, condition_holds, scan_means,
-                             simulate_blocks, stationary_law, tee_csv)
+    from .queue_core import block_means, scan_means, simulate_blocks, tee_csv
     params, burn, summary = _series_args(args)
     arrival, service, stream = params.arrival_spec, params.service_spec, RandomStream(args.seed)
     if args.out:
@@ -336,15 +334,15 @@ def _cmd_queue(args) -> int:
     else:
         means = scan_means(arrival, service, args.slots, stream, args.init_x, burn)
     summary["empirical"] = {f"mean_{name}": means[name] for name in "xyd"}
-    summary["condition_residual"] = check_condition(params)
-    if params.is_stable and condition_holds(params):
-        summary["stationary"] = stationary_law(params).to_dict()
+    summary["condition_residual"] = laws.check_condition(params)
+    if params.is_stable and laws.condition_holds(params):
+        summary["stationary"] = laws.stationary_law(params).to_dict()
     sys.stdout.write(_json_dump(summary))
     return 0
 
 
 def _cmd_tandem(args) -> int:
-    from .queue_core import block_means, condition_holds, simulate_blocks, stationary_law, tee_csv
+    from .queue_core import block_means, simulate_blocks, tee_csv
     from .tandem import TandemConfig, TandemTrace
     params, burn, summary = _series_args(args)
     summary["stages"] = args.stages
@@ -354,8 +352,8 @@ def _cmd_tandem(args) -> int:
     means = block_means(tee_csv(blocks, args.out) if args.out else blocks, burn)
     summary["empirical_mean_x"] = [m["x"] for m in means]
     summary["empirical_mean_d"] = [m["d"] for m in means]
-    if params.is_stable and condition_holds(params):
-        summary["stationary_mean_x"] = stationary_law(params).mean_x
+    if params.is_stable and laws.condition_holds(params):
+        summary["stationary_mean_x"] = laws.stationary_law(params).mean_x
     sys.stdout.write(_json_dump(summary))
     return 0
 
@@ -417,32 +415,39 @@ def _cmd_verify(args) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
+    return _run(sys.argv[1:] if argv is None else list(argv), lambda args: None)
+
+
+def _run(argv: list[str], ready) -> int:
+    """Parse ``argv``, call ``ready`` with the parsed flags, then run the handler."""
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse(parser, argv)
     try:
         if args.config:
             args = _parse(parser, _with_config(argv, args))
+        ready(args)
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         args.leaf.error(str(exc) or "a count is too large to allocate")
 
 
-def main() -> None:
-    """Run ``sys.argv`` as a command and exit with its code: the ``batchq`` console script
-    and ``python -m batchq.cli``.
-
-    The heap the imports made is frozen (``gc.freeze``) and the collector enabled before
-    the command runs, so the collections in its handler, in the workers that
-    ``fork_map`` forks and at the interpreter's exit traverse only what the command
-    allocates, and a forked worker writes no collector header into the parent's pages.
-    Under ``-m`` the collector is also paused over the imports (the top of this module);
-    the console script has imported this module before it calls main(), so it gets the
-    freeze but not the pause.  :func:`run` leaves the caller's collector as it was.
-    """
+def _start(args) -> None:
+    """Import the handler's modules (numpy with all but tc's and dist pmf's), freeze the heap
+    the imports made and enable the collector: collections in the handler, its forked workers
+    and at exit traverse only what the command allocates, and a worker writes no collector
+    header into the parent's pages."""
+    for name in args.modules:
+        importlib.import_module(f"{__package__}.{name}")
     gc.freeze()
     gc.enable()
-    sys.exit(run())
+
+
+def main() -> None:
+    """Run ``sys.argv`` as a command and exit with its code: the ``batchq`` console script
+    and ``python -m batchq.cli``.  Under ``-m`` the collector is paused from the top of this
+    module until :func:`_start`; the console script gets the freeze but not the pause.
+    :func:`run` leaves the caller's collector as it was."""
+    sys.exit(_run(sys.argv[1:], _start))
 
 
 if __name__ == "__main__":

@@ -1,16 +1,4 @@
-"""Arrival and service batch distributions.
-
-Geometric conventions are fixed once for the whole package and are used
-everywhere by name, never as an unqualified "geometric":
-
-* ``Geom+(a)``: support {1, 2, ...} with pmf ``a * (1-a)**(k-1)``.
-* ``Geom0(a)``: ``Geom+(a) - 1``, support {0, 1, ...}.
-* ``BerGeom(p, a)``: product of an independent Ber(p) and Geom+(a);
-  mass ``1-p`` at zero and ``p * a * (1-a)**(k-1)`` at ``k >= 1``.
-  Conditioned on being nonzero it is exactly Geom+(a), and its mean is
-  ``p / a``.
-* ``BerExp(p, rate)``: continuous analogue with tail
-  ``P(X >= x) = p * exp(-rate * x)`` for ``x > 0``.
+"""Samplers of the batch laws of :mod:`batchq.laws`, and their pmf as a vector.
 
 Samplers are inverse-transform based (geometric draws cost O(1) regardless
 of the value) and consume a fixed number of uniforms per draw, so a seeded
@@ -30,269 +18,21 @@ reused block buffer and transforms each block at once.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .laws import DistSpec, ber_geom, check_probability, deterministic, exponential, geom_plus, pmf
 from .streams import RandomStream
 
-__all__ = [
-    "DistSpec",
-    "bernoulli",
-    "geom_plus",
-    "geom_zero",
-    "ber_geom",
-    "exponential",
-    "ber_exp",
-    "deterministic",
-    "pmf",
-    "pmf_vector",
-    "sf",
-    "mean",
-    "variance",
-    "pgf",
-    "sample_n",
-    "sample_blocks",
-    "sample_chunks",
-    "sample_compound_n",
-    "tail_cutoff",
-]
-
-_KINDS = ("bernoulli", "geom_plus", "geom_zero", "ber_geom", "exp", "ber_exp", "deterministic")
-_CONTINUOUS = ("exp", "ber_exp")
-
-# JSON field names per kind; fixed, see README.
-_FIELDS = {
-    "bernoulli": ("p",),
-    "geom_plus": ("alpha",),
-    "geom_zero": ("alpha",),
-    "ber_geom": ("p", "alpha"),
-    "exp": ("rate",),
-    "ber_exp": ("p", "rate"),
-    "deterministic": ("value",),
-}
-
-
-def _check_prob(name: str, v: float) -> float:
-    v = float(v)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"{name} must lie strictly in (0, 1), got {v}")
-    return v
-
-
-@dataclass(frozen=True)
-class DistSpec:
-    """Tagged description of a batch distribution.
-
-    Use the factory functions (:func:`ber_geom`, :func:`geom_plus`, ...)
-    rather than the constructor; they validate parameters per variant.
-    """
-
-    kind: str
-    p: float | None = None
-    alpha: float | None = None
-    rate: float | None = None
-    value: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
-        want = _FIELDS[self.kind]
-        for f in ("p", "alpha", "rate", "value"):
-            present = getattr(self, f) is not None
-            if present != (f in want):
-                raise ValueError(f"{self.kind} takes exactly the fields {want}")
-        if self.p is not None:
-            _check_prob("p", self.p)
-        if self.alpha is not None:
-            _check_prob("alpha", self.alpha)
-        if self.rate is not None and not 0 < self.rate < math.inf:
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
-        if self.value is not None and not 0 <= self.value <= sys.float_info.max:
-            raise ValueError(f"deterministic value must be finite and >= 0, got {self.value}")
-
-    @property
-    def is_continuous(self) -> bool:
-        return self.kind in _CONTINUOUS
-
-    @property
-    def is_discrete(self) -> bool:
-        """True when pmf/pgf make sense (integer-valued support)."""
-        if self.is_continuous:
-            return False
-        if self.kind == "deterministic":
-            return float(self.value).is_integer()
-        return True
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for f in _FIELDS[self.kind]:
-            d[f] = float(getattr(self, f))
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "DistSpec":
-        """Parse the JSON object form; any malformed input raises ValueError."""
-        if not isinstance(d, dict):
-            raise ValueError(f"a distribution spec must be a JSON object, got {d!r}")
-        kind = d.get("kind")
-        if kind not in _KINDS:
-            raise ValueError(f"unknown distribution kind {kind!r}")
-        extra = set(d) - {"kind", *_FIELDS[kind]}
-        if extra:
-            raise ValueError(f"unexpected fields for {kind}: {sorted(extra)}")
-        for f in _FIELDS[kind]:
-            if f not in d:
-                raise ValueError(f"{kind} needs the field {f!r}")
-            if isinstance(d[f], bool) or not isinstance(d[f], numbers.Real):
-                raise ValueError(f"field {f!r} of {kind} must be a number, got {d[f]!r}")
-        return DistSpec(kind=kind, **{f: d[f] for f in _FIELDS[kind]})
-
-
-def bernoulli(p: float) -> DistSpec:
-    return DistSpec("bernoulli", p=p)
-
-
-def geom_plus(alpha: float) -> DistSpec:
-    return DistSpec("geom_plus", alpha=alpha)
-
-
-def geom_zero(alpha: float) -> DistSpec:
-    return DistSpec("geom_zero", alpha=alpha)
-
-
-def ber_geom(p: float, alpha: float) -> DistSpec:
-    return DistSpec("ber_geom", p=p, alpha=alpha)
-
-
-def exponential(rate: float) -> DistSpec:
-    return DistSpec("exp", rate=rate)
-
-
-def ber_exp(p: float, rate: float) -> DistSpec:
-    return DistSpec("ber_exp", p=p, rate=rate)
-
-
-def deterministic(value: float) -> DistSpec:
-    return DistSpec("deterministic", value=value)
-
-
-def _require_discrete(spec: DistSpec, op: str) -> None:
-    if not spec.is_discrete:
-        detail = f"{spec.kind}(value={spec.value})" if spec.kind == "deterministic" else spec.kind
-        raise ValueError(f"discrete-only operation: {op} is undefined for {detail}")
-
-
-def pmf(spec: DistSpec, k: int) -> float:
-    """P(X = k) for a discrete spec; raises for continuous variants."""
-    _require_discrete(spec, "pmf")
-    if k < 0 or k != int(k):
-        raise ValueError(f"pmf defined on nonnegative integers, got {k}")
-    k = int(k)
-    if spec.kind == "bernoulli":
-        return 1.0 - spec.p if k == 0 else (spec.p if k == 1 else 0.0)
-    if spec.kind == "geom_plus":
-        return 0.0 if k == 0 else spec.alpha * (1.0 - spec.alpha) ** (k - 1)
-    if spec.kind == "geom_zero":
-        return spec.alpha * (1.0 - spec.alpha) ** k
-    if spec.kind == "ber_geom":
-        if k == 0:
-            return 1.0 - spec.p
-        return spec.p * spec.alpha * (1.0 - spec.alpha) ** (k - 1)
-    # deterministic with integral value
-    return 1.0 if k == int(spec.value) else 0.0
+# ber_geom, exponential and pmf are laws, re-exported where perfbench/ still reaches them
+__all__ = ["pmf_vector", "sample_n", "sample_blocks", "sample_chunks", "sample_compound_n",
+           "ber_geom", "exponential", "pmf"]
 
 
 def pmf_vector(spec: DistSpec, kmax: int) -> np.ndarray:
     """pmf evaluated on 0..kmax as a vector (convenience for kernels)."""
     return np.array([pmf(spec, k) for k in range(kmax + 1)], dtype=float)
-
-
-def sf(spec: DistSpec, x: float) -> float:
-    """Survival function P(X >= x); valid for every variant.
-
-    For the discrete variants the useful arguments are integers; the tail
-    formulas extend the geometric pattern analytically, e.g. for BerGeom
-    ``P(X >= k) = p * (1-a)**(k-1)`` for ``k >= 1``.
-    """
-    if x <= 0:
-        return 1.0
-    if spec.kind == "exp":
-        return math.exp(-spec.rate * x)
-    if spec.kind == "ber_exp":
-        return spec.p * math.exp(-spec.rate * x)
-    if spec.kind == "deterministic":
-        return 1.0 if spec.value >= x else 0.0
-    k = math.ceil(x)
-    if spec.kind == "bernoulli":
-        return spec.p if k == 1 else 0.0
-    if spec.kind == "geom_plus":
-        return (1.0 - spec.alpha) ** (k - 1)
-    if spec.kind == "geom_zero":
-        return (1.0 - spec.alpha) ** k
-    # ber_geom
-    return spec.p * (1.0 - spec.alpha) ** (k - 1)
-
-
-def mean(spec: DistSpec) -> float:
-    """Exact expectation."""
-    if spec.kind == "bernoulli":
-        return spec.p
-    if spec.kind == "geom_plus":
-        return 1.0 / spec.alpha
-    if spec.kind == "geom_zero":
-        return 1.0 / spec.alpha - 1.0
-    if spec.kind == "ber_geom":
-        return spec.p / spec.alpha
-    if spec.kind == "exp":
-        return 1.0 / spec.rate
-    if spec.kind == "ber_exp":
-        return spec.p / spec.rate
-    return float(spec.value)
-
-
-def variance(spec: DistSpec) -> float:
-    """Exact variance."""
-    if spec.kind == "bernoulli":
-        return spec.p * (1.0 - spec.p)
-    if spec.kind in ("geom_plus", "geom_zero"):
-        return (1.0 - spec.alpha) / spec.alpha**2
-    if spec.kind == "ber_geom":
-        p, a = spec.p, spec.alpha
-        return p * (2.0 - a) / a**2 - (p / a) ** 2
-    if spec.kind == "exp":
-        return 1.0 / spec.rate**2
-    if spec.kind == "ber_exp":
-        p, r = spec.p, spec.rate
-        return 2.0 * p / r**2 - (p / r) ** 2
-    return 0.0
-
-
-def pgf(spec: DistSpec, z: float) -> float:
-    """Probability generating function E[z**X] for a discrete spec.
-
-    ``z`` normally lies in [0, 1]; values up to 1 + 1e-3 are accepted so
-    that the mean can be cross-checked by a central finite difference of
-    the pgf at z = 1.
-    """
-    _require_discrete(spec, "pgf")
-    if not (0.0 <= z <= 1.0 + 1e-3):
-        raise ValueError(f"pgf argument must lie in [0, 1], got {z}")
-    if spec.kind == "bernoulli":
-        return 1.0 - spec.p + spec.p * z
-    if spec.kind == "geom_plus":
-        a = spec.alpha
-        return a * z / (1.0 - (1.0 - a) * z)
-    if spec.kind == "geom_zero":
-        a = spec.alpha
-        return a / (1.0 - (1.0 - a) * z)
-    if spec.kind == "ber_geom":
-        p, a = spec.p, spec.alpha
-        return ((1.0 - p) - (1.0 - p - a) * z) / (1.0 - (1.0 - a) * z)
-    return z ** int(spec.value)
 
 
 def _uniforms_per_value(spec: DistSpec) -> int:
@@ -460,8 +200,8 @@ def sample_compound_n(p: float, alpha: float, stream: RandomStream, n: int) -> n
     The representation needs the summand parameter alpha / (1-p) <= 1,
     i.e. alpha <= 1 - p.
     """
-    _check_prob("p", p)
-    _check_prob("alpha", alpha)
+    check_probability("p", p)
+    check_probability("alpha", alpha)
     if alpha - (1.0 - p) > 1e-12:
         raise ValueError("compound representation unavailable: requires alpha <= 1 - p")
     def geom_plus_n(a: float, m: int) -> np.ndarray:
@@ -479,23 +219,3 @@ def sample_compound_n(p: float, alpha: float, stream: RandomStream, n: int) -> n
         csum = np.concatenate(([0], np.cumsum(w)))
         out[nonzero] = csum[ends[nonzero]] - csum[starts[nonzero]]
     return out
-
-
-def tail_cutoff(spec: DistSpec, tol: float = 1e-12) -> int:
-    """Smallest K with P(X > K) <= tol (discrete variants only)."""
-    _require_discrete(spec, "tail_cutoff")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if spec.kind == "deterministic":
-        return int(spec.value)
-    k = 0
-    if spec.kind != "bernoulli":
-        # P(X > K) is about scale * (1-a)**K for the geometric-tailed kinds
-        scale = spec.p if spec.kind == "ber_geom" else 1.0
-        k = max(math.ceil(math.log(tol / scale) / math.log1p(-spec.alpha)), 0)
-    # the estimate, corrected down and then up: P(X > K) = sf(K + 1)
-    while k > 0 and sf(spec, k) <= tol:
-        k -= 1
-    while sf(spec, k + 1) > tol:
-        k += 1
-    return k

@@ -56,7 +56,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DistSpec, exponential, sample_blocks, sample_n
+from .distributions import sample_blocks, sample_n
+from .laws import DistSpec, exponential
 from .streams import RandomStream
 from .workers import fork_map, shard_spans
 

@@ -1,4 +1,4 @@
-"""Single-queue slot dynamics, stationary laws, and exact numeric checks.
+"""The slot engine, the queue scan, the trace CSV writer and the exact oracles.
 
 A slot processes an arrival batch A and an offered service S:
 
@@ -9,20 +9,10 @@ A slot processes an arrival batch A and an offered service S:
     T = U + A            unused service plus the same slot's arrival
     I = U + A'           unused service plus the next slot's arrival
 
-For Bernoulli-geometric arrivals BerGeom(p, alpha) and services
-BerGeom(q, beta), the queue is reversible in equilibrium exactly when
-
-    [alpha/(1-alpha)] * [p/(1-p)] == [beta/(1-beta)] * [q/(1-q)],
-
-in which case departures are distributed like arrivals (a Burke-type
-theorem), the queue length is independent of past departures, and the
-stationary law of X is BerGeom(c, gamma) with
-
-    c = [beta/(1-beta)] * [(1-alpha)/alpha],   gamma = (alpha-beta)/(1-beta).
-
-This module provides the simulator, the one-parameter-family solver, a
-detailed-balance residual check, busy-period likelihoods, and an
-independent truncated-Markov-chain oracle for stationary laws.  One
+The laws it is checked against live in :mod:`batchq.laws`.  This module
+provides the simulator, a detailed-balance residual check of the formula
+law, busy-period likelihoods, and an independent truncated-Markov-chain
+oracle for stationary laws.  One
 Lindley kernel (X_j = c_j + max(X_0, M_j), c the prefix sums of A - S
 and M the running maximum of -c) serves the slot engine, which runs
 queues in series (the single queue is its one-stage case), and the
@@ -50,14 +40,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .distributions import (DistSpec, ber_geom, mean, pmf, pmf_vector, sample_chunks, sf,
-                            tail_cutoff)
+from .distributions import pmf_vector, sample_chunks
+from .laws import DistSpec, QueueParams, ber_geom, formula_law, mean, sf, tail_cutoff
 from .streams import RandomStream
 from .workers import fork_map, shard_spans
 
 __all__ = [
-    "QueueParams",
-    "StationaryLaw",
     "Trace",
     "write_csv",
     "tee_csv",
@@ -68,77 +56,12 @@ __all__ = [
     "block_means",
     "scan_means",
     "path_max_X",
-    "check_condition",
-    "condition_holds",
-    "match_arrival_bernoulli",
-    "solve_arrival",
-    "stationary_law",
     "verify_detailed_balance",
     "excursion_loglik",
     "markov_oracle",
+    # the law the benchmark in perfbench/ still reaches here
+    "QueueParams",
 ]
-
-
-@dataclass(frozen=True)
-class QueueParams:
-    """The four-parameter BerGeom queue: arrivals (p, alpha), services (q, beta)."""
-
-    p: float
-    alpha: float
-    q: float
-    beta: float
-
-    def __post_init__(self):
-        for name in ("p", "alpha", "q", "beta"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie strictly in (0, 1), got {v}")
-
-    @property
-    def arrival_spec(self) -> DistSpec:
-        return ber_geom(self.p, self.alpha)
-
-    @property
-    def service_spec(self) -> DistSpec:
-        return ber_geom(self.q, self.beta)
-
-    @property
-    def is_stable(self) -> bool:
-        """Mean service exceeds mean arrival: p*beta < q*alpha."""
-        return self.p * self.beta < self.q * self.alpha
-
-
-@dataclass(frozen=True)
-class StationaryLaw:
-    """Stationary X ~ BerGeom(c, gamma); Y ~ BerGeom(p + c - p*c, gamma)."""
-
-    c: float
-    gamma: float
-    y_bernoulli: float
-
-    @property
-    def mean_x(self) -> float:
-        return self.c / self.gamma
-
-    @property
-    def mean_y(self) -> float:
-        return self.y_bernoulli / self.gamma
-
-    @property
-    def x_spec(self) -> DistSpec:
-        return ber_geom(self.c, self.gamma)
-
-    def x_pmf(self, k: int) -> float:
-        return pmf(self.x_spec, k)
-
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "gamma": self.gamma,
-            "y_bernoulli": self.y_bernoulli,
-            "mean_x": self.mean_x,
-            "mean_y": self.mean_y,
-        }
 
 
 def step(x, a, s):
@@ -250,6 +173,7 @@ class Trace:
     a: np.ndarray
     s: np.ndarray
     x_full: np.ndarray
+    _c0: float = 0  # the prefix sum c the engine started these slots from
 
     _csv_header = "n,A,S,X,Y,D,U,I,T".split(",")
 
@@ -289,11 +213,11 @@ class Trace:
         """Raise unless every X is nonnegative and every slot has X' = Y - D.
 
         Y, D, U, T and I are defined from A, S and X, so only these can fail.  An integer
-        trace holds them exactly; a float trace to 8 ulp of max(1, X_0, the running max of
-        |c|), c the prefix sums of A - S at whose size the kernel rounds X.  A float block of
-        :func:`simulate_blocks` after the first is rounded at the c carried into it, which
-        this bound does not see.  The message names the count and the first of the failing
-        X_k (as in ``x_full``) or slots (the CSV's n).
+        trace holds them exactly; a float trace to 8 ulp of max(1, X_0, |c_0|, the running
+        max of |c|), c the prefix sums of A - S from the c_0 the engine started the slots
+        from (0 for a whole trace, the carried c for a later block), at whose size the
+        kernel rounds X.  The message names the count and the first of the failing X_k (as
+        in ``x_full``) or slots (the CSV's n).
         """
         x, y = self.x_full, self.y
         bad = np.flatnonzero(~(x >= 0))  # NaN fails the comparison too
@@ -303,8 +227,8 @@ class Trace:
         err = np.abs(x[1:] - (y - np.minimum(y, self.s)))
         tol = 0
         if not np.issubdtype(err.dtype, np.integer):
-            size = np.maximum.accumulate(np.abs(np.cumsum(self.a - self.s)))
-            tol = 8 * np.finfo(float).eps * np.maximum(size, max(1.0, float(x[0])))
+            size = np.maximum.accumulate(np.abs(self._c0 + np.cumsum(self.a - self.s)))
+            tol = 8 * np.finfo(float).eps * np.maximum(size, max(1.0, float(x[0]), abs(self._c0)))
         bad = np.flatnonzero(err > tol)
         if bad.size:
             raise ValueError(f"trace invariant violated: X' = Y - D fails in {bad.size} of "
@@ -392,7 +316,7 @@ def _run_series(blocks, inits) -> Iterator[list[Trace]]:
                 a, s = a.astype(float), s.astype(float)
             c, m = _prefix(a, s, *carries[r], a.dtype)
             carries[r] = c[-1], m[-1]
-            stages.append(Trace(a=a, s=s, x_full=c + np.maximum(inits[r], m)))
+            stages.append(Trace(a=a, s=s, x_full=c + np.maximum(inits[r], m), _c0=c[0]))
         yield stages
 
 
@@ -583,101 +507,6 @@ def path_max_X(arrivals: Sequence[float], services: Sequence[float]):
     return np.cumsum((a - s)[::-1]).max(initial=0).item()
 
 
-def _odds_product(a: float, p: float) -> float:
-    """[a/(1-a)][p/(1-p)]: one side of the reversibility condition."""
-    return a / (1.0 - a) * p / (1.0 - p)
-
-
-def _condition_sides(params: QueueParams) -> tuple[float, float]:
-    return _odds_product(params.alpha, params.p), _odds_product(params.beta, params.q)
-
-
-def check_condition(params: QueueParams) -> float:
-    """Residual of the reversibility condition; zero iff it holds.
-
-    Returns [a/(1-a)][p/(1-p)] - [b/(1-b)][q/(1-q)].
-    """
-    lhs, rhs = _condition_sides(params)
-    return lhs - rhs
-
-
-def condition_holds(params: QueueParams) -> bool:
-    """The reversibility condition holds to a relative tolerance of 1e-6."""
-    # relative tolerance: near-degenerate parameters (alpha or beta close
-    # to 1) cannot represent the curve more tightly than 1 - alpha allows
-    lhs, rhs = _condition_sides(params)
-    return abs(lhs - rhs) <= 1e-6 * max(1.0, abs(lhs), abs(rhs))
-
-
-def match_arrival_bernoulli(alpha: float, q: float, beta: float) -> float:
-    """The unique p placing (p, alpha) on the service's one-parameter family."""
-    t = _odds_product(beta, q) * (1.0 - alpha) / alpha
-    return t / (1.0 + t)
-
-
-def solve_arrival(q: float, b: float, lam: float) -> tuple[float, float]:
-    """Arrival parameters (p, alpha) with intensity lam on the family of (q, b).
-
-    Solves the quadratic in alpha implied by the intensity identity
-    lam = (1-alpha)*b*q / (alpha^2*(1-b-q) + alpha*b*q) and keeps the root
-    in (b, 1); the fixed point is unique for 0 < lam < q/b.
-    """
-    if not (0 < q < 1 and 0 < b < 1):
-        raise ValueError("q and b must lie strictly in (0, 1)")
-    if lam <= 0:
-        raise ValueError(f"arrival intensity must be positive, got {lam}")
-    mu = q / b
-    if lam >= mu:
-        raise ValueError(f"unstable intensity: lam={lam} >= service intensity mu={mu}")
-    # lam*(1-b-q)*alpha^2 + b*q*(lam+1)*alpha - b*q = 0
-    ca = lam * (1.0 - b - q)
-    cb = b * q * (lam + 1.0)
-    cc = -b * q
-    if ca == 0.0:
-        roots = [-cc / cb]
-    else:
-        disc = cb * cb - 4.0 * ca * cc
-        if disc < 0:
-            raise ValueError("no real solution; parameters out of range")
-        sq = math.sqrt(disc)
-        # numerically stable pair of roots
-        qq = -0.5 * (cb + math.copysign(sq, cb))
-        roots = [qq / ca, cc / qq]
-    valid = [r for r in roots if b < r < 1.0]
-    if not valid:
-        raise ValueError("no admissible alpha in (beta, 1); check parameters")
-    alpha = min(valid)  # uniqueness makes this a single element
-    p = lam * alpha
-    if not 0.0 < p < 1.0:
-        raise ValueError("derived p outside (0, 1); check parameters")
-    return p, alpha
-
-
-def _c_gamma(params: QueueParams) -> tuple[float, float]:
-    """(c, gamma) of the BerGeom(c, gamma) stationary law of X."""
-    c = params.beta / (1.0 - params.beta) * (1.0 - params.alpha) / params.alpha
-    gamma = (params.alpha - params.beta) / (1.0 - params.beta)
-    return c, gamma
-
-
-def stationary_law(params: QueueParams) -> StationaryLaw:
-    """Stationary BerGeom law of the queue under the reversibility condition.
-
-    Raises when the condition fails: the stationary law is then not
-    Bernoulli-geometric in general; use :func:`markov_oracle` instead.
-    """
-    if not params.is_stable:
-        raise ValueError("unstable parameters: need p*beta < q*alpha")
-    if not condition_holds(params):
-        raise ValueError(
-            "reversibility condition violated (residual "
-            f"{check_condition(params):.3g}); the stationary law is not "
-            "Bernoulli-geometric in general, use markov_oracle")
-    c, gamma = _c_gamma(params)
-    y_b = params.p + c - params.p * c
-    return StationaryLaw(c=c, gamma=gamma, y_bernoulli=y_b)
-
-
 def verify_detailed_balance(params: QueueParams) -> float:
     """Max residual of the detailed-balance identity on states up to K = 30.
 
@@ -689,7 +518,7 @@ def verify_detailed_balance(params: QueueParams) -> float:
     condition the residual is at rounding level; when the condition fails
     the identity genuinely breaks and the residual is macroscopic.
     """
-    c, gamma = _c_gamma(params)
+    c, gamma = formula_law(params)
     if not (0 < c < 1 and 0 < gamma < 1):
         raise ValueError("formula law undefined for these parameters (need beta < alpha)")
     K = 30

@@ -1,12 +1,11 @@
-"""Deterministic random streams with splittable substreams; RandomStream owns the
-seed range and the seeded-trial rule: trial i runs on substream i, and a
-failing comparison names that substream."""
+"""Deterministic random streams with splittable substreams.  :func:`check_seed` owns
+the seed range and builds no generator, so this module imports numpy only where it
+builds one; :class:`RandomStream` owns the seeded-trial rule: trial i runs on
+substream i, and a failing comparison names that substream."""
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
-
-import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -28,10 +27,18 @@ def mix64(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` as an int if it lies in [0, 2**64), the seeds of the PRNG; else ``ValueError``."""
+    value = int(seed)
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"a seed must lie in [0, 2**64), got {seed}")
+    return value
+
+
 class RandomStream:
     """A seeded PCG64 stream; identical seeds give bit-identical draws.
 
-    A seed is an integer in [0, 2**64); any other raises ``ValueError``.
+    A seed is an integer in [0, 2**64) (:func:`check_seed`); any other raises ``ValueError``.
 
     Streams are single-owner: never share one instance across concurrent
     tasks.  Replica parallelism uses ``substream(i)``, which derives an
@@ -46,9 +53,8 @@ class RandomStream:
     __slots__ = ("seed", "_gen")
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"a seed must lie in [0, 2**64), got {seed}")
+        import numpy as np
+        self.seed = check_seed(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def substream(self, index: int) -> RandomStream:
@@ -77,6 +83,7 @@ class RandomStream:
         """
         if k < 0:
             raise ValueError("a cursor cannot open behind its stream")
+        import numpy as np
         bits = np.random.PCG64(0)
         bits.state = self._gen.bit_generator.state
         bits.advance(k)

@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .distributions import DistSpec
-from .queue_core import QueueParams, Trace, simulate_series, stationary_law, write_csv
+from .laws import DistSpec, QueueParams, stationary_law
+from .queue_core import Trace, simulate_series, write_csv
 from .streams import RandomStream
 
 if TYPE_CHECKING:

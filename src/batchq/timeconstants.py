@@ -18,8 +18,10 @@ Continuous-time variants (one lattice direction replaced by time) are
 prefixed ``ftilde``.
 
 Each formula has one implementation, which checks its inputs
-(probabilities strictly in (0, 1), abscissa positive) before computing;
-a variational one returns its objective and interval for :func:`golden_max`.
+(probabilities by :func:`~batchq.laws.check_probability`, abscissa
+positive) before computing; a variational one returns its objective and
+interval for :func:`golden_max`.  The module imports only
+:mod:`batchq.laws`, so ``batchq tc`` loads no numpy.
 :func:`curve` tabulates a variant through one table row per variant: its
 parameter names and that implementation, so a curve point and the public
 ``f_*``/``ftilde_*`` value at the same input are the same number, and
@@ -32,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .queue_core import solve_arrival
+from .laws import check_probability, solve_arrival
 
 __all__ = [
     "golden_max",
@@ -128,16 +130,16 @@ def h_of_lambda(q: float, b: float, lam: float) -> float:
     return h1
 
 
-def _check(x: float, *probs: float) -> None:
+def _check(x: float, **probs: float) -> None:
     """Every probability strictly in (0, 1) and a positive abscissa."""
-    if not all(0.0 < v < 1.0 for v in probs):
-        raise ValueError(f"parameters must lie strictly in (0, 1), got {list(probs)}")
+    for name, v in probs.items():
+        check_probability(name, v)
     if not x > 0:
         raise ValueError(f"abscissa must be positive, got {x}")
 
 
 def _bergeom_p(q: float, b: float, x: float) -> _Objective:
-    _check(x, q, b)
+    _check(x, q=q, beta=b)
 
     def fn(p: float) -> float:
         return (p * (p * (1.0 - q) + (q - p) * b) / (1.0 - p)
@@ -152,7 +154,7 @@ def f_bergeom(q: float, b: float, x: float) -> float:
 
 
 def _bergeom_alpha(q: float, b: float, x: float) -> _Objective:
-    _check(x, q, b)
+    _check(x, q=q, beta=b)
 
     def fn(a: float) -> float:
         return (b * (1.0 - a) / a
@@ -168,7 +170,7 @@ def f_bergeom_alpha(q: float, b: float, x: float) -> float:
 
 def f_bernoulli(q: float, x: float) -> float:
     """Closed form for Bernoulli(q) weights; flat for x <= (1-q)/q."""
-    _check(x, q)
+    _check(x, q=q)
     if x <= (1.0 - q) / q:
         return 0.0
     return (math.sqrt(q * x) - math.sqrt(1.0 - q)) ** 2
@@ -176,7 +178,7 @@ def f_bernoulli(q: float, x: float) -> float:
 
 def f_geometric(b: float, x: float) -> float:
     """Closed form for Geom0(b) weights; flat for x <= b/(1-b)."""
-    _check(x, b)
+    _check(x, beta=b)
     if x <= b / (1.0 - b):
         return 0.0
     return (math.sqrt(1.0 - b) * math.sqrt(1.0 + x) - 1.0) ** 2 / b
@@ -189,7 +191,7 @@ def f_exponential(x: float) -> float:
 
 
 def _berexp(q: float, x: float) -> _Objective:
-    _check(x, q)
+    _check(x, q=q)
 
     def fn(r: float) -> float:
         return r * r * (q * x / (1.0 - q + r * q) - 1.0 / (1.0 - r))
@@ -203,7 +205,7 @@ def f_berexp(q: float, x: float) -> float:
 
 
 def _tilde_geom(b: float, y: float) -> _Objective:
-    _check(y, b)
+    _check(y, beta=b)
 
     def fn(a: float) -> float:
         return b * (1.0 - a) / a * (y / (a * (1.0 - b)) - 1.0 / (a - b))
@@ -250,7 +252,7 @@ def ftilde_poisson(y: float) -> float:
 
 
 def _legendre(q: float, b: float, x: float) -> _Objective:
-    _check(x, q, b)
+    _check(x, q=q, beta=b)
     mu = q / b
 
     def fn(lam: float) -> float:

@@ -40,11 +40,12 @@ from typing import Iterable
 import numpy as np
 
 from . import distributions as dist
+from . import laws
 from . import percolation as perc
 from . import timeconstants as tc
-from .queue_core import (QueueParams, markov_oracle, match_arrival_bernoulli,
-                         simulate, solve_arrival, stationary_law, step,
-                         path_max_X, check_condition, verify_detailed_balance,
+from .laws import (QueueParams, check_condition, match_arrival_bernoulli, solve_arrival,
+                   stationary_law)
+from .queue_core import (markov_oracle, simulate, step, path_max_X, verify_detailed_balance,
                          excursion_loglik)
 from .stats import (EmpiricalPmf, TestResult, batch_mean_stderr,
                     chi_square_gof, chi_square_two_sample, encode_pairs,
@@ -72,9 +73,9 @@ CONDITION_SETS = [
 VIOLATING_PARAMS = QueueParams(p=0.2, alpha=0.9, q=0.5, beta=0.5)
 
 GENERAL_SERVICE_CASES = [
-    ("deterministic_1", dist.ber_geom(0.45, 0.5), dist.deterministic(1)),
-    ("bernoulli_0.6", dist.ber_geom(0.45, 0.9), dist.bernoulli(0.6)),
-    ("uniform_012", dist.ber_geom(0.35, 0.5), np.full(3, 1.0 / 3.0)),
+    ("deterministic_1", laws.ber_geom(0.45, 0.5), laws.deterministic(1)),
+    ("bernoulli_0.6", laws.ber_geom(0.45, 0.9), laws.bernoulli(0.6)),
+    ("uniform_012", laws.ber_geom(0.35, 0.5), np.full(3, 1.0 / 3.0)),
 ]
 
 MAIN_PARAMS = CONDITION_SETS[0]  # (1/3, 2/3, 1/2, 1/2)
@@ -121,59 +122,59 @@ def _stat(result: TestResult) -> dict:
 def check_distributions(seed: int) -> list[dict]:
     out = []
     stream = RandomStream(seed)
-    specs = [dist.ber_geom(1 / 3, 2 / 3), dist.geom_plus(0.4), dist.geom_zero(0.25),
-             dist.bernoulli(0.3), dist.ber_geom(0.2, 0.4)]
+    specs = [laws.ber_geom(1 / 3, 2 / 3), laws.geom_plus(0.4), laws.geom_zero(0.25),
+             laws.bernoulli(0.3), laws.ber_geom(0.2, 0.4)]
     # pmf sums to 1 with the analytic tail beyond k=1000
     out.append(_worst("pmf_normalization_with_tail", (
         ({"spec": s.to_dict()},
-         abs(sum(dist.pmf(s, k) for k in range(1001)) + dist.sf(s, 1001) - 1.0)) for s in specs),
+         abs(sum(laws.pmf(s, k) for k in range(1001)) + laws.sf(s, 1001) - 1.0)) for s in specs),
         1e-12))
     # mean equals the central pgf derivative at z=1
     h = 1e-6
     out.append(_worst("pgf_derivative_matches_mean", (
         ({"spec": s.to_dict()},
-         abs((dist.pgf(s, 1.0 + h) - dist.pgf(s, 1.0 - h)) / (2 * h) - dist.mean(s)))
+         abs((laws.pgf(s, 1.0 + h) - laws.pgf(s, 1.0 - h)) / (2 * h) - laws.mean(s)))
         for s in specs), 1e-5))
     # BerGeom conditioned on being nonzero is Geom+
-    bg = dist.ber_geom(1 / 3, 2 / 3)
+    bg = laws.ber_geom(1 / 3, 2 / 3)
     out.append(_worst("bergeom_conditional_nonzero_is_geom_plus", (
-        ({"k": k}, abs(dist.pmf(bg, k) / bg.p - dist.pmf(dist.geom_plus(bg.alpha), k)))
+        ({"k": k}, abs(laws.pmf(bg, k) / bg.p - laws.pmf(laws.geom_plus(bg.alpha), k)))
         for k in range(1, 101)), 1e-12))
     # BerGeom(p, a) with p = 1 - a coincides with Geom0(a)
     out.append(_worst("bergeom_p_eq_1_minus_a_is_geom_zero", (
-        ({"k": k}, abs(dist.pmf(dist.ber_geom(0.5, 0.5), k) - dist.pmf(dist.geom_zero(0.5), k)))
+        ({"k": k}, abs(laws.pmf(laws.ber_geom(0.5, 0.5), k) - laws.pmf(laws.geom_zero(0.5), k)))
         for k in range(51)), 1e-12))
     # a -> 1 degenerates to Bernoulli
-    near = dist.ber_geom(0.3, 1 - 1e-9)
+    near = laws.ber_geom(0.3, 1 - 1e-9)
     out.append(_worst("bergeom_alpha_to_1_degenerates_to_bernoulli", (
-        ({"k": k}, abs(dist.pmf(near, k) - dist.pmf(dist.bernoulli(0.3), k))) for k in range(4)),
+        ({"k": k}, abs(laws.pmf(near, k) - laws.pmf(laws.bernoulli(0.3), k))) for k in range(4)),
         1e-8))
     # truncated-series oracles
-    tail_mean = sum(k * dist.pmf(dist.geom_plus(0.25), k) for k in range(1, 10_001))
+    tail_mean = sum(k * laws.pmf(laws.geom_plus(0.25), k) for k in range(1, 10_001))
     out.append(_exact("geom_plus_mean_vs_series", abs(tail_mean - 4.0), 1e-10))
-    series = sum(dist.pmf(dist.ber_geom(0.5, 0.5), k) * 0.5**k for k in range(201))
-    out.append(_exact("pgf_vs_truncated_series", abs(series - dist.pgf(dist.ber_geom(0.5, 0.5), 0.5)), 1e-12))
+    series = sum(laws.pmf(laws.ber_geom(0.5, 0.5), k) * 0.5**k for k in range(201))
+    out.append(_exact("pgf_vs_truncated_series", abs(series - laws.pgf(laws.ber_geom(0.5, 0.5), 0.5)), 1e-12))
     # compound representation: pgf identity on a z-grid at the boundary case
     p, a = 1 / 3, 2 / 3
     zs = np.linspace(0.0, 1.0, 21)
     wpar = a / (1 - p)
     phi_w = wpar * zs / (1 - (1 - wpar) * zs)
     compound_pgf = (1 - p) / (1 - p * phi_w)
-    direct = np.array([dist.pgf(dist.ber_geom(p, a), z) for z in zs])
+    direct = np.array([laws.pgf(laws.ber_geom(p, a), z) for z in zs])
     out.append(_exact("compound_pgf_identity", float(np.abs(compound_pgf - direct).max()), 1e-12))
     # compound sampler matches BerGeom at three parameter points
     for i, (cp, ca) in enumerate(((0.2, 0.4), (1 / 3, 2 / 3), (0.1, 0.5))):
         draws = dist.sample_compound_n(cp, ca, stream.substream(i), 1_000_000)
         emp = EmpiricalPmf.from_samples(draws)
-        ref = dist.ber_geom(cp, ca)
-        out.append(_stat(chi_square_gof(emp, lambda k: dist.pmf(ref, k),
+        ref = laws.ber_geom(cp, ca)
+        out.append(_stat(chi_square_gof(emp, lambda k: laws.pmf(ref, k),
                                         name=f"compound_matches_bergeom_p{cp:g}_a{ca:g}")))
     # sample mean lands within 3 sigma of the exact mean
     bgd = dist.sample_n(bg, stream.substream(10), 1_000_000)
-    z = abs(bgd.mean() - dist.mean(bg)) / math.sqrt(dist.variance(bg) / 1e6)
+    z = abs(bgd.mean() - laws.mean(bg)) / math.sqrt(laws.variance(bg) / 1e6)
     out.append(_exact("sample_mean_within_3_sigma", z, 3.0))
     # BerExp tail: conditional positives are Exp(rate), atom has mass p
-    be = dist.ber_exp(0.4, 1.5)
+    be = laws.ber_exp(0.4, 1.5)
     draws = dist.sample_n(be, stream.substream(11), 200_000)
     pos = draws[draws > 0]
     out.append(_stat(ks_test(pos, lambda x: 1.0 - math.exp(-be.rate * x),
@@ -215,7 +216,7 @@ def check_stationary_oracle() -> list[dict]:
     # the condition is symmetric under (alpha, p) <-> (beta, q)
     beta = match_arrival_bernoulli(q_, p_, alpha)
     law = stationary_law(QueueParams(p=p_, alpha=alpha, q=q_, beta=beta))
-    pi = markov_oracle(dist.bernoulli(p_), dist.bernoulli(q_), K=100)
+    pi = markov_oracle(laws.bernoulli(p_), laws.bernoulli(q_), K=100)
     ref = np.array([law.x_pmf(k) for k in range(len(pi))])
     out.append(_exact("bernoulli_limit_of_formula_law", float(np.abs(pi - ref).max()), 1e-7))
     return out
@@ -239,7 +240,7 @@ def check_queue_simulation(seed: int) -> list[dict]:
     out.append(_stat(chi_square_gof(emp, law.x_pmf, name="x_marginal_chi_square")))
     # departures: i.i.d. like the arrivals (no thinning needed under the theorem)
     emp_d = EmpiricalPmf.from_samples(d, cutoff=30)
-    out.append(_stat(chi_square_gof(emp_d, lambda k: dist.pmf(params.arrival_spec, k),
+    out.append(_stat(chi_square_gof(emp_d, lambda k: laws.pmf(params.arrival_spec, k),
                                     name="departure_marginal_chi_square")))
     for lag in (1, 2):
         rho, se_rho = lag_autocorr(d, lag)
@@ -290,7 +291,7 @@ def check_joint_burke(seed: int) -> list[dict]:
     out = []
     stream = RandomStream(seed)
     # Geom+ queue: (A, S) pairs match (D, I) pairs jointly
-    a_spec, s_spec = dist.geom_plus(0.5), dist.geom_plus(0.35)
+    a_spec, s_spec = laws.geom_plus(0.5), laws.geom_plus(0.35)
     trace = simulate(a_spec, s_spec, N_SLOTS, stream=stream.substream(0))
     d = trace.d[BURN_IN:-1]
     i_seq = trace.i[BURN_IN:]
@@ -300,13 +301,13 @@ def check_joint_burke(seed: int) -> list[dict]:
 
     def product_pmf(idx: int) -> float:
         da, ia = divmod(idx, cut + 1)
-        pa = dist.sf(a_spec, cut) if da == cut else dist.pmf(a_spec, da)
-        ps = dist.sf(s_spec, cut) if ia == cut else dist.pmf(s_spec, ia)
+        pa = laws.sf(a_spec, cut) if da == cut else laws.pmf(a_spec, da)
+        ps = laws.sf(s_spec, cut) if ia == cut else laws.pmf(s_spec, ia)
         return pa * ps
 
     out.append(_stat(chi_square_gof(emp, product_pmf, name="joint_burke_geom_plus_D_I")))
     # Bernoulli queue: (A, S) pairs match (D, T) pairs jointly
-    a_spec, s_spec = dist.bernoulli(0.3), dist.bernoulli(0.6)
+    a_spec, s_spec = laws.bernoulli(0.3), laws.bernoulli(0.6)
     trace = simulate(a_spec, s_spec, N_SLOTS, stream=stream.substream(1))
     d = trace.d[BURN_IN:]
     t_seq = trace.t[BURN_IN:]
@@ -315,7 +316,7 @@ def check_joint_burke(seed: int) -> list[dict]:
 
     def product_pmf_b(idx: int) -> float:
         da, ta = divmod(idx, 2)
-        return dist.pmf(a_spec, da) * dist.pmf(s_spec, ta)
+        return laws.pmf(a_spec, da) * laws.pmf(s_spec, ta)
 
     out.append(_stat(chi_square_gof(emp, product_pmf_b, name="joint_burke_bernoulli_D_T")))
     return out
@@ -339,8 +340,8 @@ def check_queue_small(seed: int) -> list[dict]:
     # window-maximum formula equals the iterated recurrence
     def path_max_trial(i: int, st: RandomStream) -> list:
         n = 1 + int(st.uniform() * 20)
-        a = dist.sample_n(dist.ber_geom(0.5, 0.4), st, n)
-        s = dist.sample_n(dist.ber_geom(0.6, 0.5), st, n)
+        a = dist.sample_n(laws.ber_geom(0.5, 0.4), st, n)
+        s = dist.sample_n(laws.ber_geom(0.6, 0.5), st, n)
         x = 0
         for k in range(n):
             x, _, _ = step(x, int(a[k]), int(s[k]))
@@ -395,13 +396,13 @@ def check_tandem(seed: int) -> list[dict]:
            {**check, "first_violation": {"stage": first[0], "slot": first[1]}}]
     for r, tr in enumerate(tt.stages):
         emp = EmpiricalPmf.from_samples(tr.d[BURN_IN:], cutoff=20)
-        out.append(_stat(chi_square_gof(emp, lambda k: dist.pmf(params.arrival_spec, k),
+        out.append(_stat(chi_square_gof(emp, lambda k: laws.pmf(params.arrival_spec, k),
                                         name=f"stage{r+1}_departure_law")))
     for res in verify_product_form(tt, burn_in=BURN_IN, stride=PAIR_STRIDE):
         out.append(_stat(res))
     # heterogeneous services on the same one-parameter family
     het = TandemConfig(params.arrival_spec,
-                       [dist.ber_geom(0.5, 0.5), dist.ber_geom(0.55, 0.45)])
+                       [laws.ber_geom(0.5, 0.5), laws.ber_geom(0.55, 0.45)])
     tt2 = simulate_tandem(het, N_SLOTS // 2, stream=RandomStream(seed).substream(99))
     for r in range(het.stages):
         law = stationary_law(het.stage_params(r))
@@ -467,7 +468,7 @@ def check_percolation_exact(seed: int) -> list[dict]:
     out.append(_exact("continuous_two_row_example", abs(got - 3.0), 0))
 
     def continuous_trial(i: int, st: RandomStream) -> list:
-        jf = perc.sample_jump_field(4, 10.0, dist.exponential(1.0), st)
+        jf = perc.sample_jump_field(4, 10.0, laws.exponential(1.0), st)
         base = perc.continuous_first_passage(jf, 0.0, 10.0, 0, 3)
         # nudge every event a quarter of the way toward the next event of
         # the merged sequence: order is preserved, so the value must not move
@@ -495,7 +496,7 @@ def check_percolation_exact(seed: int) -> list[dict]:
 
 
 def check_identity(seed: int) -> list[dict]:
-    arrival, service = dist.ber_geom(1 / 3, 2 / 3), dist.ber_geom(1 / 2, 1 / 2)
+    arrival, service = laws.ber_geom(1 / 3, 2 / 3), laws.ber_geom(1 / 2, 1 / 2)
     # instance i runs 1 + i % 4 stages for 50 slots
     return [_trials("tandem_identity_1000_instances", RandomStream(seed).trial_failures(
         range(1000), lambda i, st: perc.tandem_identity_check(
@@ -505,13 +506,13 @@ def check_identity(seed: int) -> list[dict]:
 def check_percolation_sim(seed: int) -> list[dict]:
     out = []
     stream = RandomStream(seed)
-    est = perc.estimate_time_constant(dist.exponential(1.0), 3.0, 400, 100, stream.substream(0))
+    est = perc.estimate_time_constant(laws.exponential(1.0), 3.0, 400, 100, stream.substream(0))
     out.append(_exact("exp_weights_estimate_above_limit", est.mean, 1.0, below=False))
     out.append(_exact("exp_weights_estimate_within_10pct", abs(est.mean - 1.0), 0.1))
-    est = perc.estimate_time_constant(dist.bernoulli(0.5), 0.5, 200, 100, stream.substream(1))
+    est = perc.estimate_time_constant(laws.bernoulli(0.5), 0.5, 200, 100, stream.substream(1))
     out.append(_exact("bernoulli_flat_region_estimate", est.mean, 0.02))
     target = 6.0 - 4.0 * math.sqrt(2.0)
-    est = perc.estimate_time_constant(dist.geom_zero(0.5), 3.0, 400, 100, stream.substream(2))
+    est = perc.estimate_time_constant(laws.geom_zero(0.5), 3.0, 400, 100, stream.substream(2))
     out.append(_exact("geom_weights_estimate_above_limit", est.mean, target, below=False))
     out.append(_exact("geom_weights_estimate_within_10pct", abs(est.mean - target) / target, 0.1))
     return out
@@ -591,19 +592,19 @@ def check_stats(seed: int) -> list[dict]:
     out = []
     stream = RandomStream(seed)
     # p-values under the null are near-uniform across seeded replications
-    ref = dist.ber_geom(1 / 3, 2 / 3)
+    ref = laws.ber_geom(1 / 3, 2 / 3)
     pvals = []
     for i in range(200):
         draws = dist.sample_n(ref, stream.substream(i), 10_000)
         emp = EmpiricalPmf.from_samples(draws, cutoff=25)
-        pvals.append(chi_square_gof(emp, lambda k: dist.pmf(ref, k)).p_value)
+        pvals.append(chi_square_gof(emp, lambda k: laws.pmf(ref, k)).p_value)
     dist_ks = ks_distance(pvals, lambda u: min(1.0, max(0.0, u)))
     out.append(_exact("null_pvalues_uniform_ks", dist_ks, 0.1))
     # power: a wrong law is rejected overwhelmingly
-    draws = dist.sample_n(dist.geom_zero(0.5), stream.substream(1000), 1_000_000)
+    draws = dist.sample_n(laws.geom_zero(0.5), stream.substream(1000), 1_000_000)
     emp = EmpiricalPmf.from_samples(draws, cutoff=25)
-    wrong = dist.ber_geom(0.4, 0.5)
-    res = chi_square_gof(emp, lambda k: dist.pmf(wrong, k))
+    wrong = laws.ber_geom(0.4, 0.5)
+    res = chi_square_gof(emp, lambda k: laws.pmf(wrong, k))
     out.append(_exact("power_against_wrong_law", res.p_value, 1e-6))
     # perfect proportions give statistic 0, p = 1
     probs = np.array([0.5, 0.3, 0.2, 0.0])

@@ -8,6 +8,7 @@ import gc
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -17,10 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchq import distributions as dist
+from batchq import laws
 from batchq import percolation as perc
 from batchq import queue_core
 from batchq.cli import build_parser, run
-from batchq.queue_core import QueueParams
+from batchq.laws import QueueParams
 from batchq.streams import RandomStream
 from batchq.tandem import TandemConfig, TandemTrace
 from test_queue_core import _old_write_csv, _one_shot
@@ -85,9 +87,9 @@ def test_dist_sample_deterministic_json(capsys, tmp_path):
                 "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == first
     # the CSV, on stdout and in --out, is the per-cell formatter's text for every kind
-    for spec in (dist.bernoulli(0.3), dist.geom_plus(0.5), dist.geom_zero(0.25),
-                 dist.ber_geom(0.3, 0.6), dist.exponential(1.5), dist.ber_exp(0.4, 2.0),
-                 dist.deterministic(3), dist.deterministic(2.5)):
+    for spec in (laws.bernoulli(0.3), laws.geom_plus(0.5), laws.geom_zero(0.25),
+                 laws.ber_geom(0.3, 0.6), laws.exponential(1.5), laws.ber_exp(0.4, 2.0),
+                 laws.deterministic(3), laws.deterministic(2.5)):
         argv = ["dist", "sample", "--spec", json.dumps(spec.to_dict(), sort_keys=True),
                 "--n", "3000", "--seed", "42"]
         assert run(argv) == 0
@@ -187,8 +189,8 @@ def test_perc_identity_reports_first_failure(monkeypatch, capsys):
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert report["failures"] == 2 and not report["all_equal"]
-    replay = real(dist.ber_geom(0.3333333333333333, 0.6666666666666666),
-                  [dist.ber_geom(0.5, 0.5)] * 2, window=30, stream=RandomStream(9).substream(2))
+    replay = real(laws.ber_geom(0.3333333333333333, 0.6666666666666666),
+                  [laws.ber_geom(0.5, 0.5)] * 2, window=30, stream=RandomStream(9).substream(2))
     assert report["first_failure"] == {"substream": 2, "lhs": replay.lhs, "rhs": replay.rhs,
                                        "best_m": replay.best_m}
 
@@ -642,6 +644,31 @@ def test_under_python_m_the_handler_runs_collected_on_a_frozen_import_heap(argv)
     assert res.stderr.decode() == "handler enabled=True frozen=True; import collections 0\n"
 
 
+# the batchq modules and numpy that were loaded when main() froze the heap
+FREEZE_PROBED = """
+import gc, sys
+freeze = gc.freeze
+
+def probed_freeze():
+    sys.stderr.write(" ".join(m for m in ("batchq.queue_core", "batchq.percolation",
+                                          "batchq.timeconstants", "numpy") if m in sys.modules))
+    freeze()
+
+gc.freeze = probed_freeze
+"""
+
+
+@pytest.mark.parametrize("argv,frozen", [
+    (SMALL["batchq perc identity"], "batchq.percolation numpy"),
+    (SMALL["batchq queue"], "batchq.queue_core numpy"),
+    (SMALL["batchq tc"], "batchq.timeconstants"),
+], ids=["perc-identity", "queue", "tc"])
+def test_main_imports_the_handlers_modules_before_it_freezes_the_heap(argv, frozen):
+    res = _as_main(argv, FREEZE_PROBED)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.decode() == frozen
+
+
 # the modules a command loaded, on stderr after the command's own output
 LOADED = """
 import sys
@@ -649,7 +676,8 @@ from batchq.cli import build_parser, run
 code = run(sys.argv[1:])
 sys.stderr.write(" ".join(m for m in ("multiprocessing", "concurrent.futures", "batchq.verify",
                                       "batchq.timeconstants", "batchq.stats",
-                                      "batchq.queue_core", "batchq.tandem", "batchq.percolation")
+                                      "batchq.queue_core", "batchq.tandem", "batchq.percolation",
+                                      "numpy")
                           if m in sys.modules))
 sys.exit(code)
 """
@@ -657,13 +685,14 @@ sys.exit(code)
 
 @pytest.mark.parametrize("argv,loaded", [
     (["perc", "identity", *P, "--window", "20", "--instances", "3"],
-     "batchq.queue_core batchq.percolation"),
-    (["queue", *P, "--slots", "2000"], "batchq.queue_core"),
-    (["tandem", *P, "--slots", "2000"], "batchq.queue_core batchq.tandem"),
-    (["tc", "--variant", "exp", "--x", "3"], "batchq.timeconstants batchq.queue_core"),
+     "batchq.queue_core batchq.percolation numpy"),
+    (["queue", *P, "--slots", "2000"], "batchq.queue_core numpy"),
+    (["tandem", *P, "--slots", "2000"], "batchq.queue_core batchq.tandem numpy"),
+    (["tc", "--variant", "exp", "--x", "3"], "batchq.timeconstants"),
     (["perc", "simulate", "--weights", '{"kind": "exp", "rate": 1.0}', "--x", "1", "--n", "10",
-      "--replicas", "2"], "batchq.percolation"),
-], ids=["perc-identity", "queue", "tandem", "tc", "perc-simulate"])
+      "--replicas", "2"], "batchq.percolation numpy"),
+    (SMALL["batchq dist pmf"], ""),
+], ids=["perc-identity", "queue", "tandem", "tc", "perc-simulate", "dist-pmf"])
 def test_commands_import_only_what_they_use(argv, loaded):
     res = _batchq(LOADED, argv)
     assert res.returncode == 0, res.stderr
@@ -675,6 +704,42 @@ def test_import_batchq_loads_no_submodule():
                   [])
     assert res.returncode == 0, res.stderr
     assert res.stdout.decode().strip() == "['batchq']"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the README's CLI commands at test sizes; criterion 12 runs verify --suite all
+README_SIZES = {"--slots": "2000", "--n": "20", "--replicas": "3", "--instances": "5",
+                "--suite": "stats"}
+# what a README comment says a command prints, checked on its stdout
+README_STATED = {"prints 1.0": lambda out: out == "1.0\n",
+                 "curve CSV": lambda out: out.startswith("variant,params,x,f,maximizer\n"),
+                 "summary JSON on stdout": lambda out: "mean_x" in json.loads(out)["empirical"],
+                 "exit 0 iff every check passes": lambda out: out.startswith("{")}
+
+
+def _readme_commands() -> list[tuple[list[str], str]]:
+    """Each command of the README's CLI block: its argv after ``batchq`` and its comment."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1]
+    commands = []
+    for line in block.split("```", 1)[0].replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        commands.append((shlex.split(command)[1:], comment.strip()))
+    return commands
+
+
+def test_the_readme_cli_block_runs(tmp_path, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 9
+    for argv, comment in commands:
+        # a flag's value follows it: an --out goes to tmp_path, a size shrinks
+        argv = argv[:1] + [str(tmp_path / value) if flag == "--out"
+                           else README_SIZES.get(flag, value)
+                           for flag, value in zip(argv, argv[1:])]
+        assert run(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert comment == "" or README_STATED[comment](out), (argv, out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tandem.csv", "trace.csv"]
+    assert (tmp_path / "trace.csv").read_text().count("\n") == 2001
 
 
 def test_explicit_burn_in_is_used_as_given(capsys):

@@ -10,160 +10,161 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from batchq import distributions as dist
+from batchq import laws
 from batchq.stats import EmpiricalPmf, chi_square_gof, ks_test
 from batchq.streams import RandomStream, mix64
 
 ALL_DISCRETE = [
-    dist.bernoulli(0.3),
-    dist.geom_plus(0.4),
-    dist.geom_zero(0.25),
-    dist.ber_geom(1 / 3, 2 / 3),
-    dist.ber_geom(0.2, 0.4),
-    dist.deterministic(7),
+    laws.bernoulli(0.3),
+    laws.geom_plus(0.4),
+    laws.geom_zero(0.25),
+    laws.ber_geom(1 / 3, 2 / 3),
+    laws.ber_geom(0.2, 0.4),
+    laws.deterministic(7),
 ]
 
 
 def test_pmf_values():
-    bg = dist.ber_geom(1 / 3, 2 / 3)
-    assert dist.pmf(bg, 0) == pytest.approx(2 / 3, abs=1e-15)
-    assert dist.pmf(bg, 2) == pytest.approx(2 / 27, abs=1e-15)
-    assert dist.pmf(dist.deterministic(7), 7) == 1.0
-    assert dist.pmf(dist.deterministic(7), 6) == 0.0
+    bg = laws.ber_geom(1 / 3, 2 / 3)
+    assert laws.pmf(bg, 0) == pytest.approx(2 / 3, abs=1e-15)
+    assert laws.pmf(bg, 2) == pytest.approx(2 / 27, abs=1e-15)
+    assert laws.pmf(laws.deterministic(7), 7) == 1.0
+    assert laws.pmf(laws.deterministic(7), 6) == 0.0
 
 
 def test_bergeom_matches_geom_zero_when_p_is_1_minus_a():
-    a, b = dist.ber_geom(0.5, 0.5), dist.geom_zero(0.5)
+    a, b = laws.ber_geom(0.5, 0.5), laws.geom_zero(0.5)
     for k in range(51):
-        assert dist.pmf(a, k) == pytest.approx(dist.pmf(b, k), abs=1e-15)
+        assert laws.pmf(a, k) == pytest.approx(laws.pmf(b, k), abs=1e-15)
 
 
 def test_pmf_rejects_continuous_variants():
-    for spec in (dist.exponential(1.0), dist.ber_exp(0.4, 2.0)):
+    for spec in (laws.exponential(1.0), laws.ber_exp(0.4, 2.0)):
         with pytest.raises(ValueError, match="discrete-only"):
-            dist.pmf(spec, 0)
+            laws.pmf(spec, 0)
     with pytest.raises(ValueError, match="discrete-only"):
-        dist.pmf(dist.deterministic(2.5), 2)
+        laws.pmf(laws.deterministic(2.5), 2)
 
 
 @pytest.mark.parametrize("spec", ALL_DISCRETE)
 def test_pmf_sums_to_one_with_analytic_tail(spec):
-    total = sum(dist.pmf(spec, k) for k in range(1001)) + dist.sf(spec, 1001)
+    total = sum(laws.pmf(spec, k) for k in range(1001)) + laws.sf(spec, 1001)
     assert abs(total - 1.0) <= 1e-12
 
 
 def test_mean_values_and_series_oracle():
-    assert dist.mean(dist.ber_geom(1 / 3, 2 / 3)) == pytest.approx(0.5, abs=1e-15)
-    assert dist.mean(dist.deterministic(7)) == 7
+    assert laws.mean(laws.ber_geom(1 / 3, 2 / 3)) == pytest.approx(0.5, abs=1e-15)
+    assert laws.mean(laws.deterministic(7)) == 7
     # truncated series oracle for the Geom+ mean
-    series = sum(k * dist.pmf(dist.geom_plus(0.25), k) for k in range(1, 10_001))
+    series = sum(k * laws.pmf(laws.geom_plus(0.25), k) for k in range(1, 10_001))
     assert abs(series - 4.0) <= 1e-10
-    assert dist.mean(dist.geom_plus(0.25)) == pytest.approx(series, abs=1e-10)
+    assert laws.mean(laws.geom_plus(0.25)) == pytest.approx(series, abs=1e-10)
 
 
 @pytest.mark.parametrize("spec", ALL_DISCRETE)
 def test_variance_against_series(spec):
-    m = dist.mean(spec)
-    second = sum(k * k * dist.pmf(spec, k) for k in range(4001))
-    assert dist.variance(spec) == pytest.approx(second - m * m, abs=1e-9)
+    m = laws.mean(spec)
+    second = sum(k * k * laws.pmf(spec, k) for k in range(4001))
+    assert laws.variance(spec) == pytest.approx(second - m * m, abs=1e-9)
 
 
-@pytest.mark.parametrize("spec", [dist.exponential(1.5), dist.ber_exp(0.4, 1.5)])
+@pytest.mark.parametrize("spec", [laws.exponential(1.5), laws.ber_exp(0.4, 1.5)])
 def test_continuous_moments_integrate_the_survival_function(spec):
     # E[X] = int sf and E[X^2] = int 2 x sf over x > 0, by the trapezoid rule
     x = np.linspace(0.0, 40.0, 400_001)
-    sf = np.array([dist.sf(spec, v) for v in x[1:]])
+    sf = np.array([laws.sf(spec, v) for v in x[1:]])
     sf = np.concatenate(([spec.p if spec.kind == "ber_exp" else 1.0], sf))
     m = np.trapezoid(sf, x)
-    assert dist.mean(spec) == pytest.approx(m, rel=1e-8)
-    assert dist.variance(spec) == pytest.approx(np.trapezoid(2 * x * sf, x) - m * m, rel=1e-8)
+    assert laws.mean(spec) == pytest.approx(m, rel=1e-8)
+    assert laws.variance(spec) == pytest.approx(np.trapezoid(2 * x * sf, x) - m * m, rel=1e-8)
 
 
 def test_pgf_normalization_and_atom():
     for spec in ALL_DISCRETE:
-        assert dist.pgf(spec, 1.0) == pytest.approx(1.0, abs=1e-12)
-    bg = dist.ber_geom(0.3, 0.6)
-    assert dist.pgf(bg, 0.0) == pytest.approx(1 - 0.3, abs=1e-15)
+        assert laws.pgf(spec, 1.0) == pytest.approx(1.0, abs=1e-12)
+    bg = laws.ber_geom(0.3, 0.6)
+    assert laws.pgf(bg, 0.0) == pytest.approx(1 - 0.3, abs=1e-15)
 
 
 def test_pgf_against_truncated_series():
-    spec = dist.ber_geom(0.5, 0.5)
-    series = sum(dist.pmf(spec, k) * 0.5**k for k in range(201))
-    assert dist.pgf(spec, 0.5) == pytest.approx(series, abs=1e-12)
-    assert dist.pgf(spec, 0.5) == pytest.approx(2 / 3, abs=1e-12)
+    spec = laws.ber_geom(0.5, 0.5)
+    series = sum(laws.pmf(spec, k) * 0.5**k for k in range(201))
+    assert laws.pgf(spec, 0.5) == pytest.approx(series, abs=1e-12)
+    assert laws.pgf(spec, 0.5) == pytest.approx(2 / 3, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", ALL_DISCRETE)
 def test_mean_is_pgf_derivative(spec):
     h = 1e-6
-    deriv = (dist.pgf(spec, 1 + h) - dist.pgf(spec, 1 - h)) / (2 * h)
-    assert abs(deriv - dist.mean(spec)) <= 1e-5
+    deriv = (laws.pgf(spec, 1 + h) - laws.pgf(spec, 1 - h)) / (2 * h)
+    assert abs(deriv - laws.mean(spec)) <= 1e-5
 
 
 def test_pgf_rejects_continuous_and_bad_z():
     with pytest.raises(ValueError, match="discrete-only"):
-        dist.pgf(dist.exponential(1.0), 0.5)
+        laws.pgf(laws.exponential(1.0), 0.5)
     with pytest.raises(ValueError):
-        dist.pgf(dist.bernoulli(0.5), -0.1)
+        laws.pgf(laws.bernoulli(0.5), -0.1)
     with pytest.raises(ValueError):
-        dist.pgf(dist.bernoulli(0.5), 1.5)
+        laws.pgf(laws.bernoulli(0.5), 1.5)
 
 
 def test_conditional_nonzero_is_geom_plus():
-    bg = dist.ber_geom(1 / 3, 2 / 3)
-    gp = dist.geom_plus(2 / 3)
+    bg = laws.ber_geom(1 / 3, 2 / 3)
+    gp = laws.geom_plus(2 / 3)
     for k in range(1, 101):
-        assert dist.pmf(bg, k) / bg.p == pytest.approx(dist.pmf(gp, k), abs=1e-12)
+        assert laws.pmf(bg, k) / bg.p == pytest.approx(laws.pmf(gp, k), abs=1e-12)
 
 
 def test_bergeom_degenerates_to_bernoulli():
-    near = dist.ber_geom(0.3, 1 - 1e-9)
-    ref = dist.bernoulli(0.3)
+    near = laws.ber_geom(0.3, 1 - 1e-9)
+    ref = laws.bernoulli(0.3)
     for k in range(4):
-        assert abs(dist.pmf(near, k) - dist.pmf(ref, k)) <= 1e-8
+        assert abs(laws.pmf(near, k) - laws.pmf(ref, k)) <= 1e-8
 
 
 def test_cdf_sf_consistency():
     for spec in ALL_DISCRETE:
         acc = 0.0
         for k in range(60):
-            acc += dist.pmf(spec, k)
-            assert dist.sf(spec, k + 1) == pytest.approx(1 - acc, abs=1e-12)
-    be = dist.ber_exp(0.4, 1.5)
-    assert dist.sf(be, 2.0) == pytest.approx(0.4 * math.exp(-3.0), abs=1e-15)
+            acc += laws.pmf(spec, k)
+            assert laws.sf(spec, k + 1) == pytest.approx(1 - acc, abs=1e-12)
+    be = laws.ber_exp(0.4, 1.5)
+    assert laws.sf(be, 2.0) == pytest.approx(0.4 * math.exp(-3.0), abs=1e-15)
 
 
 def test_deterministic_sampling_and_no_randomness():
     st = RandomStream(0)
-    draws = dist.sample_n(dist.deterministic(3), st, 100)
+    draws = dist.sample_n(laws.deterministic(3), st, 100)
     assert np.all(draws == 3)
     # no uniforms consumed
     assert st.uniform() == RandomStream(0).uniform()
 
 
 def test_sampler_determinism():
-    a = dist.sample_n(dist.ber_geom(1 / 3, 2 / 3), RandomStream(42), 100)
-    b = dist.sample_n(dist.ber_geom(1 / 3, 2 / 3), RandomStream(42), 100)
+    a = dist.sample_n(laws.ber_geom(1 / 3, 2 / 3), RandomStream(42), 100)
+    b = dist.sample_n(laws.ber_geom(1 / 3, 2 / 3), RandomStream(42), 100)
     assert np.array_equal(a, b)
 
 
 def test_sample_mean_within_3_sigma():
-    spec = dist.ber_geom(1 / 3, 2 / 3)
+    spec = laws.ber_geom(1 / 3, 2 / 3)
     draws = dist.sample_n(spec, RandomStream(2024), 1_000_000)
-    sigma = math.sqrt(dist.variance(spec) / 1e6)
+    sigma = math.sqrt(laws.variance(spec) / 1e6)
     assert abs(draws.mean() - 0.5) <= 3 * sigma
 
 
-@pytest.mark.parametrize("spec", [dist.geom_plus(0.3), dist.geom_zero(0.55),
-                                  dist.ber_geom(0.25, 0.45), dist.bernoulli(0.7)])
+@pytest.mark.parametrize("spec", [laws.geom_plus(0.3), laws.geom_zero(0.55),
+                                  laws.ber_geom(0.25, 0.45), laws.bernoulli(0.7)])
 def test_sampler_law_chi_square(spec):
     draws = dist.sample_n(spec, RandomStream(77), 400_000)
     emp = EmpiricalPmf.from_samples(draws, cutoff=30)
-    res = chi_square_gof(emp, lambda k: dist.pmf(spec, k), level=0.01)
+    res = chi_square_gof(emp, lambda k: laws.pmf(spec, k), level=0.01)
     assert res.passed, res
 
 
 def test_berexp_tail_is_p_exp_minus_ax():
-    be = dist.ber_exp(0.4, 1.5)
+    be = laws.ber_exp(0.4, 1.5)
     draws = dist.sample_n(be, RandomStream(99), 200_000)
     pos = draws[draws > 0]
     res = ks_test(pos, lambda x: 1.0 - math.exp(-be.rate * x), level=0.01)
@@ -179,20 +180,20 @@ def test_compound_boundary_case_gives_unit_summands():
     wpar = a / (1 - p)
     phi_w = wpar * zs / (1 - (1 - wpar) * zs)
     compound = (1 - p) / (1 - p * phi_w)
-    direct = np.array([dist.pgf(dist.ber_geom(p, a), z) for z in zs])
+    direct = np.array([laws.pgf(laws.ber_geom(p, a), z) for z in zs])
     assert np.abs(compound - direct).max() <= 1e-12
     # 2/3 over 1 - 1/3 rounds below 1; at p = a = 0.5 it is 1 exactly, the degenerate Geom+(1)
     for p, a in ((p, a), (0.5, 0.5)):
         draws = dist.sample_compound_n(p, a, RandomStream(5), 200_000)
         emp = EmpiricalPmf.from_samples(draws, cutoff=25)
-        res = chi_square_gof(emp, lambda k: dist.pmf(dist.ber_geom(p, a), k))
+        res = chi_square_gof(emp, lambda k: laws.pmf(laws.ber_geom(p, a), k))
         assert res.passed, res
 
 
 def test_compound_matches_bergeom_chi_square():
     draws = dist.sample_compound_n(0.2, 0.4, RandomStream(6), 1_000_000)
     emp = EmpiricalPmf.from_samples(draws, cutoff=25)
-    res = chi_square_gof(emp, lambda k: dist.pmf(dist.ber_geom(0.2, 0.4), k), level=0.01)
+    res = chi_square_gof(emp, lambda k: laws.pmf(laws.ber_geom(0.2, 0.4), k), level=0.01)
     assert res.passed, res
 
 
@@ -240,54 +241,54 @@ def test_compound_equals_the_per_value_loop(p, share, n, seed):
 def test_spec_validation():
     for bad in (0.0, 1.0, -0.2, 1.4):
         with pytest.raises(ValueError):
-            dist.bernoulli(bad)
+            laws.bernoulli(bad)
     with pytest.raises(ValueError):
-        dist.exponential(0.0)
+        laws.exponential(0.0)
     # JSON reads 1e400 as inf: a rate that is not finite is refused, not used
     for rate in (math.inf, math.nan):
-        for make in (dist.exponential, lambda r: dist.ber_exp(0.5, r)):
+        for make in (laws.exponential, lambda r: laws.ber_exp(0.5, r)):
             with pytest.raises(ValueError, match="positive and finite"):
                 make(rate)
     # nor is a deterministic value that is not finite, nor a JSON integer beyond every double
     for value in (-1, math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="finite and >= 0"):
-            dist.deterministic(value)
+            laws.deterministic(value)
     with pytest.raises(ValueError):
-        dist.DistSpec("ber_geom", p=0.5)  # missing alpha
+        laws.DistSpec("ber_geom", p=0.5)  # missing alpha
     with pytest.raises(ValueError):
-        dist.DistSpec("nope", p=0.5)
+        laws.DistSpec("nope", p=0.5)
 
 
 def test_json_round_trip_and_field_names():
-    spec = dist.ber_geom(1 / 3, 2 / 3)
+    spec = laws.ber_geom(1 / 3, 2 / 3)
     d = spec.to_dict()
     assert set(d) == {"kind", "p", "alpha"}
-    assert dist.DistSpec.from_dict(d) == spec
-    assert dist.DistSpec.from_dict(json.loads(json.dumps(d, sort_keys=True))) == spec
-    assert dist.DistSpec.from_dict({"kind": "exp", "rate": 2.0}) == dist.exponential(2.0)
+    assert laws.DistSpec.from_dict(d) == spec
+    assert laws.DistSpec.from_dict(json.loads(json.dumps(d, sort_keys=True))) == spec
+    assert laws.DistSpec.from_dict({"kind": "exp", "rate": 2.0}) == laws.exponential(2.0)
     for bad in ({"kind": "ber_geom", "p": 0.5, "alpha": 0.5, "oops": 1}, [1],
                 {"kind": "exp"}, {"kind": "exp", "rate": "a"},
                 {"kind": "deterministic", "value": True},
                 {"kind": "deterministic", "value": math.nan}):
         with pytest.raises(ValueError):
-            dist.DistSpec.from_dict(bad)
+            laws.DistSpec.from_dict(bad)
     with pytest.raises(ValueError, match="JSON object"):
-        dist.DistSpec.from_dict([1])
+        laws.DistSpec.from_dict([1])
     with pytest.raises(ValueError, match="'rate'"):
-        dist.DistSpec.from_dict({"kind": "exp"})
-    assert set(dist.ber_exp(0.4, 1.5).to_dict()) == {"kind", "p", "rate"}
+        laws.DistSpec.from_dict({"kind": "exp"})
+    assert set(laws.ber_exp(0.4, 1.5).to_dict()) == {"kind", "p", "rate"}
 
 
 _PROB = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 _RATE = st.floats(0.0, 1e300, exclude_min=True)
 _SPEC_OF_KIND = {
-    "bernoulli": st.builds(dist.bernoulli, _PROB),
-    "geom_plus": st.builds(dist.geom_plus, _PROB),
-    "geom_zero": st.builds(dist.geom_zero, _PROB),
-    "ber_geom": st.builds(dist.ber_geom, _PROB, _PROB),
-    "exp": st.builds(dist.exponential, _RATE),
-    "ber_exp": st.builds(dist.ber_exp, _PROB, _RATE),
-    "deterministic": st.builds(dist.deterministic,
+    "bernoulli": st.builds(laws.bernoulli, _PROB),
+    "geom_plus": st.builds(laws.geom_plus, _PROB),
+    "geom_zero": st.builds(laws.geom_zero, _PROB),
+    "ber_geom": st.builds(laws.ber_geom, _PROB, _PROB),
+    "exp": st.builds(laws.exponential, _RATE),
+    "ber_exp": st.builds(laws.ber_exp, _PROB, _RATE),
+    "deterministic": st.builds(laws.deterministic,
                                st.one_of(st.integers(0, 10**9), st.floats(0.0, 1e300))),
 }
 
@@ -298,24 +299,24 @@ _SPEC_OF_KIND = {
 def test_spec_round_trips_through_dict_and_json(kind, data):
     spec = data.draw(_SPEC_OF_KIND[kind])
     assert spec.kind == kind
-    assert dist.DistSpec.from_dict(spec.to_dict()) == spec
-    assert dist.DistSpec.from_dict(json.loads(json.dumps(spec.to_dict(), sort_keys=True))) == spec
+    assert laws.DistSpec.from_dict(spec.to_dict()) == spec
+    assert laws.DistSpec.from_dict(json.loads(json.dumps(spec.to_dict(), sort_keys=True))) == spec
 
 
 def test_round_trip_covers_every_kind():
-    assert sorted(_SPEC_OF_KIND) == sorted(dist._KINDS)
+    assert sorted(_SPEC_OF_KIND) == sorted(laws._KINDS)
 
 
 def test_tail_cutoff_bounds_the_tail():
     for spec in ALL_DISCRETE:
-        k = dist.tail_cutoff(spec, 1e-12)
-        assert dist.sf(spec, k + 1) <= 1e-12
+        k = laws.tail_cutoff(spec, 1e-12)
+        assert laws.sf(spec, k + 1) <= 1e-12
     # a nonzero mass at or below the tolerance needs no table beyond 0
-    assert dist.tail_cutoff(dist.ber_geom(1e-13, 0.5), 1e-12) == 0
+    assert laws.tail_cutoff(laws.ber_geom(1e-13, 0.5), 1e-12) == 0
     # a tolerance just below (1 - a)**55, where the logarithm's estimate rounds to 55
-    spec, tol = dist.geom_plus(0.25158329759496567), 1.1964399593355166e-07
-    assert dist.tail_cutoff(spec, tol) == 56
-    assert dist.sf(spec, 57) <= tol < dist.sf(spec, 56)
+    spec, tol = laws.geom_plus(0.25158329759496567), 1.1964399593355166e-07
+    assert laws.tail_cutoff(spec, tol) == 56
+    assert laws.sf(spec, 57) <= tol < laws.sf(spec, 56)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -324,12 +325,12 @@ def test_tail_cutoff_bounds_the_tail():
        tol=st.sampled_from([1e-14, 1e-12, 1e-6, 0.3]))
 def test_tail_cutoff_is_the_smallest_k(kind, p, alpha, tol):
     # P(X > K) = sf(K + 1): K bounds the tail and K - 1 does not
-    spec = {"bernoulli": lambda: dist.bernoulli(p), "geom_plus": lambda: dist.geom_plus(alpha),
-            "geom_zero": lambda: dist.geom_zero(alpha),
-            "ber_geom": lambda: dist.ber_geom(p, alpha)}[kind]()
-    k = dist.tail_cutoff(spec, tol)
-    assert k >= 0 and dist.sf(spec, k + 1) <= tol
-    assert k == 0 or dist.sf(spec, k) > tol
+    spec = {"bernoulli": lambda: laws.bernoulli(p), "geom_plus": lambda: laws.geom_plus(alpha),
+            "geom_zero": lambda: laws.geom_zero(alpha),
+            "ber_geom": lambda: laws.ber_geom(p, alpha)}[kind]()
+    k = laws.tail_cutoff(spec, tol)
+    assert k >= 0 and laws.sf(spec, k + 1) <= tol
+    assert k == 0 or laws.sf(spec, k) > tol
 
 
 def test_substreams_are_decorrelated_and_documented():
@@ -372,31 +373,31 @@ def test_stream_seeds_outside_the_pcg64_range_are_refused():
 
 def test_geom_samplers_refuse_draws_beyond_int64():
     # Geom+(1e-300) draws are near 1e300: refused instead of wrapping negative
-    for spec in (dist.geom_plus(1e-300), dist.geom_zero(1e-300), dist.ber_geom(0.5, 1e-300)):
+    for spec in (laws.geom_plus(1e-300), laws.geom_zero(1e-300), laws.ber_geom(0.5, 1e-300)):
         with pytest.raises(ValueError, match="int64"):
             dist.sample_n(spec, RandomStream(1), 10)
     with pytest.raises(ValueError, match="int64"):
         dist.sample_compound_n(0.5, 1e-300, RandomStream(1), 100)
     # a tiny but representable alpha still samples on the support
-    draws = dist.sample_n(dist.geom_plus(1e-15), RandomStream(1), 1000)
+    draws = dist.sample_n(laws.geom_plus(1e-15), RandomStream(1), 1000)
     assert draws.dtype == np.int64 and draws.min() >= 1
 
 
 def test_exp_samplers_refuse_a_rate_whose_draws_overflow():
     # -log1p(-u) / rate at the largest uniform, 1 - 2**-53, is 53 ln 2 / rate: above 2e-307
     # every draw is finite, and below it the rate is refused before a draw is made
-    for spec in (dist.exponential(1e-320), dist.ber_exp(0.5, 1e-320), dist.exponential(2e-307)):
+    for spec in (laws.exponential(1e-320), laws.ber_exp(0.5, 1e-320), laws.exponential(2e-307)):
         stream = RandomStream(1)
         for draw in (lambda: dist.sample_n(spec, stream, 10),
                      lambda: next(dist.sample_blocks(spec, [stream], 2, 10, 1)),
                      lambda: next(dist.sample_chunks(spec, stream, 10, 4))):
             with pytest.raises(ValueError, match="overflow"):
                 draw()
-    for spec in (dist.exponential(2.1e-307), dist.ber_exp(0.5, 2.1e-307)):
+    for spec in (laws.exponential(2.1e-307), laws.ber_exp(0.5, 2.1e-307)):
         draws = dist.sample_n(spec, RandomStream(1), 1000)
         assert np.isfinite(draws).all() and draws.max() > 1e307
     largest = np.array([1.0 - 2.0**-53])
-    assert dist._values(dist.exponential(1.0), [largest], 1)[0] == dist._EXP1_MAX
+    assert dist._values(laws.exponential(1.0), [largest], 1)[0] == dist._EXP1_MAX
 
 
 def test_geom_plus_values_floor_before_they_add_1():
@@ -406,26 +407,26 @@ def test_geom_plus_values_floor_before_they_add_1():
     x = np.log1p(-np.array([u])) / math.log1p(-alpha)
     assert x[0] == np.nextafter(2.0, 0.0) and x[0] + 1 == 3.0
     # ber_geom reads its Bernoulli, here 0 < p, from a row before its magnitude
-    for spec, rows, want in ((dist.geom_plus(alpha), [[u]], 2), (dist.geom_zero(alpha), [[u]], 1),
-                             (dist.ber_geom(0.5, alpha), [[0.0], [u]], 2)):
+    for spec, rows, want in ((laws.geom_plus(alpha), [[u]], 2), (laws.geom_zero(alpha), [[u]], 1),
+                             (laws.ber_geom(0.5, alpha), [[0.0], [u]], 2)):
         assert dist._values(spec, np.array(rows), 1).tolist() == [want]
 
 
 _EDGE_PROB = st.floats(1e-6, 1 - 1e-9)
 _EDGE_RATE = st.floats(1e-6, 1e6)
 _EDGE_SPEC_OF_KIND = {
-    "bernoulli": st.builds(dist.bernoulli, _EDGE_PROB),
-    "geom_plus": st.builds(dist.geom_plus, _EDGE_PROB),
-    "geom_zero": st.builds(dist.geom_zero, _EDGE_PROB),
-    "ber_geom": st.builds(dist.ber_geom, _EDGE_PROB, _EDGE_PROB),
-    "exp": st.builds(dist.exponential, _EDGE_RATE),
-    "ber_exp": st.builds(dist.ber_exp, _EDGE_PROB, _EDGE_RATE),
-    "deterministic": st.builds(dist.deterministic, st.one_of(
+    "bernoulli": st.builds(laws.bernoulli, _EDGE_PROB),
+    "geom_plus": st.builds(laws.geom_plus, _EDGE_PROB),
+    "geom_zero": st.builds(laws.geom_zero, _EDGE_PROB),
+    "ber_geom": st.builds(laws.ber_geom, _EDGE_PROB, _EDGE_PROB),
+    "exp": st.builds(laws.exponential, _EDGE_RATE),
+    "ber_exp": st.builds(laws.ber_exp, _EDGE_PROB, _EDGE_RATE),
+    "deterministic": st.builds(laws.deterministic, st.one_of(
         st.integers(0, 2**63 - 1), st.floats(0.0, 1e300), st.just(2.0**63))),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(dist._KINDS))
+@pytest.mark.parametrize("kind", sorted(laws._KINDS))
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(data=st.data())
 def test_sample_n_support_dtype_and_length_at_the_edges(kind, data):
@@ -458,7 +459,7 @@ def test_stream_cursor_reads_ahead_without_moving_the_stream():
         stream.skip(-1)
 
 
-@pytest.mark.parametrize("kind", sorted(dist._KINDS))
+@pytest.mark.parametrize("kind", sorted(laws._KINDS))
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(data=st.data())
 def test_sample_chunks_concatenate_to_one_sample_n_call(kind, data):
@@ -492,7 +493,7 @@ def test_sample_chunks_concatenate_to_one_sample_n_call(kind, data):
 
 
 def test_sample_chunks_move_the_stream_at_the_call():
-    spec = dist.ber_geom(0.5, 0.5)
+    spec = laws.ber_geom(0.5, 0.5)
     s_one, s_chunks = RandomStream(8), RandomStream(8)
     one = dist.sample_n(spec, s_one, 10)
     chunks = dist.sample_chunks(spec, s_chunks, 10, 3)
@@ -500,9 +501,9 @@ def test_sample_chunks_move_the_stream_at_the_call():
     assert after == s_one.uniform()
     assert np.array_equal(np.concatenate(list(chunks)), one)
     with pytest.raises(ValueError, match="int64"):
-        dist.sample_chunks(dist.deterministic(2.0**63), s_chunks, 10, 3)
+        dist.sample_chunks(laws.deterministic(2.0**63), s_chunks, 10, 3)
     # a block of Geom+ magnitudes beyond int64 is refused, as one sample_n call refuses it
-    for spec in (dist.geom_plus(1e-300), dist.ber_geom(0.5, 1e-300)):
+    for spec in (laws.geom_plus(1e-300), laws.ber_geom(0.5, 1e-300)):
         chunks = dist.sample_chunks(spec, RandomStream(1), 10, 3)
         with pytest.raises(ValueError, match="int64"):
             next(chunks)
@@ -534,7 +535,7 @@ def test_fill_is_uniforms_in_memory_order(shape, before, seed):
     assert np.array_equal(buf[1], out) and not buf[0].any() and not buf[2].any()
 
 
-@pytest.mark.parametrize("kind", sorted(dist._KINDS))
+@pytest.mark.parametrize("kind", sorted(laws._KINDS))
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(data=st.data())
 def test_sample_blocks_are_stacked_sample_n_calls(kind, data):
@@ -567,7 +568,7 @@ def test_sample_blocks_are_stacked_sample_n_calls(kind, data):
 
 
 def test_sample_blocks_validation_and_no_calls():
-    spec = dist.exponential(1.0)
+    spec = laws.exponential(1.0)
     stream, ref = RandomStream(4), RandomStream(4)
     assert list(dist.sample_blocks(spec, [stream], 0, 5, 3)) == []
     assert stream.uniform() == ref.uniform()
@@ -576,7 +577,7 @@ def test_sample_blocks_validation_and_no_calls():
             dist.sample_blocks(spec, [stream], calls, n, block)
 
 
-@pytest.mark.parametrize("kind", sorted(dist._KINDS))
+@pytest.mark.parametrize("kind", sorted(laws._KINDS))
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(data=st.data())
 def test_every_face_makes_the_values_of_one_sample_n_call(kind, data):
@@ -603,7 +604,7 @@ def test_every_face_makes_the_values_of_one_sample_n_call(kind, data):
 
 @pytest.mark.parametrize("value, dtype", [(3, np.int64), (2.5, np.float64)])
 def test_a_constant_batch_is_one_read_only_value(value, dtype):
-    spec = dist.deterministic(value)
+    spec = laws.deterministic(value)
     faces = [("sample_n", dist.sample_n(spec, RandomStream(1), 9))]
     # successive yields, each taken before the next is asked for
     faces += [(f"sample_blocks yield {j}", b) for j, b in enumerate(
@@ -623,10 +624,10 @@ def test_every_face_refuses_an_unusable_spec_at_the_call_with_the_stream_unmoved
              "sample_chunks one slice": lambda spec, s: dist.sample_chunks(spec, s, 10, 10),
              "sample_chunks range": lambda spec, s: dist.sample_chunks(spec, s, 10, 3, 2, 7),
              "sample_blocks": lambda spec, s: dist.sample_blocks(spec, [s], 2, 10, 1)}
-    for spec, refusal in ((dist.deterministic(2**63), "does not fit in int64"),
-                          (dist.deterministic(2.0**63), "does not fit in int64"),
-                          (dist.exponential(1e-320), "overflow float64"),
-                          (dist.ber_exp(0.5, 1e-320), "overflow float64")):
+    for spec, refusal in ((laws.deterministic(2**63), "does not fit in int64"),
+                          (laws.deterministic(2.0**63), "does not fit in int64"),
+                          (laws.exponential(1e-320), "overflow float64"),
+                          (laws.ber_exp(0.5, 1e-320), "overflow float64")):
         for face, call in faces.items():
             stream = RandomStream(3)
             # the refusal comes from the call itself, before any value is asked for
@@ -647,7 +648,7 @@ def _values_out_of_place(spec, u, v):
             "ber_exp": lambda: np.where(u < spec.p, -np.log1p(-v) / spec.rate, 0.0)}[spec.kind]()
 
 
-@pytest.mark.parametrize("kind", sorted(set(dist._KINDS) - {"deterministic"}))
+@pytest.mark.parametrize("kind", sorted(set(laws._KINDS) - {"deterministic"}))
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(data=st.data(), shape=st.sampled_from([(0,), (7,), (3, 5), (2, 3, 4)]),
        strided=st.booleans(), seed=st.integers(0, 2**32 - 1))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchq import distributions as dist
+from batchq import laws
 from batchq import percolation as perc
 from batchq.percolation import (IdentityCheck, JumpField, PathQuery,
                                 WeightField, continuous_first_passage,
@@ -243,7 +244,7 @@ def _jump_times(stream: RandomStream, horizon: float) -> list[float]:
 def test_jump_field_gaps_are_exp1_inverse_transforms_of_the_stream():
     for seed in range(5):
         # deterministic weights draw no uniforms, so the rows' gaps are the stream's blocks
-        jf = sample_jump_field(3, 150.0, dist.deterministic(2), RandomStream(seed))
+        jf = sample_jump_field(3, 150.0, laws.deterministic(2), RandomStream(seed))
         ref = RandomStream(seed)
         for times in jf.times:
             assert times.tobytes() == np.array(_jump_times(ref, 150.0)).tobytes()
@@ -256,7 +257,7 @@ def _jump_field_by_loop(n_rows, horizon, weight_spec, stream):
     for _ in range(n_rows):
         t, acc = [], 0.0
         while acc <= horizon:
-            for g in dist.sample_n(dist.exponential(1.0), stream, 64):
+            for g in dist.sample_n(laws.exponential(1.0), stream, 64):
                 acc += g
                 if acc > horizon:
                     break
@@ -268,8 +269,8 @@ def _jump_field_by_loop(n_rows, horizon, weight_spec, stream):
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(rows=st.integers(1, 4), horizon=st.one_of(st.floats(1e-3, 2.0), st.floats(2.0, 300.0)),
-       weights=st.sampled_from([dist.exponential(0.7), dist.geom_plus(0.4),
-                                dist.deterministic(2.5)]),
+       weights=st.sampled_from([laws.exponential(0.7), laws.geom_plus(0.4),
+                                laws.deterministic(2.5)]),
        seed=st.integers(0, 2**32 - 1), at_an_event=st.booleans())
 def test_jump_field_equals_the_per_value_loop(rows, horizon, weights, seed, at_an_event):
     if at_an_event:
@@ -290,7 +291,7 @@ def test_continuous_switch_point_insensitivity():
     stream = RandomStream(77)
     for i in range(30):
         st = stream.substream(i)
-        jf = sample_jump_field(4, 8.0, dist.exponential(1.0), st)
+        jf = sample_jump_field(4, 8.0, laws.exponential(1.0), st)
         base = continuous_first_passage(jf, 0.0, 8.0, 0, 3)
         merged = sorted((t, r, k) for r in range(4) for k, t in enumerate(jf.times[r]))
         times2 = [t.copy() for t in jf.times]
@@ -343,7 +344,7 @@ def test_continuous_equals_bruteforce_on_event_columns(query):
 # --- estimates and the identity ----------------------------------------------
 
 def test_estimate_deterministic_and_thread_invariant():
-    spec = dist.exponential(1.0)
+    spec = laws.exponential(1.0)
     e1 = estimate_time_constant(spec, 1.5, 60, 8, RandomStream(5))
     e2 = estimate_time_constant(spec, 1.5, 60, 8, RandomStream(5))
     e3 = estimate_time_constant(spec, 1.5, 60, 8, RandomStream(5), threads=4)
@@ -372,13 +373,13 @@ def test_batched_sweep_is_the_1d_sweep_and_the_bruteforce(batch, rows, cols, pin
 
 
 WEIGHT_SPECS = st.one_of(
-    st.builds(dist.exponential, st.floats(0.5, 2.0)),
-    st.builds(dist.ber_exp, st.floats(0.1, 0.9), st.floats(0.5, 2.0)),
-    st.builds(dist.bernoulli, st.floats(0.1, 0.9)),
-    st.builds(dist.geom_plus, st.floats(0.1, 0.9)),
-    st.builds(dist.geom_zero, st.floats(0.1, 0.9)),
-    st.builds(dist.ber_geom, st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
-    st.builds(dist.deterministic, st.sampled_from([0, 1, 0.5])),
+    st.builds(laws.exponential, st.floats(0.5, 2.0)),
+    st.builds(laws.ber_exp, st.floats(0.1, 0.9), st.floats(0.5, 2.0)),
+    st.builds(laws.bernoulli, st.floats(0.1, 0.9)),
+    st.builds(laws.geom_plus, st.floats(0.1, 0.9)),
+    st.builds(laws.geom_zero, st.floats(0.1, 0.9)),
+    st.builds(laws.ber_geom, st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+    st.builds(laws.deterministic, st.sampled_from([0, 1, 0.5])),
 )
 
 
@@ -431,9 +432,9 @@ def test_curve_rows_are_one_point_estimates(spec, xs, n, replicas, group, seed):
 
 
 # one spec of every weight kind
-KIND_SPECS = [dist.exponential(1.3), dist.ber_exp(0.4, 0.8), dist.bernoulli(0.3),
-              dist.geom_plus(0.6), dist.geom_zero(0.5), dist.ber_geom(0.3, 0.6),
-              dist.deterministic(0.5)]
+KIND_SPECS = [laws.exponential(1.3), laws.ber_exp(0.4, 0.8), laws.bernoulli(0.3),
+              laws.geom_plus(0.6), laws.geom_zero(0.5), laws.ber_geom(0.3, 0.6),
+              laws.deterministic(0.5)]
 
 
 def _cpus(monkeypatch, k):
@@ -469,7 +470,7 @@ def _sweeps_here(monkeypatch):
 
 
 def test_shards_fork_only_with_fork_and_a_large_field(monkeypatch):
-    spec, stream = dist.exponential(1.0), RandomStream(4)
+    spec, stream = laws.exponential(1.0), RandomStream(4)
     serial = perc.estimate_curve(spec, [1.0, 2.0], 30, 6, stream)
     _cpus(monkeypatch, 2)
     calls = _sweeps_here(monkeypatch)
@@ -491,7 +492,7 @@ def test_shards_fork_only_with_fork_and_a_large_field(monkeypatch):
 @pytest.mark.parametrize("replicas, cpus, shards", [(2, 64, 1), (8, 64, 3), (8, 2, 2),
                                                     (20, 64, 8), (20, 1, 1)])
 def test_shards_hold_at_least_the_shard_cells(replicas, cpus, shards, monkeypatch):
-    spec, stream = dist.exponential(1.0), RandomStream(3)
+    spec, stream = laws.exponential(1.0), RandomStream(3)
     serial = perc.estimate_curve(spec, [1.0], 10, replicas, stream)
     calls = []
     def in_process(fn, tasks):
@@ -508,7 +509,7 @@ def test_shards_hold_at_least_the_shard_cells(replicas, cpus, shards, monkeypatc
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
-    spec = dist.geom_plus(1e-300)  # every draw is beyond int64
+    spec = laws.geom_plus(1e-300)  # every draw is beyond int64
     with pytest.raises(ValueError) as serial:
         perc.estimate_curve(spec, [1.0], 10, 4, RandomStream(1))
     monkeypatch.setattr(perc, "_SHARD_CELLS", 1)
@@ -520,24 +521,24 @@ def test_worker_error_reaches_the_caller(monkeypatch):
 
 
 def test_estimate_flat_region_small():
-    est = estimate_time_constant(dist.bernoulli(0.5), 0.4, 100, 20, RandomStream(6))
+    est = estimate_time_constant(laws.bernoulli(0.5), 0.4, 100, 20, RandomStream(6))
     assert est.mean <= 0.02
 
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        estimate_time_constant(dist.exponential(1.0), 0.0, 50, 5, RandomStream(0))
+        estimate_time_constant(laws.exponential(1.0), 0.0, 50, 5, RandomStream(0))
     with pytest.raises(ValueError):
-        estimate_time_constant(dist.exponential(1.0), 1.0, 5, 5, RandomStream(0))
+        estimate_time_constant(laws.exponential(1.0), 1.0, 5, 5, RandomStream(0))
     with pytest.raises(ValueError):
-        estimate_time_constant(dist.exponential(1.0), 1.0, 50, 1, RandomStream(0))
+        estimate_time_constant(laws.exponential(1.0), 1.0, 50, 1, RandomStream(0))
     # floor(x N) = 0: one column, which no pinned path from row 0 to row N fits
     with pytest.raises(ValueError, match=r"x=0\.05.*N=10"):
-        estimate_time_constant(dist.exponential(1.0), 0.05, 10, 5, RandomStream(0))
+        estimate_time_constant(laws.exponential(1.0), 0.05, 10, 5, RandomStream(0))
     with pytest.raises(ValueError, match=r"x=0\.05.*N=10"):
-        perc.estimate_curve(dist.exponential(1.0), [1.0, 0.05], 10, 5, RandomStream(0))
+        perc.estimate_curve(laws.exponential(1.0), [1.0, 0.05], 10, 5, RandomStream(0))
     with pytest.raises(ValueError):
-        perc.estimate_curve(dist.exponential(1.0), [], 10, 5, RandomStream(0))
+        perc.estimate_curve(laws.exponential(1.0), [], 10, 5, RandomStream(0))
 
 
 def _identity_failures(arrival, services, window, stream):
@@ -547,13 +548,13 @@ def _identity_failures(arrival, services, window, stream):
 
 
 def test_identity_single_stage_is_lindley():
-    assert _identity_failures(dist.ber_geom(0.4, 0.5), [[dist.ber_geom(0.6, 0.45)]] * 100,
+    assert _identity_failures(laws.ber_geom(0.4, 0.5), [[laws.ber_geom(0.6, 0.45)]] * 100,
                               30, RandomStream(200)) == []
 
 
 def test_identity_multi_stage_exact():
-    service = dist.ber_geom(1 / 2, 1 / 2)
-    assert _identity_failures(dist.ber_geom(1 / 3, 2 / 3),
+    service = laws.ber_geom(1 / 2, 1 / 2)
+    assert _identity_failures(laws.ber_geom(1 / 3, 2 / 3),
                               [[service] * (1 + i % 4) for i in range(200)], 50,
                               RandomStream(201)) == []
 
@@ -568,15 +569,15 @@ def test_identity_instance_i_runs_on_substream_i(monkeypatch):
 
     monkeypatch.setattr(perc, "tandem_identity_check", record)
     stages = [2, 1, 4, 3]
-    failures = _identity_failures(dist.bernoulli(0.3), [[dist.bernoulli(0.6)] * r for r in stages],
+    failures = _identity_failures(laws.bernoulli(0.3), [[laws.bernoulli(0.6)] * r for r in stages],
                                   7, RandomStream(11))
     assert seen == [(r, 7, RandomStream(11).substream(i).seed) for i, r in enumerate(stages)]
     assert failures == [{"substream": 2, "lhs": 1.0, "rhs": 0.0, "best_m": -3}]
 
 
 def test_identity_zero_arrivals():
-    res = tandem_identity_check(dist.deterministic(0),
-                                [dist.ber_geom(0.5, 0.5)] * 3,
+    res = tandem_identity_check(laws.deterministic(0),
+                                [laws.ber_geom(0.5, 0.5)] * 3,
                                 window=20, stream=RandomStream(7))
     assert res.equal and res.lhs == 0.0 and res.rhs == 0.0
     assert isinstance(res, IdentityCheck)
@@ -584,23 +585,23 @@ def test_identity_zero_arrivals():
 
 def test_identity_heterogeneous_and_unstable_services():
     # the identity is pathwise, so it holds regardless of stability
-    services = [dist.geom_zero(0.7), dist.bernoulli(0.4), dist.deterministic(1)]
-    assert _identity_failures(dist.ber_geom(0.5, 0.5), [services] * 100, 40,
+    services = [laws.geom_zero(0.7), laws.bernoulli(0.4), laws.deterministic(1)]
+    assert _identity_failures(laws.ber_geom(0.5, 0.5), [services] * 100, 40,
                               RandomStream(202)) == []
 
 
 def test_identity_exact_only_when_arrivals_and_services_are_integer():
     # float arrivals with integer services: the sides differ by rounding only
-    res = tandem_identity_check(dist.exponential(1.0), [dist.deterministic(1)], 56,
+    res = tandem_identity_check(laws.exponential(1.0), [laws.deterministic(1)], 56,
                                 RandomStream(0))
     assert res.equal, res
 
 
 INT_SPECS = st.one_of(
-    st.builds(dist.ber_geom, st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
-    st.builds(dist.geom_zero, st.floats(0.05, 0.95)),
-    st.builds(dist.bernoulli, st.floats(0.05, 0.95)),
-    st.builds(dist.deterministic, st.integers(0, 2)),
+    st.builds(laws.ber_geom, st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+    st.builds(laws.geom_zero, st.floats(0.05, 0.95)),
+    st.builds(laws.bernoulli, st.floats(0.05, 0.95)),
+    st.builds(laws.deterministic, st.integers(0, 2)),
 )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import os
+from dataclasses import replace
 from itertools import zip_longest
 
 import numpy as np
@@ -12,11 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchq import distributions as dist
+from batchq import laws
 from batchq import queue_core
-from batchq.queue_core import (QueueParams, Trace, check_condition, excursion_loglik,
-                               markov_oracle, match_arrival_bernoulli, path_max_X, simulate,
-                               simulate_blocks, simulate_series, solve_arrival, stationary_law,
-                               step, tee_csv, verify_detailed_balance, write_csv)
+from batchq.laws import (QueueParams, check_condition, match_arrival_bernoulli, solve_arrival,
+                         stationary_law)
+from batchq.queue_core import (Trace, excursion_loglik, markov_oracle, path_max_X, simulate,
+                               simulate_blocks, simulate_series, step, tee_csv,
+                               verify_detailed_balance, write_csv)
 from batchq.stats import EmpiricalPmf, chi_square_gof
 from batchq.streams import RandomStream
 
@@ -40,15 +43,15 @@ def test_step_examples():
 
 
 def test_deterministic_queue_stays_empty():
-    tr = simulate(dist.deterministic(1), dist.deterministic(1), 500, stream=RandomStream(0))
+    tr = simulate(laws.deterministic(1), laws.deterministic(1), 500, stream=RandomStream(0))
     assert np.all(tr.x == 0)
     assert np.all(tr.d == 1)
 
 
 def test_trace_invariants_discrete_and_continuous():
-    tr = simulate(dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4), 20_000, stream=RandomStream(3))
+    tr = simulate(laws.ber_geom(0.4, 0.5), laws.ber_geom(0.6, 0.4), 20_000, stream=RandomStream(3))
     tr.check_invariants()
-    trc = simulate(dist.ber_exp(0.3, 1.0), dist.ber_exp(0.5, 0.5), 20_000, stream=RandomStream(4))
+    trc = simulate(laws.ber_exp(0.3, 1.0), laws.ber_exp(0.5, 0.5), 20_000, stream=RandomStream(4))
     trc.check_invariants()
     assert trc.a.dtype == np.float64
 
@@ -56,7 +59,7 @@ def test_trace_invariants_discrete_and_continuous():
 @pytest.mark.parametrize("n", [100_000, 1_000_000])
 def test_float_trace_invariants_hold_at_the_kernel_rounding(n):
     # X is rounded at the size of the prefix sums of A - S, which grow with n
-    tr = simulate(dist.exponential(2.0), dist.exponential(1.0), n, RandomStream(1))
+    tr = simulate(laws.exponential(2.0), laws.exponential(1.0), n, RandomStream(1))
     tr.check_invariants()
     moved = tr.x_full.copy()
     moved[n // 2] += 1e-6
@@ -64,8 +67,21 @@ def test_float_trace_invariants_hold_at_the_kernel_rounding(n):
         Trace(tr.a, tr.s, moved).check_invariants()
 
 
+def test_every_float_block_holds_its_invariants_at_the_carried_rounding():
+    # a block after the first is rounded at the prefix sum carried into it
+    blocks = [st[0] for st in simulate_blocks(laws.exponential(2.0), [laws.exponential(1.0)],
+                                              1_000_000, RandomStream(1))]
+    assert len(blocks) == 16
+    for tr in blocks:
+        tr.check_invariants()
+    moved = blocks[-1].x_full.copy()
+    moved[len(moved) // 2] += 1e-6
+    with pytest.raises(ValueError, match="X' = Y - D"):
+        replace(blocks[-1], x_full=moved).check_invariants()
+
+
 def test_trace_invariants_refuse_a_moved_or_negative_queue_length():
-    tr = simulate(dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4), 1000, RandomStream(3))
+    tr = simulate(laws.ber_geom(0.4, 0.5), laws.ber_geom(0.6, 0.4), 1000, RandomStream(3))
     moved = tr.x_full.copy()
     moved[500] += 1
     with pytest.raises(ValueError, match="X' = Y - D"):
@@ -77,7 +93,7 @@ def test_trace_invariants_refuse_a_moved_or_negative_queue_length():
 
 
 def test_trace_invariants_name_the_count_and_the_first_violation():
-    tr = simulate(dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4), 1000, RandomStream(3))
+    tr = simulate(laws.ber_geom(0.4, 0.5), laws.ber_geom(0.6, 0.4), 1000, RandomStream(3))
     moved = tr.x_full.copy()
     moved[[500, 700]] += 1
     # the slots whose X' = Y - D the moves break, by the per-slot recursion: slot k - 1 for a
@@ -98,11 +114,11 @@ def test_trace_invariants_name_the_count_and_the_first_violation():
 def test_an_empty_series_is_refused():
     for run in (simulate_series, simulate_blocks):
         with pytest.raises(ValueError, match="need at least one stage"):
-            run(dist.bernoulli(0.3), [], 10, RandomStream(0))
+            run(laws.bernoulli(0.3), [], 10, RandomStream(0))
 
 
 def test_trace_csv(tmp_path):
-    tr = simulate(dist.ber_geom(0.4, 0.5), dist.geom_zero(0.5), 5, stream=RandomStream(6))
+    tr = simulate(laws.ber_geom(0.4, 0.5), laws.geom_zero(0.5), 5, stream=RandomStream(6))
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -112,13 +128,13 @@ def test_trace_csv(tmp_path):
 
 
 def test_unstable_parameters_allowed():
-    tr = simulate(dist.geom_plus(0.3), dist.bernoulli(0.4), 5000, stream=RandomStream(7))
+    tr = simulate(laws.geom_plus(0.3), laws.bernoulli(0.4), 5000, stream=RandomStream(7))
     assert tr.x[-1] > 100  # the queue grows without bound
 
 
 def test_a_run_draws_its_arrivals_then_each_stage_services_in_stage_order():
-    arrival = dist.ber_geom(0.3, 0.6)
-    services = [dist.ber_geom(0.5, 0.5), dist.geom_zero(0.4), dist.bernoulli(0.7)]
+    arrival = laws.ber_geom(0.3, 0.6)
+    services = [laws.ber_geom(0.5, 0.5), laws.geom_zero(0.4), laws.bernoulli(0.7)]
     stream, ref = RandomStream(11), RandomStream(11)
     stages = simulate_series(arrival, services, 500, stream)
     assert np.array_equal(stages[0].a, dist.sample_n(arrival, ref, 500))
@@ -142,8 +158,8 @@ def test_path_max_equals_iterated_step():
     for i in range(300):
         st = stream.substream(i)
         n = 1 + int(st.uniform() * 20)
-        a = dist.sample_n(dist.ber_geom(0.5, 0.4), st, n)
-        s = dist.sample_n(dist.ber_geom(0.6, 0.5), st, n)
+        a = dist.sample_n(laws.ber_geom(0.5, 0.4), st, n)
+        s = dist.sample_n(laws.ber_geom(0.6, 0.5), st, n)
         x = 0
         for k in range(n):
             x, _, _ = step(x, int(a[k]), int(s[k]))
@@ -206,6 +222,14 @@ def test_solve_arrival_examples():
         solve_arrival(0.5, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("q, b", [(0.1, 0.4), (0.1, 0.6), (0.1, 0.8)])
+def test_solve_arrival_refuses_a_root_that_rounds_onto_beta(q, b):
+    # at the last double below mu = q/b the admissible root rounds to b itself,
+    # which is outside (b, 1): it is refused, not returned
+    with pytest.raises(ValueError, match="no admissible alpha"):
+        solve_arrival(q, b, math.nextafter(q / b, 0.0))
+
+
 def test_solve_arrival_roundtrip_grid():
     for q in (0.3, 0.5, 0.7, 0.9):
         for b in (0.2, 0.5, 0.6, 0.8):
@@ -262,7 +286,7 @@ def test_bernoulli_limit_of_stationary_law():
     beta = match_arrival_bernoulli(q_, p_, alpha)
     law = stationary_law(QueueParams(p=p_, alpha=alpha, q=q_, beta=beta))
     assert law.c == pytest.approx(p_ * (1 - q_) / (q_ * (1 - p_)), rel=1e-6)
-    pi = markov_oracle(dist.bernoulli(p_), dist.bernoulli(q_), K=100)
+    pi = markov_oracle(laws.bernoulli(p_), laws.bernoulli(q_), K=100)
     ref = np.array([law.x_pmf(k) for k in range(len(pi))])
     assert np.abs(pi - ref).max() <= 1e-7
 
@@ -281,7 +305,7 @@ def test_excursion_single_slot_self_reversed():
     ll_r = excursion_loglik(MAIN, [2], [2])
     assert ll_f == ll_r
     # direct product oracle: log pmf_A(2) + log P(S >= 2)
-    expect = math.log(dist.pmf(MAIN.arrival_spec, 2)) + math.log(dist.sf(MAIN.service_spec, 2))
+    expect = math.log(laws.pmf(MAIN.arrival_spec, 2)) + math.log(laws.sf(MAIN.service_spec, 2))
     assert ll_f == pytest.approx(expect, abs=1e-12)
 
 
@@ -317,24 +341,24 @@ def test_excursion_shape_validation():
 
 def test_oracle_general_service_shapes():
     # 0/1 arrivals with general service: the queue law is plain geometric
-    pi = markov_oracle(dist.bernoulli(0.3), dist.bernoulli(0.6), K=120)
+    pi = markov_oracle(laws.bernoulli(0.3), laws.bernoulli(0.6), K=120)
     ratios = pi[1:40] / pi[0:39]
     assert ratios.max() - ratios.min() <= 1e-10
     # BerGeom arrivals with deterministic service: constant ratio above 0
-    pi = markov_oracle(dist.ber_geom(0.3, 0.5), dist.deterministic(1), K=200)
+    pi = markov_oracle(laws.ber_geom(0.3, 0.5), laws.deterministic(1), K=200)
     ratios = pi[2:31] / pi[1:30]
     assert ratios.max() - ratios.min() <= 1e-8
 
 
 def test_oracle_rejects_bad_input():
     with pytest.raises(RuntimeError, match="increase K"):
-        markov_oracle(dist.ber_geom(0.45, 0.5), dist.deterministic(1), K=25)
+        markov_oracle(laws.ber_geom(0.45, 0.5), laws.deterministic(1), K=25)
     with pytest.raises(ValueError, match="discrete"):
-        markov_oracle(dist.exponential(1.0), dist.deterministic(1), K=50)
+        markov_oracle(laws.exponential(1.0), laws.deterministic(1), K=50)
     with pytest.raises(ValueError, match="unstable"):
-        markov_oracle(dist.geom_plus(0.3), dist.bernoulli(0.5), K=50)
+        markov_oracle(laws.geom_plus(0.3), laws.bernoulli(0.5), K=50)
     with pytest.raises(ValueError, match="pmf"):
-        markov_oracle(dist.bernoulli(0.2), np.array([0.5, 0.4]), K=50)
+        markov_oracle(laws.bernoulli(0.2), np.array([0.5, 0.4]), K=50)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -377,17 +401,17 @@ def _one_shot(arrival, services, n, stream, init_x):
 
 
 _SIM_SPECS = st.sampled_from([
-    (dist.ber_geom(0.4, 0.5), [dist.ber_geom(0.6, 0.4)]),
-    (dist.ber_geom(0.3, 0.6), [dist.geom_zero(0.5)]),
-    (dist.geom_plus(0.3), [dist.bernoulli(0.4)]),
-    (dist.ber_exp(0.3, 1.0), [dist.ber_exp(0.5, 0.5)]),
-    (dist.exponential(2.0), [dist.ber_geom(0.5, 0.5)]),
+    (laws.ber_geom(0.4, 0.5), [laws.ber_geom(0.6, 0.4)]),
+    (laws.ber_geom(0.3, 0.6), [laws.geom_zero(0.5)]),
+    (laws.geom_plus(0.3), [laws.bernoulli(0.4)]),
+    (laws.ber_exp(0.3, 1.0), [laws.ber_exp(0.5, 0.5)]),
+    (laws.exponential(2.0), [laws.ber_geom(0.5, 0.5)]),
     # queues in series, R = 2..4, and a float stage feeding an integer one
-    (dist.ber_geom(0.4, 0.5), [dist.ber_geom(0.6, 0.4)] * 2),
-    (dist.ber_geom(1 / 3, 2 / 3), [dist.ber_geom(0.5, 0.5)] * 3),
-    (dist.geom_plus(0.6), [dist.geom_zero(0.5), dist.ber_geom(0.6, 0.4), dist.bernoulli(0.7),
-                           dist.geom_plus(0.3)]),
-    (dist.ber_geom(0.4, 0.5), [dist.exponential(1.0), dist.ber_geom(0.6, 0.4)]),
+    (laws.ber_geom(0.4, 0.5), [laws.ber_geom(0.6, 0.4)] * 2),
+    (laws.ber_geom(1 / 3, 2 / 3), [laws.ber_geom(0.5, 0.5)] * 3),
+    (laws.geom_plus(0.6), [laws.geom_zero(0.5), laws.ber_geom(0.6, 0.4), laws.bernoulli(0.7),
+                           laws.geom_plus(0.3)]),
+    (laws.ber_geom(0.4, 0.5), [laws.exponential(1.0), laws.ber_geom(0.6, 0.4)]),
 ])
 
 
@@ -428,7 +452,7 @@ def test_block_simulation_equals_one_shot_slot_by_slot(specs, block, n, init_x, 
 
 def test_block_simulation_matches_iterated_step_across_default_blocks():
     n = 3 * queue_core._BLOCK_SLOTS + 17
-    tr = simulate(dist.ber_geom(0.45, 0.5), dist.ber_geom(0.5, 0.5), n, RandomStream(4),
+    tr = simulate(laws.ber_geom(0.45, 0.5), laws.ber_geom(0.5, 0.5), n, RandomStream(4),
                   init_x=30)
     x = 30
     xs = [x]
@@ -505,7 +529,7 @@ def test_write_csv_refuses_a_negative_integer_cell(values, at):
        seed=st.integers(0, 2**32 - 1))
 def test_tee_csv_writes_the_whole_trace_file(block, n, init_x, seed, tmp_path_factory):
     root = tmp_path_factory.mktemp("tee")
-    arrival, service = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
+    arrival, service = laws.ber_geom(0.4, 0.5), laws.ber_geom(0.6, 0.4)
     _one_shot(arrival, [service], n, RandomStream(seed), init_x)[0].to_csv(root / "whole.csv")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(queue_core, "_BLOCK_SLOTS", block)
@@ -522,7 +546,7 @@ def _engine_means(arrival, service, n, seed, init_x, burn):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_scan_moves_the_stream_as_the_slot_engine_does(cpus, monkeypatch):
-    arrival, service = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
+    arrival, service = laws.ber_geom(0.4, 0.5), laws.ber_geom(0.6, 0.4)
     monkeypatch.setattr(queue_core, "_BLOCK_SLOTS", 64)
     monkeypatch.setattr(queue_core, "_SHARD_SLOTS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -534,7 +558,7 @@ def test_scan_moves_the_stream_as_the_slot_engine_does(cpus, monkeypatch):
 
 
 def test_scan_reruns_a_shard_whose_levels_stop_below_its_start(monkeypatch):
-    arrival, service = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
+    arrival, service = laws.ber_geom(0.4, 0.5), laws.ber_geom(0.6, 0.4)
     calls, shard = [], queue_core._scan_shard
     def spy(*args):
         calls.append(args[4:])  # (lo, hi, burn, cap); a forked worker counts in its own copy
@@ -556,7 +580,7 @@ def test_scan_reruns_a_shard_whose_levels_stop_below_its_start(monkeypatch):
 @pytest.mark.parametrize("slots, cpus, shards", [(99, 64, 1), (199, 64, 1), (200, 64, 2),
                                                  (1050, 64, 10), (1050, 3, 3), (1050, 1, 1)])
 def test_scan_shards_hold_at_least_the_shard_slots(slots, cpus, shards, monkeypatch):
-    arrival, service = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
+    arrival, service = laws.ber_geom(0.4, 0.5), laws.ber_geom(0.6, 0.4)
     calls = []
     def in_process(fn, tasks):
         calls.append(tasks)
@@ -573,18 +597,18 @@ def test_scan_shards_hold_at_least_the_shard_slots(slots, cpus, shards, monkeypa
 
 
 def test_scan_means_validation():
-    a, s = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
+    a, s = laws.ber_geom(0.4, 0.5), laws.ber_geom(0.6, 0.4)
     for n, init_x, burn, msg in ((0, 0, 0, "n_slots"), (10, -1, 0, "init_x"),
                                  (10, 0, 10, "burn_in"), (10, 0, -1, "burn_in")):
         with pytest.raises(ValueError, match=msg):
             queue_core.scan_means(a, s, n, RandomStream(1), init_x, burn)
     with pytest.raises(ValueError, match="integer-valued"):
-        queue_core.scan_means(dist.exponential(1.0), s, 10, RandomStream(1))
+        queue_core.scan_means(laws.exponential(1.0), s, 10, RandomStream(1))
 
 
 def test_block_means_refuses_a_burn_in_outside_the_slots():
     # below 0 or at and above the slot count, no slot is averaged as asked
-    arrival, service = dist.ber_geom(0.4, 0.5), dist.ber_geom(0.6, 0.4)
+    arrival, service = laws.ber_geom(0.4, 0.5), laws.ber_geom(0.6, 0.4)
     for burn in (-5, 1000, 1200):
         blocks = simulate_blocks(arrival, [service], 1000, RandomStream(3))
         with pytest.raises(ValueError, match="burn_in must lie in"):

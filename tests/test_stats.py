@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from batchq import distributions as dist
+from batchq import laws
 from batchq.stats import (EmpiricalPmf, _kolmogorov_sf, _pool_tail, batch_mean_stderr,
                           chi2_sf, chi_square_gof, chi_square_two_sample, encode_pairs,
                           independence_chi2, ks_distance, ks_test, lag_autocorr)
@@ -53,10 +54,10 @@ def test_exact_fit_gives_statistic_zero_p_one():
 
 
 def test_gof_pools_small_expected_cells():
-    spec = dist.geom_zero(0.6)
+    spec = laws.geom_zero(0.6)
     draws = dist.sample_n(spec, RandomStream(3), 50_000)
     emp = EmpiricalPmf.from_samples(draws, cutoff=40)  # deep cells are nearly empty
-    res = chi_square_gof(emp, lambda k: dist.pmf(spec, k))
+    res = chi_square_gof(emp, lambda k: laws.pmf(spec, k))
     assert res.passed
     assert res.dof < 40  # pooling merged the deep tail
 
@@ -89,8 +90,8 @@ def test_a_chi_square_result_names_its_pooled_cells_and_its_worst_cell():
     assert cells["worst_cell"]["values"] == "2"
     assert cells["worst_cell"]["observed"] == [300.0, 200.0]
     # independence: the worst cell's observed count is the pairs its labels hold
-    x = dist.sample_n(dist.geom_zero(0.4), RandomStream(1), 20_000)
-    y = dist.sample_n(dist.geom_zero(0.4), RandomStream(2), 20_000)
+    x = dist.sample_n(laws.geom_zero(0.4), RandomStream(1), 20_000)
+    y = dist.sample_n(laws.geom_zero(0.4), RandomStream(2), 20_000)
     y[:3000] = x[:3000]
     res = independence_chi2(x, y, 6, 6, min_pairs=1000)
     cells = res._cells
@@ -110,27 +111,27 @@ def test_gof_insufficient_counts():
 
 
 def test_gof_power_against_wrong_law():
-    draws = dist.sample_n(dist.geom_zero(0.5), RandomStream(8), 1_000_000)
+    draws = dist.sample_n(laws.geom_zero(0.5), RandomStream(8), 1_000_000)
     emp = EmpiricalPmf.from_samples(draws, cutoff=25)
-    res = chi_square_gof(emp, lambda k: dist.pmf(dist.ber_geom(0.4, 0.5), k))
+    res = chi_square_gof(emp, lambda k: laws.pmf(laws.ber_geom(0.4, 0.5), k))
     assert res.p_value < 1e-6
 
 
 def test_null_pvalues_are_near_uniform_over_200_seeds():
-    ref = dist.ber_geom(1 / 3, 2 / 3)
+    ref = laws.ber_geom(1 / 3, 2 / 3)
     stream = RandomStream(123)
     pvals = []
     for i in range(200):
         draws = dist.sample_n(ref, stream.substream(i), 10_000)
         emp = EmpiricalPmf.from_samples(draws, cutoff=25)
-        pvals.append(chi_square_gof(emp, lambda k: dist.pmf(ref, k)).p_value)
+        pvals.append(chi_square_gof(emp, lambda k: laws.pmf(ref, k)).p_value)
     assert ks_distance(pvals, lambda u: min(1.0, max(0.0, u))) < 0.1
 
 
 def test_independence_calibration_and_power():
     st = RandomStream(99)
-    z1 = dist.sample_n(dist.ber_geom(0.4, 0.5), st.substream(0), 150_000)
-    z2 = dist.sample_n(dist.ber_geom(0.4, 0.5), st.substream(1), 150_000)
+    z1 = dist.sample_n(laws.ber_geom(0.4, 0.5), st.substream(0), 150_000)
+    z2 = dist.sample_n(laws.ber_geom(0.4, 0.5), st.substream(1), 150_000)
     res = independence_chi2(z1, z2, 8, 8)
     assert res.p_value > 0.01
     res = independence_chi2(z1, z1, 8, 8)
@@ -153,7 +154,7 @@ def test_encode_pairs():
 
 def test_lag_autocorr_iid_and_markov():
     st = RandomStream(11)
-    iid = dist.sample_n(dist.geom_zero(0.5), st, 200_000).astype(float)
+    iid = dist.sample_n(laws.geom_zero(0.5), st, 200_000).astype(float)
     rho, se = lag_autocorr(iid, 1)
     assert abs(rho) < 3 * se
     # an AR(1)-style running sum is visibly correlated
@@ -198,11 +199,11 @@ def test_ks_p_value_of_a_sample_that_fits_too_well_is_one():
 
 def test_two_sample_chi_square():
     st = RandomStream(14)
-    a = dist.sample_n(dist.geom_zero(0.5), st.substream(0), 100_000)
-    b = dist.sample_n(dist.geom_zero(0.5), st.substream(1), 100_000)
+    a = dist.sample_n(laws.geom_zero(0.5), st.substream(0), 100_000)
+    b = dist.sample_n(laws.geom_zero(0.5), st.substream(1), 100_000)
     ca = np.bincount(np.minimum(a, 20), minlength=21)
     cb = np.bincount(np.minimum(b, 20), minlength=21)
     assert chi_square_two_sample(ca, cb).passed
-    c = dist.sample_n(dist.geom_zero(0.4), st.substream(2), 100_000)
+    c = dist.sample_n(laws.geom_zero(0.4), st.substream(2), 100_000)
     cc = np.bincount(np.minimum(c, 20), minlength=21)
     assert chi_square_two_sample(ca, cc).p_value < 1e-10

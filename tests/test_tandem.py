@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from batchq import distributions as dist
+from batchq import laws
 from batchq import queue_core
-from batchq.queue_core import QueueParams, simulate
+from batchq.laws import QueueParams
+from batchq.queue_core import simulate
 from batchq.tandem import TandemConfig, TandemTrace, simulate_tandem, verify_product_form
 from batchq.streams import RandomStream
 
@@ -24,7 +25,7 @@ def test_single_stage_matches_plain_simulation():
 
 
 def test_deterministic_tandem_stays_empty():
-    config = TandemConfig(dist.deterministic(1), [dist.deterministic(1)] * 3)
+    config = TandemConfig(laws.deterministic(1), [laws.deterministic(1)] * 3)
     tt = simulate_tandem(config, 200, stream=RandomStream(0))
     for tr in tt.stages:
         assert np.all(tr.x == 0)
@@ -64,8 +65,8 @@ def test_feed_forward_counts_the_slots_a_miswired_stage_breaks():
 def test_config_validation():
     # the slot engine, not the config, refuses a series of no stages
     with pytest.raises(ValueError, match="need at least one stage"):
-        simulate_tandem(TandemConfig(dist.bernoulli(0.5), []), 10, RandomStream(1))
-    config = TandemConfig(dist.bernoulli(0.2), [dist.geom_plus(0.5), dist.deterministic(1)])
+        simulate_tandem(TandemConfig(laws.bernoulli(0.5), []), 10, RandomStream(1))
+    config = TandemConfig(laws.bernoulli(0.2), [laws.geom_plus(0.5), laws.deterministic(1)])
     assert config.stages == 2
     with pytest.raises(ValueError, match="Bernoulli-geometric"):
         config.stage_params(0)
@@ -73,8 +74,8 @@ def test_config_validation():
 
 def test_stage_params_and_condition():
     config = TandemConfig(MAIN.arrival_spec,
-                          [dist.ber_geom(0.5, 0.5), dist.ber_geom(0.55, 0.45)])
-    from batchq.queue_core import check_condition
+                          [laws.ber_geom(0.5, 0.5), laws.ber_geom(0.55, 0.45)])
+    from batchq.laws import check_condition
     for r in range(2):
         assert abs(check_condition(config.stage_params(r))) <= 1e-12
 
@@ -90,7 +91,7 @@ def test_tandem_csv(tmp_path):
 
 
 def test_tandem_csv_keeps_float_values(tmp_path):
-    tt = simulate_tandem(TandemConfig(dist.exponential(2.0), [dist.exponential(1.0)]), 50, stream=RandomStream(3))
+    tt = simulate_tandem(TandemConfig(laws.exponential(2.0), [laws.exponential(1.0)]), 50, stream=RandomStream(3))
     path = tmp_path / "tandem.csv"
     tt.to_csv(path)
     table = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -129,10 +130,10 @@ def test_two_stage_product_form():
 
 
 def test_heterogeneous_services_keep_marginals():
-    from batchq.queue_core import stationary_law
+    from batchq.laws import stationary_law
     from batchq.stats import EmpiricalPmf, chi_square_gof
     config = TandemConfig(MAIN.arrival_spec,
-                          [dist.ber_geom(0.5, 0.5), dist.ber_geom(0.55, 0.45)])
+                          [laws.ber_geom(0.5, 0.5), laws.ber_geom(0.55, 0.45)])
     tt = simulate_tandem(config, 400_000, stream=RandomStream(38))
     for r in range(2):
         law = stationary_law(config.stage_params(r))
@@ -141,5 +142,5 @@ def test_heterogeneous_services_keep_marginals():
         assert res.passed, (r, res)
         # every stage's departures still look like the external arrivals
         emp_d = EmpiricalPmf.from_samples(tt.stages[r].d[10_000:], cutoff=20)
-        res_d = chi_square_gof(emp_d, lambda k: dist.pmf(MAIN.arrival_spec, k), level=0.01)
+        res_d = chi_square_gof(emp_d, lambda k: laws.pmf(MAIN.arrival_spec, k), level=0.01)
         assert res_d.passed, (r, res_d)

@@ -14,6 +14,7 @@ import pytest
 
 from batchq import cli
 from batchq import distributions as dist
+from batchq import laws
 from batchq import percolation as perc
 from batchq import stats
 from batchq import timeconstants as tc
@@ -57,7 +58,7 @@ def test_identity_names_its_first_failure(monkeypatch):
     check = verify.check_identity(5)[0]
     assert not check["passed"] and check["observed"] == 2
     # instance 6 runs 1 + 6 % 4 = 3 stages
-    replay = real(dist.ber_geom(1 / 3, 2 / 3), [dist.ber_geom(1 / 2, 1 / 2)] * 3, 50,
+    replay = real(laws.ber_geom(1 / 3, 2 / 3), [laws.ber_geom(1 / 2, 1 / 2)] * 3, 50,
                   RandomStream(5).substream(6))
     assert check["first_failure"] == {"substream": 6, "lhs": replay.lhs, "rhs": replay.rhs,
                                       "best_m": replay.best_m}

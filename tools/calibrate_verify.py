@@ -29,7 +29,7 @@ from itertools import chain
 
 from batchq import verify
 from batchq.stats import ks_test
-from batchq.streams import RandomStream
+from batchq.streams import check_seed
 from batchq.workers import fork_map, shard_spans
 
 LEVEL = 0.01  # run_family's level for a statistical check
@@ -75,8 +75,8 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [f for f in families if f not in known]
     if unknown:
         parser.error(f"unknown families {unknown}; choose from {known}")
-    try:  # RandomStream takes the seeds of batchq verify --seed
-        lo, hi = (RandomStream(int(v)).seed for v in args.seeds.split(":"))
+    try:  # the seeds of batchq verify --seed
+        lo, hi = (check_seed(int(v)) for v in args.seeds.split(":"))
     except ValueError as exc:
         parser.error(f"--seeds must be lo:hi, two seeds, got {args.seeds!r}: {exc}")
     if lo > hi:

@@ -8,8 +8,8 @@ Run from the root of a checkout:
 A mutant is one exact text substitution in one file of ``src/batchq``.  It
 is refused, with exit 2 before anything runs, unless its pattern occurs
 exactly once in that file and its test files exist.  Each mutant runs in
-its own temporary copy of ``src/``, ``tests/`` and ``tools/``, never in
-the checkout: pytest runs, with ``-x``, the mutated module's test file
+its own temporary copy of ``src/``, ``tests/``, ``tools/`` and the README,
+never in the checkout: pytest runs, with ``-x``, the mutated module's test file
 (``tests/test_<module>.py``, or the files the mutant names) and
 ``tests/test_acceptance.py``, and the mutant is killed when they fail or
 time out.  The unmutated copy must pass every one of those files first,
@@ -63,7 +63,7 @@ MUTANTS = [
     Mutant("pinned_refusal_dropped_from_validate", "percolation.py",
            "if self.pinned and i == k and j != l:", "if False:"),
     Mutant("seed_bound_inclusive", "streams.py",
-           "if not 0 <= self.seed < 1 << 64:", "if not 0 <= self.seed <= 1 << 64:",
+           "if not 0 <= value < 1 << 64:", "if not 0 <= value <= 1 << 64:",
            ("tests/test_distributions.py", "tests/test_cli.py")),
     Mutant("config_depth_off_by_one", "cli.py",
            'depth = args.leaf.prog.count(" ")', 'depth = args.leaf.prog.count(" ") + 1'),
@@ -83,10 +83,11 @@ MUTANTS = [
            "_check_run(first, burn_in=burn_in)", "None"),
     Mutant("ks_small_t_branch_never_taken", "stats.py",
            "small = 2.0 * math.exp(-2.0 * 100 * 100 * t * t) >= 1e-16", "small = False"),
-    Mutant("tail_cutoff_floor_at_1", "distributions.py",
-           "while k > 0 and sf(spec, k) <= tol:", "while k > 1 and sf(spec, k) <= tol:"),
-    Mutant("tail_cutoff_not_corrected_down", "distributions.py",
-           "while k > 0 and sf(spec, k) <= tol:", "while False:"),
+    Mutant("tail_cutoff_floor_at_1", "laws.py",
+           "while k > 0 and sf(spec, k) <= tol:", "while k > 1 and sf(spec, k) <= tol:",
+           ("tests/test_distributions.py",)),
+    Mutant("tail_cutoff_not_corrected_down", "laws.py",
+           "while k > 0 and sf(spec, k) <= tol:", "while False:", ("tests/test_distributions.py",)),
     # the seeded-trial rule, verify's grading, the family guard and the identity's window refusal
     Mutant("trial_on_next_substream", "streams.py",
            "trial(i, self.substream(i))", "trial(i, self.substream(i + 1))",
@@ -114,8 +115,10 @@ MUTANTS = [
     Mutant("import_pause_dropped", "cli.py", "    gc.disable()  #", "    pass  #"),
     Mutant("pause_inside_run", "cli.py", "    parser = build_parser()\n",
            "    gc.disable()\n    parser = build_parser()\n"),
-    Mutant("infinite_rate_accepted", "distributions.py",
-           "not 0 < self.rate < math.inf", "not self.rate > 0"),
+    Mutant("handler_modules_imported_after_the_freeze", "cli.py",
+           "for name in args.modules:", "for name in ():"),
+    Mutant("infinite_rate_accepted", "laws.py",
+           "not 0 < self.rate < math.inf", "not self.rate > 0", ("tests/test_distributions.py",)),
     Mutant("overflowing_rate_accepted", "distributions.py",
            "if spec.is_continuous and not math.isfinite(_EXP1_MAX / spec.rate):", "if False:"),
     Mutant("repeated_json_key_kept", "cli.py", "if key in obj:", "if False:"),
@@ -166,6 +169,20 @@ MUTANTS = [
            "gamma_q(dof / 2.0, stat / 2.0)", "gamma_q(dof, stat / 2.0)"),
     Mutant("tc_extra_parameter_accepted", "timeconstants.py", "if extra:", "if False:",
            ("tests/test_timeconstants.py", "tests/test_cli.py")),
+    # the paper's laws, in the one module that holds them
+    Mutant("y_law_product_term_scaled", "laws.py",
+           "y_b = params.p + c - params.p * c", "y_b = params.p + c - 0.98 * params.p * c",
+           ("tests/test_queue_core.py",)),
+    Mutant("gamma_scaled", "laws.py",
+           "gamma = (params.alpha - params.beta) / (1.0 - params.beta)",
+           "gamma = 1.01 * (params.alpha - params.beta) / (1.0 - params.beta)",
+           ("tests/test_queue_core.py",)),
+    Mutant("matched_arrival_off_the_family", "laws.py",
+           "t / (1.0 + t)", "t / (1.0 + 1.01 * t)", ("tests/test_queue_core.py",)),
+    Mutant("probability_zero_accepted", "laws.py", "0.0 < v", "0.0 <= v",
+           ("tests/test_queue_core.py", "tests/test_distributions.py")),
+    Mutant("arrival_root_at_or_below_beta_kept", "laws.py", "b < r", "0 < r",
+           ("tests/test_queue_core.py",)),
 ]
 
 
@@ -177,6 +194,7 @@ def _copy(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")
     for part in ("src", "tests", "tools"):  # tests load tools/ from the tree
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy(ROOT / "README.md", dest)  # a test runs the README's CLI block
 
 
 def _pytest(tree: Path, files: list[str]) -> tuple[bool, list[str], bool]:
