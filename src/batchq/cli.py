@@ -28,6 +28,9 @@ queue_core.block_means, which only sums, and queue --out and tandem --out
 write the blocks through queue_core.tee_csv as they pass, so memory is
 bounded by the block; queue without --out calls queue_core.scan_means, a
 sharded Lindley scan of the same draws, whose summary is byte-identical.
+dist sample draws with one sample_n call, so a refused draw comes before
+any output, and writes the chunks of queue_core.csv_chunks, decoded, to
+stdout or --out as they are rendered: it never holds the whole CSV.
 No --threads-like knob sets the block size or the shard count.  A
 subcommand imports only the modules it uses.  --spec, --weights and
 --config are read as strict JSON: a repeated key, NaN, Infinity, a rate
@@ -54,11 +57,12 @@ if __name__ == "__main__":
     gc.disable()  # over the imports, to main()'s _start(), which freezes what they made
 
 import argparse
+import contextlib
 import importlib
-import io
 import json
 import math
 import sys
+from typing import Iterable
 
 from . import laws
 from .streams import RandomStream, check_seed
@@ -89,12 +93,11 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_out(pieces: Iterable[str], out: str | None) -> None:
+    """Write the text ``pieces`` in turn to the file ``out``, or to stdout without one."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for piece in pieces:
+            fh.write(piece)
 
 
 def _json_dump(obj) -> str:
@@ -288,7 +291,7 @@ def _cmd_pmf(args) -> int:
         text = _json_dump({"spec": spec.to_dict(), "pmf": [v for _, v in rows]})
     else:
         text = "k,pmf\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in rows)
-    _write_out(text, args.out)
+    _write_out([text], args.out)
     return 0
 
 
@@ -298,13 +301,11 @@ def _cmd_sample(args) -> int:
     draws = sample_n(spec, RandomStream(args.seed), args.n)
     if args.format == "json":
         vals = [int(v) for v in draws] if spec.is_discrete else [float(v) for v in draws]
-        text = _json_dump({"spec": spec.to_dict(), "seed": args.seed, "samples": vals})
+        _write_out([_json_dump({"spec": spec.to_dict(), "seed": args.seed, "samples": vals})],
+                   args.out)
     else:
-        from .queue_core import write_csv
-        buf = io.BytesIO()
-        write_csv(buf, ["value"], [draws])
-        text = buf.getvalue().decode()
-    _write_out(text, args.out)
+        from .queue_core import csv_chunks
+        _write_out((chunk.decode() for chunk in csv_chunks(["value"], [draws])), args.out)
     return 0
 
 
@@ -367,7 +368,7 @@ def _cmd_simulate(args) -> int:
     for x, est in zip(xs, ests):
         lines.append(",".join([_fmt(x), str(args.n), _fmt(est.mean), _fmt(est.ci_lo),
                                _fmt(est.ci_hi), str(args.replicas), str(args.seed)]))
-    _write_out("\n".join(lines) + "\n", args.out)
+    _write_out(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -387,7 +388,7 @@ def _cmd_identity(args) -> int:
     if failures:
         # replayed by one tandem_identity_check call on the seed's substream
         report["first_failure"] = failures[0]
-    _write_out(_json_dump(report), args.out)
+    _write_out([_json_dump(report)], args.out)
     return 1 if failures else 0
 
 
@@ -400,14 +401,14 @@ def _cmd_tc(args) -> int:
         sys.stdout.write(f"{result.points[0].f!r}\n")
         return 0
     text = "variant,params,x,f,maximizer\n" + "\n".join(result.csv_rows()) + "\n"
-    _write_out(text, args.out)
+    _write_out([text], args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     from .verify import run_suite
     report = run_suite(args.suite, args.seed)
-    _write_out(_json_dump(report), args.out)
+    _write_out([_json_dump(report)], args.out)
     if args.out:
         n_pass = sum(1 for c in report["checks"] if c["passed"])
         sys.stdout.write(f"{args.suite}: {n_pass}/{report['n_checks']} checks passed\n")
@@ -432,10 +433,12 @@ def _run(argv: list[str], ready) -> int:
 
 
 def _start(args) -> None:
-    """Import the handler's modules (numpy with all but tc's and dist pmf's), freeze the heap
-    the imports made and enable the collector: collections in the handler, its forked workers
+    """Pause the collector, import the handler's modules (numpy with all but tc's and dist
+    pmf's), freeze the heap the imports made and enable the collector: the imports run
+    uncollected under either entry point, collections in the handler, its forked workers
     and at exit traverse only what the command allocates, and a worker writes no collector
     header into the parent's pages."""
+    gc.disable()
     for name in args.modules:
         importlib.import_module(f"{__package__}.{name}")
     gc.freeze()
@@ -444,9 +447,9 @@ def _start(args) -> None:
 
 def main() -> None:
     """Run ``sys.argv`` as a command and exit with its code: the ``batchq`` console script
-    and ``python -m batchq.cli``.  Under ``-m`` the collector is paused from the top of this
-    module until :func:`_start`; the console script gets the freeze but not the pause.
-    :func:`run` leaves the caller's collector as it was."""
+    and ``python -m batchq.cli``.  Both pause the collector over the handler's imports in
+    :func:`_start`; under ``-m`` the pause starts at the top of this module, so it covers
+    this module's own imports too.  :func:`run` leaves the caller's collector as it was."""
     sys.exit(_run(sys.argv[1:], _start))
 
 

@@ -385,7 +385,11 @@ def solve_arrival(q: float, b: float, lam: float) -> tuple[float, float]:
 
     Solves the quadratic in alpha implied by the intensity identity
     lam = (1-alpha)*b*q / (alpha^2*(1-b-q) + alpha*b*q) and keeps the root
-    in (b, 1); the fixed point is unique for 0 < lam < q/b.
+    in (b, 1); the fixed point is unique for 0 < lam < q/b.  In exact
+    arithmetic that root exists for every such lam, but it nears b as lam
+    nears q/b and 1 as lam nears 0: for a lam within rounding of either end
+    (e.g. the last double below q/b) it rounds onto b or onto 1, and the
+    call refuses it with a ``ValueError`` that names the end.
     """
     check_probability("q", q)
     check_probability("b", b)
@@ -410,7 +414,12 @@ def solve_arrival(q: float, b: float, lam: float) -> tuple[float, float]:
         roots = [qq / ca, cc / qq]
     valid = [r for r in roots if b < r < 1.0]
     if not valid:
-        raise ValueError("no admissible alpha in (beta, 1); check parameters")
+        # exactly one root lies in (0, 1), as the quadratic is -bq at 0 and positive at 1
+        if any(0.0 < r <= b for r in roots):
+            raise ValueError(f"no admissible alpha in (beta, 1): the root rounded onto "
+                             f"beta = {b}, as lam = {lam} is within rounding of q/b = {mu}")
+        raise ValueError(f"no admissible alpha in (beta, 1): the root rounded onto 1, "
+                         f"as lam = {lam} is within rounding of 0")
     alpha = min(valid)  # uniqueness makes this a single element
     p = lam * alpha
     if not 0.0 < p < 1.0:

@@ -18,8 +18,11 @@ and M the running maximum of -c) serves the slot engine, which runs
 queues in series (the single queue is its one-stage case), and the
 queue scan.  Whole traces (:func:`simulate`, :func:`simulate_series`)
 are one block of all the slots; :func:`simulate_blocks` streams the same
-draws and values in blocks of 2**16 slots, so its memory is bounded by
-the block, and :func:`tee_csv` writes the CSV as blocks pass.  The
+draws and values in blocks of ``_BLOCK_SLOTS`` (2**14) slots, so its
+memory is bounded by the block, and :func:`tee_csv` writes the CSV as
+blocks pass.  That one constant is the unit of every streamed trace
+kernel: the engine's blocks, the queue scan's slices and the row chunks
+of :func:`csv_chunks`, the one CSV renderer.  The
 summary means divide four exact integers by one private formula, summed
 by :func:`block_means` over blocks (it only sums) and by :func:`scan_means`
 in a Lindley scan of the same draws, sharded by :func:`~batchq.workers.shard_spans`
@@ -47,6 +50,7 @@ from .workers import fork_map, shard_spans
 
 __all__ = [
     "Trace",
+    "csv_chunks",
     "write_csv",
     "tee_csv",
     "step",
@@ -90,9 +94,14 @@ def _prefix(a: np.ndarray, s: np.ndarray, c0, m0, dtype) -> tuple[np.ndarray, np
     return c, m
 
 
-# Rows per rendered CSV block: on 2 vCPUs (Python 3.11, numpy 2.4.6) queue 1e6 and tandem 2e5
-# slots wrote their CSVs in 0.30-0.32 s (median of 5, in process) at 2**12 to 2**16 rows.
-_CSV_BLOCK_ROWS = 1 << 14
+# Slots per engine block, queue scan slice and rendered CSV chunk: the one unit of every
+# streamed trace kernel.  Measured from an exec-only launcher (2 vCPU, Python 3.11.7, numpy
+# 2.4.6; medians of 10 alternating rounds of the child's CPU time and peak RSS) at 2**12,
+# 2**13, 2**14 and 2**16 slots: queue 1e7 slots 742, 656, 598 and 630 ms, 36.5, 36.7, 36.3
+# and 38.9 MB; queue --out 1e6 slots 595, 533, 505 and 553 ms, 36.3, 37.2, 39.0 and 51.3 MB;
+# tandem --out 2e5 slots 366, 372, 353 and 389 ms, 36.9, 38.4, 41.4 and 60.0 MB.  Smaller
+# blocks pay more per-block Python, larger ones hold more memory for no time.
+_BLOCK_SLOTS = 1 << 14
 _DIGIT, _COMMA, _NEWLINE = (np.uint8(ord(ch)) for ch in "0,\n")
 
 
@@ -124,41 +133,45 @@ def _float_cells(col: np.ndarray) -> np.ndarray:
     return text.view(np.uint8).reshape(len(col), text.itemsize if len(col) else 0).T
 
 
-def _write_rows(fh, columns: Sequence[np.ndarray]) -> None:
-    """Append one CSV row per entry of the first column, as bytes.
+def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+    """CSV rows, one per entry of the first column, as bytes in chunks of ``_BLOCK_SLOTS`` rows.
 
-    A block of rows is laid out in one byte array, a NUL-padded field per
-    cell followed by its separator; dropping the NULs leaves the rows.  A
-    column shorter than the first one leaves its trailing cells empty.
+    A chunk is laid out in one byte array, a NUL-padded field per cell
+    followed by its separator; dropping the NULs leaves the rows.  A column
+    shorter than the first one leaves its trailing cells empty.
     """
-    for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        rows = len(columns[0][lo:lo + _CSV_BLOCK_ROWS])
-        fields = [(_int_cells if np.issubdtype(c.dtype, np.integer) else _float_cells)(
-            c[lo:lo + _CSV_BLOCK_ROWS]) for c in columns]
+    n = len(columns[0])
+    for lo in range(0, n, _BLOCK_SLOTS):
+        hi = min(lo + _BLOCK_SLOTS, n)
+        fields = [(_int_cells if np.issubdtype(c.dtype, np.integer) else _float_cells)(c[lo:hi])
+                  for c in columns]
         # character position by row, so that each field is written contiguously
-        chars = np.zeros((sum(len(f) + 1 for f in fields), rows), dtype=np.uint8)
+        chars = np.zeros((sum(len(f) + 1 for f in fields), hi - lo), dtype=np.uint8)
         pos = 0
         for f in fields:
             chars[pos:pos + len(f), :f.shape[1]] = f
             chars[pos + len(f)] = _COMMA
             pos += len(f) + 1
         chars[-1] = _NEWLINE
-        fh.write(chars.T.tobytes().translate(None, b"\0"))
+        yield chars.T.tobytes().translate(None, b"\0")
+
+
+def csv_chunks(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+    """The CSV text of per-slot columns as bytes: the header line, then the rows in
+    chunks of at most ``_BLOCK_SLOTS``, each rendered as it is asked for.
+
+    Integer columns are exact and must be >= 0 (``ValueError`` once their chunk is
+    rendered), others have 17 digits.  A column shorter than the first leaves its
+    trailing cells empty.  Integers are rendered by numpy digit arithmetic.
+    """
+    yield (",".join(header) + "\n").encode()
+    yield from _rows(columns)
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write per-slot columns as CSV to a file name or an open binary file.
-
-    Integer columns are exact and must be >= 0 (``ValueError`` otherwise),
-    others have 17 digits.  A column shorter than the first leaves its
-    trailing cells empty.  Cells are rendered a block of rows at a time,
-    integers by numpy digit arithmetic.
-    """
-    if not hasattr(path, "write"):
-        with open(path, "wb") as fh:
-            return write_csv(fh, header, columns)
-    path.write((",".join(header) + "\n").encode())
-    _write_rows(path, columns)
+    """Write :func:`csv_chunks` of per-slot columns to the file named ``path``."""
+    with open(path, "wb") as fh:
+        fh.writelines(csv_chunks(header, columns))
 
 
 @dataclass
@@ -259,18 +272,12 @@ def tee_csv(blocks: Iterable, path) -> Iterator:
             if prev is None:
                 fh.write((",".join(blk._csv_header) + "\n").encode())
             else:
-                _write_rows(fh, prev._columns(first_n, blk))
+                fh.writelines(_rows(prev._columns(first_n, blk)))
                 first_n += len(prev)
             yield blk
             prev = blk
         if prev is not None:
-            _write_rows(fh, prev._columns(first_n, None))
-
-
-# Slots per engine block and scan slice: on 2 vCPUs (Python 3.11, numpy 2.4.6; medians of 5-7
-# runs in process) 2**14 to 2**18 slots ran those CSV runs in 0.25-0.30 s and a 1e7-slot scan
-# in 0.20-0.26 s; the 1e6-slot queue with its CSV peaked at 39, 44 and 65 MB at 2**14, 16, 18.
-_BLOCK_SLOTS = 1 << 16
+            fh.writelines(_rows(prev._columns(first_n, None)))
 
 
 def _check_run(n_slots: int, init_x=0, burn_in: int = 0) -> None:
@@ -322,7 +329,8 @@ def _run_series(blocks, inits) -> Iterator[list[Trace]]:
 
 def simulate_blocks(arrival: DistSpec, services: Sequence[DistSpec], n_slots: int,
                     stream: RandomStream, init_x=0) -> Iterator[list[Trace]]:
-    """:func:`simulate_series` in blocks of at most 2**16 slots, with the same draws and values.
+    """:func:`simulate_series` in blocks of at most ``_BLOCK_SLOTS`` slots, with the same
+    draws and values.
 
     The stream moves past all the draws at the call; memory is bounded by the block.
     """

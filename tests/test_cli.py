@@ -644,6 +644,34 @@ def test_under_python_m_the_handler_runs_collected_on_a_frozen_import_heap(argv)
     assert res.stderr.decode() == "handler enabled=True frozen=True; import collections 0\n"
 
 
+@pytest.mark.parametrize("argv", [SMALL["batchq perc identity"], SMALL["batchq queue"]],
+                         ids=["perc-identity", "queue"])
+def test_under_the_console_script_the_handler_runs_collected_on_a_frozen_import_heap(argv):
+    # the batchq console script imports batchq.cli with the collector running, then calls main()
+    res = _batchq(PROBED + "\nfrom batchq.cli import main\nmain()\n", argv)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.decode() == "handler enabled=True frozen=True; import collections 0\n"
+
+
+# the collections that started while batchq.cli imported its own modules: after argparse,
+# before numpy and before the freeze
+OWN_IMPORTS_PROBED = """
+import gc, sys
+own = []
+gc.callbacks.append(lambda phase, info: phase == "start" and "argparse" in sys.modules
+                    and "numpy" not in sys.modules and not gc.get_freeze_count()
+                    and own.append(info["generation"]))
+import atexit
+atexit.register(lambda: print(f"own import collections {len(own)}", file=sys.stderr))
+"""
+
+
+def test_under_python_m_batchq_cli_imports_its_own_modules_uncollected():
+    res = _as_main(SMALL["batchq perc identity"], OWN_IMPORTS_PROBED)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.decode() == "own import collections 0\n"
+
+
 # the batchq modules and numpy that were loaded when main() froze the heap
 FREEZE_PROBED = """
 import gc, sys
@@ -787,6 +815,43 @@ def test_streamed_queue_out_and_summary_equal_the_whole_trace(block, slots, init
         assert summary["empirical_mean_x"] == [float(tr.x[burn:].mean()) for tr in whole]
         assert summary["empirical_mean_d"] == [float(tr.d[burn:].mean()) for tr in whole]
     assert (root / "streamed.csv").read_bytes() == (root / "whole.csv").read_bytes()
+
+
+def test_every_cli_csv_is_byte_identical_at_any_block_size(tmp_path):
+    # queue --out, tandem --out and dist sample (an integer and a float kind, on a text
+    # stdout and in --out) against the whole trace's CSV and the per-cell formatter's,
+    # with one row per chunk, chunks of 7 and a short last one, and one chunk of all rows
+    params = QueueParams(*(float(v) for v in P[1::2]))
+    refs = {}
+    whole = _one_shot(params.arrival_spec, [params.service_spec], 40, RandomStream(5), 2)
+    whole[0].to_csv(tmp_path / "queue.csv")
+    refs["queue"] = ["queue", *P, "--slots", "40", "--init-x", "2", "--seed", "5"]
+    whole = _one_shot(params.arrival_spec, [params.service_spec] * 3, 40, RandomStream(5), 0)
+    TandemTrace(TandemConfig.bergeom(params, 3), whole).to_csv(tmp_path / "tandem.csv")
+    refs["tandem"] = ["tandem", *P, "--stages", "3", "--slots", "40", "--seed", "5"]
+    for name, spec in (("geom_plus", laws.geom_plus(0.3)), ("exp", laws.exponential(1.5))):
+        _old_write_csv(tmp_path / f"{name}.csv", ["value"],
+                       [dist.sample_n(spec, RandomStream(5), 40)])
+        refs[name] = ["dist", "sample", "--spec", json.dumps(spec.to_dict()), "--n", "40",
+                      "--seed", "5"]
+    summaries = set()
+    for block in (1, 7, 1 << 14):
+        for name, argv in refs.items():
+            want = (tmp_path / f"{name}.csv").read_text()
+            out = tmp_path / f"{name}-{block}.csv"
+            stdout = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+                mp.setattr(queue_core, "_BLOCK_SLOTS", block)
+                assert run(argv + ["--out", str(out)]) == 0
+                if name in ("queue", "tandem"):
+                    summaries.add((name, stdout.getvalue()))
+                else:
+                    assert stdout.getvalue() == ""
+                    assert run(argv) == 0
+                    assert stdout.getvalue() == want
+            assert out.read_text() == want
+    # the summaries too are the same at every block size
+    assert len(summaries) == 2
 
 
 # BerGeom queues on the reversibility curve, off it, and unstable (mean arrival above service)

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import io
 import math
 import os
+import re
 from dataclasses import replace
 from itertools import zip_longest
 
@@ -71,7 +71,7 @@ def test_every_float_block_holds_its_invariants_at_the_carried_rounding():
     # a block after the first is rounded at the prefix sum carried into it
     blocks = [st[0] for st in simulate_blocks(laws.exponential(2.0), [laws.exponential(1.0)],
                                               1_000_000, RandomStream(1))]
-    assert len(blocks) == 16
+    assert len(blocks) == -(-1_000_000 // queue_core._BLOCK_SLOTS) > 1
     for tr in blocks:
         tr.check_invariants()
     moved = blocks[-1].x_full.copy()
@@ -225,9 +225,21 @@ def test_solve_arrival_examples():
 @pytest.mark.parametrize("q, b", [(0.1, 0.4), (0.1, 0.6), (0.1, 0.8)])
 def test_solve_arrival_refuses_a_root_that_rounds_onto_beta(q, b):
     # at the last double below mu = q/b the admissible root rounds to b itself,
-    # which is outside (b, 1): it is refused, not returned
-    with pytest.raises(ValueError, match="no admissible alpha"):
-        solve_arrival(q, b, math.nextafter(q / b, 0.0))
+    # which is outside (b, 1): it is refused, not returned, and the refusal names the edge
+    lam = math.nextafter(q / b, 0.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"no admissible alpha in (beta, 1): the root rounded onto beta = {b}, "
+            f"as lam = {lam} is within rounding of q/b = {q / b}")):
+        solve_arrival(q, b, lam)
+
+
+@pytest.mark.parametrize("q, b", [(0.1, 0.4), (0.5, 0.5), (0.9, 0.2)])
+def test_solve_arrival_refuses_a_root_that_rounds_onto_1(q, b):
+    # near lam = 0 the admissible root rounds to 1, the other end of (b, 1)
+    with pytest.raises(ValueError, match=re.escape(
+            "no admissible alpha in (beta, 1): the root rounded onto 1, "
+            "as lam = 1e-300 is within rounding of 0")):
+        solve_arrival(q, b, 1e-300)
 
 
 def test_solve_arrival_roundtrip_grid():
@@ -503,7 +515,7 @@ def test_write_csv_equals_the_per_cell_formatter(data, tmp_path_factory):
 
 
 def test_write_csv_crosses_row_blocks(tmp_path):
-    n = 2 * queue_core._CSV_BLOCK_ROWS + 5
+    n = 2 * queue_core._BLOCK_SLOTS + 5
     columns = [np.arange(n, dtype=np.int64) * 7919, np.linspace(-1.0, 1.0, n - 1)]
     write_csv(tmp_path / "new.csv", ["k", "v"], columns)
     _old_write_csv(tmp_path / "old.csv", ["k", "v"], columns)
@@ -515,13 +527,13 @@ def test_write_csv_crosses_row_blocks(tmp_path):
                                  st.sampled_from([-(2**63), -1, -(10**18)])),
                        min_size=1, max_size=40).filter(lambda v: min(v) < 0),
        at=st.integers(0, 2))
-def test_write_csv_refuses_a_negative_integer_cell(values, at):
+def test_write_csv_refuses_a_negative_integer_cell(values, at, tmp_path_factory):
     # every integer column the program writes is >= 0; a negative cell is refused,
     # also in a later row block
-    col = np.zeros(at * queue_core._CSV_BLOCK_ROWS + len(values), dtype=np.int64)
+    col = np.zeros(at * queue_core._BLOCK_SLOTS + len(values), dtype=np.int64)
     col[-len(values):] = values
     with pytest.raises(ValueError, match=">= 0"):
-        write_csv(io.BytesIO(), ["k"], [col])
+        write_csv(tmp_path_factory.mktemp("neg") / "k.csv", ["k"], [col])
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -298,6 +298,37 @@ def test_general_service_ratio_names_the_states_of_its_extreme_ratios(monkeypatc
     assert all("worst_case" not in c for c in (checks[0], checks[2]))
 
 
+_Y_AND_BURKE = ("y_law_is_bergeom_5_sets", "mean_y_is_mean_x_plus_mean_a_5_sets",
+                "one_step_burke_d_x_independent_5_sets")
+
+
+def test_y_law_and_one_step_burke_hold_exactly_on_the_condition_sets():
+    checks = {c["name"]: c for c in verify.run_family("queue_small", 5)}
+    assert all(checks[name]["passed"] and "worst_case" not in checks[name]
+               for name in _Y_AND_BURKE)
+
+
+@pytest.mark.parametrize("field, cases", [
+    ("y_bernoulli", [{"set": 3, "m": 0}, {"set": 3}, None]),
+    ("gamma", [{"set": 3, "m": 1}, {"set": 3}, {"set": 3, "d": 0, "x": 1}]),
+])
+def test_y_law_and_burke_checks_name_the_set_and_state_of_a_wrong_law(field, cases,
+                                                                       monkeypatch):
+    # set 3's stationary law with one parameter 1 % high: a wrong Y law breaks the Y checks
+    # only, a wrong gamma all three
+    real = verify.stationary_law
+
+    def off_on_set_3(params):
+        law = real(params)
+        return replace(law, **{field: 1.01 * getattr(law, field)}) if params == _SET else law
+
+    monkeypatch.setattr(verify, "stationary_law", off_on_set_3)
+    checks = {c["name"]: c for c in verify.run_family("queue_small", 5)}
+    for name, case in zip(_Y_AND_BURKE, cases):
+        assert checks[name]["passed"] == (case is None)
+        assert checks[name].get("worst_case") == case
+
+
 def test_passing_worst_error_checks_carry_no_case():
     assert all("worst_case" not in c for c in verify.check_detailed_balance())
 

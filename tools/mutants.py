@@ -183,6 +183,32 @@ MUTANTS = [
            ("tests/test_queue_core.py", "tests/test_distributions.py")),
     Mutant("arrival_root_at_or_below_beta_kept", "laws.py", "b < r", "0 < r",
            ("tests/test_queue_core.py",)),
+    # one block size for every streamed trace kernel, and the pause for both entry points
+    Mutant("renderer_drops_a_short_last_chunk", "queue_core.py",
+           "range(0, n, _BLOCK_SLOTS)", "range(0, n - n % _BLOCK_SLOTS, _BLOCK_SLOTS)"),
+    Mutant("renderer_repeats_a_short_last_chunk", "queue_core.py", "range(0, n, _BLOCK_SLOTS)",
+           "[*range(0, n, _BLOCK_SLOTS), *range(n - n % _BLOCK_SLOTS, n, _BLOCK_SLOTS)]"),
+    Mutant("renderer_chunk_end_one_row_late", "queue_core.py",
+           "hi = min(lo + _BLOCK_SLOTS, n)", "hi = min(lo + _BLOCK_SLOTS + 1, n)"),
+    Mutant("tee_block_numbered_one_row_late", "queue_core.py",
+           "first_n += len(prev)", "first_n += len(prev) + 1"),
+    Mutant("scan_burn_in_window_one_slot_early", "queue_core.py",
+           "k = max(burn - first, 0)", "k = max(burn - first - 1, 0)"),
+    Mutant("int_cells_through_float64", "queue_core.py",
+           "mag = col.astype(np.uint64)", "mag = col.astype(np.float64)"),
+    Mutant("int_cells_width_capped_at_18_digits", "queue_core.py",
+           "width = len(str(int(mag.max())))", "width = min(len(str(int(mag.max()))), 18)"),
+    Mutant("console_script_import_pause_dropped", "cli.py",
+           "    gc.disable()\n    for name in args.modules:", "    for name in args.modules:"),
+    # the exact checks of Y's law and the one-step Burke identity
+    Mutant("y_law_checked_against_the_x_law", "verify.py",
+           "laws.ber_geom(law.y_bernoulli, law.gamma)", "laws.ber_geom(law.c, law.gamma)"),
+    Mutant("mean_y_checked_with_the_service_mean", "verify.py",
+           "law.mean_x + laws.mean(p.arrival_spec)", "law.mean_x + laws.mean(p.service_spec)"),
+    Mutant("burke_product_at_the_next_queue_length", "verify.py",
+           "np.outer(a[:cut], pi[:cut])", "np.outer(a[:cut], pi[1:cut + 1])"),
+    Mutant("burke_empty_queue_term_by_the_service_pmf", "verify.py",
+           "[[laws.sf(s, d)] + ", "[[laws.pmf(s, d)] + "),
 ]
 
 
