@@ -16,6 +16,7 @@ the stages on the slot engine of :mod:`batchq.queue_core` in one block;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -110,43 +111,31 @@ def verify_product_form(trace: TandemTrace, burn_in: int = 10_000,
                         level: float = 0.01, stride: int = 9) -> list[TestResult]:
     """Product-form checks on a stationary portion of a tandem trace.
 
-    Runs (a) a marginal goodness-of-fit of each stage's queue length
-    against its BerGeom stationary law, (b) pairwise cross-stage
-    independence of the X's at a common slot, and (c) pairwise
-    independence of the staggered Y's (Y1_n, Y2_{n-1}, ..., YR_{n-R+1}).
-    Queue lengths along one trace are autocorrelated, so slots are thinned
-    by ``stride`` after the first ``burn_in`` slots before testing;
-    queue-length cells are truncated at 8 with pooled tails.
+    Returns, in this order, (a) a marginal goodness-of-fit of each stage's
+    queue length against its BerGeom stationary law, stage by stage, (b)
+    the independence of the X's of every pair of stages at a common slot,
+    and (c) that of the staggered Y's (Y1_n, Y2_{n-1}, ..., YR_{n-R+1}) of
+    every pair; pairs run (1, 2), (1, 3), ..., (R-1, R).  Queue lengths
+    along one trace are autocorrelated, so slots are thinned by ``stride``
+    after the first ``burn_in`` slots before testing; queue-length cells
+    are truncated at 8 with pooled tails.
     """
     from .stats import EmpiricalPmf, chi_square_gof, independence_chi2  # only the checks test
 
-    n = len(trace)
+    n, R = len(trace), trace.R
     cut = 8
     if n - burn_in < 100_000:
         raise ValueError("trace too short: need at least 1e5 post-burn-in slots")
-    laws = [stationary_law(trace.config.stage_params(r)) for r in range(trace.R)]
-    results: list[TestResult] = []
-    for r, tr in enumerate(trace.stages):
-        emp = EmpiricalPmf.from_samples(tr.x[burn_in::stride], cutoff=cut)
-        results.append(chi_square_gof(emp, laws[r].x_pmf, level=level,
-                                      name=f"stage{r+1}_x_marginal"))
-    for r1 in range(trace.R):
-        for r2 in range(r1 + 1, trace.R):
-            x1 = trace.stages[r1].x[burn_in::stride]
-            x2 = trace.stages[r2].x[burn_in::stride]
-            results.append(independence_chi2(
-                x1, x2, cut, cut, level=level, min_pairs=10_000,
-                name=f"x_independence_stages_{r1+1}_{r2+1}"))
+    xs = [tr.x[burn_in::stride] for tr in trace.stages]
     # staggered Y's: component r uses slot n - r
-    if trace.R > 1:
-        y = [tr.y for tr in trace.stages]
-        length = n - (trace.R - 1)
-        for r1 in range(trace.R):
-            for r2 in range(r1 + 1, trace.R):
-                y1 = y[r1][trace.R - 1 - r1: trace.R - 1 - r1 + length]
-                y2 = y[r2][trace.R - 1 - r2: trace.R - 1 - r2 + length]
-                results.append(independence_chi2(
-                    y1[burn_in::stride], y2[burn_in::stride],
-                    cut, cut, level=level, min_pairs=10_000,
-                    name=f"staggered_y_independence_{r1+1}_{r2+1}"))
+    ys = [tr.y[R - 1 - r: n - r][burn_in::stride] for r, tr in enumerate(trace.stages)]
+    results: list[TestResult] = []
+    for r, x in enumerate(xs):
+        emp = EmpiricalPmf.from_samples(x, cutoff=cut)
+        results.append(chi_square_gof(emp, stationary_law(trace.config.stage_params(r)).x_pmf,
+                                      level=level, name=f"stage{r+1}_x_marginal"))
+    for name, series in (("x_independence_stages", xs), ("staggered_y_independence", ys)):
+        for (r1, s1), (r2, s2) in combinations(enumerate(series, 1), 2):
+            results.append(independence_chi2(s1, s2, cut, cut, level=level, min_pairs=10_000,
+                                             name=f"{name}_{r1}_{r2}"))
     return results

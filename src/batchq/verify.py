@@ -230,7 +230,8 @@ def check_queue_simulation(seed: int) -> list[dict]:
                      stream=RandomStream(seed))
     trace.check_invariants()
     x = trace.x[BURN_IN:]
-    d = trace.d[BURN_IN:]
+    d_all = trace.d
+    d = d_all[BURN_IN:]
     # mean with a batch-means standard error (X is autocorrelated)
     se = batch_mean_stderr(x)
     z = abs(float(x.mean()) - law.mean_x) / se
@@ -246,11 +247,8 @@ def check_queue_simulation(seed: int) -> list[dict]:
         rho, se_rho = lag_autocorr(d, lag)
         out.append(_exact(f"departure_autocorr_lag{lag}", abs(rho), 3.0 * se_rho))
     # queue length independent of the two preceding departures
-    xs = trace.x[BURN_IN:]
-    d1 = trace.d[BURN_IN - 1:-1]
-    d2 = trace.d[BURN_IN - 2:-2]
-    comp = encode_pairs(d1, d2, 3)
-    out.append(_stat(independence_chi2(xs[::PAIR_STRIDE], comp[::PAIR_STRIDE],
+    comp = encode_pairs(d_all[BURN_IN - 1:-1], d_all[BURN_IN - 2:-2], 3)
+    out.append(_stat(independence_chi2(x[::PAIR_STRIDE], comp[::PAIR_STRIDE],
                                        x_cutoff=8, y_cutoff=15,
                                        name="x_independent_of_past_departures")))
     return out
@@ -288,37 +286,30 @@ def check_reversibility_window(seed: int) -> list[dict]:
 
 
 def check_joint_burke(seed: int) -> list[dict]:
+    """Burke-type theorem, jointly: a queue's (departure, paired service) pairs are
+    distributed like its (arrival, service) pairs, i.i.d. products of the two laws.
+
+    Two cases, case k on substream k of ``seed``: a Geom+ queue pairs D_n with
+    I_n = U_n + A_{n+1} (cells cut at 8), a Bernoulli queue D_n with T_n = U_n + A_n
+    (cut at 1).  Each is one chi-square of the pooled pair cells against the product pmf.
+    """
     out = []
     stream = RandomStream(seed)
-    # Geom+ queue: (A, S) pairs match (D, I) pairs jointly
-    a_spec, s_spec = laws.geom_plus(0.5), laws.geom_plus(0.35)
-    trace = simulate(a_spec, s_spec, N_SLOTS, stream=stream.substream(0))
-    d = trace.d[BURN_IN:-1]
-    i_seq = trace.i[BURN_IN:]
-    cut = 8
-    code = encode_pairs(d, i_seq, cut)
-    emp = EmpiricalPmf.from_samples(code, cutoff=(cut + 1) ** 2 - 1)
+    for k, (a_spec, s_spec, paired, cut, name) in enumerate((
+            (laws.geom_plus(0.5), laws.geom_plus(0.35), "i", 8, "joint_burke_geom_plus_D_I"),
+            (laws.bernoulli(0.3), laws.bernoulli(0.6), "t", 1, "joint_burke_bernoulli_D_T"))):
+        trace = simulate(a_spec, s_spec, N_SLOTS, stream=stream.substream(k))
+        series = getattr(trace, paired)[BURN_IN:]
+        code = encode_pairs(trace.d[BURN_IN:BURN_IN + len(series)], series, cut)
+        emp = EmpiricalPmf.from_samples(code, cutoff=(cut + 1) ** 2 - 1)
 
-    def product_pmf(idx: int) -> float:
-        da, ia = divmod(idx, cut + 1)
-        pa = laws.sf(a_spec, cut) if da == cut else laws.pmf(a_spec, da)
-        ps = laws.sf(s_spec, cut) if ia == cut else laws.pmf(s_spec, ia)
-        return pa * ps
+        def product_pmf(idx: int) -> float:
+            da, sa = divmod(idx, cut + 1)
+            pa = laws.sf(a_spec, cut) if da == cut else laws.pmf(a_spec, da)
+            ps = laws.sf(s_spec, cut) if sa == cut else laws.pmf(s_spec, sa)
+            return pa * ps
 
-    out.append(_stat(chi_square_gof(emp, product_pmf, name="joint_burke_geom_plus_D_I")))
-    # Bernoulli queue: (A, S) pairs match (D, T) pairs jointly
-    a_spec, s_spec = laws.bernoulli(0.3), laws.bernoulli(0.6)
-    trace = simulate(a_spec, s_spec, N_SLOTS, stream=stream.substream(1))
-    d = trace.d[BURN_IN:]
-    t_seq = trace.t[BURN_IN:]
-    code = encode_pairs(d, t_seq, 1)
-    emp = EmpiricalPmf.from_samples(code, cutoff=3)
-
-    def product_pmf_b(idx: int) -> float:
-        da, ta = divmod(idx, 2)
-        return laws.pmf(a_spec, da) * laws.pmf(s_spec, ta)
-
-    out.append(_stat(chi_square_gof(emp, product_pmf_b, name="joint_burke_bernoulli_D_T")))
+        out.append(_stat(chi_square_gof(emp, product_pmf, name=name)))
     return out
 
 
