@@ -118,6 +118,16 @@ def test_single_stage_product_form_is_marginal_only():
     assert results[0].passed
 
 
+def test_product_form_checks_come_in_stage_then_pair_order():
+    # the report lists them in this order, so a loop that reorders them changes the report
+    tt = simulate_tandem(TandemConfig.bergeom(MAIN, 3), 110_000, stream=RandomStream(41))
+    pairs = ["1_2", "1_3", "2_3"]
+    assert [r.name for r in verify_product_form(tt)] == [
+        *(f"stage{r}_x_marginal" for r in (1, 2, 3)),
+        *(f"x_independence_stages_{p}" for p in pairs),
+        *(f"staggered_y_independence_{p}" for p in pairs)]
+
+
 def test_two_stage_product_form():
     config = TandemConfig.bergeom(MAIN, 2)
     tt = simulate_tandem(config, 400_000, stream=RandomStream(32))

@@ -329,6 +329,30 @@ def test_y_law_and_burke_checks_name_the_set_and_state_of_a_wrong_law(field, cas
         assert checks[name].get("worst_case") == case
 
 
+def test_geom_plus_joint_burke_holds_exactly_and_names_the_cell_of_a_wrong_law(monkeypatch):
+    name = "joint_burke_geom_plus_d_i_exact"
+    check = _check(verify.run_family("queue_small", 5), name)
+    assert check["passed"] and check["observed"] <= 1e-13 and "worst_case" not in check
+    real = verify.markov_oracle
+
+    def mass_moved_from_2_to_1(*args, **kwargs):
+        pi = real(*args, **kwargs).copy()
+        pi[1] += 1e-6
+        pi[2] -= 1e-6
+        return pi
+
+    monkeypatch.setattr(verify, "markov_oracle", mass_moved_from_2_to_1)
+    check = _check(verify.run_family("queue_small", 5), name)
+    assert not check["passed"] and check["worst_case"] == {"d": 2, "i": 3}
+
+
+def test_limit_checks_catch_a_closed_form_off_by_a_relative_1e_4(monkeypatch):
+    real = tc.f_exponential
+    monkeypatch.setattr(tc, "f_exponential", lambda x: 1.0001 * real(x))
+    failed = [c["name"] for c in verify.check_timeconstants() if not c["passed"]]
+    assert failed == ["berexp_limit_of_exponential"]
+
+
 def test_passing_worst_error_checks_carry_no_case():
     assert all("worst_case" not in c for c in verify.check_detailed_balance())
 

@@ -209,6 +209,29 @@ MUTANTS = [
            "np.outer(a[:cut], pi[:cut])", "np.outer(a[:cut], pi[1:cut + 1])"),
     Mutant("burke_empty_queue_term_by_the_service_pmf", "verify.py",
            "[[laws.sf(s, d)] + ", "[[laws.pmf(s, d)] + "),
+    # the fork helper, the shard split, the column sweep and the golden-section bracket
+    Mutant("fork_map_leaves_the_last_child_unreaped", "workers.py",
+           "os.waitpid(pid, 0)", "pid == children[-1][0] or os.waitpid(pid, 0)"),
+    Mutant("shard_spans_without_the_work_term", "workers.py",
+           "shards = max(1, min(usable_cpus(), items, work // unit))",
+           "shards = max(1, min(usable_cpus(), items))"),
+    Mutant("sweep_yields_a_stale_dp", "percolation.py",
+           "        np.add(col, low, out=dp)\n        yield dp\n",
+           "        yield dp\n        np.add(col, low, out=dp)\n"),
+    Mutant("sweep_prefix_maxima", "percolation.py",
+           "np.fmin.accumulate(dp, axis=-1, out=low)", "np.fmax.accumulate(dp, axis=-1, out=low)"),
+    Mutant("golden_bracket_one_scan_point_narrow", "timeconstants.py",
+           "a = xs[idx - 1] if idx > 0 else lo", "a = xs[idx] if idx > 0 else lo"),
+    # the folded checks, the exact Geom+ (D, I) law and the tightened limit checks
+    Mutant("joint_burke_geom_plus_paired_with_t", "verify.py",
+           '"i", 8, "joint_burke_geom_plus_D_I"', '"t", 8, "joint_burke_geom_plus_D_I"'),
+    Mutant("staggered_y_offset_one_slot_off", "tandem.py",
+           "tr.y[R - 1 - r: n - r]", "tr.y[R - 1 - r + (r > 0): n - r + (r > 0)]"),
+    Mutant("geom_plus_burke_with_y_at_least_d", "verify.py",
+           "y_gt = 1.0 - np.cumsum(y)", "y_gt = 1.0 - np.cumsum(y) + y"),
+    Mutant("f_exponential_relative_1e_4_high", "timeconstants.py",
+           "return (math.sqrt(1.0 + x) - 1.0) ** 2",
+           "return 1.0001 * (math.sqrt(1.0 + x) - 1.0) ** 2"),
 ]
 
 
