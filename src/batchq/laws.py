@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 __all__ = ["check_probability", "DistSpec", "bernoulli", "geom_plus", "geom_zero", "ber_geom",
            "exponential", "ber_exp", "deterministic", "pmf", "sf", "mean", "variance", "pgf",
-           "tail_cutoff", "QueueParams", "StationaryLaw", "check_condition", "condition_holds",
+           "QueueParams", "StationaryLaw", "check_condition", "condition_holds",
            "match_arrival_bernoulli", "solve_arrival", "formula_law", "stationary_law"]
 
 _KINDS = ("bernoulli", "geom_plus", "geom_zero", "ber_geom", "exp", "ber_exp", "deterministic")
@@ -266,26 +266,6 @@ def pgf(spec: DistSpec, z: float) -> float:
         p, a = spec.p, spec.alpha
         return ((1.0 - p) - (1.0 - p - a) * z) / (1.0 - (1.0 - a) * z)
     return z ** int(spec.value)
-
-
-def tail_cutoff(spec: DistSpec, tol: float = 1e-12) -> int:
-    """Smallest K with P(X > K) <= tol (discrete variants only)."""
-    _require_discrete(spec, "tail_cutoff")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if spec.kind == "deterministic":
-        return int(spec.value)
-    k = 0
-    if spec.kind != "bernoulli":
-        # P(X > K) is about scale * (1-a)**K for the geometric-tailed kinds
-        scale = spec.p if spec.kind == "ber_geom" else 1.0
-        k = max(math.ceil(math.log(tol / scale) / math.log1p(-spec.alpha)), 0)
-    # the estimate, corrected down and then up: P(X > K) = sf(K + 1)
-    while k > 0 and sf(spec, k) <= tol:
-        k -= 1
-    while sf(spec, k + 1) > tol:
-        k += 1
-    return k
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .distributions import pmf_vector, sample_chunks
-from .laws import DistSpec, QueueParams, ber_geom, formula_law, mean, sf, tail_cutoff
+from .laws import DistSpec, QueueParams, ber_geom, formula_law, mean, sf
 from .streams import RandomStream
 from .workers import fork_map, shard_spans
 
@@ -60,6 +60,7 @@ __all__ = [
     "block_means",
     "scan_means",
     "path_max_X",
+    "slot_kernels",
     "verify_detailed_balance",
     "excursion_loglik",
     "markov_oracle",
@@ -515,6 +516,32 @@ def path_max_X(arrivals: Sequence[float], services: Sequence[float]):
     return np.cumsum((a - s)[::-1]).max(initial=0).item()
 
 
+def _pmf_and_tail(spec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(X = j) and P(X >= j), j = 0..n, of a discrete DistSpec or a checked explicit pmf vector."""
+    if isinstance(spec, DistSpec):
+        return pmf_vector(spec, n), np.array([sf(spec, j) for j in range(n + 1)])
+    v = np.asarray(spec, dtype=float)
+    if v.ndim != 1 or np.any(v < 0) or abs(v.sum() - 1.0) > 1e-12:
+        raise ValueError("explicit pmf must be a nonnegative vector summing to 1")
+    v = np.concatenate((v, np.zeros(n + 1)))
+    return v[:n + 1], np.cumsum(v[::-1])[::-1][:n + 1]
+
+
+def slot_kernels(arrival, service, k_max: int, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one-slot law: ``arr[k, m] = P(Y = m | X = k) = P(A = m - k)`` (k <= k_max, m <= m_max)
+    and ``srv[m, r] = P(X' = r | Y = m)`` (r <= k_max), which, as X' = Y - min(Y, S), is
+    P(S = m - r) for r >= 1 and P(S >= m) at r = 0 (``laws.sf`` of a DistSpec, the tail sum
+    of an explicit pmf vector).  Either law is a discrete DistSpec or an explicit pmf vector.
+    """
+    d = np.arange(m_max + 1)[None, :] - np.arange(k_max + 1)[:, None]  # d[k, m] = m - k
+    a_pmf = _pmf_and_tail(arrival, m_max)[0]
+    s_pmf, s_tail = _pmf_and_tail(service, m_max)
+    arr = np.where(d >= 0, a_pmf[np.clip(d, 0, m_max)], 0.0)
+    srv = np.where(d.T >= 0, s_pmf[np.clip(d.T, 0, m_max)], 0.0)
+    srv[:, 0] = s_tail
+    return arr, srv
+
+
 def verify_detailed_balance(params: QueueParams) -> float:
     """Max residual of the detailed-balance identity on states up to K = 30.
 
@@ -522,26 +549,17 @@ def verify_detailed_balance(params: QueueParams) -> float:
 
         pi(k) P(Y=m|X=k) P(X'=r|Y=m) == pi(r) P(Y=m|X=r) P(X'=k|Y=m)
 
-    with pi the BerGeom(c, gamma) formula law.  Under the reversibility
-    condition the residual is at rounding level; when the condition fails
-    the identity genuinely breaks and the residual is macroscopic.
+    with pi the BerGeom(c, gamma) formula law and the two kernels from
+    :func:`slot_kernels`.  Under the reversibility condition the residual is at
+    rounding level; when the condition fails the identity genuinely breaks and
+    the residual is macroscopic.
     """
     c, gamma = formula_law(params)
     if not (0 < c < 1 and 0 < gamma < 1):
         raise ValueError("formula law undefined for these parameters (need beta < alpha)")
     K = 30
-    ks = np.arange(K + 1)
     pi = pmf_vector(ber_geom(c, gamma), K)
-    s_spec = params.service_spec
-    # arr[k, m] = P(A = m - k) for m >= k
-    diff = ks[None, :] - ks[:, None]
-    a_pmf = pmf_vector(params.arrival_spec, K)
-    arr = np.where(diff >= 0, a_pmf[np.clip(diff, 0, K)], 0.0)
-    # srv[m, r] = P(X' = r | Y = m): pmf of S at m - r for r >= 1, tail at r = 0
-    s_pmf = pmf_vector(s_spec, K)
-    s_sf = np.array([sf(s_spec, j) for j in range(K + 1)])
-    srv = np.where(diff.T >= 0, s_pmf[np.clip(diff.T, 0, K)], 0.0)
-    srv[:, 0] = s_sf
+    arr, srv = slot_kernels(params.arrival_spec, params.service_spec, K, K)
     # term[k, m, r] = pi(k) P(Y=m|X=k) P(X'=r|Y=m)
     term = pi[:, None, None] * arr[:, :, None] * srv[None, :, :]
     return float(np.abs(term - term.transpose(2, 1, 0)).max())
@@ -588,46 +606,31 @@ def excursion_loglik(params: QueueParams, a_seq: Sequence[int], d_seq: Sequence[
     return ll
 
 
-def _pmf_table(spec) -> np.ndarray:
-    """pmf of a discrete spec on 0..tail_cutoff(spec, 1e-14), or a checked explicit pmf vector."""
-    if isinstance(spec, DistSpec):
-        if not spec.is_discrete:
-            raise ValueError("markov_oracle needs discrete specs")
-        return pmf_vector(spec, tail_cutoff(spec, 1e-14))
-    v = np.asarray(spec, dtype=float)
-    if v.ndim != 1 or np.any(v < 0) or abs(v.sum() - 1.0) > 1e-12:
-        raise ValueError("explicit pmf must be a nonnegative vector summing to 1")
-    return v
+# Arrival batches below this pmf end the oracle's band; the mass dropped, P(A > band), is about
+# the floor over alpha for a geometric tail, far below the rounding of any pi(k).
+_ARRIVAL_FLOOR = 1e-20
 
 
 def markov_oracle(arrival: DistSpec, service, K: int = 200) -> np.ndarray:
     """Stationary pmf of the queue-length chain on {0..K}, brute force.
 
-    Builds the exact one-slot kernel from pmfs and tails (``service`` may be a DistSpec or
-    an explicit finite pmf vector), then solves pi P = pi by GTH elimination (Grassmann,
-    Taksar & Heyman 1985): states are censored out from K down to 1, each exit rate is the
-    sum of the remaining off-diagonal row entries, and no step subtracts, so every entry of
-    the result carries a small relative error.  Arrival batches are truncated where their
-    tail drops below 1e-14 and the lost kernel mass is left unreflected, so the result is
-    honest about truncation: if the law leaves more than 1e-12 mass near the truncation
-    boundary the call fails asking for a larger K, and otherwise it fails when the residual
-    of pi P = pi exceeds 1e-13.
+    The one-slot kernel is ``arr @ srv`` of :func:`slot_kernels` (``service`` may be a
+    DistSpec or an explicit finite pmf vector), the service law whole.  Arrival batches are
+    read up to 2K and end at the last whose pmf reaches ``_ARRIVAL_FLOOR``.  pi P = pi is
+    solved by GTH elimination (Grassmann, Taksar & Heyman 1985): states are censored out
+    from K down to 1, each exit rate is the sum of the remaining off-diagonal row entries,
+    and no step subtracts, so every entry of the result carries a small relative error.
+    Mass it cannot hold is refused, never cut: the call fails asking for a larger K if the
+    arrivals above 2K carry more than the floor or pi more than 1e-12 near K, and otherwise
+    when the residual of pi P = pi exceeds 1e-13.
     """
-    a_pmf = _pmf_table(arrival)
-    s_pmf = _pmf_table(service)
-    service_mean = float(np.arange(len(s_pmf)) @ s_pmf)
-    if mean(arrival) >= service_mean:
+    a_max = int(np.flatnonzero(pmf_vector(arrival, 2 * K) >= _ARRIVAL_FLOOR)[-1])
+    arr, srv = slot_kernels(arrival, service, K, K + a_max)
+    if mean(arrival) >= srv[1:, 0].sum():
         raise ValueError("unstable queue: oracle needs mean service > mean arrival")
-    a_max = len(a_pmf) - 1
-    m_max = K + a_max
-    # service kernel: srv[m, r] = P(X' = r | Y = m) for r in 0..K
-    js = np.arange(m_max + 1)[:, None] - np.arange(K + 1)[None, :]
-    srv = np.where((js >= 0) & (js < len(s_pmf)), s_pmf[np.clip(js, 0, len(s_pmf) - 1)], 0.0)
-    s_sf = np.concatenate((np.cumsum(s_pmf[::-1])[::-1], np.zeros(m_max + 1)))
-    srv[:, 0] = s_sf[:m_max + 1]
-    kernel = np.zeros((K + 1, K + 1))
-    for a, w in enumerate(a_pmf):
-        kernel += w * srv[a:a + K + 1, :]
+    if not sf(arrival, 2 * K + 1) <= _ARRIVAL_FLOOR:
+        raise RuntimeError(f"increase K: arrivals above 2K carry mass {sf(arrival, 2 * K + 1):.3g}")
+    kernel = np.tril(arr, a_max) @ srv  # arrival batches end at a_max
     # GTH: censor state k out of the chain on {0..k}, from k = K down to 1;
     # a slot raises the queue by at most a_max, so only rows lo..k-1 reach k
     g = kernel.copy()
@@ -651,4 +654,3 @@ def markov_oracle(arrival: DistSpec, service, K: int = 200) -> np.ndarray:
         raise RuntimeError(f"residual {residual:.3g} of pi P = pi exceeds 1e-13; "
                            "check stability or increase K")
     return pi
-

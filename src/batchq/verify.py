@@ -45,8 +45,8 @@ from . import percolation as perc
 from . import timeconstants as tc
 from .laws import (QueueParams, check_condition, match_arrival_bernoulli, solve_arrival,
                    stationary_law)
-from .queue_core import (markov_oracle, simulate, step, path_max_X, verify_detailed_balance,
-                         excursion_loglik)
+from .queue_core import (markov_oracle, simulate, slot_kernels, step, path_max_X,
+                         verify_detailed_balance, excursion_loglik)
 from .stats import (EmpiricalPmf, TestResult, batch_mean_stderr,
                     chi_square_gof, chi_square_two_sample, encode_pairs,
                     independence_chi2, ks_distance, ks_test, lag_autocorr)
@@ -392,24 +392,25 @@ def _y_law_and_burke_checks() -> list[dict]:
 
     With pi the BerGeom(c, gamma) law of X, P(Y = m) = sum_k pi(k) P(A = m - k) must be
     BerGeom(y_b, gamma) for m <= 59 and E[Y] must be E[X] + E[A]; and, as X' = Y - D with
-    D = min(Y, S), P(D = d, X' = x') = P(Y = d + x') P(S = d) for x' > 0 (P(S >= d) for
-    x' = 0) must be P(A = d) pi(x') for d, x' <= 30: departures distributed like the
-    arrivals, independent of the queue they leave.
+    D = min(Y, S), P(D = d, X' = x') = P(Y = d + x') P(X' = x' | Y = d + x') (both laws from
+    :func:`~batchq.queue_core.slot_kernels`) must be P(A = d) pi(x') for d, x' <= 30:
+    departures distributed like the arrivals, independent of the queue they leave.
     """
     ks, cut = np.arange(61), 31
     y_err, mean_err, burke_err = [], [], []
     for i, p in enumerate(CONDITION_SETS):
         law = stationary_law(p)
         pi = np.array([law.x_pmf(k) for k in ks])
-        a = np.array([laws.pmf(p.arrival_spec, k) for k in ks])
+        arr, srv = slot_kernels(p.arrival_spec, p.service_spec, cut - 1, len(ks) - 1)
+        a = arr[0]
         y = np.convolve(pi, a)[:len(ks)]
         y_law = laws.ber_geom(law.y_bernoulli, law.gamma)
         y_err += [({"set": i, "m": m}, abs(y[m] - laws.pmf(y_law, m))) for m in range(60)]
         mean_xa = law.mean_x + laws.mean(p.arrival_spec)
         mean_err.append(({"set": i}, abs(law.mean_y - mean_xa) / mean_xa))
-        s = p.service_spec
-        served = np.array([[laws.sf(s, d)] + [laws.pmf(s, d)] * (cut - 1) for d in range(cut)])
-        joint = y[np.add.outer(ks[:cut], ks[:cut])] * served
+        # P(D = d, X' = x') = P(Y = d + x') P(X' = x' | Y = d + x')
+        m = np.add.outer(ks[:cut], ks[:cut])
+        joint = y[m] * srv[m, ks[:cut]]
         err = np.abs(joint - np.outer(a[:cut], pi[:cut]))
         d, x = np.unravel_index(np.argmax(err), err.shape)  # a NaN is the argmax
         burke_err.append(({"set": i, "d": int(d), "x": int(x)}, float(err[d, x])))

@@ -307,32 +307,6 @@ def test_round_trip_covers_every_kind():
     assert sorted(_SPEC_OF_KIND) == sorted(laws._KINDS)
 
 
-def test_tail_cutoff_bounds_the_tail():
-    for spec in ALL_DISCRETE:
-        k = laws.tail_cutoff(spec, 1e-12)
-        assert laws.sf(spec, k + 1) <= 1e-12
-    # a nonzero mass at or below the tolerance needs no table beyond 0
-    assert laws.tail_cutoff(laws.ber_geom(1e-13, 0.5), 1e-12) == 0
-    # a tolerance just below (1 - a)**55, where the logarithm's estimate rounds to 55
-    spec, tol = laws.geom_plus(0.25158329759496567), 1.1964399593355166e-07
-    assert laws.tail_cutoff(spec, tol) == 56
-    assert laws.sf(spec, 57) <= tol < laws.sf(spec, 56)
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(kind=st.sampled_from(["bernoulli", "geom_plus", "geom_zero", "ber_geom"]),
-       p=st.floats(1e-15, 1 - 1e-9), alpha=st.floats(1e-6, 1 - 1e-9),
-       tol=st.sampled_from([1e-14, 1e-12, 1e-6, 0.3]))
-def test_tail_cutoff_is_the_smallest_k(kind, p, alpha, tol):
-    # P(X > K) = sf(K + 1): K bounds the tail and K - 1 does not
-    spec = {"bernoulli": lambda: laws.bernoulli(p), "geom_plus": lambda: laws.geom_plus(alpha),
-            "geom_zero": lambda: laws.geom_zero(alpha),
-            "ber_geom": lambda: laws.ber_geom(p, alpha)}[kind]()
-    k = laws.tail_cutoff(spec, tol)
-    assert k >= 0 and laws.sf(spec, k + 1) <= tol
-    assert k == 0 or laws.sf(spec, k) > tol
-
-
 def test_substreams_are_decorrelated_and_documented():
     assert mix64(1, 0) != mix64(1, 1)
     assert mix64(1, 0) == mix64(1, 0)

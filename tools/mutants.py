@@ -83,11 +83,6 @@ MUTANTS = [
            "_check_run(first, burn_in=burn_in)", "None"),
     Mutant("ks_small_t_branch_never_taken", "stats.py",
            "small = 2.0 * math.exp(-2.0 * 100 * 100 * t * t) >= 1e-16", "small = False"),
-    Mutant("tail_cutoff_floor_at_1", "laws.py",
-           "while k > 0 and sf(spec, k) <= tol:", "while k > 1 and sf(spec, k) <= tol:",
-           ("tests/test_distributions.py",)),
-    Mutant("tail_cutoff_not_corrected_down", "laws.py",
-           "while k > 0 and sf(spec, k) <= tol:", "while False:", ("tests/test_distributions.py",)),
     # the seeded-trial rule, verify's grading, the family guard and the identity's window refusal
     Mutant("trial_on_next_substream", "streams.py",
            "trial(i, self.substream(i))", "trial(i, self.substream(i + 1))",
@@ -207,8 +202,8 @@ MUTANTS = [
            "law.mean_x + laws.mean(p.arrival_spec)", "law.mean_x + laws.mean(p.service_spec)"),
     Mutant("burke_product_at_the_next_queue_length", "verify.py",
            "np.outer(a[:cut], pi[:cut])", "np.outer(a[:cut], pi[1:cut + 1])"),
-    Mutant("burke_empty_queue_term_by_the_service_pmf", "verify.py",
-           "[[laws.sf(s, d)] + ", "[[laws.pmf(s, d)] + "),
+    Mutant("burke_empty_queue_term_by_the_service_pmf", "queue_core.py",
+           "srv[:, 0] = s_tail", "srv[:, 0] = s_pmf"),
     # the fork helper, the shard split, the column sweep and the golden-section bracket
     Mutant("fork_map_leaves_the_last_child_unreaped", "workers.py",
            "os.waitpid(pid, 0)", "pid == children[-1][0] or os.waitpid(pid, 0)"),
