@@ -10,9 +10,10 @@ A slot processes an arrival batch A and an offered service S:
     I = U + A'           unused service plus the next slot's arrival
 
 The laws it is checked against live in :mod:`batchq.laws`.  This module
-provides the simulator, a detailed-balance residual check of the formula
-law, busy-period likelihoods, and an independent truncated-Markov-chain
-oracle for stationary laws.  One
+provides the simulator, busy-period likelihoods and the one-slot law as two
+matrices (:func:`slot_kernels`), on which a detailed-balance residual check
+of the formula law and an independent truncated-Markov-chain oracle for
+stationary laws are built.  One
 Lindley kernel (X_j = c_j + max(X_0, M_j), c the prefix sums of A - S
 and M the running maximum of -c) serves the slot engine, which runs
 queues in series (the single queue is its one-stage case), and the
@@ -129,8 +130,10 @@ def _int_cells(col: np.ndarray) -> np.ndarray:
 
 
 def _float_cells(col: np.ndarray) -> np.ndarray:
-    """``.17g`` text of float cells: character position by cell, NUL where a cell is shorter."""
-    text = np.array(list(map("{:.17g}".format, col.tolist())), dtype=bytes)
+    """``.17g`` text of float cells, one ``%`` format of the block: character position by
+    cell, NUL where a cell is shorter."""
+    text = ("%.17g\0" * len(col) % tuple(col.tolist())).encode()
+    text = np.array(text.split(b"\0")[:-1], dtype=bytes)
     return text.view(np.uint8).reshape(len(col), text.itemsize if len(col) else 0).T
 
 

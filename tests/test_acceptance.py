@@ -91,7 +91,7 @@ def test_criterion_6_tandem():
 
 
 def test_criterion_7_general_service_ratios():
-    # spread of pi(k+1)/pi(k) for k = 1..50, each <= 1e-9
+    # spread of pi(k+1)/pi(k) for k = 1..50, each <= 5e-14
     checks = verify.check_general_service_ratios()
     _report(7, _all_pass(checks),
             "ratio spreads " + ", ".join(

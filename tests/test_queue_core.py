@@ -18,7 +18,7 @@ from batchq import queue_core
 from batchq.laws import (QueueParams, check_condition, match_arrival_bernoulli, solve_arrival,
                          stationary_law)
 from batchq.queue_core import (Trace, excursion_loglik, markov_oracle, path_max_X, simulate,
-                               simulate_blocks, simulate_series, step, tee_csv,
+                               simulate_blocks, simulate_series, slot_kernels, step, tee_csv,
                                verify_detailed_balance, write_csv)
 from batchq.stats import EmpiricalPmf, chi_square_gof
 from batchq.streams import RandomStream
@@ -362,9 +362,61 @@ def test_oracle_general_service_shapes():
     assert ratios.max() - ratios.min() <= 1e-8
 
 
+def _brute_force_kernels(arrival, service, k_max, m_max):
+    """P(Y = m | X = k) and P(X' = r | Y = m), enumerated over batches a and services s."""
+    def prob(law, j):
+        return laws.pmf(law, j) if isinstance(law, laws.DistSpec) else (
+            law[j] if j < len(law) else 0.0)
+    arr = np.zeros((k_max + 1, m_max + 1))
+    for k in range(k_max + 1):
+        for a in range(m_max + 1 - k):
+            arr[k, k + a] += prob(arrival, a)
+    srv = np.zeros((m_max + 1, k_max + 1))
+    for m in range(m_max + 1):
+        for s in range(400):  # the Geom+(0.35) and BerGeom services keep < 1e-70 above 400
+            r = m - min(m, s)
+            if r <= k_max:
+                srv[m, r] += prob(service, s)
+    return arr, srv
+
+
+@pytest.mark.parametrize("arrival, service", [
+    (MAIN.arrival_spec, MAIN.service_spec),
+    (laws.geom_plus(0.5), laws.geom_plus(0.35)),
+    (laws.ber_geom(0.35, 0.5), np.full(3, 1.0 / 3.0)),
+])
+@pytest.mark.parametrize("k_max, m_max", [(8, 16), (5, 5), (3, 12)])
+def test_slot_kernels_equal_the_enumerated_one_slot_law(arrival, service, k_max, m_max):
+    arr, srv = slot_kernels(arrival, service, k_max, m_max)
+    want_arr, want_srv = _brute_force_kernels(arrival, service, k_max, m_max)
+    assert arr.shape == want_arr.shape and srv.shape == want_srv.shape
+    assert np.array_equal(arr, want_arr)  # one term per entry
+    np.testing.assert_allclose(srv, want_srv, rtol=1e-13, atol=0)
+
+
+def test_oracle_equals_the_geom_plus_closed_form():
+    # the Geom+(0.5) / Geom+(0.35) queue: pi(0) = 6/13, pi(k) = 6/13 * 7/26 * (10/13)^(k-1)
+    pi = markov_oracle(laws.geom_plus(0.5), laws.geom_plus(0.35), K=200)
+    k = np.arange(1, 61)
+    want = np.concatenate(([6 / 13], 6 / 13 * 7 / 26 * (10 / 13) ** (k - 1.0)))
+    np.testing.assert_allclose(pi[:61], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("arrival, service, K", [
+    (laws.geom_plus(0.05), laws.geom_plus(0.04), 200),
+    (laws.ber_geom(0.9, 0.02), laws.deterministic(50), 400),
+])
+def test_oracle_refuses_heavy_tails_rather_than_cutting_them(arrival, service, K):
+    with pytest.raises(RuntimeError, match="increase K"):
+        markov_oracle(arrival, service, K=K)
+
+
 def test_oracle_rejects_bad_input():
     with pytest.raises(RuntimeError, match="increase K"):
         markov_oracle(laws.ber_geom(0.45, 0.5), laws.deterministic(1), K=25)
+    # batches end inside 2K, but pi leaves 1e-5 near K = 40
+    with pytest.raises(RuntimeError, match="near the truncation boundary"):
+        markov_oracle(laws.geom_plus(0.5), laws.geom_plus(0.35), K=40)
     with pytest.raises(ValueError, match="discrete"):
         markov_oracle(laws.exponential(1.0), laws.deterministic(1), K=50)
     with pytest.raises(ValueError, match="unstable"):

@@ -436,6 +436,28 @@ def test_calibration_report_is_the_same_on_forked_workers(monkeypatch, tmp_path)
     assert reports[0] == reports[1]
 
 
+def test_calibration_reports_the_headroom_of_upper_bound_exact_checks(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    out = tmp_path / "cal.json"
+    assert _tool("calibrate_verify").main(["--families", "queue_small", "--seeds", "1:2",
+                                           "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    runs = [verify.run_family("queue_small", s) for s in (1, 2)]
+    assert sorted(checks) == sorted(c["name"] for c in runs[0])
+    for first, second in zip(*runs):
+        rec, req = checks[first["name"]], first["requirement"]
+        if first["kind"] == "exact" and req.startswith("<= "):
+            top = max(first["observed"], second["observed"])
+            assert rec["max_observed"] == top
+            assert rec["headroom"] == (None if top == 0 else float(req[3:]) / top)
+        else:
+            assert "max_observed" not in rec and "headroom" not in rec
+    # a count that is 0 at both seeds has no ratio; a lower bound has no headroom
+    assert checks["path_max_equals_iterated_recurrence"]["headroom"] is None
+    assert "headroom" not in checks["excursion_reversal_breaks_off_family"]
+    assert checks["one_step_burke_d_x_independent_5_sets"]["headroom"] >= 10
+
+
 def test_calibration_refuses_seeds_that_verify_refuses(tmp_path, capsys):
     out = tmp_path / "cal.json"
     with pytest.raises(SystemExit) as exc:

@@ -14,7 +14,11 @@ statistical check at p < 0.01 (before the suite's Bonferroni correction),
 and a family that raises as one failed check.  The JSON gives, per check, its runs, the
 seeds where it failed and its rejection rate; a statistical check also gets
 the KS p-value of its p-values against U(0, 1), which are uniform when the
-check is calibrated.  The graded checks are verify's own: this tool changes
+check is calibrated.  An exact check whose requirement is an upper bound also
+gets its largest observed value (``max_observed``) and its ``headroom``: the
+smallest threshold / observed over the runs, which for a fixed threshold is the
+threshold over ``max_observed``; null when every value is 0, and 0 when a value
+is NaN.  The graded checks are verify's own: this tool changes
 none of them.  The seed range splits into contiguous spans, at most one per
 usable CPU, run on forked workers (``batchq.workers``); the records join in
 seed order, so the report is the same for any worker count.
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import chain
 
@@ -53,11 +58,19 @@ def calibrate(families: list[str], seeds: range) -> list[dict]:
             rec["runs"] += 1
             if c["kind"] == "stat":
                 p_values.setdefault(key, []).append(c["observed"])
+            if c["kind"] == "exact" and c["requirement"].startswith("<= "):
+                obs, bound = c["observed"], float(c["requirement"][3:])
+                rec["max_observed"] = max(rec.get("max_observed", obs), obs,
+                                          key=lambda v: math.inf if math.isnan(v) else v)
+                room = 0.0 if math.isnan(obs) else math.inf if obs == 0 else bound / obs
+                rec["headroom"] = min(rec.get("headroom", math.inf), room)
             if not c["passed"]:
                 rec["failed_seeds"].append(seed)
                 print(f"seed {seed}: {family}.{c['name']} failed", file=sys.stderr)
     for key, rec in records.items():
         rec["rejection_rate"] = len(rec["failed_seeds"]) / rec["runs"]
+        if rec.get("headroom") == math.inf:
+            rec["headroom"] = None
         if key in p_values:
             rec["ks_p_value"] = ks_test(p_values[key], lambda u: min(1.0, max(0.0, u))).p_value
     return list(records.values())
@@ -88,7 +101,11 @@ def main(argv: list[str] | None = None) -> int:
         f.write("\n")
     for c in checks:
         ks = f", KS p {c['ks_p_value']:.3g}" if "ks_p_value" in c else ""
-        print(f"{c['family']}.{c['name']}: {len(c['failed_seeds'])}/{c['runs']} failed{ks}")
+        room = ""
+        if "headroom" in c:
+            h = "none" if c["headroom"] is None else f"{c['headroom']:.3g}"
+            room = f", max {c['max_observed']:.3g}, headroom {h}"
+        print(f"{c['family']}.{c['name']}: {len(c['failed_seeds'])}/{c['runs']} failed{ks}{room}")
     return 0
 
 

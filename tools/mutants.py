@@ -202,8 +202,6 @@ MUTANTS = [
            "law.mean_x + laws.mean(p.arrival_spec)", "law.mean_x + laws.mean(p.service_spec)"),
     Mutant("burke_product_at_the_next_queue_length", "verify.py",
            "np.outer(a[:cut], pi[:cut])", "np.outer(a[:cut], pi[1:cut + 1])"),
-    Mutant("burke_empty_queue_term_by_the_service_pmf", "queue_core.py",
-           "srv[:, 0] = s_tail", "srv[:, 0] = s_pmf"),
     # the fork helper, the shard split, the column sweep and the golden-section bracket
     Mutant("fork_map_leaves_the_last_child_unreaped", "workers.py",
            "os.waitpid(pid, 0)", "pid == children[-1][0] or os.waitpid(pid, 0)"),
@@ -227,6 +225,21 @@ MUTANTS = [
     Mutant("f_exponential_relative_1e_4_high", "timeconstants.py",
            "return (math.sqrt(1.0 + x) - 1.0) ** 2",
            "return 1.0001 * (math.sqrt(1.0 + x) - 1.0) ** 2"),
+    # the one-slot kernels, the oracle's arrival floor, the float cells and the block path
+    Mutant("burke_empty_queue_term_by_the_service_pmf", "queue_core.py",
+           "srv[:, 0] = s_tail", "srv[:, 0] = s_pmf"),
+    Mutant("slot_kernels_read_arrivals_one_slot_late", "queue_core.py", "d >= 0", "d >= 1"),
+    Mutant("oracle_arrival_floor_at_1e_14", "queue_core.py",
+           "_ARRIVAL_FLOOR = 1e-20", "_ARRIVAL_FLOOR = 1e-14"),
+    Mutant("float_cells_at_16_digits", "queue_core.py", '"%.17g\\0"', '"%.16g\\0"'),
+    Mutant("block_doubles_in_the_next_replicas_slot", "distributions.py",
+           "zip(streams, u)", "zip(streams, [*u[1:], u[0]])"),
+    Mutant("short_last_block_yields_the_whole_buffer", "distributions.py",
+           "np.moveaxis(u, 2, 0), u.shape[:2] + (n,)", "np.moveaxis(buf, 2, 0), buf.shape[:2] + (n,)"),
+    Mutant("block_transform_applied_twice", "distributions.py",
+           "        yield _values(spec, np.moveaxis(u, 2, 0)",
+           "        _values(spec, np.moveaxis(u, 2, 0), u.shape[:2] + (n,))\n"
+           "        yield _values(spec, np.moveaxis(u, 2, 0)"),
 ]
 
 
