@@ -5,10 +5,12 @@ p-values come from our own regularized incomplete gamma (series plus
 continued fraction, accurate to ~1e-12), so no statistics library is
 required.  The pooling rule is fixed: cells are merged from the tail
 downward until every expected count reaches 5, and a deficient leading
-group is folded into its neighbour.  A chi-square result also keeps its
-pooled cell count and its worst cell (the largest term of the statistic):
-the values the cell pools ("3", "3..5", or "6+" for a cell that holds the
-tail from 6 on), and its observed and expected counts.
+group is folded into its neighbour.  The three chi-square tests differ
+only in how they count and pool cells: one core computes every Pearson
+statistic, its p-value and its worst cell.  A result keeps its pooled cell
+count and its worst cell (the largest term, summed over the samples): the
+values the cell pools ("3", "3..5", or "6+" for a cell that holds the tail
+from 6 on), and its observed and expected counts.
 """
 
 from __future__ import annotations
@@ -141,9 +143,10 @@ def chi2_sf(stat: float, dof: int) -> float:
 # --- pooling --------------------------------------------------------------
 
 def _pool_tail(observed: np.ndarray, expected: np.ndarray):
-    """Merge cells from the tail downward until expected counts reach 5: the pooled
-    observed and expected counts, and the index of each pooled cell's first cell."""
-    groups_o: list[float] = []
+    """Merge cells from the tail downward until expected counts reach 5: the pooled observed
+    counts (cells first, a column per sample, every column pooled alike in one pass) and
+    expected counts, and the index of each pooled cell's first cell."""
+    groups_o: list = []
     groups_e: list[float] = []
     starts: list[int] = []
     acc_o = acc_e = 0.0
@@ -179,12 +182,19 @@ def _spans(starts: list[int], size: int, tail: bool) -> list[str]:
             for lo, hi in zip(starts, ends)]
 
 
-def _worst_cell(terms: np.ndarray, values: list, observed, expected) -> dict:
-    """The pooled cell count and the cell of the largest statistic term, as JSON values."""
-    w = int(np.argmax(terms))
-    return {"cells": int(terms.size),
-            "worst_cell": {"values": values[w], "observed": np.asarray(observed)[..., w].tolist(),
-                           "expected": np.asarray(expected)[..., w].tolist()}}
+def _pearson(name: str, level: float, observed: np.ndarray, expected: np.ndarray,
+             dof: int, values: list) -> TestResult:
+    """Pearson's test of ``observed`` against ``expected`` counts (cells first, a column per
+    sample): its statistic sums each sample's terms, then the samples, and its worst cell,
+    named by ``values``, has the largest terms summed over the samples."""
+    terms = ((observed - expected) ** 2 / expected).reshape(len(observed), -1)
+    stat = float(sum(t.sum() for t in terms.T))
+    p = chi2_sf(stat, dof)
+    w = int(np.argmax(terms.sum(axis=1)))
+    return TestResult(name, stat, dof, p, level, p >= level,
+                      {"cells": len(terms),
+                       "worst_cell": {"values": values[w], "observed": observed[w].tolist(),
+                                      "expected": expected[w].tolist()}})
 
 
 def chi_square_gof(emp: EmpiricalPmf,
@@ -205,14 +215,8 @@ def chi_square_gof(emp: EmpiricalPmf,
         probs = np.asarray(expected, dtype=float)
         if probs.shape != emp.counts.shape:
             raise ValueError("expected vector must align with emp.counts")
-    e = probs * emp.n
-    o, e, starts = _pool_tail(emp.counts.astype(float), e)
-    terms = (o - e) ** 2 / e
-    stat = float(terms.sum())
-    dof = len(o) - 1
-    p = chi2_sf(stat, dof)
-    return TestResult(name, stat, dof, p, level, p >= level,
-                      _worst_cell(terms, _spans(starts, len(probs), True), o, e))
+    o, e, starts = _pool_tail(emp.counts.astype(float), probs * emp.n)
+    return _pearson(name, level, o, e, len(o) - 1, _spans(starts, len(probs), True))
 
 
 def chi_square_two_sample(counts1: np.ndarray, counts2: np.ndarray,
@@ -228,22 +232,13 @@ def chi_square_two_sample(counts1: np.ndarray, counts2: np.ndarray,
     c2 = np.asarray(counts2, dtype=float)
     if c1.shape != c2.shape or c1.ndim != 1:
         raise ValueError("histograms must be aligned 1-d vectors")
-    n1, n2 = c1.sum(), c2.sum()
-    if n1 == 0 or n2 == 0:
+    n = np.array([c1.sum(), c2.sum()])
+    if not n.all():
         raise ValueError("empty histogram")
-    pooled = (c1 + c2) / (n1 + n2)
-    # pool both rows with a shared grouping driven by the smaller sample
-    c1p, _, starts = _pool_tail(c1, pooled * min(n1, n2))
-    c2p, _, _ = _pool_tail(c2, pooled * min(n1, n2))
-    p_hat = (c1p + c2p) / (n1 + n2)
-    terms1 = ((c1p - n1 * p_hat) ** 2) / (n1 * p_hat)
-    terms2 = ((c2p - n2 * p_hat) ** 2) / (n2 * p_hat)
-    stat = float(terms1.sum() + terms2.sum())
-    dof = len(c1p) - 1
-    p = chi2_sf(stat, dof)
-    return TestResult(name, stat, dof, p, level, p >= level,
-                      _worst_cell(terms1 + terms2, _spans(starts, len(c1), False),
-                                  [c1p, c2p], [n1 * p_hat, n2 * p_hat]))
+    # one grouping for both samples, driven by the smaller one
+    o, _, starts = _pool_tail(np.stack([c1, c2], axis=1), (c1 + c2) / n.sum() * n.min())
+    e = ((o[:, 0] + o[:, 1]) / n.sum())[:, None] * n
+    return _pearson(name, level, o, e, len(o) - 1, _spans(starts, len(c1), False))
 
 
 def encode_pairs(a: np.ndarray, b: np.ndarray, cutoff: int) -> np.ndarray:
@@ -271,8 +266,8 @@ def independence_chi2(x: Sequence[int], y: Sequence[int],
     n = xv.size
     if n < min_pairs:
         raise ValueError(f"need at least {min_pairs} pairs, got {n}")
-    table = np.zeros((x_cutoff + 1, y_cutoff + 1))
-    np.add.at(table, (xv, yv), 1.0)
+    table = np.bincount(xv * (y_cutoff + 1) + yv, minlength=(x_cutoff + 1) * (y_cutoff + 1))
+    table = table.reshape(x_cutoff + 1, y_cutoff + 1).astype(float)
     # drop empty categories, then merge tails until expected counts are valid
     xs, ys = (np.flatnonzero(table.sum(axis=a) > 0).tolist() for a in (1, 0))
     table = table[xs][:, ys]
@@ -292,15 +287,11 @@ def independence_chi2(x: Sequence[int], y: Sequence[int],
             ys.pop()
         else:
             raise ValueError("insufficient counts: cannot reach expected >= 5")
-    terms = (table - expected) ** 2 / expected
-    stat = float(terms.sum())
     dof = (table.shape[0] - 1) * (table.shape[1] - 1)
-    p = chi2_sf(stat, dof)
     # a category holds its value up to the next one's; the last, from the cutoff on
     cells = [{"x": x, "y": y} for x in _spans(xs, x_cutoff + 1, True)
              for y in _spans(ys, y_cutoff + 1, True)]
-    return TestResult(name, stat, dof, p, level, p >= level,
-                      _worst_cell(terms.ravel(), cells, table.ravel(), expected.ravel()))
+    return _pearson(name, level, table.ravel(), expected.ravel(), dof, cells)
 
 
 def lag_autocorr(seq: Sequence[float], lag: int) -> tuple[float, float]:

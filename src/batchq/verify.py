@@ -109,13 +109,13 @@ def _trials(name: str, failures: list[dict]) -> dict:
 
 
 def _stat(result: TestResult) -> dict:
-    """The statistical check of ``result``; failing at its own level, a chi-square check
-    carries its pooled cell count and its worst cell, which :func:`run_suite` keeps only
-    where the check fails at the suite's level."""
+    """The statistical check of ``result``; a chi-square check carries its pooled cell
+    count and its worst cell, which :func:`run_suite` keeps only where the check fails at
+    the suite's level."""
     check = {"name": result.name, "kind": "stat", "passed": bool(result.passed),
              "observed": float(result.p_value), "requirement": f"p >= {result.level:g}",
              "statistic": float(result.statistic), "dof": int(result.dof)}
-    return check if result.passed or result._cells is None else {**check, **result._cells}
+    return {**check, **(result._cells or {})}
 
 
 # --- distributions ----------------------------------------------------------
