@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from batchq import distributions as dist
 from batchq import laws
-from batchq.stats import (EmpiricalPmf, _kolmogorov_sf, _pool_tail, batch_mean_stderr,
+from batchq.stats import (EmpiricalPmf, _kolmogorov_sf, _pool_tail, _spans, batch_mean_stderr,
                           chi2_sf, chi_square_gof, chi_square_two_sample, encode_pairs,
                           independence_chi2, ks_distance, ks_test, lag_autocorr)
 from batchq.streams import RandomStream
@@ -102,6 +103,93 @@ def test_a_chi_square_result_names_its_pooled_cells_and_its_worst_cell():
     terms = ((cells["worst_cell"]["observed"] - cells["worst_cell"]["expected"]) ** 2
              / cells["worst_cell"]["expected"])
     assert terms >= res.statistic / cells["cells"]  # the largest term is at least the mean
+
+
+def _reference(terms: list, observed: list, expected: list, values: list, dof: int):
+    """(statistic, p-value, dof, cells) with each sample's terms summed on its own, then
+    added; the worst cell is the largest sum of a cell's terms over the samples."""
+    stat = float(sum(t.sum() for t in terms))
+    w = int(np.argmax(sum(terms)))
+    o, e = [float(v[w]) for v in observed], [float(v[w]) for v in expected]
+    if len(terms) == 1:
+        o, e = o[0], e[0]
+    return stat, chi2_sf(stat, dof), dof, {
+        "cells": len(values), "worst_cell": {"values": values[w], "observed": o, "expected": e}}
+
+
+def _gof_reference(counts: np.ndarray, probs: np.ndarray):
+    o, e, starts = _pool_tail(counts, probs * counts.sum())
+    return _reference([(o - e) ** 2 / e], [o], [e], _spans(starts, len(counts), True),
+                      len(o) - 1)
+
+
+def _two_sample_reference(c1: np.ndarray, c2: np.ndarray):
+    n1, n2 = c1.sum(), c2.sum()
+    pooled = (c1 + c2) / (n1 + n2)
+    c1p, _, starts = _pool_tail(c1, pooled * min(n1, n2))
+    c2p, _, _ = _pool_tail(c2, pooled * min(n1, n2))
+    p_hat = (c1p + c2p) / (n1 + n2)
+    e1, e2 = n1 * p_hat, n2 * p_hat
+    return _reference([(c1p - e1) ** 2 / e1, (c2p - e2) ** 2 / e2], [c1p, c2p], [e1, e2],
+                      _spans(starts, len(c1), False), len(c1p) - 1)
+
+
+def _independence_reference(x: np.ndarray, y: np.ndarray, xc: int, yc: int):
+    xv, yv = np.minimum(x, xc), np.minimum(y, yc)
+    table = np.zeros((xc + 1, yc + 1))
+    np.add.at(table, (xv, yv), 1.0)
+    xs, ys = (np.flatnonzero(table.sum(axis=a) > 0).tolist() for a in (1, 0))
+    table = table[xs][:, ys]
+    while True:
+        expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / x.size
+        if expected.min() >= 5.0:
+            break
+        if table.shape[0] >= table.shape[1] and table.shape[0] > 2:
+            table = np.vstack([table[:-2], table[-2] + table[-1]])
+            xs.pop()
+        else:
+            table = np.hstack([table[:, :-2], (table[:, -2] + table[:, -1])[:, None]])
+            ys.pop()
+    cells = [{"x": a, "y": b} for a in _spans(xs, xc + 1, True) for b in _spans(ys, yc + 1, True)]
+    return _reference([((table - expected) ** 2 / expected).ravel()], [table.ravel()],
+                      [expected.ravel()], cells, (table.shape[0] - 1) * (table.shape[1] - 1))
+
+
+def _agree(test, reference) -> None:
+    """``test()`` gives ``reference()``'s statistic, p-value, dof and cells, or both refuse."""
+    try:
+        ref = reference()
+    except ValueError:
+        with pytest.raises(ValueError, match="insufficient counts"):
+            test()
+    else:
+        res = test()
+        assert (res.statistic, res.p_value, res.dof, res._cells) == ref
+
+
+@given(counts=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)), min_size=2,
+                       max_size=40),
+       cutoffs=st.sampled_from([(1, 4), (4, 1), (2, 6), (6, 3), (5, 8)]),
+       pairs=st.integers(1000, 20_000), shared=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1))
+@example(counts=[(5, 8), (8, 5), (10, 10)], cutoffs=(1, 4), pairs=1000, shared=0.0, seed=0)
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_each_chi_square_is_the_per_sample_pearson_sum_bit_for_bit(counts, cutoffs, pairs,
+                                                                   shared, seed):
+    # the example's two cells tie on their summed terms, while sample 1's terms differ by
+    # rounding: the first cell is the worst, not the first sample's largest term
+    c1, c2 = np.array(counts, dtype=float).T
+    # sample 1 against the pmf proportional to sample 2's counts plus 1
+    probs = (c2 + 1) / (c2 + 1).sum()
+    emp = EmpiricalPmf(counts=c1.astype(np.int64), n=int(c1.sum()), cutoff=len(c1) - 2)
+    _agree(lambda: chi_square_gof(emp, probs), lambda: _gof_reference(c1, probs))
+    if c1.sum() and c2.sum():
+        _agree(lambda: chi_square_two_sample(c1, c2), lambda: _two_sample_reference(c1, c2))
+    # unequal cutoffs: a pair's cell index needs y's cutoff, not x's
+    rng = np.random.default_rng(seed)
+    x, y = rng.geometric(0.45, (2, pairs)) - 1
+    y[: int(shared * pairs)] = x[: int(shared * pairs)]
+    _agree(lambda: independence_chi2(x, y, *cutoffs, min_pairs=1000),
+           lambda: _independence_reference(x, y, *cutoffs))
 
 
 def test_gof_insufficient_counts():

@@ -12,11 +12,14 @@ its own temporary copy of ``src/``, ``tests/``, ``tools/`` and the README,
 never in the checkout: pytest runs, with ``-x``, the mutated module's test file
 (``tests/test_<module>.py``, or the files the mutant names) and
 ``tests/test_acceptance.py``, and the mutant is killed when they fail or
-time out.  The unmutated copy must pass every one of those files first,
-or the tool exits 2.  The JSON lists, per mutant, its name, file, whether
-it was killed, the tests that failed and the seconds it took; the tool
-exits 1 if a mutant survived.  A survivor gets a new test, or an argument
-that it is equivalent; no tolerance is loosened to kill one.
+time out.  The copy's root ``conftest.py`` loads a Hypothesis profile without
+the shrink phase and without an example database: a mutant is killed by its
+first failing example, and shrinking would only minimize that example.  The
+unmutated copy must pass every one of those files first, or the tool exits 2.
+The JSON lists, per mutant, its name, file, whether it was killed, the tests
+that failed and the seconds it took; the tool exits 1 if a mutant survived.
+A survivor gets a new test, or an argument that it is equivalent; no
+tolerance is loosened to kill one.
 """
 
 from __future__ import annotations
@@ -240,6 +243,19 @@ MUTANTS = [
            "        yield _values(spec, np.moveaxis(u, 2, 0)",
            "        _values(spec, np.moveaxis(u, 2, 0), u.shape[:2] + (n,))\n"
            "        yield _values(spec, np.moveaxis(u, 2, 0)"),
+    # the tightened time-constant thresholds, one Pearson core and the suite's cell rule
+    Mutant("alpha_objective_scaled_1e_9", "timeconstants.py",
+           "return (b * (1.0 - a) / a", "return (1 + 1e-9) * (b * (1.0 - a) / a"),
+    Mutant("legendre_objective_scaled_1e_9", "timeconstants.py",
+           "return lam * x - h_of_lambda(q, b, lam)",
+           "return (1 + 1e-9) * (lam * x - h_of_lambda(q, b, lam))"),
+    Mutant("worst_cell_of_the_first_sample", "stats.py",
+           "np.argmax(terms.sum(axis=1))", "np.argmax(terms[:, 0])"),
+    Mutant("pairs_indexed_by_the_x_cutoff", "stats.py",
+           "xv * (y_cutoff + 1) + yv", "xv * (x_cutoff + 1) + yv"),
+    Mutant("suite_keeps_cells_of_a_passing_check", "verify.py",
+           '                c.pop("cells", None)\n                c.pop("worst_cell", None)\n',
+           "                pass\n"),
 ]
 
 
@@ -247,11 +263,21 @@ def _tests_for(m: Mutant) -> list[str]:
     return [*(m.tests or [f"tests/test_{Path(m.module).stem}.py"]), "tests/test_acceptance.py"]
 
 
+CONFTEST = """\
+from hypothesis import Phase, settings
+
+settings.register_profile("mutants", database=None,
+                          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+settings.load_profile("mutants")
+"""
+
+
 def _copy(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")
     for part in ("src", "tests", "tools"):  # tests load tools/ from the tree
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy(ROOT / "README.md", dest)  # a test runs the README's CLI block
+    (dest / "conftest.py").write_text(CONFTEST)
 
 
 def _pytest(tree: Path, files: list[str]) -> tuple[bool, list[str], bool]:
